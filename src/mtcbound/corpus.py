@@ -306,9 +306,11 @@ def load_shipped(name: str) -> CategorySpecFile:
 
 
 def write_all(directory) -> list:
-    """Regenerate every fixture file; returns the paths written."""
+    """Regenerate every fixture file, creating the directory if needed;
+    returns the paths written."""
     import os
 
+    os.makedirs(directory, exist_ok=True)
     paths = []
     for name in FIXTURES:
         path = os.path.join(str(directory), f"{name}.json")

@@ -314,8 +314,14 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.conductor == 1 and o.conductor == 1:
-            return Cyclotomic(1, (self.nums[0] * o.nums[0],), self.den * o.den)
+        if o.conductor == 1:
+            q = o.nums[0]
+            if self.conductor == 1:
+                return Cyclotomic(1, (self.nums[0] * q,), self.den * o.den)
+            return Cyclotomic(self.conductor, tuple(v * q for v in self.nums), self.den * o.den)
+        if self.conductor == 1:
+            q = self.nums[0]
+            return Cyclotomic(o.conductor, tuple(v * q for v in o.nums), self.den * o.den)
         n, an, bn = self._unify_raw(o)
         return Cyclotomic(n, _mul_nums(n, an, bn), self.den * o.den)
 

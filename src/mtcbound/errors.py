@@ -21,8 +21,11 @@ class DivisionByZero(MtcError, ZeroDivisionError):
     """Division by the zero cyclotomic scalar."""
 
 
-class ConductorLimitError(MtcError):
-    """A scalar operation would need a cyclotomic conductor above the cap."""
+class ConductorLimitError(InputError):
+    """A scalar operation would need a cyclotomic conductor above the cap.
+
+    The cap bounds what the program accepts, so data that needs more is
+    refused as input, like any other malformed document."""
 
 
 class NumericError(MtcError):

@@ -6,19 +6,43 @@ d_i = S_{ui}/S_{uu} > 0 for the unit row u, D = 1/S_{uu} > 0, and the
 T vector is diagonal with twists theta_i = T_i/T_u.  Everything is
 checked exactly except positivity, which is certified numerically.
 
-The only r^4 hot spot, the Verlinde sum, gets an exact integer numpy
-fast path when every S entry is rational (conductor 1); the general
-object path is kept both as the fallback and as the cross-check route.
+Matrix arithmetic over Q(zeta_N) runs on one packed representation,
+`PackedMatrix`: an integer array of shape (rows, cols, phi(N)) holding
+power-basis coefficients over one common denominator.  A product is
+phi integer matrix products into a (2 phi - 1)-long convolution,
+followed by one product with the reduction matrix of Phi_N.  Each step
+is exact: it runs in float64 (BLAS) only when a worst-case bound on
+its partial sums, computed from the entry sizes, is below 2^53, and on
+Python integers in an object array otherwise; results are stored as
+int64 when they fit.  S^2 (the dual permutation), the balancing
+identity (ST)^3 = (tau+/D) S^2 and the Verlinde sum all use it, and
+since the power basis is a basis, "is a permutation matrix" and "is a
+non-negative integer" are read off the packed coefficients directly.
+
+Derived invariants (packed S and S^2, dims, twists, D, the dual
+permutation, and through `ModularData._derived` the central charge and
+the Verlinde ring) are computed at most once per `ModularData`, in a
+private cache that equality and repr ignore.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, ONE, ZERO, _lcm
+from .cyclotomic import (
+    Cyclotomic,
+    ONE,
+    ZERO,
+    _embed_nums,
+    _lcm,
+    _power_row,
+    _reduction,
+    euler_phi,
+)
 from .errors import (
     GaussIdentityFailure,
     InputError,
@@ -30,6 +54,187 @@ from .fusion import FusionRing, ring_product
 from .report import ValidationReport
 
 Matrix = tuple  # tuple of tuple of Cyclotomic
+
+# Integers of absolute value below 2^53 are exact in float64, and so is
+# every sum of them that stays below it; int64 holds |x| < 2^63.
+_FLOAT_EXACT = 2**53
+_INT64_LIMIT = 2**63
+
+
+# ---------------------------------------------------------------------------
+# packed matrices over Q(zeta_N)
+# ---------------------------------------------------------------------------
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _exact_dtype(bound: int):
+    """Work dtype for an integer product whose partial sums all have
+    absolute value at most `bound`: float64 (BLAS) when that is exact."""
+    return np.float64 if bound < _FLOAT_EXACT else object
+
+
+def _settle(a: np.ndarray) -> np.ndarray:
+    """An exact integer-valued array as int64 when every entry fits,
+    else as Python integers in an object array."""
+    if a.dtype == np.float64:
+        return a.astype(np.int64)  # only made under a bound below 2^53
+    if a.dtype == object and _max_abs(a) < _INT64_LIMIT:
+        return a.astype(np.int64)
+    return a
+
+
+def _int_table(rows) -> tuple[np.ndarray, int]:
+    """(matrix, norm): an integer matrix and its largest column sum of
+    absolute values, which bounds |x @ matrix| by norm * max|x|."""
+    matrix = _settle(np.array(rows, dtype=object))
+    return matrix, int(np.abs(matrix).sum(axis=0).max())
+
+
+@lru_cache(maxsize=None)
+def _reduction_table(n: int) -> tuple[np.ndarray, int]:
+    """Maps coefficients of 1, x, ..., x^(2 phi - 2) to x^k mod Phi_n."""
+    phi, rows = _reduction(n)
+    identity = [[int(i == j) for j in range(phi)] for i in range(phi)]
+    return _int_table(identity + [list(r) for r in rows[: phi - 1]])
+
+
+@lru_cache(maxsize=None)
+def _conj_table(n: int) -> tuple[np.ndarray, int]:
+    """Complex conjugation zeta -> zeta^(-1) on the power basis."""
+    return _int_table([_power_row(n, (n - k) % n) for k in range(euler_phi(n))])
+
+
+@lru_cache(maxsize=None)
+def _embed_table(n_from: int, n_to: int) -> tuple[np.ndarray, int]:
+    step = n_to // n_from
+    return _int_table(
+        [_power_row(n_to, (k * step) % n_to) for k in range(euler_phi(n_from))]
+    )
+
+
+def _linear(a: np.ndarray, table: tuple[np.ndarray, int]) -> np.ndarray:
+    """a (..., p) times an integer table (p, q), exactly."""
+    matrix, norm = table
+    dtype = _exact_dtype(_max_abs(a) * norm)
+    return _settle(a.astype(dtype) @ matrix.astype(dtype))
+
+
+def _conv_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of polynomial matrices a (r, m, p) and b (m, c, q):
+    coefficient arrays (r, c, p + q - 1), one integer matmul per power of a."""
+    r, m, p = a.shape
+    c, q = b.shape[1:]
+    dtype = _exact_dtype(m * min(p, q) * _max_abs(a) * _max_abs(b))
+    a = a.astype(dtype)
+    flat = b.astype(dtype).reshape(m, c * q)
+    out = np.zeros((r, c, p + q - 1), dtype=dtype)
+    for k in range(p):
+        out[:, :, k : k + q] += (a[:, :, k] @ flat).reshape(r, c, q)
+    return _settle(out)
+
+
+def _conv_entrywise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise polynomial product, numpy broadcasting over the leading
+    axes: (..., p) and (..., q) give (..., p + q - 1)."""
+    p, q = a.shape[-1], b.shape[-1]
+    dtype = _exact_dtype(min(p, q) * _max_abs(a) * _max_abs(b))
+    a, b = a.astype(dtype), b.astype(dtype)
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (p + q - 1,), dtype=dtype)
+    for k in range(p):
+        out[..., k : k + q] += a[..., k : k + 1] * b
+    return _settle(out)
+
+
+def _int_compatible(a: np.ndarray, k: int) -> np.ndarray:
+    """a in a dtype that compares and divides exactly with the integer k."""
+    return a if abs(k) < _INT64_LIMIT else a.astype(object)
+
+
+def _scaled(a: np.ndarray, k: int) -> np.ndarray:
+    """a times the integer k, exactly."""
+    if _max_abs(a) * abs(k) < _INT64_LIMIT:
+        return a.astype(np.int64) * k
+    return a.astype(object) * k
+
+
+class PackedMatrix:
+    """A matrix over Q(zeta_N), entry (i, j) = sum_k nums[i, j, k] zeta_N^k / den.
+
+    nums is an int64 array when every coefficient fits, and an object
+    array of Python integers otherwise; every operation is exact.
+    """
+
+    __slots__ = ("conductor", "nums", "den")
+
+    def __init__(self, conductor: int, nums: np.ndarray, den: int):
+        self.conductor = conductor
+        self.nums = nums
+        self.den = den
+
+    @staticmethod
+    def pack(rows, conductor: int | None = None) -> "PackedMatrix":
+        """Pack rows of Cyclotomic scalars over Q(zeta_conductor); the
+        default conductor is the lcm of the entries' conductors."""
+        if conductor is None:
+            conductor = 1
+            for row in rows:
+                for e in row:
+                    conductor = _lcm(conductor, e.conductor)
+        den = 1
+        for row in rows:
+            for e in row:
+                den = _lcm(den, e.den)
+        nums = [
+            [
+                [v * (den // e.den) for v in _embed_nums(e.nums, e.conductor, conductor)]
+                for e in row
+            ]
+            for row in rows
+        ]
+        return PackedMatrix(conductor, _settle(np.array(nums, dtype=object)), den)
+
+    def entry(self, i: int, j: int) -> Cyclotomic:
+        return Cyclotomic(self.conductor, tuple(int(v) for v in self.nums[i, j]), self.den)
+
+    def embed(self, conductor: int) -> "PackedMatrix":
+        """The same matrix over Q(zeta_conductor); needs self.conductor | conductor."""
+        if conductor == self.conductor:
+            return self
+        if conductor % self.conductor:
+            raise InputError(f"cannot embed conductor {self.conductor} into {conductor}")
+        nums = _linear(self.nums, _embed_table(self.conductor, conductor))
+        return PackedMatrix(conductor, nums, self.den)
+
+    def _unified(self, other: "PackedMatrix") -> tuple:
+        n = _lcm(self.conductor, other.conductor)
+        return n, self.embed(n).nums, other.embed(n).nums
+
+    def __matmul__(self, other: "PackedMatrix") -> "PackedMatrix":
+        n, a, b = self._unified(other)
+        nums = _linear(_conv_matmul(a, b), _reduction_table(n))
+        return PackedMatrix(n, nums, self.den * other.den)
+
+    def times(self, other: "PackedMatrix") -> "PackedMatrix":
+        """Entrywise product, broadcasting a (1, c) row or a (1, 1) scalar."""
+        n, a, b = self._unified(other)
+        nums = _linear(_conv_entrywise(a, b), _reduction_table(n))
+        return PackedMatrix(n, nums, self.den * other.den)
+
+    def conj(self) -> "PackedMatrix":
+        return PackedMatrix(
+            self.conductor, _linear(self.nums, _conj_table(self.conductor)), self.den
+        )
+
+    def transpose(self) -> "PackedMatrix":
+        return PackedMatrix(self.conductor, self.nums.transpose(1, 0, 2), self.den)
+
+    def entries_equal(self, other: "PackedMatrix") -> np.ndarray:
+        """Boolean array: entry (i, j) of self equals that of other."""
+        _, a, b = self._unified(other)
+        return (_scaled(a, other.den) == _scaled(b, self.den)).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -51,6 +256,8 @@ class ModularData:
         t = tuple(self.t)
         if len(t) != r or any(not isinstance(e, Cyclotomic) for e in t):
             raise InputError("T must be a length-r vector of cyclotomic scalars")
+        if isinstance(self.unit_index, bool) or not isinstance(self.unit_index, int):
+            raise InputError(f"unit index must be an integer, got {self.unit_index!r}")
         if not 0 <= self.unit_index < r:
             raise InputError(f"unit index {self.unit_index} out of range")
         if self.ring is not None:
@@ -60,6 +267,14 @@ class ModularData:
                 raise InputError("modular data needs the ring's simple unit at unit_index")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "_cache", {})
+
+    def _derived(self, key: str, compute):
+        """compute(self), evaluated once per datum and then cached."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = compute(self)
+        return cache[key]
 
     # -- derived quantities ---------------------------------------------------
 
@@ -71,43 +286,34 @@ class ModularData:
     def s_unit(self) -> Cyclotomic:
         return self.s[self.unit_index][self.unit_index]
 
+    def packed_s(self) -> PackedMatrix:
+        """S packed over the conductor of its own entries."""
+        return self._derived("packed_s", lambda md: PackedMatrix.pack(md.s))
+
+    def packed_s_squared(self) -> PackedMatrix:
+        return self._derived("packed_s2", lambda md: md.packed_s() @ md.packed_s())
+
     def total_dim(self) -> Cyclotomic:
         """D = 1/S_{uu}, exact."""
         if self.s_unit.is_zero():
             raise NonModular("S_{uu} = 0")
-        return self.s_unit.inverse()
+        return self._derived("total_dim", lambda md: md.s_unit.inverse())
 
     def dims(self) -> tuple:
         """Quantum dimensions d_i = S_{ui}/S_{uu}."""
         inv = self.total_dim()
-        u = self.unit_index
-        return tuple(self.s[u][i] * inv for i in range(self.rank))
+        return self._derived("dims", lambda md: tuple(x * inv for x in md.s[md.unit_index]))
 
     def theta(self) -> tuple:
         """Twists theta_i = T_i/T_u."""
         tu = self.t[self.unit_index]
         if tu.is_zero():
             raise NonModular("T_u = 0, twists undefined")
-        inv = tu.inverse()
-        return tuple(x * inv for x in self.t)
+        return self._derived("theta", lambda md: _divided(md.t, tu))
 
     def dual_permutation(self) -> tuple | None:
         """The permutation C with S^2 = C, or None if S^2 is no permutation."""
-        s2 = _matmul(self.s, self.s)
-        perm = []
-        for i, row in enumerate(s2):
-            hit = None
-            for j, v in enumerate(row):
-                if not v.is_zero():
-                    if hit is not None or v != ONE:
-                        return None
-                    hit = j
-            if hit is None:
-                return None
-            perm.append(hit)
-        if sorted(perm) != list(range(self.rank)):
-            return None
-        return tuple(perm)
+        return self._derived("dual", _dual_permutation)
 
     def conductor(self) -> int:
         n = 1
@@ -151,47 +357,25 @@ class ModularData:
         return md
 
 
-# ---------------------------------------------------------------------------
-# matrix helpers
-# ---------------------------------------------------------------------------
+def _divided(values: tuple, x: Cyclotomic) -> tuple:
+    inv = x.inverse()
+    return tuple(v * inv for v in values)
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    r = len(a)
-    cols = range(len(b[0]))
-    out = []
-    for i in range(r):
-        arow = a[i]
-        orow = []
-        for j in cols:
-            acc = ZERO
-            for m in range(len(b)):
-                av = arow[m]
-                if not av.is_zero():
-                    bv = b[m][j]
-                    if not bv.is_zero():
-                        acc = acc + av * bv
-            orow.append(acc)
-        out.append(tuple(orow))
-    return tuple(out)
-
-
-def _scale_columns(a: Matrix, diag: tuple) -> Matrix:
-    return tuple(tuple(v * diag[j] for j, v in enumerate(row)) for row in a)
-
-
-def _rational_int_matrix(md: ModularData) -> tuple[np.ndarray, int] | None:
-    """S as (integer matrix, common denominator) when fully rational."""
-    if any(e.conductor != 1 for row in md.s for e in row):
+def _dual_permutation(md: ModularData) -> tuple | None:
+    s2 = md.packed_s_squared()
+    nums = s2.nums
+    support = (nums != 0).any(axis=2)
+    if (support.sum(axis=1) != 1).any():
         return None
-    den = 1
-    for row in md.s:
-        for e in row:
-            den = _lcm(den, e.den)
-    a = np.array(
-        [[e.nums[0] * (den // e.den) for e in row] for row in md.s], dtype=object
-    )
-    return a, den
+    perm = support.argmax(axis=1)
+    hits = nums[np.arange(md.rank), perm]
+    # each hit must be 1 = den * zeta^0 / den
+    if (hits[:, 1:] != 0).any() or (_int_compatible(hits[:, 0], s2.den) != s2.den).any():
+        return None
+    if sorted(perm.tolist()) != list(range(md.rank)):
+        return None
+    return tuple(perm.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -204,77 +388,28 @@ def verlinde(md: ModularData) -> dict:
 
     Raises NonIntegralVerlinde when any coefficient fails to be a
     non-negative integer, and NonModular when the unit row has a zero.
+    One packed matrix product per i: (S_im S_jm / S_um)_{jm} times
+    conj(S)^T.
     """
     u = md.unit_index
-    if any(md.s[u][m].is_zero() for m in range(md.rank)):
+    unit_row = md.s[u]
+    if any(x.is_zero() for x in unit_row):
         raise NonModular("unit row of S has a zero entry")
-    fast = _verlinde_rational(md)
-    if fast is not None:
-        return fast
-    return _verlinde_object(md)
-
-
-def _verlinde_object(md: ModularData) -> dict:
-    r = md.rank
-    u = md.unit_index
-    s = md.s
-    inv_unit_row = [s[u][m].inverse() for m in range(r)]
-    conj_s = [[s[k][m].conj() for m in range(r)] for k in range(r)]
+    s = md.packed_s()
+    weighted = s.times(PackedMatrix.pack((tuple(x.inverse() for x in unit_row),), s.conductor))
+    conj_t = s.conj().transpose()
     out: dict = {}
-    for i in range(r):
-        for j in range(r):
-            weights = [s[i][m] * s[j][m] * inv_unit_row[m] for m in range(r)]
-            for k in range(r):
-                acc = ZERO
-                ck = conj_s[k]
-                for m in range(r):
-                    acc = acc + weights[m] * ck[m]
-                val = acc.as_rational()
-                if val is None or val.denominator != 1 or val < 0:
-                    raise NonIntegralVerlinde(f"N[{i},{j},{k}] = {acc}")
-                if val:
-                    out[(i, j, k)] = int(val)
-    return out
-
-
-def _verlinde_rational(md: ModularData) -> dict | None:
-    """Integer einsum route for conductor-1 S matrices; exact, no rounding.
-
-    Uses int64 when a worst-case bound on the summands proves no
-    overflow is possible, and Python ints in an object array otherwise;
-    numpy only supplies the loop machinery.
-    """
-    packed = _rational_int_matrix(md)
-    if packed is None:
-        return None
-    a, den = packed
-    u = md.unit_index
-    unit_row = [int(v) for v in a[u]]
-    if any(v == 0 for v in unit_row):
-        raise NonModular("unit row of S has a zero entry")
-    scale = 1
-    for v in unit_row:
-        scale = _lcm(scale, abs(v))
-    weights = np.array([scale // v for v in unit_row], dtype=object)
-    amax = max(1, max(abs(int(v)) for row in a for v in row))
-    wmax = max(1, max(abs(int(w)) for w in weights))
-    if md.rank * amax**3 * wmax < 2**62:
-        a = a.astype(np.int64)
-        weights = weights.astype(np.int64)
-    tensor = np.einsum("im,jm,km,m->ijk", a, a, a, weights)
-    denominator = den * den * scale
-    out: dict = {}
-    r = md.rank
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                num = int(tensor[i, j, k])
-                if num % denominator != 0 or num < 0:
-                    raise NonIntegralVerlinde(
-                        f"N[{i},{j},{k}] = {Fraction(num, denominator)}"
-                    )
-                if num:
-                    out[(i, j, k)] = num // denominator
+    for i in range(md.rank):
+        row = PackedMatrix(s.conductor, s.nums[i : i + 1], s.den)
+        fused = weighted.times(row) @ conj_t
+        nums, den = fused.nums, fused.den
+        value = _int_compatible(nums[:, :, 0], den)
+        bad = (nums[:, :, 1:] != 0).any(axis=2) | (value < 0) | (value % den != 0)
+        if bad.any():
+            j, k = (int(x) for x in np.argwhere(bad)[0])
+            raise NonIntegralVerlinde(f"N[{i},{j},{k}] = {fused.entry(j, k)}")
+        for j, k in np.argwhere(value != 0).tolist():
+            out[(i, j, k)] = int(value[j, k]) // den
     return out
 
 
@@ -296,7 +431,7 @@ def with_ring(md: ModularData, ring: FusionRing | None = None) -> ModularData:
     if ring is None:
         if md.ring is not None:
             return md
-        ring = ring_from_verlinde(md)
+        ring = md._derived("ring", ring_from_verlinde)
     return ModularData(s=md.s, t=md.t, unit_index=md.unit_index, ring=ring)
 
 
@@ -415,6 +550,13 @@ def double(md: ModularData) -> ModularData:
 # ---------------------------------------------------------------------------
 
 
+def _balancing_sides(md: ModularData, theta: tuple, factor: Cyclotomic) -> tuple:
+    """((S T)^3, factor * S^2), packed, with T the diagonal of twists."""
+    n = md.conductor()
+    st = md.packed_s().embed(n).times(PackedMatrix.pack((theta,), n))
+    return st @ st @ st, md.packed_s_squared().times(PackedMatrix.pack(((factor,),), n))
+
+
 def validate_modular(
     md: ModularData, tolerance: float = 1e-9, check_verlinde: bool = True
 ) -> ValidationReport:
@@ -520,18 +662,10 @@ def validate_modular(
             tau_plus = ZERO
             for d, th in zip(dims, theta):
                 tau_plus = tau_plus + d * d * th
-            st = _scale_columns(md.s, theta)
-            st3 = _matmul(_matmul(st, st), st)
-            s2 = _matmul(md.s, md.s)
-            factor = tau_plus * md.s_unit
-            ok, where = True, None
-            for i in range(r):
-                for j in range(r):
-                    if st3[i][j] != factor * s2[i][j]:
-                        ok, where = False, (i, j)
-                        break
-                if not ok:
-                    break
+            lhs, rhs = _balancing_sides(md, theta, tau_plus * md.s_unit)
+            mismatch = np.argwhere(~lhs.entries_equal(rhs))
+            ok = not len(mismatch)
+            where = None if ok else tuple(int(x) for x in mismatch[0])
             report.add("balancing", ok, where)
 
             tau_minus = ZERO

@@ -79,8 +79,9 @@ def search_budget() -> int:
 
 
 def central_charge_gate(md: ModularData):
-    """(passed, c mod 8); the theorem-level necessary condition."""
-    c = central_charge(md)
+    """(passed, c mod 8); the theorem-level necessary condition.  c is
+    computed once per datum, so `verdict` and its search share it."""
+    c = md._derived("c", central_charge)
     return c == 0, c
 
 
@@ -133,7 +134,7 @@ def _s_screen_columns(md: ModularData, columns: list) -> tuple:
 
 
 def fusion_inequality_holds(md: ModularData, n) -> bool:
-    ring = md.ring if md.ring is not None else ring_from_verlinde(md)
+    ring = md.ring if md.ring is not None else md._derived("ring", ring_from_verlinde)
     support = [i for i, v in enumerate(n) if v]
     for i in support:
         for j in support:

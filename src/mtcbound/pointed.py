@@ -120,7 +120,7 @@ class MetricGroup:
                     raise InputError(f"bad element key {key!r}") from exc
             try:
                 table[a] = Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"bad rational {value!r} for element {key!r}") from exc
         return MetricGroup(orders=tuple(orders), q=table)
 

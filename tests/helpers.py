@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from mtcbound.cyclotomic import ZERO
+from mtcbound.errors import NonIntegralVerlinde
 from mtcbound.pointed import MetricGroup
 
 _FACTOR_CHOICES = (2, 3, 4, 5, 6, 7, 8, 9, 16, 25)
@@ -80,3 +82,49 @@ def brute_force_lagrangians(mg: MetricGroup) -> list:
             continue
         out.append(tuple(sorted(subset)))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# object-per-entry reference routes for the packed matrix layer
+# ---------------------------------------------------------------------------
+
+
+def object_matmul(a, b):
+    """Matrix product over Q(zeta_N), one Cyclotomic operation per term."""
+    out = []
+    for arow in a:
+        orow = []
+        for j in range(len(b[0])):
+            acc = ZERO
+            for m, av in enumerate(arow):
+                if not av.is_zero() and not b[m][j].is_zero():
+                    acc = acc + av * b[m][j]
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def object_scale_columns(a, diag):
+    return tuple(tuple(v * diag[j] for j, v in enumerate(row)) for row in a)
+
+
+def object_verlinde(md) -> dict:
+    """N_ij^k = sum_m S_im S_jm conj(S_km) / S_um, entry by entry."""
+    r = md.rank
+    s = md.s
+    inv_unit_row = [s[md.unit_index][m].inverse() for m in range(r)]
+    conj_s = [[s[k][m].conj() for m in range(r)] for k in range(r)]
+    out: dict = {}
+    for i in range(r):
+        for j in range(r):
+            weights = [s[i][m] * s[j][m] * inv_unit_row[m] for m in range(r)]
+            for k in range(r):
+                acc = ZERO
+                for m in range(r):
+                    acc = acc + weights[m] * conj_s[k][m]
+                val = acc.as_rational()
+                if val is None or val.denominator != 1 or val < 0:
+                    raise NonIntegralVerlinde(f"N[{i},{j},{k}] = {acc}")
+                if val:
+                    out[(i, j, k)] = int(val)
+    return out

@@ -6,6 +6,7 @@ import pytest
 
 from mtcbound import corpus
 from mtcbound.cli import main
+from mtcbound.cyclotomic import CONDUCTOR_CAP
 from mtcbound.specfile import CategorySpecFile
 
 
@@ -47,6 +48,35 @@ class TestValidate:
         bad.write_text("[1, 2", encoding="utf-8")
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 2
+
+    def _malformed(self, capsys, tmp_path, fixture_dir, edit):
+        obj = json.loads((fixture_dir / "toric_code.json").read_text())
+        edit(obj)
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        code, _, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        return err
+
+    def test_non_integer_unit_exits_2(self, capsys, tmp_path, fixture_dir):
+        def edit(obj):
+            obj["modular_data"]["unit"] = "a"
+
+        assert "unit" in self._malformed(capsys, tmp_path, fixture_dir, edit)
+
+    def test_null_metric_value_exits_2(self, capsys, tmp_path, fixture_dir):
+        def edit(obj):
+            q = obj["metric_group"]["q"]
+            q[next(iter(q))] = None
+
+        assert "None" in self._malformed(capsys, tmp_path, fixture_dir, edit)
+
+    def test_conductor_over_cap_exits_2(self, capsys, tmp_path, fixture_dir):
+        def edit(obj):
+            obj["modular_data"]["T"][1] = {"N": CONDUCTOR_CAP + 1, "c": []}
+
+        assert "cap" in self._malformed(capsys, tmp_path, fixture_dir, edit)
 
     def test_json_format(self, capsys, fixture_dir):
         code, out, _ = run(

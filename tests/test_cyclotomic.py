@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtcbound import corpus
 from mtcbound.cyclotomic import (
     CONDUCTOR_CAP,
     Cyclotomic,
+    _embed_nums,
+    _mul_nums,
     cyclotomic_polynomial,
     euler_phi,
     from_angle,
@@ -107,6 +110,35 @@ def test_conductor_cap():
     # lcm blowup past the cap must fail loudly, not thrash
     with pytest.raises(ConductorLimitError):
         zeta(999983) * zeta(999979)
+
+
+def test_rational_factor_fast_path_equals_full_product():
+    # a rational operand scales the coefficients; the result must be the
+    # full power-basis product with that operand embedded at conductor N
+    by_conductor = {}
+    for name in corpus.fixture_names():
+        md = corpus.build(name).modular
+        if md is None:
+            continue
+        for x in [e for row in md.s for e in row] + list(md.t):
+            by_conductor.setdefault(x.conductor, []).append(x)
+    assert len(by_conductor) > 3
+    factors = (0, 1, -1, 3, Fraction(-5, 12), rational(Fraction(7, 2)))
+    for n, values in sorted(by_conductor.items()):
+        for x in values[:8] + [zeta(n, 1)]:
+            for q in factors:
+                fr = Fraction(q.as_rational() if isinstance(q, Cyclotomic) else q)
+                full = Cyclotomic(
+                    n,
+                    _mul_nums(n, x.nums, _embed_nums((fr.numerator,), 1, n)),
+                    x.den * fr.denominator,
+                )
+                for got in (x * q, q * x):
+                    assert (got.conductor, got.nums, got.den) == (
+                        full.conductor,
+                        full.nums,
+                        full.den,
+                    ), (n, x, q)
 
 
 def test_json_round_trip_exact():

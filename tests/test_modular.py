@@ -1,13 +1,16 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from mtcbound import corpus
-from mtcbound.cyclotomic import Cyclotomic, rational, sqrt_int, zeta
+from mtcbound import corpus, modular
+from mtcbound.cyclotomic import Cyclotomic, cyc_sum, rational, sqrt_int, zeta
 from mtcbound.errors import InputError, NonIntegralVerlinde, NonModular
 from mtcbound.modular import (
     ModularData,
+    PackedMatrix,
+    _balancing_sides,
     box_tensor,
     central_charge,
     central_charge_float_oracle,
@@ -18,7 +21,14 @@ from mtcbound.modular import (
     ring_from_verlinde,
     validate_modular,
     verlinde,
-    _verlinde_object,
+)
+
+from mtcbound.pointed import metric_modular_data
+from tests.helpers import (
+    object_matmul,
+    object_scale_columns,
+    object_verlinde,
+    random_metric_group,
 )
 
 ONE = rational(1)
@@ -34,6 +44,38 @@ def fib_md():
 
 def toric_md():
     return corpus.toric_code().modular
+
+
+def oracle_inputs(max_metric_size: int = 16) -> list:
+    """(label, modular data): every fixture with modular data, the doubles
+    of the six base modular fixtures and seeded random metric groups."""
+    out = []
+    for name in corpus.fixture_names():
+        md = corpus.build(name).modular
+        if md is not None:
+            out.append((name, md))
+    for name in corpus.BASE_MODULAR_FIXTURES:
+        out.append((f"double({name})", double(corpus.build(name).modular)))
+    rng = random.Random(11)
+    for _ in range(6):
+        mg = random_metric_group(rng, max_size=max_metric_size)
+        out.append((f"metric {mg.orders}", metric_modular_data(mg)))
+    return out
+
+
+def rows_of(packed: PackedMatrix) -> tuple:
+    r, c = packed.nums.shape[:2]
+    return tuple(tuple(packed.entry(i, j) for j in range(c)) for i in range(r))
+
+
+def permutation_of(matrix) -> tuple | None:
+    perm = []
+    for row in matrix:
+        hits = [j for j, v in enumerate(row) if not v.is_zero()]
+        if len(hits) != 1 or row[hits[0]] != ONE:
+            return None
+        perm.append(hits[0])
+    return tuple(perm) if sorted(perm) == list(range(len(perm))) else None
 
 
 class TestStructure:
@@ -96,11 +138,22 @@ class TestVerlinde:
             assert verlinde(md) == md.ring.fusion, name
 
     def test_fast_and_object_routes_agree(self):
-        # the int64/object einsum route only fires for rational S; the
-        # generic route must give the identical tensor there
-        for name in ("toric_code", "double_toric_code", "double_trivial"):
+        # the packed route against the entry-by-entry object sum
+        for name, md in oracle_inputs():
+            assert verlinde(md) == object_verlinde(md), name
+
+    def test_object_dtype_route_agrees(self, monkeypatch):
+        # no float64 products and no int64 storage: every product of the
+        # packed layer runs on Python integers
+        monkeypatch.setattr(modular, "_FLOAT_EXACT", 0)
+        monkeypatch.setattr(modular, "_INT64_LIMIT", 0)
+        for name in ("fibonacci", "d_z3", "double_ising", "double_fibonacci"):
             md = corpus.build(name).modular
-            assert verlinde(md) == _verlinde_object(md), name
+            fresh = ModularData(s=md.s, t=md.t, unit_index=md.unit_index)
+            assert fresh.packed_s_squared().nums.dtype == object
+            assert verlinde(fresh) == object_verlinde(md) == md.ring.fusion, name
+            assert fresh.dual_permutation() == md.ring.dual, name
+            assert validate_modular(fresh).ok, name
 
     def test_non_integral_fusion_is_rejected(self):
         md = ising_md()
@@ -109,11 +162,95 @@ class TestVerlinde:
         bad = ModularData(s=tuple(tuple(r) for r in rows), t=md.t)
         with pytest.raises((NonIntegralVerlinde, NonModular)):
             verlinde(bad)
+        # conjugating S by diag(1, -1, 1, 1) keeps it unitary but turns
+        # N_(e,m)^f = 1 into -1
+        signs = (1, -1, 1, 1)
+        s = toric_md().s
+        flipped = tuple(
+            tuple(s[i][j] * (signs[i] * signs[j]) for j in range(4)) for i in range(4)
+        )
+        with pytest.raises(NonIntegralVerlinde):
+            verlinde(ModularData(s=flipped, t=toric_md().t))
 
     def test_ring_from_verlinde_gets_dual_from_s_squared(self):
         ring = ring_from_verlinde(fib_md(), labels=("1", "tau"))
         assert ring.dual == (0, 1)
         assert ring.fusion[(1, 1, 1)] == 1
+
+
+class TestPackedLayer:
+    def test_s_squared_and_dual_permutation_match_the_object_product(self):
+        s = ising_md().s
+        bad = (s[0], s[1], (s[2][0] * 2, s[2][1], s[2][2]))  # S^2 is no permutation
+        # x = 5/4 + 3/4 z3 has x^2 = 1 + 21/16 z3: constant term 1, not 1
+        x = rational(Fraction(5, 4)) + rational(Fraction(3, 4)) * zeta(3)
+        inputs = oracle_inputs() + [
+            ("non-unitary", ModularData(s=bad, t=ising_md().t)),
+            ("x^2 = 1 + 21/16 z3", ModularData(s=((x,),), t=(ONE,))),
+        ]
+        for name, md in inputs:
+            s2 = object_matmul(md.s, md.s)
+            assert rows_of(md.packed_s_squared()) == s2, name
+            assert md.dual_permutation() == permutation_of(s2), name
+
+    def test_balancing_sides_match_the_object_products(self):
+        for name, md in oracle_inputs():
+            theta = md.theta()
+            factor = cyc_sum(d * d * th for d, th in zip(md.dims(), theta)) * md.s_unit
+            lhs, rhs = _balancing_sides(md, theta, factor)
+            st = object_scale_columns(md.s, theta)
+            assert rows_of(lhs) == object_matmul(object_matmul(st, st), st), name
+            s2 = object_matmul(md.s, md.s)
+            assert rows_of(rhs) == tuple(tuple(factor * v for v in row) for row in s2), name
+
+    def test_coefficients_beyond_int64_take_the_object_route(self):
+        rng = random.Random(3)
+        big = 2**70
+
+        def entry():
+            return zeta(16, rng.randrange(16)) * rng.randrange(-big, big) + rational(
+                Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
+            )
+
+        a = tuple(tuple(entry() for _ in range(3)) for _ in range(4))
+        b = tuple(tuple(entry() for _ in range(2)) for _ in range(3))
+        pa, pb = PackedMatrix.pack(a), PackedMatrix.pack(b)
+        assert pa.nums.dtype == object
+        product = pa @ pb
+        assert product.nums.dtype == object
+        assert rows_of(product) == object_matmul(a, b)
+        assert rows_of(pa.transpose().conj()) == tuple(
+            tuple(a[i][j].conj() for i in range(4)) for j in range(3)
+        )
+        assert (pa.embed(48) @ pb).entries_equal(product).all()
+
+    def test_sums_beyond_float_precision_stay_exact(self):
+        # coefficient sizes from 2^22 to 2^28 in quarter-power steps put
+        # single products below 2^53 and the sums over m, over powers and
+        # in the reduction around and above it; float64 may only run where
+        # every partial sum is exact.  Positive coefficients make the sums
+        # of a product large, signed ones the sums of the reduction.
+        rng = random.Random(9)
+        for low in (0, -1):
+            for quarter_bits in range(88, 113):
+                limit = int(2 ** (quarter_bits / 4))
+
+                def entry():
+                    nums = tuple(rng.randrange(low * limit, limit) | 1 for _ in range(6))
+                    return Cyclotomic(7, nums, 1)
+
+                a = tuple(tuple(entry() for _ in range(64)) for _ in range(2))
+                b = tuple(tuple(entry() for _ in range(2)) for _ in range(64))
+                pa, pb = PackedMatrix.pack(a), PackedMatrix.pack(b)
+                assert rows_of(pa @ pb) == object_matmul(a, b), limit
+                assert rows_of(pa.times(pa)) == tuple(
+                    tuple(x * x for x in row) for row in a
+                ), limit
+
+    def test_products_mix_conductors(self):
+        a = ((zeta(5), sqrt_int(2)), (rational(Fraction(1, 3)), zeta(3)))
+        b = ((zeta(8, 3), ONE), (zeta(5, 2), rational(-2)))
+        assert rows_of(PackedMatrix.pack(a) @ PackedMatrix.pack(b)) == object_matmul(a, b)
 
 
 class TestCentralCharge:

@@ -7,7 +7,8 @@ import pytest
 from mtcbound import corpus
 from mtcbound.cyclotomic import ZERO
 from mtcbound.errors import InputError, SearchBudgetExceeded
-from mtcbound.modular import central_charge, double
+from mtcbound import modular, obstruction
+from mtcbound.modular import ModularData, central_charge, double
 from mtcbound.obstruction import (
     ObstructionReport,
     candidate_search,
@@ -244,6 +245,28 @@ class TestVerdict:
         diag = canonical_double_candidate(corpus.ising().modular)
         assert report.candidates == (diag,)
         assert report.filtered_candidates == (diag,)
+
+    def test_ring_less_data_derives_c_and_ring_once_per_verdict(self, monkeypatch):
+        counts = {"verlinde": 0, "central_charge": 0}
+
+        def counting(name, fn):
+            def wrapper(md):
+                counts[name] += 1
+                return fn(md)
+
+            return wrapper
+
+        monkeypatch.setattr(modular, "verlinde", counting("verlinde", modular.verlinde))
+        monkeypatch.setattr(
+            obstruction, "central_charge", counting("central_charge", central_charge)
+        )
+        base = double(corpus.toric_code().modular)
+        md = ModularData(s=base.s, t=base.t, unit_index=base.unit_index)
+        report = verdict(md)
+        # every candidate goes through the fusion filter, which needs the ring
+        assert len(report.candidates) > 1
+        assert report.filtered_candidates == report.candidates
+        assert counts == {"verlinde": 1, "central_charge": 1}
 
     def test_caveat_always_present(self):
         for report in (

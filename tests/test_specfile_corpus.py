@@ -121,6 +121,13 @@ class TestCorpus:
             loaded = CategorySpecFile.load(path)
             assert loaded.dumps() == corpus.build(loaded.name).dumps()
 
+    def test_write_all_creates_a_missing_directory(self, tmp_path):
+        paths = corpus.write_all(tmp_path / "new")
+        assert len(paths) == 16
+        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == sorted(
+            f"{name}.json" for name in corpus.fixture_names()
+        )
+
     def test_double_fixture_equals_double_of_base(self):
         from mtcbound.modular import double
 
