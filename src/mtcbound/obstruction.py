@@ -14,9 +14,11 @@ epistemic weight, and reports keep them separate:
   S n = n (Lan-Wang-Wen, arXiv:1408.6514; Davydov-Mueger-Nikshych-
   Ostrik, arXiv:1009.2117).  If no vector survives, that is also a
   definitive NO.  Survivors are candidates only; nothing here verifies
-  an algebra structure on them.  S n = n is screened in floats first;
-  the screen only rejects, and every vector it keeps is accepted only
-  by the exact test `s_invariant`.
+  an algebra structure on them.  S n = n is one integer linear system
+  over the packed coefficients of S (its unit row is sum n_i d_i = D),
+  reduced exactly once; the search branches only on its free
+  multiplicities and solves for the others, so every candidate solves
+  the system exactly and no float decides acceptance.
 
 The fusion inequality n_i n_j <= sum_k N_ij^k n_k is a further
 standard-theory filter.  It defaults on for ranking but is kept out of
@@ -26,7 +28,6 @@ filter off first.
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 from dataclasses import dataclass, field
@@ -34,19 +35,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import cyc_sum
 from .errors import InputError, NonModular, SearchBudgetExceeded
 from .modular import ModularData, central_charge, ring_from_verlinde
 from .pointed import MetricGroup, lagrangian_subgroups, matches_modular_data, subgroup_indicator
 
 DEFAULT_MAX_MULT = 16
 DEFAULT_BUDGET = 10**8
-# leaves passing the dimension check are screened for S n = n in batches
-S_SCREEN_BATCH = 4096
-# a float residual of row i above this multiple of (1 + sum_j h_ij n_j),
-# with h_ij >= |S_ij| the height of S_ij, rejects; it sits many orders
-# above the rounding of the float screen on any row
-S_SCREEN_RTOL = 1e-9
 BUDGET_ENV = "MTC_SEARCH_BUDGET"
 
 MOD8_CAVEAT = (
@@ -85,54 +79,6 @@ def central_charge_gate(md: ModularData):
     return c == 0, c
 
 
-def s_invariant(md: ModularData, n) -> bool:
-    """Exact test of S n = n for an integer multiplicity vector n.
-
-    n is real, so the test reads the same for S and for its conjugate
-    S^-1; the convention of the data does not matter.
-    """
-    support = [j for j, v in enumerate(n) if v]
-    return all(
-        cyc_sum(row[j] if n[j] == 1 else row[j] * n[j] for j in support) == n[i]
-        for i, row in enumerate(md.s)
-    )
-
-
-def _float_and_height(x) -> tuple:
-    """x as a complex float under zeta_N = e^(2 pi i/N), and its height
-    h = sum_k |v_k| / den over its power-basis coefficients v_k.
-
-    h bounds |x|, and (phi(N) + 10) * 2^-53 * h bounds the error of the
-    float value, so a bound written in heights covers the rounding.
-    """
-    step = 2j * math.pi / x.conductor
-    value = sum((v / x.den) * cmath.exp(step * k) for k, v in enumerate(x.nums) if v)
-    return complex(value), sum(abs(v) for v in x.nums) / x.den
-
-
-def _s_screen_columns(md: ModularData, columns: list) -> tuple:
-    """Float data for screening S n = n on vectors constant on each
-    group of labels in `columns`, one matrix column per group.
-
-    Returns (M, H).  Rows i and r + i of M times the group multiplicities
-    give the real and imaginary parts of (S n - n)_i; rows i and r + i of
-    H times them give sum_j h_ij n_j, with h_ij the height of S_ij.
-    """
-    r = md.rank
-    residual = np.zeros((2 * r, len(columns)))
-    height = np.zeros((2 * r, len(columns)))
-    for c, members in enumerate(columns):
-        for j in members:
-            for i in range(r):
-                value, h = _float_and_height(md.s[i][j])
-                residual[i, c] += value.real
-                residual[r + i, c] += value.imag
-                height[i, c] += h
-                height[r + i, c] += h
-            residual[j, c] -= 1.0
-    return residual, height
-
-
 def fusion_inequality_holds(md: ModularData, n) -> bool:
     ring = md.ring if md.ring is not None else md._derived("ring", ring_from_verlinde)
     support = [i for i, v in enumerate(n) if v]
@@ -144,6 +90,55 @@ def fusion_inequality_holds(md: ModularData, n) -> bool:
     return True
 
 
+def _fixed_space_rows(md: ModularData, columns: list) -> list:
+    """Distinct nonzero rows of the integer system A m = 0 that says
+    S n = n for n = sum_c m_c 1_(columns[c]).
+
+    Column c is sum_(j in columns[c]) (S e_j - e_j) in packed-S
+    coefficients times den, one row per label and power of zeta.  The
+    power basis is a basis, so A m = 0 iff S n = n exactly.
+    """
+    packed = md.packed_s()
+    r, _, phi = packed.nums.shape
+    a = np.zeros((r, phi, len(columns)), dtype=object)  # Python integers
+    for c, members in enumerate(columns):
+        for j in members:
+            a[:, :, c] += packed.nums[:, j, :].astype(object)
+            a[j, 0, c] -= packed.den
+    rows = dict.fromkeys(map(tuple, a.reshape(r * phi, len(columns)).tolist()))
+    return [row for row in rows if any(row)]
+
+
+def _primitive(row: list) -> list:
+    """row divided by the gcd of its entries, leading entry positive."""
+    g = math.gcd(*row)
+    if next(v for v in row if v) < 0:
+        g = -g
+    return [v // g for v in row]
+
+
+def _reduced_system(rows: list, width: int) -> dict | None:
+    """The reduced row echelon form of the rows over Q, as {pivot column:
+    primitive integer row}; None when the last column is a pivot, that
+    is, when the system A [m; 1] = 0 has no solution."""
+    basis: dict = {}
+    for row in rows:
+        for p, prow in basis.items():
+            if row[p]:
+                row = [prow[p] * x - row[p] * y for x, y in zip(row, prow)]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        if lead == width - 1:
+            return None
+        row = _primitive(row)
+        for p, prow in basis.items():
+            if prow[lead]:
+                basis[p] = _primitive([row[lead] * x - prow[lead] * y for x, y in zip(prow, row)])
+        basis[lead] = row
+    return basis
+
+
 def candidate_search(
     md: ModularData,
     use_fusion_filter: bool = True,
@@ -152,14 +147,19 @@ def candidate_search(
 ) -> list:
     """All multiplicity vectors passing the necessary conditions.
 
-    Exhaustive backtracking over theta-trivial, dual-symmetric supports;
-    the dimension constraint sum n_i d_i = D is checked exactly at the
-    leaves, float bounds only prune (with slack, so nothing exact is
-    lost).  Leaves that pass it must also satisfy S n = n.  A float
-    screen rejects a leaf only when the real or imaginary part of some
-    row of S n - n exceeds S_SCREEN_RTOL * (1 + sum_j h_ij n_j), where
-    the height h_ij bounds both |S_ij| and the error of its float value;
-    every leaf it keeps is accepted only by the exact `s_invariant` test.  Returns [] outright
+    The unknowns are the multiplicities m_c of the theta-trivial duality
+    orbits (the unit has multiplicity 1).  S n = n is one integer linear
+    system A [m; 1] = 0 over the packed coefficients of S, and its unit
+    row is sum n_i d_i = D, so the dimension condition comes with it.
+    The system is brought to reduced row echelon form exactly; if the
+    unit column is a pivot there is no solution.  The free columns are
+    then walked right to left, each branching over 0..min(bound,
+    floor(residual / w)), where the float residual of D only bounds the
+    box.  A pivot column is forced by its row as soon as the free
+    columns of that row (all right of it) are set, and the branch dies
+    unless the forced value is an integer in [0, bound].  Every leaf
+    solves the system exactly, so no float decides acceptance.  A node
+    is one assignment of a free or forced column.  Returns [] outright
     when the central-charge gate fails.  Output is sorted
     lexicographically.
     """
@@ -172,18 +172,16 @@ def candidate_search(
     r = md.rank
     u = md.unit_index
     theta = md.theta()
-    dims = md.dims()
-    total = md.total_dim()
     dual = md.dual_permutation()
     if dual is None:
         raise NonModular("S^2 is not a permutation matrix")
 
     one = theta[u]
     eligible = [i for i in range(r) if i != u and theta[i] == one]
-    d_float = [x.approx().real for x in dims]
-    total_float = total.approx().real
+    d_float = [x.approx().real for x in md.dims()]
+    total_float = md.total_dim().approx().real
 
-    orbits = []  # (members, exact weight per unit of multiplicity, float weight, bound)
+    orbits = []  # (members, float weight per unit of multiplicity, bound)
     seen = set()
     for i in eligible:
         if i in seen:
@@ -191,82 +189,67 @@ def candidate_search(
         j = dual[i]
         if j == i:
             members = (i,)
-            weight = dims[i]
-            wfloat = d_float[i]
+        elif theta[j] != one:
+            # dual of a theta-trivial label is theta-trivial in valid
+            # data; a violation here just means the label is unusable
+            seen.add(i)
+            continue
         else:
-            if theta[j] != one:
-                # dual of a theta-trivial label is theta-trivial in valid
-                # data; a violation here just means the label is unusable
-                seen.add(i)
-                continue
             members = (i, j)
-            weight = dims[i] + dims[j]
-            wfloat = d_float[i] + d_float[j]
         seen.update(members)
-        bound = min(max_mult, math.floor(total_float / max(d_float[k] for k in members) + 1e-9))
+        bound = min(max_mult, math.floor(total_float / max(d_float[m] for m in members) + 1e-9))
         if bound > 0:
-            orbits.append((members, weight, wfloat, bound))
+            orbits.append((members, sum(d_float[m] for m in members), bound))
     orbits.sort(key=lambda o: o[0])
 
-    suffix_max = [0.0] * (len(orbits) + 1)
-    for idx in range(len(orbits) - 1, -1, -1):
-        suffix_max[idx] = suffix_max[idx + 1] + orbits[idx][3] * orbits[idx][2]
+    k = len(orbits)
+    system = _reduced_system(_fixed_space_rows(md, [o[0] for o in orbits] + [(u,)]), k + 1)
+    if system is None:
+        return []
+    # Steps (column, pivot entry or None if free, free terms, constant):
+    # free columns right to left, each pivot column as soon as the free
+    # columns of its row (all right of it) are assigned.
+    forced_after: dict = {}
+    for col, row in system.items():
+        terms = tuple((f, row[f]) for f in range(col + 1, k) if row[f])
+        last = min((f for f, _ in terms), default=k)
+        forced_after.setdefault(last, []).append((col, row[col], terms, row[k]))
+    plan = list(forced_after.get(k, ()))
+    for col in range(k - 1, -1, -1):
+        if col not in system:
+            plan.append((col, None, (), 0))
+            plan.extend(forced_after.get(col, ()))
 
-    residual0 = total - dims[u]
-    residual0_float = total_float - d_float[u]
     slack = 1e-6
     found = []
-    assignment = [0] * len(orbits)
-    pending = []  # orbit multiplicities of leaves with sum n_i d_i = D
-    screen = None
+    mults = [0] * k
     nodes = 0
 
-    def confirm_pending() -> None:
-        # float screen on the whole batch, then exact S n = n on survivors
-        nonlocal screen
-        if screen is None:
-            screen = _s_screen_columns(md, [(u,)] + [o[0] for o in orbits])
-        residual, height = screen
-        mults = np.ones((len(orbits) + 1, len(pending)))
-        mults[1:, :] = np.array(pending, dtype=float).T
-        miss = np.abs(residual @ mults)
-        keep = (miss <= S_SCREEN_RTOL * (1.0 + height @ mults)).all(axis=0)
-        for k in np.flatnonzero(keep):
+    def walk(step: int, residual_float: float) -> None:
+        nonlocal nodes
+        if step == k:
             vec = [0] * r
             vec[u] = 1
-            for (members, _, _, _), mult in zip(orbits, pending[k]):
+            for (members, _, _), mult in zip(orbits, mults):
                 for m in members:
                     vec[m] = mult
-            if s_invariant(md, vec):
-                found.append(tuple(vec))
-        pending.clear()
-
-    def walk(idx: int, residual, residual_float: float) -> None:
-        nonlocal nodes
-        if residual_float < -slack or residual_float > suffix_max[idx] + slack:
+            found.append(tuple(vec))
             return
-        if idx == len(orbits):
-            if residual == 0:
-                pending.append(tuple(assignment))
-                if len(pending) >= S_SCREEN_BATCH:
-                    confirm_pending()
-            return
-        members, weight, wfloat, bound = orbits[idx]
-        top = min(bound, math.floor(residual_float / wfloat + slack))
-        for mult in range(top + 1):
+        col, lead, terms, constant = plan[step]
+        _, wfloat, bound = orbits[col]
+        if lead is None:
+            choices = range(min(bound, math.floor(residual_float / wfloat + slack)) + 1)
+        else:
+            mult, rest = divmod(-constant - sum(c * mults[f] for f, c in terms), lead)
+            choices = (mult,) if rest == 0 and 0 <= mult <= bound else ()
+        for mult in choices:
             nodes += 1
             if nodes > budget:
-                raise SearchBudgetExceeded(
-                    f"candidate search exceeded {budget} nodes"
-                )
-            assignment[idx] = mult
-            walk(idx + 1, residual - weight * mult if mult else residual,
-                 residual_float - wfloat * mult)
-        assignment[idx] = 0
+                raise SearchBudgetExceeded(f"candidate search exceeded {budget} nodes")
+            mults[col] = mult
+            walk(step + 1, residual_float - wfloat * mult)
 
-    walk(0, residual0, residual0_float)
-    if pending:
-        confirm_pending()
+    walk(0, total_float - d_float[u])
     if use_fusion_filter:
         found = [n for n in found if fusion_inequality_holds(md, n)]
     return sorted(found)

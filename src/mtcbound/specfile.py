@@ -35,7 +35,11 @@ class CategorySpecFile:
             raise InputError("category file needs a nonempty name")
         if self.ring is None and self.modular is None and self.metric is None:
             raise InputError("category file needs at least one section")
-        object.__setattr__(self, "notes", tuple(str(n) for n in self.notes))
+        notes = tuple(self.notes)
+        bad = [n for n in notes if not isinstance(n, str)]
+        if bad:
+            raise InputError(f"notes must be strings, got {bad[0]!r}")
+        object.__setattr__(self, "notes", notes)
 
     def cross_section_checks(self) -> ValidationReport:
         """Consistency between sections, reported (not raised) so that a

@@ -78,6 +78,12 @@ class TestValidate:
 
         assert "cap" in self._malformed(capsys, tmp_path, fixture_dir, edit)
 
+    def test_non_string_notes_exit_2(self, capsys, tmp_path, fixture_dir):
+        def edit(obj):
+            obj["notes"] = [1, None]
+
+        assert "notes" in self._malformed(capsys, tmp_path, fixture_dir, edit)
+
     def test_json_format(self, capsys, fixture_dir):
         code, out, _ = run(
             capsys, "validate", "--format", "json", str(fixture_dir / "ising.json")
@@ -138,7 +144,7 @@ class TestVerdict:
 
     def test_budget_env_exits_3(self, capsys, fixture_dir, monkeypatch):
         monkeypatch.setenv("MTC_SEARCH_BUDGET", "1")
-        code, _, err = run(capsys, "verdict", str(fixture_dir / "double_ising.json"))
+        code, _, err = run(capsys, "verdict", str(fixture_dir / "double_toric_code.json"))
         assert code == 3
         assert "exceeded" in err
 

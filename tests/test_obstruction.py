@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -8,24 +9,25 @@ from mtcbound import corpus
 from mtcbound.cyclotomic import ZERO
 from mtcbound.errors import InputError, SearchBudgetExceeded
 from mtcbound import modular, obstruction
-from mtcbound.modular import ModularData, central_charge, double
+from mtcbound.modular import ModularData, box_tensor, central_charge, double, reverse
 from mtcbound.obstruction import (
     ObstructionReport,
     candidate_search,
     canonical_double_candidate,
     central_charge_gate,
     fusion_inequality_holds,
-    s_invariant,
     search_budget,
     verdict,
 )
 from mtcbound.pointed import (
     MetricGroup,
+    abelian_double,
     lagrangian_subgroups,
     metric_modular_data,
     milgram_signature,
     subgroup_indicator,
 )
+from tests.helpers import backtracking_candidates, random_metric_group, s_invariant
 
 
 class TestGate:
@@ -77,8 +79,27 @@ class TestSearch:
         # unit keeps multiplicity 1 by definition; everything else is capped
         assert candidate_search(md, use_fusion_filter=False, max_mult=0) == []
 
+    def test_forced_multiplicity_must_be_an_integer_in_the_box(self, monkeypatch):
+        # designed systems on toric code's bosons e, m (columns 0 and 1,
+        # the unit last), so that the walk meets a pivot entry above 1
+        # and a forced value above the cap; D - d_unit = 1 caps m_m at 1
+        md = corpus.toric_code().modular
+
+        def system(*rows):
+            monkeypatch.setattr(obstruction, "_fixed_space_rows", lambda md, columns: list(rows))
+
+        system((2, 1, -2))  # m_m = 1 would force m_e = 1/2
+        assert candidate_search(md, use_fusion_filter=False) == [(1, 1, 0, 0)]
+        system((1, 1, -2))  # m_m = 0 forces m_e = 2
+        assert candidate_search(md, use_fusion_filter=False) == [(1, 1, 1, 0), (1, 2, 0, 0)]
+        assert candidate_search(md, use_fusion_filter=False, max_mult=1) == [(1, 1, 1, 0)]
+        system((0, 0, 1))  # the unit column is a pivot: no solution
+        assert candidate_search(md, use_fusion_filter=False) == []
+
     def test_budget_is_enforced(self):
-        md = double(corpus.ising().modular)
+        # four free columns there, so about 80 nodes; double(ising) has
+        # none and its two forced nodes stay under any budget >= 2
+        md = double(corpus.toric_code().modular)
         with pytest.raises(SearchBudgetExceeded):
             candidate_search(md, budget=3)
 
@@ -157,10 +178,6 @@ class TestPointedCrossOracle:
     def test_filter_off_equals_subgroups_on_seeded_pointed_data(self):
         # S n = n decides NoBoundary_NoCandidate, so the filter-off search
         # must lose no Lagrangian indicator and admit nothing else
-        import random
-
-        from tests.helpers import random_metric_group
-
         rng = random.Random(7)
         seen = set()  # equal forms recur often; each is searched once
         for _ in range(200):
@@ -191,10 +208,6 @@ class TestPointedCrossOracle:
     def test_filter_on_matches_subgroups_on_small_pointed_data(self):
         # with the fusion filter the support is forced to be an
         # isotropic subgroup with multiplicities 1
-        import random
-
-        from tests.helpers import random_metric_group
-
         rng = random.Random(2024)
         for _ in range(10):
             mg = random_metric_group(rng, max_size=36)
@@ -205,6 +218,59 @@ class TestPointedCrossOracle:
                 subgroup_indicator(mg, s) for s in lagrangian_subgroups(mg)
             )
             assert candidate_search(md, use_fusion_filter=True) == expected
+
+
+class TestExactSearchOracle:
+    """The lattice-point search against the backtracking search it
+    replaced (`tests.helpers.backtracking_candidates`)."""
+
+    @staticmethod
+    def assert_matches_oracle(md, label):
+        for use_filter in (False, True):
+            assert candidate_search(md, use_fusion_filter=use_filter) == (
+                backtracking_candidates(md, use_fusion_filter=use_filter)
+            ), (label, use_filter)
+
+    def test_fixtures_and_doubles(self):
+        for name in corpus.fixture_names():
+            spec = corpus.build(name)
+            if spec.modular is not None:
+                self.assert_matches_oracle(spec.modular, name)
+        for name in corpus.BASE_MODULAR_FIXTURES:
+            self.assert_matches_oracle(double(corpus.build(name).modular), name)
+
+    def test_rank_36_doubles(self):
+        ising, semion, fib = (corpus.build(n).modular for n in ("ising", "semion", "fibonacci"))
+        for label, base in (
+            ("ising x semion", box_tensor(ising, semion)),
+            ("ising x reverse(semion)", box_tensor(ising, reverse(semion))),
+            ("ising x fibonacci", box_tensor(ising, fib)),
+        ):
+            md = double(base)
+            assert md.rank == 36
+            self.assert_matches_oracle(md, label)
+
+    def test_seeded_pointed_data(self):
+        rng = random.Random(64)
+        seen = set()  # equal forms recur often; each is searched once
+        for _ in range(200):
+            mg = random_metric_group(rng, max_size=64)
+            key = (mg.orders, tuple(sorted(mg.q.items())))
+            if key in seen or milgram_signature(mg) != 0:
+                continue
+            seen.add(key)
+            md = metric_modular_data(mg)
+            assert candidate_search(md, use_fusion_filter=False) == (
+                backtracking_candidates(md, use_fusion_filter=False)
+            ), mg.orders
+        assert len(seen) >= 20
+
+    def test_abelian_double_222_finds_all_30_subgroups_unhinted(self):
+        # the backtracking search does not finish here within 3 M nodes
+        mg = abelian_double((2, 2, 2))
+        expected = sorted(subgroup_indicator(mg, s) for s in lagrangian_subgroups(mg))
+        assert len(expected) == 30
+        assert candidate_search(metric_modular_data(mg)) == expected
 
 
 class TestVerdict:
