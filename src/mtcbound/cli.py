@@ -38,14 +38,14 @@ def _load(path: str) -> CategorySpecFile:
     return CategorySpecFile.load(path)
 
 
-def _collect_reports(spec: CategorySpecFile, tolerance: float) -> list:
+def _collect_reports(spec: CategorySpecFile) -> list:
     reports = []
     if spec.metric is not None:
         reports.append(validate_metric(spec.metric))
     if spec.ring is not None:
         reports.append(validate_ring(spec.ring))
     if spec.modular is not None:
-        reports.append(validate_modular(spec.modular, tolerance=tolerance))
+        reports.append(validate_modular(spec.modular))
     reports.append(spec.cross_section_checks())
     return reports
 
@@ -62,14 +62,14 @@ def _print_reports(reports: list, fmt: str) -> None:
 
 def cmd_validate(args) -> int:
     spec = _load(args.path)
-    reports = _collect_reports(spec, args.tolerance)
+    reports = _collect_reports(spec)
     _print_reports(reports, args.format)
     return EXIT_OK if all(r.ok for r in reports) else EXIT_INVALID
 
 
 def cmd_verdict(args) -> int:
     spec = _load(args.path)
-    reports = _collect_reports(spec, args.tolerance)
+    reports = _collect_reports(spec)
     if not all(r.ok for r in reports):
         _print_reports(reports, args.format)
         return EXIT_INVALID
@@ -79,12 +79,7 @@ def cmd_verdict(args) -> int:
     hint = spec.metric if args.pointed else None
     if args.pointed and hint is None:
         raise InputError("--pointed given but the file has no metric section")
-    report = run_verdict(
-        md,
-        pointed_hint=hint,
-        use_fusion_filter=not args.no_fusion_filter,
-        max_mult=args.max_mult,
-    )
+    report = run_verdict(md, pointed_hint=hint)
     payload = report.to_json_dict()
     if args.format == "json":
         _emit_json(payload)
@@ -93,9 +88,6 @@ def cmd_verdict(args) -> int:
         sys.stdout.write(f"central charge: {payload['central_charge']}\n")
         for n in payload["candidates"]:
             sys.stdout.write(f"candidate: {n}\n")
-        if "filtered_candidates" in payload:
-            for n in payload["filtered_candidates"]:
-                sys.stdout.write(f"passes fusion filter: {n}\n")
         if "subgroups" in payload:
             for sub in payload["subgroups"]:
                 sys.stdout.write(f"subgroup: {{{', '.join(sub)}}}\n")
@@ -108,7 +100,7 @@ def cmd_double(args) -> int:
     spec = _load(args.path)
     if spec.modular is None:
         raise InputError("double needs a modular section")
-    report = validate_modular(spec.modular, tolerance=args.tolerance)
+    report = validate_modular(spec.modular)
     if not report.ok:
         _print_reports([report], args.format)
         return EXIT_INVALID
@@ -170,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=1e-9,
-        help="tolerance for the floating-point fallbacks (positivity checks)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", parents=[common], help="run every applicable axiom check")
@@ -184,12 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verdict", parents=[common], help="decide the gapped-boundary question")
     p.add_argument("path")
-    p.add_argument("--max-mult", type=int, default=16, help="per-label multiplicity cap")
-    p.add_argument(
-        "--no-fusion-filter",
-        action="store_true",
-        help="report the unfiltered candidate list only",
-    )
     p.add_argument(
         "--pointed",
         action="store_true",

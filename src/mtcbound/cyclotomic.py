@@ -493,6 +493,19 @@ class Cyclotomic:
                     return 1 if val.real > 0 else -1
         raise NumericError("could not certify the sign at precision ceiling")
 
+    def floor(self) -> int:
+        """The integer floor of a real cyclotomic number, exact: rationals
+        directly, irrationals by certifying the signs of x - k and
+        x - (k + 1) for k the floor of the float value."""
+        if self.conductor == 1:
+            return self.nums[0] // self.den
+        k = math.floor(self.approx().real)
+        while (self - k).real_sign() < 0:
+            k -= 1
+        while (self - (k + 1)).real_sign() > 0:
+            k += 1
+        return k
+
     def as_root_of_unity(self) -> tuple[int, int] | None:
         """Return (k, m) with self = e^(2 pi i k/m), gcd(k, m) = 1, or None.
 
@@ -551,7 +564,7 @@ class Cyclotomic:
         if not isinstance(obj, dict) or "N" not in obj or "c" not in obj:
             raise InputError(f"not a scalar object: {obj!r}")
         n = obj["N"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise InputError(f"bad conductor {n!r}")
         if n > CONDUCTOR_CAP:
             raise ConductorLimitError(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
@@ -561,7 +574,11 @@ class Cyclotomic:
             raise InputError(f"scalar at conductor {n} needs {phi} coefficients")
         fracs = []
         for pair in coeffs:
-            if not isinstance(pair, list) or len(pair) != 2:
+            if (
+                not isinstance(pair, list)
+                or len(pair) != 2
+                or any(type(x) not in (int, str) for x in pair)
+            ):
                 raise InputError(f"bad coefficient entry {pair!r}")
             try:
                 p, q = int(pair[0]), int(pair[1])

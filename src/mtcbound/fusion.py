@@ -107,23 +107,34 @@ class FusionRing:
         for key in ("labels", "unit", "dual", "fusion"):
             if key not in obj:
                 raise InputError(f"fusion ring section missing key {key!r}")
+        labels = obj["labels"]
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise InputError("labels must be an array of strings")
+        for key in ("unit", "dual"):
+            if not _is_int_list(obj[key]):
+                raise InputError(f"{key} must be an array of integers")
         triples = obj["fusion"]
         if not isinstance(triples, list):
             raise InputError("fusion must be a list of [i, j, k, N] rows")
         fusion: dict = {}
         for row in triples:
-            if not isinstance(row, list) or len(row) != 4:
+            if not _is_int_list(row) or len(row) != 4:
                 raise InputError(f"bad fusion row {row!r}")
             i, j, k, v = row
             if (i, j, k) in fusion:
                 raise InputError(f"duplicate fusion triple {(i, j, k)}")
             fusion[(i, j, k)] = v
         return FusionRing(
-            labels=tuple(obj["labels"]),
+            labels=tuple(labels),
             unit=tuple(obj["unit"]),
             dual=tuple(obj["dual"]),
             fusion=fusion,
         )
+
+
+def _is_int_list(obj) -> bool:
+    """obj is a JSON array of integers (booleans excluded)."""
+    return isinstance(obj, list) and all(type(x) is int for x in obj)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ central charge, and the reverse/box-tensor/double constructions.
 Conventions are unitary: S is symmetric with S = S^(-1) conjugate,
 d_i = S_{ui}/S_{uu} > 0 for the unit row u, D = 1/S_{uu} > 0, and the
 T vector is diagonal with twists theta_i = T_i/T_u.  Everything is
-checked exactly except positivity, which is certified numerically.
+checked exactly except positivity, whose sign is certified numerically
+(`Cyclotomic.real_sign`).
 
 Matrix arithmetic over Q(zeta_N) runs on one packed representation,
 `PackedMatrix`: an integer array of shape (rows, cols, phi(N)) holding
@@ -345,12 +346,14 @@ class ModularData:
         ring = None if obj["ring"] is None else FusionRing.from_json_dict(obj["ring"])
         if not isinstance(obj["S"], list) or not isinstance(obj["T"], list):
             raise InputError("S and T must be arrays")
+        if not all(isinstance(row, list) for row in obj["S"]):
+            raise InputError("S must be an array of rows")
         s = tuple(
             tuple(Cyclotomic.from_json_dict(e) for e in row) for row in obj["S"]
         )
         t = tuple(Cyclotomic.from_json_dict(e) for e in obj["T"])
         md = ModularData(s=s, t=t, unit_index=obj["unit"], ring=ring)
-        if md.conductor() != obj["conductor"]:
+        if type(obj["conductor"]) is not int or md.conductor() != obj["conductor"]:
             raise InputError(
                 f"conductor field {obj['conductor']} does not match entries ({md.conductor()})"
             )
@@ -557,14 +560,11 @@ def _balancing_sides(md: ModularData, theta: tuple, factor: Cyclotomic) -> tuple
     return st @ st @ st, md.packed_s_squared().times(PackedMatrix.pack(((factor,),), n))
 
 
-def validate_modular(
-    md: ModularData, tolerance: float = 1e-9, check_verlinde: bool = True
-) -> ValidationReport:
+def validate_modular(md: ModularData) -> ValidationReport:
     """Exact check of every modular axiom; names are stable API.
 
-    Only positivity statements use floating point, with the given
-    tolerance.  Verlinde integrality (the r^4 part) can be switched off
-    for large inputs whose fusion is already known by construction.
+    Positivity of d_i and D is decided by certified signs
+    (`Cyclotomic.real_sign`), so no float threshold decides a check.
     """
     report = ValidationReport("modular data")
     r = md.rank
@@ -590,9 +590,8 @@ def validate_modular(
             if d.conj() != d:
                 ok, where, detail = False, (i,), "not fixed by conjugation"
                 break
-            val = d.approx()
-            if val.real <= tolerance:
-                ok, where, detail = False, (i,), f"approx {val.real:.3g} not positive"
+            if d.real_sign() <= 0:
+                ok, where, detail = False, (i,), f"approx {d.approx().real:.3g} not positive"
                 break
         report.add("dims_real_positive", ok, where, detail)
 
@@ -603,7 +602,8 @@ def validate_modular(
             square_sum = square_sum + d * d
         ok = total * total == square_sum
         detail = "" if ok else "1/S_uu squared differs from sum of d_i^2"
-        if ok and total.approx().real <= tolerance:
+        # a certified sign needs a real D
+        if ok and (total.conj() != total or total.real_sign() <= 0):
             ok, detail = False, "D not positive"
         report.add("total_dim", ok, None, detail)
     else:
@@ -679,27 +679,21 @@ def validate_modular(
         report.add("balancing", False, None, "twists unavailable")
         report.add("gauss_identity", False, None, "twists unavailable")
 
-    if check_verlinde:
-        try:
-            fusion = verlinde(md)
-        except NonIntegralVerlinde as exc:
-            report.add("verlinde_integral", False, None, str(exc))
-            fusion = None
-        except NonModular as exc:
-            report.add("verlinde_integral", False, None, str(exc))
-            fusion = None
+    try:
+        fusion = verlinde(md)
+    except (NonIntegralVerlinde, NonModular) as exc:
+        report.add("verlinde_integral", False, None, str(exc))
+        fusion = None
+    else:
+        report.add("verlinde_integral", True, None)
+    if md.ring is not None:
+        if fusion is None:
+            report.add("verlinde_matches_ring", False, None, "verlinde unavailable")
         else:
-            report.add("verlinde_integral", True, None)
-        if md.ring is not None:
-            if fusion is None:
-                report.add("verlinde_matches_ring", False, None, "verlinde unavailable")
-            else:
-                ok = fusion == md.ring.fusion
-                where = None
-                if not ok:
-                    keys = set(fusion) | set(md.ring.fusion)
-                    where = min(
-                        k for k in keys if fusion.get(k, 0) != md.ring.fusion.get(k, 0)
-                    )
-                report.add("verlinde_matches_ring", ok, where)
+            ok = fusion == md.ring.fusion
+            where = None
+            if not ok:
+                keys = set(fusion) | set(md.ring.fusion)
+                where = min(k for k in keys if fusion.get(k, 0) != md.ring.fusion.get(k, 0))
+            report.add("verlinde_matches_ring", ok, where)
     return report

@@ -18,12 +18,10 @@ epistemic weight, and reports keep them separate:
   over the packed coefficients of S (its unit row is sum n_i d_i = D),
   reduced exactly once; the search branches only on its free
   multiplicities and solves for the others, so every candidate solves
-  the system exactly and no float decides acceptance.
-
-The fusion inequality n_i n_j <= sum_k N_ij^k n_k is a further
-standard-theory filter.  It defaults on for ranking but is kept out of
-the definitive-NO path, so `verdict` always runs the search with the
-filter off first.
+  the system exactly and no float decides acceptance.  Each
+  multiplicity is capped by n_i <= floor(d_i), which holds for every
+  connected etale algebra (Davydov-Mueger-Nikshych-Ostrik,
+  arXiv:1009.2117); the floor is exact.
 """
 
 from __future__ import annotations
@@ -36,10 +34,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, NonModular, SearchBudgetExceeded
-from .modular import ModularData, central_charge, ring_from_verlinde
+from .modular import ModularData, central_charge
 from .pointed import MetricGroup, lagrangian_subgroups, matches_modular_data, subgroup_indicator
 
-DEFAULT_MAX_MULT = 16
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV = "MTC_SEARCH_BUDGET"
 
@@ -56,7 +53,6 @@ STANDARD_CONDITIONS = (
     "total dimension of the candidate equals D",
     "multiplicity vector is fixed by S (S n = n)",
 )
-FILTER_CONDITION = "fusion inequality n_i n_j <= sum_k N_ij^k n_k (ranking only)"
 
 
 def search_budget() -> int:
@@ -77,17 +73,6 @@ def central_charge_gate(md: ModularData):
     computed once per datum, so `verdict` and its search share it."""
     c = md._derived("c", central_charge)
     return c == 0, c
-
-
-def fusion_inequality_holds(md: ModularData, n) -> bool:
-    ring = md.ring if md.ring is not None else md._derived("ring", ring_from_verlinde)
-    support = [i for i, v in enumerate(n) if v]
-    for i in support:
-        for j in support:
-            rhs = sum(ring.n(i, j, k) * n[k] for k in range(len(n)) if n[k])
-            if n[i] * n[j] > rhs:
-                return False
-    return True
 
 
 def _fixed_space_rows(md: ModularData, columns: list) -> list:
@@ -139,12 +124,7 @@ def _reduced_system(rows: list, width: int) -> dict | None:
     return basis
 
 
-def candidate_search(
-    md: ModularData,
-    use_fusion_filter: bool = True,
-    max_mult: int = DEFAULT_MAX_MULT,
-    budget: int | None = None,
-) -> list:
+def candidate_search(md: ModularData, budget: int | None = None) -> list:
     """All multiplicity vectors passing the necessary conditions.
 
     The unknowns are the multiplicities m_c of the theta-trivial duality
@@ -152,16 +132,15 @@ def candidate_search(
     system A [m; 1] = 0 over the packed coefficients of S, and its unit
     row is sum n_i d_i = D, so the dimension condition comes with it.
     The system is brought to reduced row echelon form exactly; if the
-    unit column is a pivot there is no solution.  The free columns are
-    then walked right to left, each branching over 0..min(bound,
-    floor(residual / w)), where the float residual of D only bounds the
-    box.  A pivot column is forced by its row as soon as the free
-    columns of that row (all right of it) are set, and the branch dies
-    unless the forced value is an integer in [0, bound].  Every leaf
-    solves the system exactly, so no float decides acceptance.  A node
-    is one assignment of a free or forced column.  Returns [] outright
-    when the central-charge gate fails.  Output is sorted
-    lexicographically.
+    unit column is a pivot there is no solution.  Each multiplicity lies
+    in the box 0..floor(d_i), with the floor computed exactly.  The free
+    columns are walked right to left over their box; a pivot column is
+    forced by its row as soon as the free columns of that row (all right
+    of it) are set, and the branch dies unless the forced value is an
+    integer in the box.  Every leaf solves the system exactly, and no
+    float bounds or decides anything.  A node is one assignment of a
+    free or forced column.  Returns [] outright when the central-charge
+    gate fails.  Output is sorted lexicographically.
     """
     passed, _ = central_charge_gate(md)
     if not passed:
@@ -178,10 +157,9 @@ def candidate_search(
 
     one = theta[u]
     eligible = [i for i in range(r) if i != u and theta[i] == one]
-    d_float = [x.approx().real for x in md.dims()]
-    total_float = md.total_dim().approx().real
+    floors = md._derived("dim_floors", lambda md: tuple(d.floor() for d in md.dims()))
 
-    orbits = []  # (members, float weight per unit of multiplicity, bound)
+    orbits = []  # (members, bound on the multiplicity)
     seen = set()
     for i in eligible:
         if i in seen:
@@ -197,9 +175,9 @@ def candidate_search(
         else:
             members = (i, j)
         seen.update(members)
-        bound = min(max_mult, math.floor(total_float / max(d_float[m] for m in members) + 1e-9))
-        if bound > 0:
-            orbits.append((members, sum(d_float[m] for m in members), bound))
+        # a label and its dual have the same dimension
+        if floors[i] > 0:
+            orbits.append((members, floors[i]))
     orbits.sort(key=lambda o: o[0])
 
     k = len(orbits)
@@ -220,25 +198,24 @@ def candidate_search(
             plan.append((col, None, (), 0))
             plan.extend(forced_after.get(col, ()))
 
-    slack = 1e-6
     found = []
     mults = [0] * k
     nodes = 0
 
-    def walk(step: int, residual_float: float) -> None:
+    def walk(step: int) -> None:
         nonlocal nodes
         if step == k:
             vec = [0] * r
             vec[u] = 1
-            for (members, _, _), mult in zip(orbits, mults):
+            for (members, _), mult in zip(orbits, mults):
                 for m in members:
                     vec[m] = mult
             found.append(tuple(vec))
             return
         col, lead, terms, constant = plan[step]
-        _, wfloat, bound = orbits[col]
+        bound = orbits[col][1]
         if lead is None:
-            choices = range(min(bound, math.floor(residual_float / wfloat + slack)) + 1)
+            choices = range(bound + 1)
         else:
             mult, rest = divmod(-constant - sum(c * mults[f] for f, c in terms), lead)
             choices = (mult,) if rest == 0 and 0 <= mult <= bound else ()
@@ -247,11 +224,9 @@ def candidate_search(
             if nodes > budget:
                 raise SearchBudgetExceeded(f"candidate search exceeded {budget} nodes")
             mults[col] = mult
-            walk(step + 1, residual_float - wfloat * mult)
+            walk(step + 1)
 
-    walk(0, total_float - d_float[u])
-    if use_fusion_filter:
-        found = [n for n in found if fusion_inequality_holds(md, n)]
+    walk(0)
     return sorted(found)
 
 
@@ -273,7 +248,6 @@ class ObstructionReport:
     verdict: str
     central_charge: Fraction
     candidates: tuple = ()
-    filtered_candidates: tuple = ()
     subgroups: tuple = ()
     exact: bool = False
     caveats: tuple = (MOD8_CAVEAT,)
@@ -288,8 +262,6 @@ class ObstructionReport:
             "caveats": list(self.caveats),
             "conditions": {k: list(v) for k, v in sorted(self.conditions.items())},
         }
-        if self.verdict == "CandidatesFound":
-            out["filtered_candidates"] = [list(n) for n in self.filtered_candidates]
         if self.verdict == "ExactBoundaries":
             out["subgroups"] = [
                 [",".join(str(c) for c in a) if a else "0" for a in sub]
@@ -298,33 +270,26 @@ class ObstructionReport:
         return out
 
 
-def _conditions(with_filter: bool) -> dict:
-    standard = STANDARD_CONDITIONS + ((FILTER_CONDITION,) if with_filter else ())
-    return {
-        "theorem_level": THEOREM_CONDITIONS,
-        "standard_theory_level": standard,
-    }
+CONDITIONS = {
+    "theorem_level": THEOREM_CONDITIONS,
+    "standard_theory_level": STANDARD_CONDITIONS,
+}
 
 
 def verdict(
     md: ModularData,
     pointed_hint: MetricGroup | None = None,
-    use_fusion_filter: bool = True,
-    max_mult: int = DEFAULT_MAX_MULT,
     budget: int | None = None,
 ) -> ObstructionReport:
-    """Pipeline: gate, then exact pointed answer, then candidate search.
-
-    The definitive-NO branch always uses the filter-off search; the
-    fusion filter only trims the reported candidate list.
-    """
+    """Pipeline: gate, then exact pointed answer, then candidate search;
+    an empty search is the definitive NoBoundary_NoCandidate."""
     passed, c = central_charge_gate(md)
     if not passed:
         return ObstructionReport(
             verdict="NoBoundary_CentralCharge",
             central_charge=c,
             exact=True,
-            conditions=_conditions(False),
+            conditions=CONDITIONS,
         )
     if pointed_hint is not None:
         if not matches_modular_data(pointed_hint, md):
@@ -337,24 +302,20 @@ def verdict(
             candidates=indicators,
             subgroups=tuple(tuple(sub) for sub in subs),
             exact=True,
-            conditions=_conditions(False),
+            conditions=CONDITIONS,
         )
-    unfiltered = candidate_search(md, use_fusion_filter=False, max_mult=max_mult, budget=budget)
-    if not unfiltered:
+    found = candidate_search(md, budget=budget)
+    if not found:
         return ObstructionReport(
             verdict="NoBoundary_NoCandidate",
             central_charge=c,
             exact=True,
-            conditions=_conditions(False),
+            conditions=CONDITIONS,
         )
-    kept = tuple(
-        n for n in unfiltered if not use_fusion_filter or fusion_inequality_holds(md, n)
-    )
     return ObstructionReport(
         verdict="CandidatesFound",
         central_charge=c,
-        candidates=tuple(unfiltered),
-        filtered_candidates=kept,
+        candidates=tuple(found),
         exact=False,
-        conditions=_conditions(use_fusion_filter),
+        conditions=CONDITIONS,
     )

@@ -118,6 +118,8 @@ class MetricGroup:
                     a = tuple(int(c) for c in key.split(","))
                 except ValueError as exc:
                     raise InputError(f"bad element key {key!r}") from exc
+            if isinstance(value, (bool, float)):
+                raise InputError(f"bad rational {value!r} for element {key!r}")
             try:
                 table[a] = Fraction(value)
             except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -14,12 +14,7 @@ import numpy as np
 from mtcbound.cyclotomic import ZERO, cyc_sum
 from mtcbound.errors import NonIntegralVerlinde, NonModular, SearchBudgetExceeded
 from mtcbound.modular import ModularData
-from mtcbound.obstruction import (
-    DEFAULT_MAX_MULT,
-    central_charge_gate,
-    fusion_inequality_holds,
-    search_budget,
-)
+from mtcbound.obstruction import central_charge_gate, search_budget
 from mtcbound.pointed import MetricGroup
 
 _FACTOR_CHOICES = (2, 3, 4, 5, 6, 7, 8, 9, 16, 25)
@@ -201,18 +196,15 @@ def _s_screen_columns(md: ModularData, columns: list) -> tuple:
     return residual, height
 
 
-def backtracking_candidates(
-    md: ModularData,
-    use_fusion_filter: bool = True,
-    max_mult: int = DEFAULT_MAX_MULT,
-    budget: int | None = None,
-) -> list:
+def backtracking_candidates(md: ModularData, budget: int | None = None) -> list:
     """All multiplicity vectors passing the necessary conditions.
 
     Exhaustive backtracking over theta-trivial, dual-symmetric supports;
     the dimension constraint sum n_i d_i = D is checked exactly at the
     leaves, float bounds only prune (with slack, so nothing exact is
-    lost).  Leaves that pass it must also satisfy S n = n.  A float
+    lost).  Multiplicities are capped by min(16, D/d_i), not by the
+    floor(d_i) of `candidate_search`, so agreement checks that the
+    sharper cap loses nothing.  Leaves that pass it must also satisfy S n = n.  A float
     screen rejects a leaf only when the real or imaginary part of some
     row of S n - n exceeds S_SCREEN_RTOL * (1 + sum_j h_ij n_j), where
     the height h_ij bounds both |S_ij| and the error of its float value;
@@ -260,7 +252,7 @@ def backtracking_candidates(
             weight = dims[i] + dims[j]
             wfloat = d_float[i] + d_float[j]
         seen.update(members)
-        bound = min(max_mult, math.floor(total_float / max(d_float[k] for k in members) + 1e-9))
+        bound = min(16, math.floor(total_float / max(d_float[k] for k in members) + 1e-9))
         if bound > 0:
             orbits.append((members, weight, wfloat, bound))
     orbits.sort(key=lambda o: o[0])
@@ -324,6 +316,4 @@ def backtracking_candidates(
     walk(0, residual0, residual0_float)
     if pending:
         confirm_pending()
-    if use_fusion_filter:
-        found = [n for n in found if fusion_inequality_holds(md, n)]
     return sorted(found)

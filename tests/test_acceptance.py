@@ -141,8 +141,7 @@ def test_criterion_4_doubling_closure_under_30s():
         assert report.verdict != "NoBoundary_CentralCharge", name
         assert report.central_charge == 0, name
         diag = canonical_double_candidate(base)
-        assert diag in candidate_search(dbl, use_fusion_filter=False), name
-        assert diag in candidate_search(dbl, use_fusion_filter=True), name
+        assert diag in candidate_search(dbl), name
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"criterion 4 took {elapsed:.3f}s"
 
@@ -159,7 +158,7 @@ def test_criterion_5_pointed_cross_oracle_under_60s():
     for mg in groups:  # (b) as stated: filter-off candidates vs subgroups
         md = metric_modular_data(mg)
         expected = sorted(subgroup_indicator(mg, s) for s in lagrangian_subgroups(mg))
-        found = candidate_search(md, use_fusion_filter=False)
+        found = candidate_search(md)
         if found != expected:
             mismatches.append((mg.orders, len(found), len(expected)))
         for vec in expected:  # the true containment, one direction only

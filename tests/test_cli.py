@@ -84,6 +84,39 @@ class TestValidate:
 
         assert "notes" in self._malformed(capsys, tmp_path, fixture_dir, edit)
 
+    def test_malformed_field_sweep_exits_2(self, capsys, tmp_path, fixture_dir):
+        # each field of each fixture, replaced by each value: the first
+        # four are wrong for every field, the rest are right for some
+        never_valid = ({}, [[1]], 1.5, True)
+        sometimes_valid = (None, "x", [], -1)
+
+        def paths(obj, prefix=()):
+            # every key of every object, and the first item of every array
+            items = obj.items() if isinstance(obj, dict) else list(enumerate(obj))[:1]
+            for key, value in items:
+                yield prefix + (key,)
+                if isinstance(value, (dict, list)):
+                    yield from paths(value, prefix + (key,))
+
+        bad = tmp_path / "sweep.json"
+        for name in ("toric_code", "fib_plus_z2"):
+            original = (fixture_dir / f"{name}.json").read_text()
+            for path in paths(json.loads(original)):
+                for value in never_valid + sometimes_valid:
+                    obj = json.loads(original)
+                    parent = obj
+                    for key in path[:-1]:
+                        parent = parent[key]
+                    parent[path[-1]] = value
+                    bad.write_text(json.dumps(obj), encoding="utf-8")
+                    code, _, err = run(capsys, "validate", str(bad))
+                    case = (name, path, value, code, err)
+                    if value in never_valid or code == 2:
+                        assert code == 2, case
+                        assert err.startswith("error:") and err.count("\n") == 1, case
+                    else:
+                        assert code in (0, 1) and not err, case
+
     def test_json_format(self, capsys, fixture_dir):
         code, out, _ = run(
             capsys, "validate", "--format", "json", str(fixture_dir / "ising.json")
@@ -121,26 +154,6 @@ class TestVerdict:
         assert code == 0
         assert "CandidatesFound" in out
         assert "[1, 0, 0, 0, 1, 0, 0, 0, 1]" in out
-
-    def test_no_fusion_filter_flag(self, capsys, fixture_dir):
-        code, out, _ = run(
-            capsys,
-            "verdict",
-            "--no-fusion-filter",
-            "--format",
-            "json",
-            str(fixture_dir / "double_ising.json"),
-        )
-        assert code == 0
-        payload = json.loads(out)
-        # S n = n leaves only the diagonal, so the filter changes nothing
-        # here; the flag still shows in the list and the conditions
-        assert len(payload["candidates"]) == 1
-        assert "filtered_candidates" in payload
-        assert len(payload["filtered_candidates"]) == 1
-        assert payload["filtered_candidates"] == payload["candidates"]
-        standard = payload["conditions"]["standard_theory_level"]
-        assert not any("fusion inequality" in c for c in standard)
 
     def test_budget_env_exits_3(self, capsys, fixture_dir, monkeypatch):
         monkeypatch.setenv("MTC_SEARCH_BUDGET", "1")

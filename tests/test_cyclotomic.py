@@ -70,6 +70,29 @@ def test_real_sign():
     assert (sqrt_int(2) - rational(Fraction(142, 100))).real_sign() == -1
 
 
+def test_floor_is_exact():
+    phi = (1 + sqrt_int(5)) / 2
+    assert rational(3).floor() == 3
+    assert rational(Fraction(-3, 2)).floor() == -2
+    assert sqrt_int(2).floor() == 1
+    assert (-sqrt_int(2)).floor() == -2
+    assert phi.floor() == 1 and (phi * phi).floor() == 2
+    # 665857/470832 - sqrt 2 is about 1.6e-12
+    tiny = rational(Fraction(665857, 470832)) - sqrt_int(2)
+    assert (1 + tiny).floor() == 1
+    assert (2 - tiny).floor() == 1
+    assert (-tiny).floor() == -1
+    # a Pell convergent below sqrt 2 with a gap under 1e-40: the float
+    # value of 3 + gap is exactly 3, and the signs need more digits
+    p, q = 1, 1
+    while q < 10**21 or p * p - 2 * q * q != -1:
+        p, q = p + 2 * q, p + q
+    gap = sqrt_int(2) - rational(Fraction(p, q))
+    assert (3 + gap).approx().real == 3.0
+    assert (3 + gap).floor() == 3
+    assert (3 - gap).floor() == 2
+
+
 def test_approx_matches_cmath():
     for n in (1, 2, 3, 8, 13, 20):
         for k in range(n):

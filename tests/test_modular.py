@@ -327,6 +327,18 @@ class TestValidationReport:
         report = validate_modular(ModularData(s=tuple(tuple(r) for r in rows), t=md.t))
         assert "dims_real_positive" in report.failed_names()
 
+    def test_tiny_positive_dim_is_positive(self):
+        # d_e = 665857/470832 - sqrt 2, about 1.6e-12 but positive: the
+        # certified sign accepts it, where a float threshold would not
+        md = toric_md()
+        rows = [list(r) for r in md.s]
+        rows[0][1] = rows[1][0] = (rational(Fraction(665857, 470832)) - sqrt_int(2)) * md.s[0][0]
+        tiny = ModularData(s=tuple(tuple(r) for r in rows), t=md.t)
+        assert 0 < tiny.dims()[1].approx().real < 1e-11
+        report = validate_modular(tiny)
+        assert "dims_real_positive" not in report.failed_names()
+        assert not report.ok  # sum d_i^2 no longer equals D^2
+
     def test_wrong_declared_fusion_is_named(self):
         md = fib_md()
         ring = md.ring

@@ -15,7 +15,6 @@ from mtcbound.obstruction import (
     candidate_search,
     canonical_double_candidate,
     central_charge_gate,
-    fusion_inequality_holds,
     search_budget,
     verdict,
 )
@@ -43,58 +42,49 @@ class TestGate:
 
     def test_gated_search_is_empty(self):
         assert candidate_search(corpus.semion().modular) == []
-        assert candidate_search(corpus.fibonacci().modular, use_fusion_filter=False) == []
+        assert candidate_search(corpus.fibonacci().modular) == []
 
 
 class TestSearch:
     def test_toric_candidates_both_filter_states(self):
         md = corpus.toric_code().modular
-        expected = [(1, 0, 1, 0), (1, 1, 0, 0)]
-        assert candidate_search(md, use_fusion_filter=False) == expected
-        assert candidate_search(md, use_fusion_filter=True) == expected
+        assert candidate_search(md) == [(1, 0, 1, 0), (1, 1, 0, 0)]
 
     def test_double_fibonacci_has_only_the_diagonal(self):
         fib = corpus.fibonacci().modular
-        found = candidate_search(double(fib), use_fusion_filter=False)
+        found = candidate_search(double(fib))
         assert found == [canonical_double_candidate(fib)] == [(1, 0, 0, 1)]
 
     def test_double_ising_filter_drops_the_fake(self):
         # the fake passes the T-side conditions (twist, duality, unit,
         # 1 + 3 d_(psi,psi) = 4 = D) but (S n)_4 = 1 != 3, so S n = n
-        # rejects it before the fusion filter would
+        # rejects it
         ising = corpus.ising().modular
         md = double(ising)
         diag = canonical_double_candidate(ising)
         fake = (1, 0, 0, 0, 3, 0, 0, 0, 0)
-        off = candidate_search(md, use_fusion_filter=False)
-        on = candidate_search(md, use_fusion_filter=True)
+        found = candidate_search(md)
         assert not s_invariant(md, fake)
         assert s_invariant(md, diag)
-        assert fake not in off and fake not in on
-        assert off == on == [diag]
-        assert not fusion_inequality_holds(md, fake)
-
-    def test_max_mult_zero_starves_the_search(self):
-        md = corpus.toric_code().modular
-        # unit keeps multiplicity 1 by definition; everything else is capped
-        assert candidate_search(md, use_fusion_filter=False, max_mult=0) == []
+        assert fake not in found
+        assert found == [diag]
 
     def test_forced_multiplicity_must_be_an_integer_in_the_box(self, monkeypatch):
         # designed systems on toric code's bosons e, m (columns 0 and 1,
         # the unit last), so that the walk meets a pivot entry above 1
-        # and a forced value above the cap; D - d_unit = 1 caps m_m at 1
+        # and a forced value above the cap; floor(d_e) = floor(d_m) = 1
+        # caps both at 1
         md = corpus.toric_code().modular
 
         def system(*rows):
             monkeypatch.setattr(obstruction, "_fixed_space_rows", lambda md, columns: list(rows))
 
         system((2, 1, -2))  # m_m = 1 would force m_e = 1/2
-        assert candidate_search(md, use_fusion_filter=False) == [(1, 1, 0, 0)]
-        system((1, 1, -2))  # m_m = 0 forces m_e = 2
-        assert candidate_search(md, use_fusion_filter=False) == [(1, 1, 1, 0), (1, 2, 0, 0)]
-        assert candidate_search(md, use_fusion_filter=False, max_mult=1) == [(1, 1, 1, 0)]
+        assert candidate_search(md) == [(1, 1, 0, 0)]
+        system((1, 1, -2))  # m_m = 0 forces m_e = 2, above the cap
+        assert candidate_search(md) == [(1, 1, 1, 0)]
         system((0, 0, 1))  # the unit column is a pivot: no solution
-        assert candidate_search(md, use_fusion_filter=False) == []
+        assert candidate_search(md) == []
 
     def test_budget_is_enforced(self):
         # four free columns there, so about 80 nodes; double(ising) has
@@ -127,8 +117,7 @@ class TestCanonicalCandidate:
             base = corpus.build(name).modular
             diag = canonical_double_candidate(base)
             dbl = double(base)
-            assert diag in candidate_search(dbl, use_fusion_filter=False), name
-            assert diag in candidate_search(dbl, use_fusion_filter=True), name
+            assert diag in candidate_search(dbl), name
 
 
 class TestPointedCrossOracle:
@@ -137,7 +126,7 @@ class TestPointedCrossOracle:
         md = metric_modular_data(mg)
         subs = lagrangian_subgroups(mg)
         indicators = sorted(subgroup_indicator(mg, s) for s in subs)
-        assert candidate_search(md, use_fusion_filter=False) == indicators
+        assert candidate_search(md) == indicators
 
     def test_filter_off_count_can_exceed_the_subgroup_count(self):
         # Z4 x Z4 with q = (x^2 - y^2)/8: the gate passes (signature 0)
@@ -169,15 +158,14 @@ class TestPointedCrossOracle:
 
         subs = lagrangian_subgroups(mg)
         indicators = sorted(subgroup_indicator(mg, s) for s in subs)
-        off = candidate_search(md, use_fusion_filter=False)
-        on = candidate_search(md, use_fusion_filter=True)
+        found = candidate_search(md)
         assert len(subs) == 2
-        assert fake not in off
-        assert off == on == indicators
+        assert fake not in found
+        assert found == indicators
 
     def test_filter_off_equals_subgroups_on_seeded_pointed_data(self):
-        # S n = n decides NoBoundary_NoCandidate, so the filter-off search
-        # must lose no Lagrangian indicator and admit nothing else
+        # S n = n decides NoBoundary_NoCandidate, so the search must lose
+        # no Lagrangian indicator and admit nothing else
         rng = random.Random(7)
         seen = set()  # equal forms recur often; each is searched once
         for _ in range(200):
@@ -190,7 +178,7 @@ class TestPointedCrossOracle:
             expected = sorted(
                 subgroup_indicator(mg, s) for s in lagrangian_subgroups(mg)
             )
-            found = candidate_search(md, use_fusion_filter=False)
+            found = candidate_search(md)
             for vec in expected:
                 assert vec in found, (mg.orders, vec)
             assert found == expected, mg.orders
@@ -202,11 +190,11 @@ class TestPointedCrossOracle:
             expected = sorted(
                 subgroup_indicator(mg, s) for s in lagrangian_subgroups(mg)
             )
-            found = candidate_search(metric_modular_data(mg), use_fusion_filter=False)
+            found = candidate_search(metric_modular_data(mg))
             assert found == expected, name
 
     def test_filter_on_matches_subgroups_on_small_pointed_data(self):
-        # with the fusion filter the support is forced to be an
+        # S n = n and n_i <= floor(d_i) = 1 force the support to be an
         # isotropic subgroup with multiplicities 1
         rng = random.Random(2024)
         for _ in range(10):
@@ -217,19 +205,17 @@ class TestPointedCrossOracle:
             expected = sorted(
                 subgroup_indicator(mg, s) for s in lagrangian_subgroups(mg)
             )
-            assert candidate_search(md, use_fusion_filter=True) == expected
+            assert candidate_search(md) == expected
 
 
 class TestExactSearchOracle:
     """The lattice-point search against the backtracking search it
-    replaced (`tests.helpers.backtracking_candidates`)."""
+    replaced (`tests.helpers.backtracking_candidates`), which caps
+    multiplicities by min(16, D/d_i) instead of floor(d_i)."""
 
     @staticmethod
     def assert_matches_oracle(md, label):
-        for use_filter in (False, True):
-            assert candidate_search(md, use_fusion_filter=use_filter) == (
-                backtracking_candidates(md, use_fusion_filter=use_filter)
-            ), (label, use_filter)
+        assert candidate_search(md) == backtracking_candidates(md), label
 
     def test_fixtures_and_doubles(self):
         for name in corpus.fixture_names():
@@ -260,9 +246,7 @@ class TestExactSearchOracle:
                 continue
             seen.add(key)
             md = metric_modular_data(mg)
-            assert candidate_search(md, use_fusion_filter=False) == (
-                backtracking_candidates(md, use_fusion_filter=False)
-            ), mg.orders
+            assert candidate_search(md) == backtracking_candidates(md), mg.orders
         assert len(seen) >= 20
 
     def test_abelian_double_222_finds_all_30_subgroups_unhinted(self):
@@ -310,7 +294,6 @@ class TestVerdict:
         assert not report.exact
         diag = canonical_double_candidate(corpus.ising().modular)
         assert report.candidates == (diag,)
-        assert report.filtered_candidates == (diag,)
 
     def test_ring_less_data_derives_c_and_ring_once_per_verdict(self, monkeypatch):
         counts = {"verlinde": 0, "central_charge": 0}
@@ -329,10 +312,9 @@ class TestVerdict:
         base = double(corpus.toric_code().modular)
         md = ModularData(s=base.s, t=base.t, unit_index=base.unit_index)
         report = verdict(md)
-        # every candidate goes through the fusion filter, which needs the ring
+        # the search reads S and T only, so no ring is derived
         assert len(report.candidates) > 1
-        assert report.filtered_candidates == report.candidates
-        assert counts == {"verlinde": 1, "central_charge": 1}
+        assert counts == {"verlinde": 0, "central_charge": 1}
 
     def test_caveat_always_present(self):
         for report in (
@@ -354,13 +336,3 @@ class TestVerdict:
         b = json.dumps(verdict(md).to_json_dict(), sort_keys=True)
         assert a == b
 
-
-class TestFusionInequality:
-    def test_accepts_group_supports(self):
-        md = corpus.toric_code().modular
-        assert fusion_inequality_holds(md, (1, 1, 0, 0))
-
-    def test_rejects_overweight_multiplicity(self):
-        md = corpus.toric_code().modular
-        # n_e = 2 forces n_e * n_e = 4 > N_ee^1 * n_1 = 1
-        assert not fusion_inequality_holds(md, (1, 2, 0, 0))
