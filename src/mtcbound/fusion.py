@@ -50,7 +50,14 @@ class FusionRing:
         fusion = {}
         for key, value in self.fusion.items():
             i, j, k = key
-            if not all(isinstance(t, int) and 0 <= t < r for t in (i, j, k)):
+            if not (
+                isinstance(i, int)
+                and isinstance(j, int)
+                and isinstance(k, int)
+                and 0 <= i < r
+                and 0 <= j < r
+                and 0 <= k < r
+            ):
                 raise InputError(f"fusion index out of range: {key}")
             if not isinstance(value, int) or value < 0:
                 raise InputError(f"fusion multiplicity must be a non-negative integer: {key}")

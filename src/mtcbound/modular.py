@@ -178,24 +178,33 @@ class PackedMatrix:
     @staticmethod
     def pack(rows, conductor: int | None = None) -> "PackedMatrix":
         """Pack rows of Cyclotomic scalars over Q(zeta_conductor); the
-        default conductor is the lcm of the entries' conductors."""
-        if conductor is None:
-            conductor = 1
-            for row in rows:
-                for e in row:
-                    conductor = _lcm(conductor, e.conductor)
-        den = 1
-        for row in rows:
-            for e in row:
-                den = _lcm(den, e.den)
-        nums = [
-            [
-                [v * (den // e.den) for v in _embed_nums(e.nums, e.conductor, conductor)]
-                for e in row
-            ]
+        default conductor is the lcm of the entries' conductors.
+
+        Each distinct (conductor, nums, den) entry is embedded and scaled
+        to the common denominator once, into one row of a table; the
+        matrix is that table gathered by a numpy index array.  Matrices
+        over a cyclotomic field repeat few values (a pointed S has at
+        most one per pairing exponent), so the Python work grows with
+        the distinct values and only the gather with the entry count.
+        """
+        slots: dict = {}
+        index = [
+            [slots.setdefault((e.conductor, e.nums, e.den), len(slots)) for e in row]
             for row in rows
         ]
-        return PackedMatrix(conductor, _settle(np.array(nums, dtype=object)), den)
+        if conductor is None:
+            conductor = 1
+            for n, _, _ in slots:
+                conductor = _lcm(conductor, n)
+        den = 1
+        for _, _, d in slots:
+            den = _lcm(den, d)
+        table = [
+            [v * (den // d) for v in _embed_nums(nums, n, conductor)]
+            for n, nums, d in slots
+        ]
+        table = _settle(np.array(table, dtype=object))
+        return PackedMatrix(conductor, table[np.array(index, dtype=np.intp)], den)
 
     def entry(self, i: int, j: int) -> Cyclotomic:
         return Cyclotomic(self.conductor, tuple(int(v) for v in self.nums[i, j]), self.den)
@@ -570,15 +579,11 @@ def validate_modular(md: ModularData) -> ValidationReport:
     r = md.rank
     u = md.unit_index
 
-    ok, where = True, None
-    for i in range(r):
-        for j in range(i + 1, r):
-            if md.s[i][j] != md.s[j][i]:
-                ok, where = False, (i, j)
-                break
-        if not ok:
-            break
-    report.add("s_symmetric", ok, where)
+    s = md.packed_s()
+    # argwhere is row-major, so this is the first asymmetric (i, j), i < j
+    mismatch = np.argwhere(np.triu(~s.entries_equal(s.transpose()), 1))
+    ok = not len(mismatch)
+    report.add("s_symmetric", ok, None if ok else tuple(int(x) for x in mismatch[0]))
 
     dims = None
     if md.s_unit.is_zero():

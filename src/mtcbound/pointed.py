@@ -3,10 +3,21 @@
 A finite abelian group A carrying a quadratic form q : A -> Q/Z whose
 associated bilinear pairing is nondegenerate is the same data as a
 pointed modular category: S_{ab} is the exponentiated pairing over
-sqrt(|A|), twists are e^(2 pi i q(a)), fusion is the group law.  This module builds that data exactly,
-enumerates Lagrangian subgroups (|L|^2 = |A|, q trivial on L) by brute
-force, and computes the Gauss-Milgram signature as an independent route
-to the central charge.
+sqrt(|A|), twists are e^(2 pi i q(a)), fusion is the group law.  This
+module builds that data exactly, enumerates Lagrangian subgroups
+(|L|^2 = |A|, q trivial on L) by brute force, and computes the
+Gauss-Milgram signature as an independent route to the central charge.
+
+The modular data come from two integer tables over the element indices
+(mixed radix, row-major over the cyclic factors).  The group law
+law[a, c] = a + c gives the fusion dict and the dual.  The exponent
+matrix K[a, c] = M (q(a + c) - q(a) - q(c)) mod M, with M the common
+denominator of q, is the pairing b(a, c) = K[a, c]/M of
+`MetricGroup.bilinear` on every pair, quadratic q or not.  K's
+generator columns decide nondegeneracy, and S[a, c] =
+e^(-2 pi i K[a, c]/M)/sqrt(|A|) is built as one `Cyclotomic` per
+distinct exponent, gathered by K, so the scalar work grows with the
+number of distinct pairing values (at most M), not with |A|^2.
 """
 
 from __future__ import annotations
@@ -16,7 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .cyclotomic import cyc_sum, from_angle, sqrt_int
+import numpy as np
+
+from .cyclotomic import _lcm, cyc_sum, from_angle, sqrt_int
 from .errors import Degenerate, InputError, SizeLimit
 from .fusion import FusionRing
 from .modular import ModularData
@@ -195,33 +208,77 @@ def validate_metric(mg: MetricGroup) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def metric_modular_data(mg: MetricGroup) -> ModularData:
-    """Pointed modular data; raises Degenerate when the form is degenerate."""
-    if len(mg.radical()) != 1:
-        raise Degenerate("bilinear form has a nonzero radical")
+def _group_law(mg: MetricGroup) -> np.ndarray:
+    """law[a, c] = index of a + c, on mixed-radix element indices.
+
+    `elements` is the product of the cyclic factors in row-major order,
+    so element a has index sum_u a_u * stride_u and addition works digit
+    by digit; the zero element has index 0.
+    """
     n = mg.size
-    elements = mg.elements
-    inv_sqrt = sqrt_int(n).inverse()
-    s = tuple(
-        tuple(from_angle(-mg.bilinear(a, b)) * inv_sqrt for b in elements)
-        for a in elements
+    indices = np.arange(n, dtype=np.int64)
+    law = np.zeros((n, n), dtype=np.int64)
+    stride = n
+    for order in mg.orders:
+        stride //= order
+        digit = indices // stride % order
+        law += (digit[:, None] + digit[None, :]) % order * stride
+    return law
+
+
+def _pairing_exponents(mg: MetricGroup, law: np.ndarray) -> tuple[np.ndarray, int]:
+    """(K, M): b(a, c) = K[a, c] / M for every pair of element indices,
+    with M the common denominator of q and b(a, c) = q(a + c) - q(a) - q(c)
+    mod 1, the definition of `MetricGroup.bilinear`."""
+    values = [mg.q[a] for a in mg.elements]
+    m = 1
+    for v in values:
+        m = _lcm(m, v.denominator)
+    # q(a + c) - q(a) - q(c) lies in (-2M, M), so int64 holds it below 2^62
+    e = np.array(
+        [v.numerator * (m // v.denominator) for v in values],
+        dtype=np.int64 if m < 2**62 else object,
     )
+    return (e[law] - e[:, None] - e[None, :]) % m, m
+
+
+def metric_modular_data(mg: MetricGroup) -> ModularData:
+    """Pointed modular data; raises Degenerate when the form is degenerate.
+
+    The group law is one integer table, and S is read off the pairing
+    exponents K: S[a, c] = e^(-2 pi i K[a, c]/M) / sqrt(|A|), one
+    `Cyclotomic` per distinct exponent, gathered by K.
+    """
+    n = mg.size
+    law = _group_law(mg)
+    k, m = _pairing_exponents(mg, law)
+    gens = [mg.index(g) for g in mg.generators()]
+    if np.count_nonzero((k[:, gens] == 0).all(axis=1)) != 1:
+        raise Degenerate("bilinear form has a nonzero radical")
+    inv_sqrt = sqrt_int(n).inverse()
+    distinct, first, where = np.unique(k.ravel(), return_index=True, return_inverse=True)
+    values = [None] * len(distinct)
+    # in order of first appearance, so a conductor error names the same
+    # entry as a row-major build would
+    for slot in np.argsort(first).tolist():
+        values[slot] = from_angle(Fraction(-int(distinct[slot]), m)) * inv_sqrt
+    s = tuple(
+        tuple(map(values.__getitem__, row)) for row in where.reshape(n, n).tolist()
+    )
+    elements = mg.elements
     t = tuple(from_angle(mg.qval(a)) for a in elements)
     labels = tuple(_element_label(a) for a in elements)
-    index = mg.index
-    fusion = {
-        (index(a), index(b), index(mg.add(a, b))): 1
-        for a in elements
-        for b in elements
-    }
-    zero = tuple(0 for _ in mg.orders)
+    columns = list(range(n))
+    fusion = dict.fromkeys(
+        zip(np.repeat(columns, n).tolist(), columns * n, law.ravel().tolist()), 1
+    )
     ring = FusionRing(
         labels=labels,
-        unit=(index(zero),),
-        dual=tuple(index(mg.neg(a)) for a in elements),
+        unit=(0,),
+        dual=tuple(np.argmax(law == 0, axis=1).tolist()),
         fusion=fusion,
     )
-    return ModularData(s=s, t=t, unit_index=index(zero), ring=ring)
+    return ModularData(s=s, t=t, unit_index=0, ring=ring)
 
 
 def matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
@@ -232,11 +289,7 @@ def matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
         return False
     if regenerated.rank != md.rank or regenerated.unit_index != md.unit_index:
         return False
-    if any(
-        regenerated.s[i][j] != md.s[i][j]
-        for i in range(md.rank)
-        for j in range(md.rank)
-    ):
+    if not regenerated.packed_s().entries_equal(md.packed_s()).all():
         return False
     if any(regenerated.t[i] != md.t[i] for i in range(md.rank)):
         return False
@@ -272,28 +325,18 @@ def abelian_double(orders: tuple) -> MetricGroup:
 def milgram_signature(mg: MetricGroup) -> Fraction:
     """sigma mod 8 with sum_a e^(2 pi i q(a)) = sqrt(|A|) e^(2 pi i sigma/8).
 
-    Independent of the S/T route: extracts the root of unity from the
-    squared Gauss sum and fixes the mod-4 branch numerically.
+    Independent of the S/T route: g / sqrt(|A|) = g sqrt(|A|) / |A| is
+    exactly the root of unity e^(2 pi i sigma/8) (`sqrt_int` is exact),
+    so sigma is read off `as_root_of_unity` with no float branch.
     """
     g = cyc_sum(from_angle(mg.qval(a)) for a in mg.elements)
     if g * g.conj() != mg.size:
         raise Degenerate("Gauss sum magnitude differs from sqrt(|A|)")
-    square = g * g / mg.size
-    root = square.as_root_of_unity()
+    root = (g * sqrt_int(mg.size) / mg.size).as_root_of_unity()
     if root is None:  # pragma: no cover - magnitude check rules this out
-        raise Degenerate("squared Gauss sum is not a root of unity")
+        raise Degenerate("Gauss sum over sqrt(|A|) is not a root of unity")
     k, m = root
-    base = Fraction(4 * k, m) % 8
-    candidates = [base, (base + 4) % 8]
-    val = g.approx()
-    want = math.atan2(val.imag, val.real)
-    tau = 2 * math.pi
-
-    def dist(c: Fraction) -> float:
-        ang = tau * float(c) / 8
-        return min(abs(want - ang), abs(want - ang + tau), abs(want - ang - tau))
-
-    return min(candidates, key=dist)
+    return Fraction(8 * k, m) % 8
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ from math import gcd
 
 import numpy as np
 
-from mtcbound.cyclotomic import ZERO, cyc_sum
-from mtcbound.errors import NonIntegralVerlinde, NonModular, SearchBudgetExceeded
-from mtcbound.modular import ModularData
+from mtcbound.cyclotomic import ZERO, _embed_nums, _lcm, cyc_sum, from_angle, sqrt_int
+from mtcbound.errors import Degenerate, NonIntegralVerlinde, NonModular, SearchBudgetExceeded
+from mtcbound.fusion import FusionRing
+from mtcbound.modular import ModularData, PackedMatrix, _settle
 from mtcbound.obstruction import central_charge_gate, search_budget
-from mtcbound.pointed import MetricGroup
+from mtcbound.pointed import MetricGroup, _element_label
 
 _FACTOR_CHOICES = (2, 3, 4, 5, 6, 7, 8, 9, 16, 25)
 
@@ -91,8 +92,65 @@ def brute_force_lagrangians(mg: MetricGroup) -> list:
 
 
 # ---------------------------------------------------------------------------
+# entry-by-entry reference route for pointed modular data
+# ---------------------------------------------------------------------------
+
+
+def per_entry_metric_modular_data(mg: MetricGroup) -> ModularData:
+    """Pointed modular data built one entry at a time: S[a][b] from the
+    `Fraction` pairing `mg.bilinear(a, b)`, the ring from `mg.add`."""
+    if len(mg.radical()) != 1:
+        raise Degenerate("bilinear form has a nonzero radical")
+    n = mg.size
+    elements = mg.elements
+    inv_sqrt = sqrt_int(n).inverse()
+    s = tuple(
+        tuple(from_angle(-mg.bilinear(a, b)) * inv_sqrt for b in elements)
+        for a in elements
+    )
+    t = tuple(from_angle(mg.qval(a)) for a in elements)
+    labels = tuple(_element_label(a) for a in elements)
+    index = mg.index
+    fusion = {
+        (index(a), index(b), index(mg.add(a, b))): 1
+        for a in elements
+        for b in elements
+    }
+    zero = tuple(0 for _ in mg.orders)
+    ring = FusionRing(
+        labels=labels,
+        unit=(index(zero),),
+        dual=tuple(index(mg.neg(a)) for a in elements),
+        fusion=fusion,
+    )
+    return ModularData(s=s, t=t, unit_index=index(zero), ring=ring)
+
+
+# ---------------------------------------------------------------------------
 # object-per-entry reference routes for the packed matrix layer
 # ---------------------------------------------------------------------------
+
+
+def per_entry_pack(rows, conductor: int | None = None) -> PackedMatrix:
+    """`PackedMatrix.pack` with every entry embedded and scaled on its own."""
+    if conductor is None:
+        conductor = 1
+        for row in rows:
+            for e in row:
+                conductor = _lcm(conductor, e.conductor)
+    den = 1
+    for row in rows:
+        for e in row:
+            den = _lcm(den, e.den)
+    nums = [
+        [
+            [v * (den // e.den) for v in _embed_nums(e.nums, e.conductor, conductor)]
+            for e in row
+        ]
+        for row in rows
+    ]
+    return PackedMatrix(conductor, _settle(np.array(nums, dtype=object)), den)
+
 
 
 def object_matmul(a, b):

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mtcbound import corpus, modular
@@ -28,6 +29,7 @@ from tests.helpers import (
     object_matmul,
     object_scale_columns,
     object_verlinde,
+    per_entry_pack,
     random_metric_group,
 )
 
@@ -252,6 +254,36 @@ class TestPackedLayer:
         b = ((zeta(8, 3), ONE), (zeta(5, 2), rational(-2)))
         assert rows_of(PackedMatrix.pack(a) @ PackedMatrix.pack(b)) == object_matmul(a, b)
 
+    def test_pack_matches_the_per_entry_oracle(self):
+        mixed = (
+            (zeta(5), sqrt_int(2), rational(Fraction(1, 3)), zeta(5)),
+            (zeta(3), ONE, zeta(8, 3) * Fraction(2, 7), zeta(5)),
+            (rational(-2), zeta(3), sqrt_int(2), ONE),
+        )
+        inputs = [(name, md.s) for name, md in oracle_inputs()]
+        inputs.append(("mixed conductors", mixed))
+        inputs.append(("mixed conductors over 120", mixed, 120))
+        for name, rows, *conductor in inputs:
+            packed, expected = PackedMatrix.pack(rows, *conductor), per_entry_pack(rows, *conductor)
+            assert (packed.conductor, packed.den) == (expected.conductor, expected.den), name
+            assert packed.nums.dtype == expected.nums.dtype, name
+            assert packed.nums.shape == expected.nums.shape, name
+            assert (packed.nums == expected.nums).all(), name
+
+    def test_entries_equal_beyond_float_precision(self):
+        # 2^53 + 1 and 2^53 are one float64; 3 (2^62 + 1) leaves int64
+        def single(value, den):
+            return PackedMatrix(1, np.array([[[value]]], dtype=np.int64), den)
+
+        near = 2**53
+        assert not single(near + 1, 1).entries_equal(single(near, 1)).any()
+        assert single(near + 1, 1).entries_equal(single(2 * near + 2, 2)).all()
+        assert not single(near + 1, 1).entries_equal(single(2 * near + 1, 2)).any()
+        big = 2**62 + 1
+        assert single(big, 3).entries_equal(single(big, 3)).all()
+        assert not single(big, 3).entries_equal(single(big - 1, 3)).any()
+        assert not single(big, 3).entries_equal(single(big, 5)).any()
+
 
 class TestCentralCharge:
     CASES = [
@@ -311,6 +343,14 @@ class TestValidationReport:
         report = validate_modular(bad)
         assert not report.ok
         assert report.first_failure().name == "s_symmetric"
+
+    def test_s_symmetric_names_the_first_asymmetric_pair(self):
+        md = ising_md()
+        rows = [list(r) for r in md.s]
+        rows[2][1] = -rows[2][1]
+        rows[1][0] = -rows[1][0]
+        check = validate_modular(ModularData(s=tuple(map(tuple, rows)), t=md.t)).first_failure()
+        assert (check.name, check.where) == ("s_symmetric", (0, 1))
 
     def test_non_root_twist_is_named(self):
         md = toric_md()

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtcbound import corpus
-from mtcbound.errors import Degenerate, InputError, SizeLimit
-from mtcbound.modular import central_charge, validate_modular, verlinde
+from mtcbound.errors import ConductorLimitError, Degenerate, InputError, SizeLimit
+from mtcbound.fusion import FusionRing
+from mtcbound.modular import ModularData, central_charge, validate_modular, verlinde
 from mtcbound.pointed import (
     MetricGroup,
     abelian_double,
@@ -19,8 +21,14 @@ from mtcbound.pointed import (
     subgroup_indicator,
     validate_metric,
 )
+from mtcbound.specfile import CategorySpecFile
 
-from tests.helpers import brute_force_lagrangians, random_metric_group
+from tests.helpers import (
+    brute_force_lagrangians,
+    per_entry_metric_modular_data,
+    per_entry_pack,
+    random_metric_group,
+)
 
 
 def toric_mg():
@@ -116,6 +124,123 @@ class TestModularBridge:
         bad = ModularData(s=md.s, t=tuple(t), unit_index=md.unit_index, ring=md.ring)
         assert matches_modular_data(mg, md)
         assert not matches_modular_data(mg, bad)
+
+    def test_matches_modular_data_rejects_s_and_ring_tampers(self):
+        # d_z3 has non-real S entries and a dual that is no identity
+        mg = corpus.d_z3().metric
+        md = metric_modular_data(mg)
+        assert matches_modular_data(mg, md)
+
+        def with_s(rows):
+            return ModularData(s=rows, t=md.t, unit_index=md.unit_index, ring=md.ring)
+
+        def with_ring(**changes):
+            fields = {
+                "labels": md.ring.labels,
+                "unit": md.ring.unit,
+                "dual": md.ring.dual,
+                "fusion": md.ring.fusion,
+            }
+            fields.update(changes)
+            ring = FusionRing(**fields)
+            return ModularData(s=md.s, t=md.t, unit_index=md.unit_index, ring=ring)
+
+        i, j = next(
+            (i, j)
+            for i in range(md.rank)
+            for j in range(i + 1, md.rank)
+            if md.s[i][j].conj() != md.s[i][j]
+        )
+        rows = [list(row) for row in md.s]
+        rows[i][j], rows[j][i] = rows[i][j].conj(), rows[j][i].conj()
+        assert not matches_modular_data(mg, with_s(tuple(map(tuple, rows))))
+        assert not matches_modular_data(mg, with_s(tuple(tuple(-e for e in row) for row in md.s)))
+
+        fusion = dict(md.ring.fusion)
+        a, b, c = key = next(iter(fusion))
+        del fusion[key]
+        fusion[(a, b, (c + 1) % md.rank)] = 1
+        assert not matches_modular_data(mg, with_ring(fusion=fusion))
+
+        dual = list(md.ring.dual)
+        assert dual[1] != dual[2]
+        dual[1], dual[2] = dual[2], dual[1]
+        assert not matches_modular_data(mg, with_ring(dual=tuple(dual)))
+
+
+def entries(values) -> list:
+    """(conductor, nums, den) of each scalar: what its JSON is made of."""
+    return [(e.conductor, e.nums, e.den) for e in values]
+
+
+def assert_same_as_per_entry(mg, label, compare_json=False):
+    """The construction against its entry-by-entry oracle: equal S and T
+    entries, ring and unit (so equal JSON; compared as bytes when
+    compare_json), and equal packed S from the deduplicating and the
+    per-entry pack."""
+    md = metric_modular_data(mg)
+    oracle = per_entry_metric_modular_data(mg)
+    assert [entries(row) for row in md.s] == [entries(row) for row in oracle.s], label
+    assert entries(md.t) == entries(oracle.t), label
+    assert md.unit_index == oracle.unit_index, label
+    assert md.ring.to_json_dict() == oracle.ring.to_json_dict(), label
+    assert list(md.ring.fusion) == list(oracle.ring.fusion), label
+    if compare_json:
+        assert json.dumps(md.to_json_dict(), sort_keys=True) == json.dumps(
+            oracle.to_json_dict(), sort_keys=True
+        ), label
+    packed, expected = md.packed_s(), per_entry_pack(oracle.s)
+    assert (packed.conductor, packed.den) == (expected.conductor, expected.den), label
+    assert packed.nums.dtype == expected.nums.dtype, label
+    assert (packed.nums == expected.nums).all(), label
+
+
+class TestConstructionOracle:
+    def test_metric_fixtures_and_doubles(self):
+        for name in corpus.fixture_names():
+            mg = corpus.build(name).metric
+            if mg is not None:
+                assert_same_as_per_entry(mg, name, compare_json=True)
+        for orders in ((3, 3), (2, 2, 2), (4, 4)):
+            assert_same_as_per_entry(abelian_double(orders), orders, compare_json=True)
+
+    def test_seeded_random_groups(self):
+        rng = random.Random(31)
+        seen = set()  # equal forms recur often; each is checked once
+        for _ in range(200):
+            mg = random_metric_group(rng, max_size=36)
+            key = (mg.orders, tuple(sorted(mg.q.items())))
+            if key not in seen:
+                seen.add(key)
+                assert_same_as_per_entry(mg, mg.orders)
+        assert len(seen) >= 100
+
+    def test_non_quadratic_form(self):
+        # q(2) = 0 on Z3 breaks q(2x) = 4 q(x), yet the pairing it
+        # defines is nondegenerate, so the data are still built
+        mg = MetricGroup(orders=(3,), q={(0,): 0, (1,): Fraction(1, 3), (2,): Fraction(0)})
+        assert "q_is_quadratic" in validate_metric(mg).failed_names()
+        assert_same_as_per_entry(mg, "non-quadratic", compare_json=True)
+        oracle = per_entry_metric_modular_data(mg)
+        tampered = ModularData(
+            s=tuple(tuple(-e for e in row) for row in oracle.s),
+            t=oracle.t,
+            unit_index=oracle.unit_index,
+            ring=oracle.ring,
+        )
+        for md, expected in ((oracle, True), (tampered, False)):
+            assert matches_modular_data(mg, md) is expected
+            spec = CategorySpecFile(name="z3-non-quadratic", modular=md, metric=mg)
+            report = spec.cross_section_checks()
+            assert report.ok is expected
+            assert report.failed_names() == ([] if expected else ["metric_regenerates_modular"])
+
+    def test_huge_denominator_reaches_the_conductor_cap(self):
+        # M = 10^30 takes the object-array route for K, and its one
+        # distinct nonzero exponent is refused by the conductor cap
+        mg = MetricGroup(orders=(2,), q={(0,): 0, (1,): Fraction(1, 10**30)})
+        with pytest.raises(ConductorLimitError):
+            metric_modular_data(mg)
 
 
 class TestMilgram:
