@@ -43,6 +43,7 @@ from .cyclotomic import (
     _power_row,
     _reduction,
     euler_phi,
+    from_angle,
 )
 from .errors import (
     GaussIdentityFailure,
@@ -483,30 +484,18 @@ def central_charge(md: ModularData) -> Fraction:
 
 
 def central_charge_via_square(md: ModularData) -> Fraction:
-    """Secondary route: (tau+/D)^2 = tau+/tau- exactly, branch fixed by
-    the floating-point argument of tau+.  Used as a cross-check."""
-    tau_plus, tau_minus, _ = gauss_sums(md)
+    """Secondary route: (tau+/D)^2 = tau+/tau- exactly gives c mod 4,
+    and of the two square roots e^(2 pi i c/8) and its negative,
+    tau+/D is the one with tau+ = e^(2 pi i c/8) D exactly.  Used as a
+    cross-check."""
+    tau_plus, tau_minus, total = gauss_sums(md)
     square = tau_plus / tau_minus
     root = square.as_root_of_unity()
     if root is None:
         raise NotRootOfUnity(f"tau+/tau- = {square} is not a root of unity")
     k, m = root
     base = Fraction(4 * k, m) % 8
-    candidates = [base, (base + 4) % 8]
-    import cmath
-    import math
-
-    val = tau_plus.approx()
-    want = cmath.phase(val) % (2 * math.pi)
-    best = min(
-        candidates,
-        key=lambda c: min(
-            abs(want - 2 * math.pi * float(c) / 8),
-            abs(want - 2 * math.pi * float(c) / 8 + 2 * math.pi),
-            abs(want - 2 * math.pi * float(c) / 8 - 2 * math.pi),
-        ),
-    )
-    return best
+    return base if tau_plus == from_angle(base / 8) * total else (base + 4) % 8
 
 
 def central_charge_float_oracle(md: ModularData) -> float:

@@ -5,19 +5,27 @@ associated bilinear pairing is nondegenerate is the same data as a
 pointed modular category: S_{ab} is the exponentiated pairing over
 sqrt(|A|), twists are e^(2 pi i q(a)), fusion is the group law.  This
 module builds that data exactly, enumerates Lagrangian subgroups
-(|L|^2 = |A|, q trivial on L) by brute force, and computes the
-Gauss-Milgram signature as an independent route to the central charge.
+(|L|^2 = |A|, q trivial on L) by growing isotropic subgroups, and
+computes the Gauss-Milgram signature as an independent route to the
+central charge.
 
-The modular data come from two integer tables over the element indices
-(mixed radix, row-major over the cyclic factors).  The group law
-law[a, c] = a + c gives the fusion dict and the dual.  The exponent
-matrix K[a, c] = M (q(a + c) - q(a) - q(c)) mod M, with M the common
-denominator of q, is the pairing b(a, c) = K[a, c]/M of
-`MetricGroup.bilinear` on every pair, quadratic q or not.  K's
-generator columns decide nondegeneracy, and S[a, c] =
-e^(-2 pi i K[a, c]/M)/sqrt(|A|) is built as one `Cyclotomic` per
-distinct exponent, gathered by K, so the scalar work grows with the
-number of distinct pairing values (at most M), not with |A|^2.
+Everything runs on integer tables over the element indices (mixed
+radix, row-major over the cyclic factors).  The coordinates of every
+element, the q-exponent vector e with q(a) = e[a]/M for M the common
+denominator of q, and the distinct entries of S are computed at most
+once per `MetricGroup` and kept on it.  The group law law[a, c] = a + c
+costs one vectorised addition per cyclic factor, so it is rebuilt from
+the coordinates where it is needed rather than kept as an |A|^2 table.
+The exponent matrix K[a, c] = (e[a + c] - e[a] - e[c]) mod M is the
+pairing b(a, c) = K[a, c]/M of `MetricGroup.bilinear` on every pair,
+quadratic q or not, and S[a, c] = e^(-2 pi i K[a, c]/M)/sqrt(|A|) is
+one `Cyclotomic` per distinct exponent, gathered by K, so the scalar
+work grows with the number of distinct pairing values (at most M), not
+with |A|^2.  The radical and `validate_metric` read e and the
+coordinates only; the Lagrangian enumeration adds one int16 table of
+sums among the isotropic elements; the hint check
+`matches_modular_data` compares given data with the tables directly,
+without building a second `ModularData`.
 """
 
 from __future__ import annotations
@@ -25,16 +33,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
 from .cyclotomic import _lcm, cyc_sum, from_angle, sqrt_int
 from .errors import Degenerate, InputError, SizeLimit
 from .fusion import FusionRing
-from .modular import ModularData
+from .modular import ModularData, PackedMatrix
 from .report import ValidationReport
 
+# |A| <= 4096 < 2^15 also lets positions among the isotropic elements
+# live in int16
 SUBGROUP_SIZE_CAP = 4096
 
 
@@ -51,18 +61,33 @@ class MetricGroup:
         orders = tuple(self.orders)
         if any(not isinstance(n, int) or n < 1 for n in orders):
             raise InputError("orders must be positive integers")
+        if len(self.q) != math.prod(orders):
+            # Name the first missing element, as the full scan below
+            # would.  This scan is bounded by the input, not by the
+            # group: with fewer entries than elements one of the first
+            # len(q) + 1 is missing, and with more the group is shorter.
+            for a in product(*(range(n) for n in orders)):
+                if a not in self.q:
+                    raise InputError(f"q is missing element {a}")
+            raise InputError("q lists elements outside the group")
         elements = tuple(product(*(range(n) for n in orders)))
         table = {}
         for a in elements:
             if a not in self.q:
                 raise InputError(f"q is missing element {a}")
             table[a] = Fraction(self.q[a]) % 1
-        if len(self.q) != len(elements):
-            raise InputError("q lists elements outside the group")
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "q", table)
         object.__setattr__(self, "_elements", elements)
         object.__setattr__(self, "_index", {a: i for i, a in enumerate(elements)})
+        object.__setattr__(self, "_cache", {})
+
+    def _derived(self, compute):
+        """compute(self), evaluated once per group and then cached."""
+        cache = self._cache
+        if compute not in cache:
+            cache[compute] = compute(self)
+        return cache[compute]
 
     # -- group structure -----------------------------------------------------
 
@@ -98,12 +123,7 @@ class MetricGroup:
 
     def radical(self) -> list:
         """Elements pairing trivially with everything."""
-        gens = self.generators()
-        return [
-            a
-            for a in self._elements
-            if all(self.bilinear(a, g) == 0 for g in gens)
-        ]
+        return [self._elements[i] for i in np.flatnonzero(self._derived(_radical_mask)).tolist()]
 
     # -- serialization ---------------------------------------------------------
 
@@ -141,6 +161,107 @@ class MetricGroup:
 
 
 # ---------------------------------------------------------------------------
+# integer tables over element indices; `MetricGroup._derived` keeps
+# all but the group law
+# ---------------------------------------------------------------------------
+
+
+def _strides(orders: tuple) -> list:
+    """Element a has index sum_u a_u * stride_u; the zero element has index 0."""
+    strides, stride = [], math.prod(orders)
+    for order in orders:
+        stride //= order
+        strides.append(stride)
+    return strides
+
+
+def _coordinates(mg: MetricGroup) -> np.ndarray:
+    """(s, |A|) int64: coordinate u of every element index."""
+    indices = np.arange(mg.size, dtype=np.int64)
+    coords = np.empty((len(mg.orders), mg.size), dtype=np.int64)
+    for u, (order, stride) in enumerate(zip(mg.orders, _strides(mg.orders))):
+        coords[u] = indices // stride % order
+    return coords
+
+
+def _exponents(mg: MetricGroup) -> tuple[np.ndarray, int]:
+    """(e, M): q(a) = e[a] / M for every element index, with M the
+    common denominator of q."""
+    values = [mg.q[a] for a in mg.elements]
+    m = 1
+    for v in values:
+        m = _lcm(m, v.denominator)
+    # e[a + c] - e[a] - e[c] lies in (-2M, M), so int64 holds it below 2^62
+    e = np.array(
+        [v.numerator * (m // v.denominator) for v in values],
+        dtype=np.int64 if m < 2**62 else object,
+    )
+    return e, m
+
+
+def _group_law(mg: MetricGroup) -> np.ndarray:
+    """law[a, c] = index of a + c, added coordinate by coordinate."""
+    n = mg.size
+    law = np.zeros((n, n), dtype=np.int64)
+    for digit, order, stride in zip(mg._derived(_coordinates), mg.orders, _strides(mg.orders)):
+        law += (digit[:, None] + digit[None, :]) % order * stride
+    return law
+
+
+def _negation(mg: MetricGroup) -> tuple:
+    """dual[a] = index of -a."""
+    neg = np.zeros(mg.size, dtype=np.int64)
+    for digit, order, stride in zip(mg._derived(_coordinates), mg.orders, _strides(mg.orders)):
+        neg += -digit % order * stride
+    return tuple(neg.tolist())
+
+
+def _radical_mask(mg: MetricGroup) -> np.ndarray:
+    """Boolean over element indices: b(a, g_u) = 0 for every generator
+    g_u, with b(a, g_u) M = (e[a + g_u] - e[a] - e[g_u]) mod M."""
+    e, m = mg._derived(_exponents)
+    index = np.arange(mg.size, dtype=np.int64)
+    mask = np.ones(mg.size, dtype=bool)
+    for digit, order, stride in zip(mg._derived(_coordinates), mg.orders, _strides(mg.orders)):
+        # a + g_u steps coordinate u up by one, wrapping at its order;
+        # the zero element steps to g_u itself
+        shifted = index + np.where(digit == order - 1, (1 - order) * stride, stride)
+        mask &= (e[shifted] - e - e[shifted[0]]) % m == 0
+    return mask
+
+
+def _s_entries(mg: MetricGroup) -> tuple[list, np.ndarray]:
+    """(values, slots): S[a, c] = values[slots[a, c]].
+
+    One value e^(-2 pi i k/M) / sqrt(|A|) per distinct exponent k of
+    K[a, c] = (e[a + c] - e[a] - e[c]) mod M, and slots is K with each
+    exponent replaced by its place among the distinct ones.
+    """
+    n = mg.size
+    e, m = mg._derived(_exponents)
+    k = (e[_group_law(mg)] - e[:, None] - e[None, :]) % m
+    inv_sqrt = sqrt_int(n).inverse()
+    distinct, first, slots = np.unique(k.ravel(), return_index=True, return_inverse=True)
+    values = [None] * len(distinct)
+    # in order of first appearance, so a conductor error names the same
+    # entry as a row-major build would
+    for slot in np.argsort(first).tolist():
+        values[slot] = from_angle(Fraction(-int(distinct[slot]), m)) * inv_sqrt
+    # kept per group, so in the narrowest dtype that indexes the values
+    return values, slots.reshape(n, n).astype(np.min_scalar_type(len(values)))
+
+
+def _twists(mg: MetricGroup) -> tuple:
+    """T[a] = e^(2 pi i q(a)), one `from_angle` per distinct value of q."""
+    angles: dict = {}
+    for a in mg.elements:
+        v = mg.q[a]
+        if v not in angles:
+            angles[v] = from_angle(v)
+    return tuple(angles[mg.q[a]] for a in mg.elements)
+
+
+# ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
@@ -151,6 +272,8 @@ def validate_metric(mg: MetricGroup) -> ValidationReport:
     q is quadratic iff it agrees with the polynomial built from its
     values on generators (and generator pairs) and that polynomial
     descends to the quotient; nondegeneracy is a radical computation.
+    The polynomial is evaluated at every element at once over the
+    common denominator M of q.
     """
     report = ValidationReport("metric group")
     zero = tuple(0 for _ in mg.orders)
@@ -181,24 +304,26 @@ def validate_metric(mg: MetricGroup) -> ValidationReport:
             break
     report.add("q_descends_to_quotient", ok, where)
 
-    ok, where = True, None
-    for a in mg.elements:
-        want = sum(
-            (a[u] * a[u] * diag[u] for u in range(s)), Fraction(0)
-        ) + sum(
-            (a[u] * a[v] * off[(u, v)] for u in range(s) for v in range(u + 1, s)),
-            Fraction(0),
-        )
-        if want % 1 != mg.qval(a):
-            ok, where = False, (a,)
-            break
-    report.add("q_is_quadratic", ok, where)
+    # M q(a) against sum_u a_u^2 M diag_u + sum_{u<v} a_u a_v M off_uv;
+    # the Gram values have denominators dividing M, and every partial
+    # sum is at most M (sum_u (n_u - 1))^2
+    e, m = mg._derived(_exponents)
+    coords = mg._derived(_coordinates)
+    if m * (1 + sum(n - 1 for n in mg.orders)) ** 2 >= 2**63:
+        coords = coords.astype(object)
+    want = np.zeros(mg.size, dtype=coords.dtype)
+    for u in range(s):
+        want += coords[u] * coords[u] * int(diag[u] * m)
+        for v in range(u + 1, s):
+            want += coords[u] * coords[v] * int(off[(u, v)] * m)
+    wrong = np.flatnonzero(want % m != e)
+    report.add("q_is_quadratic", not wrong.size, (mg.elements[wrong[0]],) if wrong.size else None)
 
-    rad = mg.radical()
+    rad = np.flatnonzero(mg._derived(_radical_mask))
     report.add(
         "nondegenerate",
         len(rad) == 1,
-        None if len(rad) == 1 else (rad[1] if len(rad) > 1 else None,),
+        None if len(rad) == 1 else (mg.elements[rad[1]] if len(rad) > 1 else None,),
     )
     return report
 
@@ -208,98 +333,61 @@ def validate_metric(mg: MetricGroup) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _group_law(mg: MetricGroup) -> np.ndarray:
-    """law[a, c] = index of a + c, on mixed-radix element indices.
-
-    `elements` is the product of the cyclic factors in row-major order,
-    so element a has index sum_u a_u * stride_u and addition works digit
-    by digit; the zero element has index 0.
-    """
-    n = mg.size
-    indices = np.arange(n, dtype=np.int64)
-    law = np.zeros((n, n), dtype=np.int64)
-    stride = n
-    for order in mg.orders:
-        stride //= order
-        digit = indices // stride % order
-        law += (digit[:, None] + digit[None, :]) % order * stride
-    return law
-
-
-def _pairing_exponents(mg: MetricGroup, law: np.ndarray) -> tuple[np.ndarray, int]:
-    """(K, M): b(a, c) = K[a, c] / M for every pair of element indices,
-    with M the common denominator of q and b(a, c) = q(a + c) - q(a) - q(c)
-    mod 1, the definition of `MetricGroup.bilinear`."""
-    values = [mg.q[a] for a in mg.elements]
-    m = 1
-    for v in values:
-        m = _lcm(m, v.denominator)
-    # q(a + c) - q(a) - q(c) lies in (-2M, M), so int64 holds it below 2^62
-    e = np.array(
-        [v.numerator * (m // v.denominator) for v in values],
-        dtype=np.int64 if m < 2**62 else object,
-    )
-    return (e[law] - e[:, None] - e[None, :]) % m, m
-
-
 def metric_modular_data(mg: MetricGroup) -> ModularData:
     """Pointed modular data; raises Degenerate when the form is degenerate.
 
-    The group law is one integer table, and S is read off the pairing
-    exponents K: S[a, c] = e^(-2 pi i K[a, c]/M) / sqrt(|A|), one
-    `Cyclotomic` per distinct exponent, gathered by K.
+    S is gathered from its distinct entries by the pairing exponents,
+    and the fusion dict and the dual are read off the group law.
     """
-    n = mg.size
-    law = _group_law(mg)
-    k, m = _pairing_exponents(mg, law)
-    gens = [mg.index(g) for g in mg.generators()]
-    if np.count_nonzero((k[:, gens] == 0).all(axis=1)) != 1:
+    if np.count_nonzero(mg._derived(_radical_mask)) != 1:
         raise Degenerate("bilinear form has a nonzero radical")
-    inv_sqrt = sqrt_int(n).inverse()
-    distinct, first, where = np.unique(k.ravel(), return_index=True, return_inverse=True)
-    values = [None] * len(distinct)
-    # in order of first appearance, so a conductor error names the same
-    # entry as a row-major build would
-    for slot in np.argsort(first).tolist():
-        values[slot] = from_angle(Fraction(-int(distinct[slot]), m)) * inv_sqrt
-    s = tuple(
-        tuple(map(values.__getitem__, row)) for row in where.reshape(n, n).tolist()
-    )
-    elements = mg.elements
-    t = tuple(from_angle(mg.qval(a)) for a in elements)
-    labels = tuple(_element_label(a) for a in elements)
+    values, slots = mg._derived(_s_entries)
+    s = tuple(tuple(map(values.__getitem__, row)) for row in slots.tolist())
+    n = mg.size
+    labels = tuple(_element_label(a) for a in mg.elements)
     columns = list(range(n))
+    law = _group_law(mg)
     fusion = dict.fromkeys(
         zip(np.repeat(columns, n).tolist(), columns * n, law.ravel().tolist()), 1
     )
-    ring = FusionRing(
-        labels=labels,
-        unit=(0,),
-        dual=tuple(np.argmax(law == 0, axis=1).tolist()),
-        fusion=fusion,
-    )
-    return ModularData(s=s, t=t, unit_index=0, ring=ring)
+    ring = FusionRing(labels=labels, unit=(0,), dual=mg._derived(_negation), fusion=fusion)
+    return ModularData(s=s, t=mg._derived(_twists), unit_index=0, ring=ring)
 
 
 def matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
-    """Does md equal the data regenerated from mg (labels aside)?"""
-    try:
-        regenerated = metric_modular_data(mg)
-    except Degenerate:
+    """Does md equal the data regenerated from mg (labels aside)?
+
+    Compared with mg's tables, without building that data: packed S
+    against the distinct entries gathered by the pairing exponents, T
+    entry by entry, and the ring against the group law (every fusion
+    key is (a, c, a + c) with multiplicity 1, the dual is a -> -a, the
+    unit is 0).
+    """
+    if np.count_nonzero(mg._derived(_radical_mask)) != 1:
         return False
-    if regenerated.rank != md.rank or regenerated.unit_index != md.unit_index:
+    values, slots = mg._derived(_s_entries)
+    twists = mg._derived(_twists)
+    n = mg.size
+    if md.rank != n or md.unit_index != 0:
         return False
-    if not regenerated.packed_s().entries_equal(md.packed_s()).all():
+    table = PackedMatrix.pack([values])
+    s = PackedMatrix(table.conductor, table.nums[0][slots], table.den)
+    if not s.entries_equal(md.packed_s()).all():
         return False
-    if any(regenerated.t[i] != md.t[i] for i in range(md.rank)):
+    if md.t != twists:
         return False
-    if md.ring is not None:
-        ring = regenerated.ring
-        if md.ring.fusion != ring.fusion or md.ring.dual != ring.dual:
-            return False
-        if md.ring.unit != ring.unit:
-            return False
-    return True
+    ring = md.ring
+    if ring is None:
+        return True
+    if ring.unit != (0,) or ring.dual != mg._derived(_negation):
+        return False
+    if len(ring.fusion) != n * n or set(ring.fusion.values()) != {1}:
+        return False
+    # n^2 distinct keys, each (a, c, a + c), name every pair (a, c) once
+    keys = np.fromiter(
+        chain.from_iterable(ring.fusion), dtype=np.int64, count=3 * n * n
+    ).reshape(n * n, 3)
+    return bool((_group_law(mg)[keys[:, 0], keys[:, 1]] == keys[:, 2]).all())
 
 
 def abelian_double(orders: tuple) -> MetricGroup:
@@ -347,50 +435,100 @@ def milgram_signature(mg: MetricGroup) -> Fraction:
 def lagrangian_subgroups(mg: MetricGroup) -> list:
     """All subgroups L with |L|^2 = |A| and q|_L = 0, sorted canonically.
 
-    Brute-force closure growth over the isotropic elements with
-    lexicographic canonical generating chains; capped at |A| = 4096.
+    Grows isotropic subgroups from {0}, one cyclic extension <H, a> at a
+    time, and extends each subgroup once.  If q|_L = 0 then
+    b(x, y) = q(x + y) - q(x) - q(y) = 0 on L, for any q, so only
+    isotropic a with every h + a isotropic may extend H; one
+    representative per coset a + H is tried, every coset of the closure
+    must be isotropic, and its order must divide sqrt(|A|).  Capped at
+    |A| = SUBGROUP_SIZE_CAP.
     """
     n = mg.size
     if n > SUBGROUP_SIZE_CAP:
         raise SizeLimit(f"|A| = {n} exceeds the subgroup enumeration cap {SUBGROUP_SIZE_CAP}")
-    root = math.isqrt(n)
-    if root * root != n:
+    target = math.isqrt(n)
+    if target * target != n:
         return []
-    target = root
-    iso = [a for a in mg.elements if mg.qval(a) == 0]
-    zero = tuple(0 for _ in mg.orders)
-    if zero not in iso:
+    e, _ = mg._derived(_exponents)
+    iso = np.flatnonzero(e == 0)
+    if not iso.size or iso[0] != 0:
         return []
-    iso_set = set(iso)
+    sums = _isotropic_sums(mg, iso)
+    root = np.zeros(1, dtype=sums.dtype)  # {0}; zero is isotropic position 0
+    seen = {root.tobytes()}
+    stack = [root]
+    found = []
+    while stack:
+        h = stack.pop()
+        if len(h) == target:
+            found.append(h)
+            continue
+        for rows in _extensions(h, sums, target):
+            for row in rows:
+                key = row.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    stack.append(row)
+    elements = mg.elements
+    return sorted(tuple(elements[i] for i in iso[l].tolist()) for l in found)
 
-    found: set = set()
-    seen: set = set()
 
-    def grow(current: frozenset, start: int) -> None:
-        if len(current) == target:
-            found.add(current)
-            return
-        for idx in range(start, len(iso)):
-            a = iso[idx]
-            if a in current:
-                continue
-            new = set(current)
-            shift = a
-            while shift not in current:
-                new.update(mg.add(c, shift) for c in current)
-                shift = mg.add(shift, a)
-            if len(new) > target or target % len(new) != 0:
-                continue
-            if not new <= iso_set:
-                continue
-            fz = frozenset(new)
-            if fz in seen:
-                continue
-            seen.add(fz)
-            grow(fz, idx + 1)
+def _isotropic_sums(mg: MetricGroup, iso: np.ndarray) -> np.ndarray:
+    """sums[i, j] = position in iso of iso[i] + iso[j], or -1 when that
+    sum is not isotropic: an int16 table over the isotropic elements."""
+    position = np.full(mg.size, -1, dtype=np.int16)
+    position[iso] = np.arange(len(iso))
+    total = np.zeros((len(iso), len(iso)), dtype=np.int32)
+    coords = mg._derived(_coordinates)[:, iso].astype(np.int32)
+    for digit, order, stride in zip(coords, mg.orders, _strides(mg.orders)):
+        total += (digit[:, None] + digit[None, :]) % order * stride
+    return position[total]
 
-    grow(frozenset([zero]), 0)
-    return sorted(tuple(sorted(l)) for l in found)
+
+def _extensions(h: np.ndarray, sums: np.ndarray, target: int) -> list:
+    """The subgroups <H, a> with every element isotropic and order
+    dividing target, as arrays whose rows are sorted positions; one row
+    per representative a of a coset a + H, so a subgroup may repeat.
+
+    H is a sorted array of isotropic positions.  a qualifies when every
+    h + a is isotropic; then so is every element of a + H, which is why
+    the least position of each coset stands for it.
+    """
+    size = len(h)
+    inside = np.zeros(len(sums), dtype=bool)
+    inside[h] = True
+    rows = sums[h]
+    candidates = np.flatnonzero((rows >= 0).all(axis=0) & ~inside)
+    first = rows[:, candidates]
+    keep = first.min(axis=0) == candidates
+    candidates = candidates[keep]
+    # blocks[k] holds the coset H + k a of each candidate a, one per column
+    blocks = [np.broadcast_to(h[:, None], (size, len(candidates))), first[:, keep]]
+    order = np.zeros(len(candidates), dtype=np.int64)  # 0 growing, -1 refused
+    shift = sums[candidates, candidates]  # 2a
+    while True:
+        growing = order == 0
+        isotropic = shift >= 0
+        shift = np.where(isotropic, shift, 0)
+        order[growing & ~isotropic] = -1
+        order[growing & isotropic & inside[shift]] = len(blocks)
+        growing = order == 0
+        if not growing.any():
+            break
+        if size * (len(blocks) + 1) > target:
+            order[growing] = -1
+            break
+        coset = rows[:, np.where(growing, shift, 0)]
+        order[growing & (coset < 0).any(axis=0)] = -1
+        blocks.append(coset)
+        shift = sums[shift, candidates]
+    out = []
+    for k in set(order[order > 0].tolist()):
+        if target % (size * k) == 0:
+            columns = np.flatnonzero(order == k)
+            group = np.concatenate([block[:, columns] for block in blocks[:k]])
+            out.append(np.ascontiguousarray(np.sort(group, axis=0).T))
+    return out
 
 
 def subgroup_indicator(mg: MetricGroup, subgroup) -> tuple:

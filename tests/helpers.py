@@ -12,11 +12,18 @@ from math import gcd
 import numpy as np
 
 from mtcbound.cyclotomic import ZERO, _embed_nums, _lcm, cyc_sum, from_angle, sqrt_int
-from mtcbound.errors import Degenerate, NonIntegralVerlinde, NonModular, SearchBudgetExceeded
+from mtcbound.errors import (
+    Degenerate,
+    NonIntegralVerlinde,
+    NonModular,
+    SearchBudgetExceeded,
+    SizeLimit,
+)
 from mtcbound.fusion import FusionRing
 from mtcbound.modular import ModularData, PackedMatrix, _settle
 from mtcbound.obstruction import central_charge_gate, search_budget
-from mtcbound.pointed import MetricGroup, _element_label
+from mtcbound.pointed import SUBGROUP_SIZE_CAP, MetricGroup, _element_label
+from mtcbound.report import ValidationReport
 
 _FACTOR_CHOICES = (2, 3, 4, 5, 6, 7, 8, 9, 16, 25)
 
@@ -92,6 +99,125 @@ def brute_force_lagrangians(mg: MetricGroup) -> list:
 
 
 # ---------------------------------------------------------------------------
+# tuple-and-Fraction reference routes for the metric-group layer
+# ---------------------------------------------------------------------------
+
+
+def closure_growth_lagrangians(mg: MetricGroup) -> list:
+    """All subgroups L with |L|^2 = |A| and q|_L = 0, sorted canonically.
+
+    Closure growth over the isotropic elements with tuple `mg.add`,
+    following lexicographic canonical generating chains; capped at
+    |A| = SUBGROUP_SIZE_CAP.  The route `lagrangian_subgroups` took
+    before it ran on element indices.
+    """
+    n = mg.size
+    if n > SUBGROUP_SIZE_CAP:
+        raise SizeLimit(f"|A| = {n} exceeds the subgroup enumeration cap {SUBGROUP_SIZE_CAP}")
+    root = math.isqrt(n)
+    if root * root != n:
+        return []
+    target = root
+    iso = [a for a in mg.elements if mg.qval(a) == 0]
+    zero = tuple(0 for _ in mg.orders)
+    if zero not in iso:
+        return []
+    iso_set = set(iso)
+
+    found: set = set()
+    seen: set = set()
+
+    def grow(current: frozenset, start: int) -> None:
+        if len(current) == target:
+            found.add(current)
+            return
+        for idx in range(start, len(iso)):
+            a = iso[idx]
+            if a in current:
+                continue
+            new = set(current)
+            shift = a
+            while shift not in current:
+                new.update(mg.add(c, shift) for c in current)
+                shift = mg.add(shift, a)
+            if len(new) > target or target % len(new) != 0:
+                continue
+            if not new <= iso_set:
+                continue
+            fz = frozenset(new)
+            if fz in seen:
+                continue
+            seen.add(fz)
+            grow(fz, idx + 1)
+
+    grow(frozenset([zero]), 0)
+    return sorted(tuple(sorted(l)) for l in found)
+
+
+def fraction_radical(mg: MetricGroup) -> list:
+    """Elements pairing trivially with every generator, by `Fraction`s."""
+    gens = mg.generators()
+    return [
+        a
+        for a in mg.elements
+        if all(mg.bilinear(a, g) == 0 for g in gens)
+    ]
+
+
+def fraction_validate_metric(mg: MetricGroup) -> ValidationReport:
+    """`validate_metric` with one `Fraction` polynomial per element."""
+    report = ValidationReport("metric group")
+    zero = tuple(0 for _ in mg.orders)
+    report.add("q_zero_at_zero", mg.qval(zero) == 0, (zero,) if mg.qval(zero) else None)
+
+    s = len(mg.orders)
+    gens = mg.generators()
+    diag = [mg.qval(g) for g in gens]
+    off = {}
+    for u in range(s):
+        for v in range(u + 1, s):
+            off[(u, v)] = mg.bilinear(gens[u], gens[v])
+
+    ok, where = True, None
+    for u in range(s):
+        n = mg.orders[u]
+        if (n * n * diag[u]) % 1 != 0 or (2 * n * diag[u]) % 1 != 0:
+            ok, where = False, (u,)
+            break
+        for v in range(s):
+            if v == u:
+                continue
+            key = (min(u, v), max(u, v))
+            if (n * off[key]) % 1 != 0:
+                ok, where = False, (u, v)
+                break
+        if not ok:
+            break
+    report.add("q_descends_to_quotient", ok, where)
+
+    ok, where = True, None
+    for a in mg.elements:
+        want = sum(
+            (a[u] * a[u] * diag[u] for u in range(s)), Fraction(0)
+        ) + sum(
+            (a[u] * a[v] * off[(u, v)] for u in range(s) for v in range(u + 1, s)),
+            Fraction(0),
+        )
+        if want % 1 != mg.qval(a):
+            ok, where = False, (a,)
+            break
+    report.add("q_is_quadratic", ok, where)
+
+    rad = fraction_radical(mg)
+    report.add(
+        "nondegenerate",
+        len(rad) == 1,
+        None if len(rad) == 1 else (rad[1] if len(rad) > 1 else None,),
+    )
+    return report
+
+
+# ---------------------------------------------------------------------------
 # entry-by-entry reference route for pointed modular data
 # ---------------------------------------------------------------------------
 
@@ -99,7 +225,7 @@ def brute_force_lagrangians(mg: MetricGroup) -> list:
 def per_entry_metric_modular_data(mg: MetricGroup) -> ModularData:
     """Pointed modular data built one entry at a time: S[a][b] from the
     `Fraction` pairing `mg.bilinear(a, b)`, the ring from `mg.add`."""
-    if len(mg.radical()) != 1:
+    if len(fraction_radical(mg)) != 1:
         raise Degenerate("bilinear form has a nonzero radical")
     n = mg.size
     elements = mg.elements

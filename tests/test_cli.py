@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -83,6 +84,19 @@ class TestValidate:
             obj["notes"] = [1, None]
 
         assert "notes" in self._malformed(capsys, tmp_path, fixture_dir, edit)
+
+    def test_huge_group_with_short_q_exits_2_fast(self, capsys, tmp_path):
+        # a 10^12-element group named in a few bytes: q is measured
+        # against the group order before any element is built
+        doc = {"name": "huge", "metric_group": {"orders": [10**6, 10**6], "q": {"0,0": "0"}}}
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "validate", str(bad))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "q is missing element (0, 1)" in err
 
     def test_malformed_field_sweep_exits_2(self, capsys, tmp_path, fixture_dir):
         # each field of each fixture, replaced by each value: the first

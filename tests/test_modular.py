@@ -305,6 +305,16 @@ class TestCentralCharge:
         md = corpus.build(name).modular
         assert central_charge_via_square(md) == expected
 
+    def test_square_route_on_every_fixture_and_double(self):
+        # its branch between c and c + 4 is an exact equality, so it
+        # must agree with the direct route everywhere
+        data = [corpus.build(name).modular for name in corpus.fixture_names()]
+        data = [md for md in data if md is not None]
+        data += [double(corpus.build(name).modular) for name in corpus.BASE_MODULAR_FIXTURES]
+        assert len(data) == 13 + 6
+        for md in data:
+            assert central_charge_via_square(md) == central_charge(md)
+
     @pytest.mark.parametrize("name,expected", CASES)
     def test_float_oracle_agrees(self, name, expected):
         md = corpus.build(name).modular

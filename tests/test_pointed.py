@@ -25,6 +25,9 @@ from mtcbound.specfile import CategorySpecFile
 
 from tests.helpers import (
     brute_force_lagrangians,
+    closure_growth_lagrangians,
+    fraction_radical,
+    fraction_validate_metric,
     per_entry_metric_modular_data,
     per_entry_pack,
     random_metric_group,
@@ -98,6 +101,74 @@ class TestValidation:
             milgram_signature(mg)
 
 
+def checks(report) -> list:
+    """(name, ok, where) of every check: what a report's output is made of."""
+    return [(c.name, c.ok, c.where) for c in report.checks]
+
+
+# shapes with a square order, so that Lagrangian subgroups can exist
+SQUARE_SHAPES = (
+    (4,), (2, 2), (9,), (3, 3), (16,), (4, 4), (2, 8), (2, 2, 2, 2), (25,), (5, 5),
+    (36,), (6, 6), (2, 3, 6), (49,), (64,), (8, 8), (2, 4, 8), (4, 16), (2, 2, 16),
+)
+
+
+def sparse_q_table(rng, orders) -> MetricGroup:
+    """q(0) = 0 and a seeded share of zeros elsewhere, the rest random
+    fractions: almost never quadratic, with many isotropic elements."""
+    den = rng.choice((2, 3, 4, 6, 8))
+    zeros = rng.random()
+    q = {}
+    for a in product(*(range(n) for n in orders)):
+        if not any(a) or rng.random() < zeros:
+            q[a] = Fraction(0)
+        else:
+            q[a] = Fraction(rng.randrange(den), den)
+    return MetricGroup(orders=orders, q=q)
+
+
+class TestValidationOracle:
+    """`validate_metric` on integer arrays against its `Fraction` route."""
+
+    def test_seeded_forms_and_tables(self):
+        rng = random.Random(2718)
+        for _ in range(100):
+            mg = random_metric_group(rng, max_size=64)
+            assert checks(validate_metric(mg)) == checks(fraction_validate_metric(mg)), mg.orders
+            assert mg.radical() == fraction_radical(mg)
+        for _ in range(50):
+            mg = sparse_q_table(rng, rng.choice(SQUARE_SHAPES))
+            assert checks(validate_metric(mg)) == checks(fraction_validate_metric(mg)), mg.orders
+
+    DESIGNED = {
+        "q_zero_at_zero": ((2,), {(0,): Fraction(1, 2), (1,): Fraction(1, 4)}),
+        "q_descends_to_quotient": ((2,), {(0,): 0, (1,): Fraction(1, 3)}),
+        "q_is_quadratic": ((4,), {(x,): Fraction(x, 4) for x in range(4)}),
+        # the semion form on the first factor, zero on the second: the
+        # radical is {(0, 0), (0, 1)}
+        "nondegenerate": ((2, 2), {(a, b): Fraction(a, 4) for a in range(2) for b in range(2)}),
+    }
+
+    @pytest.mark.parametrize("failure", sorted(DESIGNED))
+    def test_designed_failures(self, failure):
+        orders, q = self.DESIGNED[failure]
+        mg = MetricGroup(orders=orders, q=q)
+        report = validate_metric(mg)
+        assert failure in report.failed_names()
+        assert checks(report) == checks(fraction_validate_metric(mg))
+        if failure == "nondegenerate":
+            assert report.checks[-1].where == ((0, 1),) == (fraction_radical(mg)[1],)
+
+    def test_huge_denominator_takes_python_integers(self):
+        # M = 10^30 + 1 puts M (sum (n_u - 1))^2 far above 2^63
+        mg = MetricGroup(
+            orders=(4, 4),
+            q={(a, b): Fraction(a * b, 10**30 + 1) for a in range(4) for b in range(4)},
+        )
+        assert checks(validate_metric(mg)) == checks(fraction_validate_metric(mg))
+        assert mg.radical() == fraction_radical(mg)
+
+
 class TestModularBridge:
     def test_generated_data_validates(self):
         for name in ("semion", "toric_code", "double_semion", "d_z3"):
@@ -166,6 +237,20 @@ class TestModularBridge:
         assert dual[1] != dual[2]
         dual[1], dual[2] = dual[2], dual[1]
         assert not matches_modular_data(mg, with_ring(dual=tuple(dual)))
+
+        t = list(md.t)
+        k = next(k for k in range(md.rank) if t[k].conj() != t[k])
+        t[k] = t[k].conj()
+        tampered = ModularData(s=md.s, t=tuple(t), unit_index=md.unit_index, ring=md.ring)
+        assert not matches_modular_data(mg, tampered)
+
+        fusion = dict(md.ring.fusion)
+        fusion[next(iter(fusion))] = 2
+        assert not matches_modular_data(mg, with_ring(fusion=fusion))
+
+        fusion = dict(md.ring.fusion)
+        del fusion[next(iter(fusion))]
+        assert not matches_modular_data(mg, with_ring(fusion=fusion))
 
 
 def entries(values) -> list:
@@ -306,6 +391,44 @@ class TestLagrangians:
             chi_side = tuple(sorted(zero + c for c in product(*(range(n) for n in orders))))
             assert g_side in subs and chi_side in subs
             assert subs
+
+    def test_closure_growth_oracle_on_seeded_groups(self):
+        rng = random.Random(4242)
+        seen = set()  # equal forms recur often; each is checked once
+        for _ in range(200):
+            mg = random_metric_group(rng, max_size=64)
+            key = (mg.orders, tuple(sorted(mg.q.items())))
+            if key not in seen:
+                seen.add(key)
+                assert lagrangian_subgroups(mg) == closure_growth_lagrangians(mg), mg.orders
+        assert len(seen) >= 100
+
+    def test_closure_growth_oracle_on_doubles(self):
+        for orders in ((3, 3), (2, 2, 2), (4, 4)):
+            mg = abelian_double(orders)
+            assert lagrangian_subgroups(mg) == closure_growth_lagrangians(mg), orders
+
+    def test_closure_growth_oracle_on_non_quadratic_tables(self):
+        rng = random.Random(1618)
+        non_quadratic = nonempty = 0
+        for _ in range(120):
+            mg = sparse_q_table(rng, rng.choice(SQUARE_SHAPES))
+            non_quadratic += "q_is_quadratic" in validate_metric(mg).failed_names()
+            found = lagrangian_subgroups(mg)
+            assert found == closure_growth_lagrangians(mg), mg.orders
+            nonempty += bool(found)
+        assert non_quadratic >= 100
+        assert nonempty >= 20
+
+    @pytest.mark.parametrize(
+        "orders,count",
+        [((2,) * 4, 270), ((3,) * 3, 80), ((5, 5), 12), ((6, 6), 6 * 8)],
+    )
+    def test_hyperbolic_counts(self, orders, count):
+        # the hyperbolic form on (Z_p)^2n has prod_{i<n} (p^i + 1)
+        # Lagrangian subgroups; on (Z_6)^4 = (Z_2)^4 + (Z_3)^4 the counts
+        # of the two parts multiply
+        assert len(lagrangian_subgroups(abelian_double(orders))) == count
 
     def test_size_cap(self):
         q = {a: Fraction(0) for a in product(*(range(2) for _ in range(13)))}
