@@ -10,12 +10,15 @@ computes the Gauss-Milgram signature as an independent route to the
 central charge.
 
 Everything runs on integer tables over the element indices (mixed
-radix, row-major over the cyclic factors).  The coordinates of every
-element, the q-exponent vector e with q(a) = e[a]/M for M the common
-denominator of q, and the distinct entries of S are computed at most
-once per `MetricGroup` and kept on it.  The group law law[a, c] = a + c
-costs one vectorised addition per cyclic factor, so it is rebuilt from
-the coordinates where it is needed rather than kept as an |A|^2 table.
+radix, row-major over the cyclic factors).  The three that cost scalar
+work, the q-exponent vector e with q(a) = e[a]/M for M the common
+denominator of q, the twists and the distinct entries of S, are
+computed at most once per `MetricGroup` and kept on it: one
+`verdict --pointed` on a file reads them up to three times (validation,
+the cross-section check and the hint check).  The coordinates, the
+negation, the radical and the group law law[a, c] = a + c cost one
+vectorised pass per cyclic factor, so they are rebuilt where they are
+needed rather than kept.
 The exponent matrix K[a, c] = (e[a + c] - e[a] - e[c]) mod M is the
 pairing b(a, c) = K[a, c]/M of `MetricGroup.bilinear` on every pair,
 quadratic q or not, and S[a, c] = e^(-2 pi i K[a, c]/M)/sqrt(|A|) is
@@ -123,7 +126,7 @@ class MetricGroup:
 
     def radical(self) -> list:
         """Elements pairing trivially with everything."""
-        return [self._elements[i] for i in np.flatnonzero(self._derived(_radical_mask)).tolist()]
+        return [self._elements[i] for i in np.flatnonzero(_radical_mask(self)).tolist()]
 
     # -- serialization ---------------------------------------------------------
 
@@ -162,7 +165,7 @@ class MetricGroup:
 
 # ---------------------------------------------------------------------------
 # integer tables over element indices; `MetricGroup._derived` keeps
-# all but the group law
+# the exponents, the twists and the S entries
 # ---------------------------------------------------------------------------
 
 
@@ -199,11 +202,16 @@ def _exponents(mg: MetricGroup) -> tuple[np.ndarray, int]:
     return e, m
 
 
-def _group_law(mg: MetricGroup) -> np.ndarray:
-    """law[a, c] = index of a + c, added coordinate by coordinate."""
-    n = mg.size
-    law = np.zeros((n, n), dtype=np.int64)
-    for digit, order, stride in zip(mg._derived(_coordinates), mg.orders, _strides(mg.orders)):
+def _group_law(mg: MetricGroup, among=None, dtype=np.int64) -> np.ndarray:
+    """law[i, j] = index of a_i + a_j for a_i, a_j the elements with
+    indices `among` (all of them by default), added coordinate by
+    coordinate in `dtype`."""
+    coords = _coordinates(mg)
+    if among is not None:
+        coords = coords[:, among]
+    coords = coords.astype(dtype, copy=False)
+    law = np.zeros((coords.shape[1],) * 2, dtype=dtype)
+    for digit, order, stride in zip(coords, mg.orders, _strides(mg.orders)):
         law += (digit[:, None] + digit[None, :]) % order * stride
     return law
 
@@ -211,7 +219,7 @@ def _group_law(mg: MetricGroup) -> np.ndarray:
 def _negation(mg: MetricGroup) -> tuple:
     """dual[a] = index of -a."""
     neg = np.zeros(mg.size, dtype=np.int64)
-    for digit, order, stride in zip(mg._derived(_coordinates), mg.orders, _strides(mg.orders)):
+    for digit, order, stride in zip(_coordinates(mg), mg.orders, _strides(mg.orders)):
         neg += -digit % order * stride
     return tuple(neg.tolist())
 
@@ -222,7 +230,7 @@ def _radical_mask(mg: MetricGroup) -> np.ndarray:
     e, m = mg._derived(_exponents)
     index = np.arange(mg.size, dtype=np.int64)
     mask = np.ones(mg.size, dtype=bool)
-    for digit, order, stride in zip(mg._derived(_coordinates), mg.orders, _strides(mg.orders)):
+    for digit, order, stride in zip(_coordinates(mg), mg.orders, _strides(mg.orders)):
         # a + g_u steps coordinate u up by one, wrapping at its order;
         # the zero element steps to g_u itself
         shifted = index + np.where(digit == order - 1, (1 - order) * stride, stride)
@@ -308,7 +316,7 @@ def validate_metric(mg: MetricGroup) -> ValidationReport:
     # the Gram values have denominators dividing M, and every partial
     # sum is at most M (sum_u (n_u - 1))^2
     e, m = mg._derived(_exponents)
-    coords = mg._derived(_coordinates)
+    coords = _coordinates(mg)
     if m * (1 + sum(n - 1 for n in mg.orders)) ** 2 >= 2**63:
         coords = coords.astype(object)
     want = np.zeros(mg.size, dtype=coords.dtype)
@@ -319,7 +327,7 @@ def validate_metric(mg: MetricGroup) -> ValidationReport:
     wrong = np.flatnonzero(want % m != e)
     report.add("q_is_quadratic", not wrong.size, (mg.elements[wrong[0]],) if wrong.size else None)
 
-    rad = np.flatnonzero(mg._derived(_radical_mask))
+    rad = np.flatnonzero(_radical_mask(mg))
     report.add(
         "nondegenerate",
         len(rad) == 1,
@@ -339,7 +347,7 @@ def metric_modular_data(mg: MetricGroup) -> ModularData:
     S is gathered from its distinct entries by the pairing exponents,
     and the fusion dict and the dual are read off the group law.
     """
-    if np.count_nonzero(mg._derived(_radical_mask)) != 1:
+    if np.count_nonzero(_radical_mask(mg)) != 1:
         raise Degenerate("bilinear form has a nonzero radical")
     values, slots = mg._derived(_s_entries)
     s = tuple(tuple(map(values.__getitem__, row)) for row in slots.tolist())
@@ -350,7 +358,7 @@ def metric_modular_data(mg: MetricGroup) -> ModularData:
     fusion = dict.fromkeys(
         zip(np.repeat(columns, n).tolist(), columns * n, law.ravel().tolist()), 1
     )
-    ring = FusionRing(labels=labels, unit=(0,), dual=mg._derived(_negation), fusion=fusion)
+    ring = FusionRing(labels=labels, unit=(0,), dual=_negation(mg), fusion=fusion)
     return ModularData(s=s, t=mg._derived(_twists), unit_index=0, ring=ring)
 
 
@@ -363,7 +371,7 @@ def matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
     key is (a, c, a + c) with multiplicity 1, the dual is a -> -a, the
     unit is 0).
     """
-    if np.count_nonzero(mg._derived(_radical_mask)) != 1:
+    if np.count_nonzero(_radical_mask(mg)) != 1:
         return False
     values, slots = mg._derived(_s_entries)
     twists = mg._derived(_twists)
@@ -379,7 +387,7 @@ def matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
     ring = md.ring
     if ring is None:
         return True
-    if ring.unit != (0,) or ring.dual != mg._derived(_negation):
+    if ring.unit != (0,) or ring.dual != _negation(mg):
         return False
     if len(ring.fusion) != n * n or set(ring.fusion.values()) != {1}:
         return False
@@ -478,11 +486,8 @@ def _isotropic_sums(mg: MetricGroup, iso: np.ndarray) -> np.ndarray:
     sum is not isotropic: an int16 table over the isotropic elements."""
     position = np.full(mg.size, -1, dtype=np.int16)
     position[iso] = np.arange(len(iso))
-    total = np.zeros((len(iso), len(iso)), dtype=np.int32)
-    coords = mg._derived(_coordinates)[:, iso].astype(np.int32)
-    for digit, order, stride in zip(coords, mg.orders, _strides(mg.orders)):
-        total += (digit[:, None] + digit[None, :]) % order * stride
-    return position[total]
+    # indices below SUBGROUP_SIZE_CAP fit in int32
+    return position[_group_law(mg, iso, np.int32)]
 
 
 def _extensions(h: np.ndarray, sums: np.ndarray, target: int) -> list:
