@@ -10,6 +10,7 @@ input, 3 means the search budget ran out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -153,7 +154,10 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; every parse makes
+    a fresh namespace, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="mtcbound",
         description="Validate exact category data and decide the gapped-boundary question.",

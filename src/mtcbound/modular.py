@@ -21,16 +21,35 @@ since the power basis is a basis, "is a permutation matrix" and "is a
 non-negative integer" are read off the packed coefficients directly.
 
 Derived invariants (packed S and S^2, dims, twists, D, the dual
-permutation, and through `ModularData._derived` the central charge and
-the Verlinde ring) are computed at most once per `ModularData`, in a
-private cache that equality and repr ignore.
+permutation, the Gauss sums, and through `ModularData._derived` the
+central charge and the Verlinde ring) are computed at most once per
+`ModularData`, in a private cache that equality and repr ignore.
+
+Scalar work runs once per distinct value, not once per label or entry.
+Modular data repeats few values: a pointed S has one per pairing
+exponent, all of its dims are 1, and its twists take at most M values.
+Two values are the same when their normalised (conductor, nums, den)
+agree.  `_distinct_map` applies a `Cyclotomic` function once per
+distinct value of a tuple (dims, twists, the inverses of the unit row,
+the JSON form of S and T), and `_distinct` lists the distinct values of
+one or more tuples with the first label and the multiplicity of each.
+So there is one Gauss sum, tau+- = sum over the distinct (d, theta) of
+multiplicity * d^2 theta^(+-1), cached per datum by `_gauss_sum`;
+`central_charge`, `gauss_sums` and the balancing and Gauss-identity
+checks of `validate_modular` all read it.  The positivity of the dims
+and the root-of-unity test of the twists run on distinct values too,
+and a failure is reported at the first label that carries the value.
+`PackedMatrix.pack` embeds each distinct entry once, and
+`ModularData.from_json_dict` parses each distinct scalar object once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -61,6 +80,38 @@ Matrix = tuple  # tuple of tuple of Cyclotomic
 # every sum of them that stays below it; int64 holds |x| < 2^63.
 _FLOAT_EXACT = 2**53
 _INT64_LIMIT = 2**63
+
+
+# ---------------------------------------------------------------------------
+# distinct values
+# ---------------------------------------------------------------------------
+
+
+def _distinct_map(f, values) -> tuple:
+    """tuple(map(f, values)) with f evaluated once per distinct value;
+    equal values share one image."""
+    images: dict = {}
+    out = []
+    for v in values:
+        key = (v.conductor, v.nums, v.den)
+        if key not in images:
+            images[key] = f(v)
+        out.append(images[key])
+    return tuple(out)
+
+
+def _distinct(*columns) -> list:
+    """[(first, row, count)] over the distinct rows of zip(*columns), in
+    order of first appearance: the first label carrying the row, the
+    row of values and its multiplicity."""
+    rows: dict = {}
+    for i, row in enumerate(zip(*columns)):
+        key = tuple((v.conductor, v.nums, v.den) for v in row)
+        if key in rows:
+            rows[key][2] += 1
+        else:
+            rows[key] = [i, row, 1]
+    return list(rows.values())
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +364,9 @@ class ModularData:
     def dims(self) -> tuple:
         """Quantum dimensions d_i = S_{ui}/S_{uu}."""
         inv = self.total_dim()
-        return self._derived("dims", lambda md: tuple(x * inv for x in md.s[md.unit_index]))
+        return self._derived(
+            "dims", lambda md: _distinct_map(lambda x: x * inv, md.s[md.unit_index])
+        )
 
     def theta(self) -> tuple:
         """Twists theta_i = T_i/T_u."""
@@ -327,23 +380,22 @@ class ModularData:
         return self._derived("dual", _dual_permutation)
 
     def conductor(self) -> int:
-        n = 1
-        for row in self.s:
-            for e in row:
-                n = _lcm(n, e.conductor)
-        for e in self.t:
-            n = _lcm(n, e.conductor)
-        return n
+        conductors = {e.conductor for row in self.s for e in row}
+        conductors.update(e.conductor for e in self.t)
+        return math.lcm(*conductors)
 
     # -- serialization ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The JSON form; entries equal in value share one scalar object."""
+        r = self.rank
+        scalars = _distinct_map(Cyclotomic.to_json_dict, chain(*self.s, self.t))
         return {
             "ring": self.ring.to_json_dict() if self.ring is not None else None,
             "unit": self.unit_index,
             "conductor": self.conductor(),
-            "S": [[e.to_json_dict() for e in row] for row in self.s],
-            "T": [e.to_json_dict() for e in self.t],
+            "S": [list(scalars[i : i + r]) for i in range(0, r * r, r)],
+            "T": list(scalars[r * r :]),
         }
 
     @staticmethod
@@ -358,10 +410,9 @@ class ModularData:
             raise InputError("S and T must be arrays")
         if not all(isinstance(row, list) for row in obj["S"]):
             raise InputError("S must be an array of rows")
-        s = tuple(
-            tuple(Cyclotomic.from_json_dict(e) for e in row) for row in obj["S"]
-        )
-        t = tuple(Cyclotomic.from_json_dict(e) for e in obj["T"])
+        parse = _scalar_parser()
+        s = tuple(tuple(map(parse, row)) for row in obj["S"])
+        t = tuple(map(parse, obj["T"]))
         md = ModularData(s=s, t=t, unit_index=obj["unit"], ring=ring)
         if type(obj["conductor"]) is not int or md.conductor() != obj["conductor"]:
             raise InputError(
@@ -370,9 +421,37 @@ class ModularData:
         return md
 
 
+def _scalar_parser():
+    """`Cyclotomic.from_json_dict`, run once per distinct scalar object
+    of one document.  Objects in the form `to_json_dict` writes (an
+    integer "N" and pairs of strings in "c") are keyed by those fields,
+    which are all the parse reads; any other object is parsed on its
+    own, so a malformed entry raises where it stands."""
+    parsed: dict = {}
+
+    def parse(obj) -> Cyclotomic:
+        if type(obj) is dict and type(obj.get("N")) is int and type(obj.get("c")) is list:
+            key = [obj["N"]]
+            for pair in obj["c"]:
+                if type(pair) is not list or len(pair) != 2:
+                    break
+                p, q = pair
+                if type(p) is not str or type(q) is not str:
+                    break
+                key += pair
+            else:
+                key = tuple(key)
+                if key not in parsed:
+                    parsed[key] = Cyclotomic.from_json_dict(obj)
+                return parsed[key]
+        return Cyclotomic.from_json_dict(obj)
+
+    return parse
+
+
 def _divided(values: tuple, x: Cyclotomic) -> tuple:
     inv = x.inverse()
-    return tuple(v * inv for v in values)
+    return _distinct_map(lambda v: v * inv, values)
 
 
 def _dual_permutation(md: ModularData) -> tuple | None:
@@ -409,7 +488,8 @@ def verlinde(md: ModularData) -> dict:
     if any(x.is_zero() for x in unit_row):
         raise NonModular("unit row of S has a zero entry")
     s = md.packed_s()
-    weighted = s.times(PackedMatrix.pack((tuple(x.inverse() for x in unit_row),), s.conductor))
+    inverses = _distinct_map(Cyclotomic.inverse, unit_row)
+    weighted = s.times(PackedMatrix.pack((inverses,), s.conductor))
     conj_t = s.conj().transpose()
     out: dict = {}
     for i in range(md.rank):
@@ -453,16 +533,24 @@ def with_ring(md: ModularData, ring: FusionRing | None = None) -> ModularData:
 # ---------------------------------------------------------------------------
 
 
+def _gauss_sum(md: ModularData, sign: int) -> Cyclotomic:
+    """tau+ (sign 1) or tau- (sign -1) = sum_i d_i^2 theta_i^sign,
+    computed once per datum: one term per distinct (d_i, theta_i^sign)
+    pair, times its multiplicity."""
+
+    def compute(md: ModularData) -> Cyclotomic:
+        theta = md.theta() if sign > 0 else _distinct_map(Cyclotomic.inverse, md.theta())
+        total = ZERO
+        for _, (d, th), count in _distinct(md.dims(), theta):
+            total = total + d * d * th * count
+        return total
+
+    return md._derived(f"tau{sign:+d}", compute)
+
+
 def gauss_sums(md: ModularData) -> tuple[Cyclotomic, Cyclotomic, Cyclotomic]:
     """(tau_plus, tau_minus, D) with the identity tau+ tau- = D^2 enforced."""
-    dims = md.dims()
-    theta = md.theta()
-    tau_plus = ZERO
-    tau_minus = ZERO
-    for d, th in zip(dims, theta):
-        d2 = d * d
-        tau_plus = tau_plus + d2 * th
-        tau_minus = tau_minus + d2 * th.inverse()
+    tau_plus, tau_minus = _gauss_sum(md, 1), _gauss_sum(md, -1)
     total = md.total_dim()
     if tau_plus * tau_minus != total * total:
         raise GaussIdentityFailure("tau+ tau- differs from D^2")
@@ -471,11 +559,7 @@ def gauss_sums(md: ModularData) -> tuple[Cyclotomic, Cyclotomic, Cyclotomic]:
 
 def central_charge(md: ModularData) -> Fraction:
     """c mod 8, from tau+/D = e^(2 pi i c/8); exact."""
-    tau_plus = ZERO
-    dims = md.dims()
-    for d, th in zip(dims, md.theta()):
-        tau_plus = tau_plus + d * d * th
-    u = tau_plus * md.s_unit  # tau+ / D
+    u = _gauss_sum(md, 1) * md.s_unit  # tau+ / D
     root = u.as_root_of_unity()
     if root is None:
         raise NotRootOfUnity(f"tau+/D = {u} is not a root of unity")
@@ -580,7 +664,9 @@ def validate_modular(md: ModularData) -> ValidationReport:
     else:
         dims = md.dims()
         ok, where, detail = True, None, ""
-        for i, d in enumerate(dims):
+        # each distinct value at its first label, so a failure names
+        # the first label that carries it
+        for i, (d,), _ in _distinct(dims):
             if d.conj() != d:
                 ok, where, detail = False, (i,), "not fixed by conjugation"
                 break
@@ -592,8 +678,8 @@ def validate_modular(md: ModularData) -> ValidationReport:
     if dims is not None:
         total = md.total_dim()
         square_sum = ZERO
-        for d in dims:
-            square_sum = square_sum + d * d
+        for _, (d,), count in _distinct(dims):
+            square_sum = square_sum + d * d * count
         ok = total * total == square_sum
         detail = "" if ok else "1/S_uu squared differs from sum of d_i^2"
         # a certified sign needs a real D
@@ -635,7 +721,7 @@ def validate_modular(md: ModularData) -> ValidationReport:
 
     if theta is not None:
         ok, where = True, None
-        for i, th in enumerate(theta):
+        for i, (th,), _ in _distinct(theta):
             if th.as_root_of_unity() is None:
                 ok, where = False, (i,)
                 break
@@ -653,20 +739,17 @@ def validate_modular(md: ModularData) -> ValidationReport:
 
         # (S T)^3 = (tau+/D) S^2 with T the normalized twist diagonal
         if dims is not None:
-            tau_plus = ZERO
-            for d, th in zip(dims, theta):
-                tau_plus = tau_plus + d * d * th
+            tau_plus = _gauss_sum(md, 1)
             lhs, rhs = _balancing_sides(md, theta, tau_plus * md.s_unit)
             mismatch = np.argwhere(~lhs.entries_equal(rhs))
             ok = not len(mismatch)
             where = None if ok else tuple(int(x) for x in mismatch[0])
             report.add("balancing", ok, where)
 
-            tau_minus = ZERO
-            for d, th in zip(dims, theta):
-                tau_minus = tau_minus + d * d * th.inverse()
             total = md.total_dim()
-            report.add("gauss_identity", tau_plus * tau_minus == total * total, None)
+            report.add(
+                "gauss_identity", tau_plus * _gauss_sum(md, -1) == total * total, None
+            )
     else:
         report.add("theta_root_of_unity", False, None, "twists unavailable")
         report.add("theta_dual_invariant", False, None, "twists unavailable")

@@ -33,8 +33,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cyclotomic import Cyclotomic
 from .errors import InputError, NonModular, SearchBudgetExceeded
-from .modular import ModularData, central_charge
+from .modular import ModularData, _distinct_map, central_charge
 from .pointed import MetricGroup, lagrangian_subgroups, matches_modular_data, subgroup_indicator
 
 DEFAULT_BUDGET = 10**8
@@ -157,7 +158,7 @@ def candidate_search(md: ModularData, budget: int | None = None) -> list:
 
     one = theta[u]
     eligible = [i for i in range(r) if i != u and theta[i] == one]
-    floors = md._derived("dim_floors", lambda md: tuple(d.floor() for d in md.dims()))
+    floors = md._derived("dim_floors", lambda md: _distinct_map(Cyclotomic.floor, md.dims()))
 
     orbits = []  # (members, bound on the multiplicity)
     seen = set()

@@ -424,8 +424,15 @@ def milgram_signature(mg: MetricGroup) -> Fraction:
     Independent of the S/T route: g / sqrt(|A|) = g sqrt(|A|) / |A| is
     exactly the root of unity e^(2 pi i sigma/8) (`sqrt_int` is exact),
     so sigma is read off `as_root_of_unity` with no float branch.
+    The sum g = sum_k count_k zeta_M^k runs over the histogram of the
+    q-exponents, one `from_angle` per distinct value of q.
     """
-    g = cyc_sum(from_angle(mg.qval(a)) for a in mg.elements)
+    e, m = mg._derived(_exponents)
+    exponents, counts = np.unique(e, return_counts=True)
+    g = cyc_sum(
+        from_angle(Fraction(k, m)) * count
+        for k, count in zip(exponents.tolist(), counts.tolist())
+    )
     if g * g.conj() != mg.size:
         raise Degenerate("Gauss sum magnitude differs from sqrt(|A|)")
     root = (g * sqrt_int(mg.size) / mg.size).as_root_of_unity()

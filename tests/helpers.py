@@ -14,13 +14,15 @@ import numpy as np
 from mtcbound.cyclotomic import ZERO, _embed_nums, _lcm, cyc_sum, from_angle, sqrt_int
 from mtcbound.errors import (
     Degenerate,
+    GaussIdentityFailure,
     NonIntegralVerlinde,
     NonModular,
+    NotRootOfUnity,
     SearchBudgetExceeded,
     SizeLimit,
 )
 from mtcbound.fusion import FusionRing
-from mtcbound.modular import ModularData, PackedMatrix, _settle
+from mtcbound.modular import ModularData, PackedMatrix, _balancing_sides, _settle
 from mtcbound.obstruction import central_charge_gate, search_budget
 from mtcbound.pointed import SUBGROUP_SIZE_CAP, MetricGroup, _element_label
 from mtcbound.report import ValidationReport
@@ -217,6 +219,18 @@ def fraction_validate_metric(mg: MetricGroup) -> ValidationReport:
     return report
 
 
+def per_element_milgram_signature(mg: MetricGroup) -> Fraction:
+    """`milgram_signature` adding one `from_angle` per element."""
+    g = cyc_sum(from_angle(mg.qval(a)) for a in mg.elements)
+    if g * g.conj() != mg.size:
+        raise Degenerate("Gauss sum magnitude differs from sqrt(|A|)")
+    root = (g * sqrt_int(mg.size) / mg.size).as_root_of_unity()
+    if root is None:
+        raise Degenerate("Gauss sum over sqrt(|A|) is not a root of unity")
+    k, m = root
+    return Fraction(8 * k, m) % 8
+
+
 # ---------------------------------------------------------------------------
 # entry-by-entry reference route for pointed modular data
 # ---------------------------------------------------------------------------
@@ -317,6 +331,94 @@ def object_verlinde(md) -> dict:
                     raise NonIntegralVerlinde(f"N[{i},{j},{k}] = {acc}")
                 if val:
                     out[(i, j, k)] = int(val)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# label-by-label reference routes for the scalar invariants
+# ---------------------------------------------------------------------------
+
+
+def per_label_dims_and_twists(md: ModularData) -> tuple:
+    """(d_i, theta_i) for every label, one product per label."""
+    d_inv = md.s_unit.inverse()
+    t_inv = md.t[md.unit_index].inverse()
+    return (
+        tuple(x * d_inv for x in md.s[md.unit_index]),
+        tuple(v * t_inv for v in md.t),
+    )
+
+
+def per_label_taus(md: ModularData) -> tuple:
+    """(tau+, tau-) summed one label at a time, with nothing cached."""
+    dims, theta = per_label_dims_and_twists(md)
+    tau_plus = ZERO
+    tau_minus = ZERO
+    for d, th in zip(dims, theta):
+        d2 = d * d
+        tau_plus = tau_plus + d2 * th
+        tau_minus = tau_minus + d2 * th.inverse()
+    return tau_plus, tau_minus
+
+
+def per_label_gauss_sums(md: ModularData) -> tuple:
+    """`gauss_sums` from the label-by-label sums."""
+    tau_plus, tau_minus = per_label_taus(md)
+    total = md.s_unit.inverse()
+    if tau_plus * tau_minus != total * total:
+        raise GaussIdentityFailure("tau+ tau- differs from D^2")
+    return tau_plus, tau_minus, total
+
+
+def per_label_central_charge(md: ModularData) -> Fraction:
+    """`central_charge` from the label-by-label tau+."""
+    u = per_label_taus(md)[0] * md.s_unit  # tau+ / D
+    root = u.as_root_of_unity()
+    if root is None:
+        raise NotRootOfUnity(f"tau+/D = {u} is not a root of unity")
+    k, m = root
+    return Fraction(8 * k, m) % 8
+
+
+def per_label_scalar_checks(md: ModularData) -> dict:
+    """The checks of `validate_modular` that loop over labels, run one
+    label at a time: {name: (ok, where, detail)}.  Needs S_uu and T_u
+    nonzero."""
+    dims, theta = per_label_dims_and_twists(md)
+    out = {}
+    ok, where, detail = True, None, ""
+    for i, d in enumerate(dims):
+        if d.conj() != d:
+            ok, where, detail = False, (i,), "not fixed by conjugation"
+            break
+        if d.real_sign() <= 0:
+            ok, where, detail = False, (i,), f"approx {d.approx().real:.3g} not positive"
+            break
+    out["dims_real_positive"] = (ok, where, detail)
+
+    total = md.s_unit.inverse()
+    square_sum = ZERO
+    for d in dims:
+        square_sum = square_sum + d * d
+    ok = total * total == square_sum
+    detail = "" if ok else "1/S_uu squared differs from sum of d_i^2"
+    if ok and (total.conj() != total or total.real_sign() <= 0):
+        ok, detail = False, "D not positive"
+    out["total_dim"] = (ok, None, detail)
+
+    ok, where = True, None
+    for i, th in enumerate(theta):
+        if th.as_root_of_unity() is None:
+            ok, where = False, (i,)
+            break
+    out["theta_root_of_unity"] = (ok, where, "")
+
+    tau_plus, tau_minus = per_label_taus(md)
+    lhs, rhs = _balancing_sides(md, theta, tau_plus * md.s_unit)
+    mismatch = np.argwhere(~lhs.entries_equal(rhs))
+    ok = not len(mismatch)
+    out["balancing"] = (ok, None if ok else tuple(int(x) for x in mismatch[0]), "")
+    out["gauss_identity"] = (tau_plus * tau_minus == total * total, None, "")
     return out
 
 

@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from mtcbound import corpus
-from mtcbound.cli import main
-from mtcbound.cyclotomic import CONDUCTOR_CAP
+from mtcbound import corpus, modular
+from mtcbound.cli import build_parser, main
+from mtcbound.cyclotomic import CONDUCTOR_CAP, Cyclotomic
+from mtcbound.errors import MtcError
 from mtcbound.specfile import CategorySpecFile
 
 
@@ -22,6 +23,36 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# each field of each fixture, replaced by each value: the first four are
+# wrong for every field, the rest are right for some
+NEVER_VALID = ({}, [[1]], 1.5, True)
+SOMETIMES_VALID = (None, "x", [], -1)
+
+
+def malformed_field_sweep(fixture_dir, names=("toric_code", "fib_plus_z2")):
+    """(name, path, value, document text) for every field of the named
+    fixtures and every sweep value."""
+
+    def paths(obj, prefix=()):
+        # every key of every object, and the first item of every array
+        items = obj.items() if isinstance(obj, dict) else list(enumerate(obj))[:1]
+        for key, value in items:
+            yield prefix + (key,)
+            if isinstance(value, (dict, list)):
+                yield from paths(value, prefix + (key,))
+
+    for name in names:
+        original = (fixture_dir / f"{name}.json").read_text()
+        for path in paths(json.loads(original)):
+            for value in NEVER_VALID + SOMETIMES_VALID:
+                obj = json.loads(original)
+                parent = obj
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+                yield name, path, value, json.dumps(obj)
 
 
 class TestValidate:
@@ -99,37 +130,43 @@ class TestValidate:
         assert "q is missing element (0, 1)" in err
 
     def test_malformed_field_sweep_exits_2(self, capsys, tmp_path, fixture_dir):
-        # each field of each fixture, replaced by each value: the first
-        # four are wrong for every field, the rest are right for some
-        never_valid = ({}, [[1]], 1.5, True)
-        sometimes_valid = (None, "x", [], -1)
-
-        def paths(obj, prefix=()):
-            # every key of every object, and the first item of every array
-            items = obj.items() if isinstance(obj, dict) else list(enumerate(obj))[:1]
-            for key, value in items:
-                yield prefix + (key,)
-                if isinstance(value, (dict, list)):
-                    yield from paths(value, prefix + (key,))
-
         bad = tmp_path / "sweep.json"
-        for name in ("toric_code", "fib_plus_z2"):
-            original = (fixture_dir / f"{name}.json").read_text()
-            for path in paths(json.loads(original)):
-                for value in never_valid + sometimes_valid:
-                    obj = json.loads(original)
-                    parent = obj
-                    for key in path[:-1]:
-                        parent = parent[key]
-                    parent[path[-1]] = value
-                    bad.write_text(json.dumps(obj), encoding="utf-8")
-                    code, _, err = run(capsys, "validate", str(bad))
-                    case = (name, path, value, code, err)
-                    if value in never_valid or code == 2:
-                        assert code == 2, case
-                        assert err.startswith("error:") and err.count("\n") == 1, case
-                    else:
-                        assert code in (0, 1) and not err, case
+        for name, path, value, text in malformed_field_sweep(fixture_dir):
+            bad.write_text(text, encoding="utf-8")
+            code, _, err = run(capsys, "validate", str(bad))
+            case = (name, path, value, code, err)
+            if value in NEVER_VALID or code == 2:
+                assert code == 2, case
+                assert err.startswith("error:") and err.count("\n") == 1, case
+            else:
+                assert code in (0, 1) and not err, case
+
+    def test_malformed_modular_sections_load_as_a_per_entry_parse(
+        self, fixture_dir, monkeypatch
+    ):
+        # the sweep's documents that change the modular section of a
+        # fixture with rational, irrational or conductor-3 entries, loaded
+        # once as they are and once with each S and T entry parsed on its
+        # own: the same data or the same error
+        names = ("toric_code", "ising", "fibonacci", "d_z3")
+        documents = [
+            doc
+            for doc in malformed_field_sweep(fixture_dir, names)
+            if doc[1][0] == "modular_data"
+        ]
+
+        def load(text):
+            try:
+                return CategorySpecFile.from_json_dict(json.loads(text))
+            except MtcError as exc:
+                return type(exc), str(exc)
+
+        outcomes = [load(text) for *_, text in documents]
+        errors = sum(isinstance(o, tuple) for o in outcomes)
+        assert (len(documents), errors) == (832, 812)
+        monkeypatch.setattr(modular, "_scalar_parser", lambda: Cyclotomic.from_json_dict)
+        for (name, path, value, text), outcome in zip(documents, outcomes):
+            assert load(text) == outcome, (name, path, value)
 
     def test_json_format(self, capsys, fixture_dir):
         code, out, _ = run(
@@ -245,6 +282,52 @@ class TestDecompose:
         metric_only.save(path)
         code, _, err = run(capsys, "decompose", str(path))
         assert code == 2
+
+
+class TestRepeatedCalls:
+    """One process, many calls: the parser is built once and reused."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_each_call_equals_a_first_call(self, capsys, tmp_path, fixture_dir):
+        toric = str(fixture_dir / "toric_code.json")
+        out_path = str(tmp_path / "double.json")
+        calls = [
+            ("verdict", "--pointed", toric),
+            ("verdict", toric),
+            ("verdict", "--format", "json", "--pointed", toric),
+            ("verdict", "--format", "json", toric),
+            ("validate", "--format", "json", toric),
+            ("validate", toric),
+            ("double", str(fixture_dir / "semion.json"), out_path),
+            ("decompose", str(fixture_dir / "m2.json")),
+            ("fixtures",),
+        ]
+        first = {}
+        for argv in calls:
+            build_parser.cache_clear()
+            code, out, _ = run(capsys, *argv)
+            first[argv] = (code, out)
+        # --pointed must not carry over to the next verdict
+        assert "subgroup:" in first[calls[0]][1]
+        assert "subgroup:" not in first[calls[1]][1]
+        assert json.loads(first[calls[2]][1]) != json.loads(first[calls[3]][1])
+        for argv in calls + calls[::-1]:
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == first[argv], argv
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["verdict"], ["nonsense"], ["validate", "--format", "xml", "f.json"]]
+    )
+    def test_bad_argv_still_exits_2(self, capsys, fixture_dir, argv):
+        toric = str(fixture_dir / "toric_code.json")
+        expected = run(capsys, "verdict", toric)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: mtcbound")
+        assert run(capsys, "verdict", toric) == expected
 
 
 class TestFixturesCommand:

@@ -30,6 +30,9 @@ from tests.helpers import (
     object_scale_columns,
     object_verlinde,
     per_entry_pack,
+    per_label_central_charge,
+    per_label_gauss_sums,
+    per_label_scalar_checks,
     random_metric_group,
 )
 
@@ -62,6 +65,24 @@ def oracle_inputs(max_metric_size: int = 16) -> list:
     for _ in range(6):
         mg = random_metric_group(rng, max_size=max_metric_size)
         out.append((f"metric {mg.orders}", metric_modular_data(mg)))
+    return out
+
+
+def matrix_workload_products() -> list:
+    """(label, datum): the rank-36 doubles and rank-12 products that the
+    benchmark's matrix workload builds, without its relabelling."""
+    ising, semion, fib = (corpus.build(n).modular for n in ("ising", "semion", "fibonacci"))
+    out = []
+    for label, base in (
+        ("ising x semion", box_tensor(ising, semion)),
+        ("ising x reverse(semion)", box_tensor(ising, reverse(semion))),
+        ("ising x fibonacci", box_tensor(ising, fib)),
+    ):
+        out.append((f"double({label})", double(base)))
+    for name in ("toric_code", "double_semion"):
+        for chiral_label, chiral in (("ising", ising), ("reverse(ising)", reverse(ising))):
+            md = box_tensor(corpus.build(name).modular, chiral)
+            out.append((f"{name} x {chiral_label}", md))
     return out
 
 
@@ -113,6 +134,59 @@ class TestStructure:
         again = ModularData.from_json_dict(json.loads(json.dumps(md.to_json_dict())))
         assert again.s == md.s and again.t == md.t
         assert again.ring.fusion == md.ring.fusion
+
+
+class TestJsonByDistinctValue:
+    """from_json_dict parses, and to_json_dict writes, each distinct
+    scalar once; errors and output bytes are those of a per-entry pass."""
+
+    @staticmethod
+    def toric_json() -> dict:
+        return json.loads(json.dumps(toric_md().to_json_dict()))
+
+    @staticmethod
+    def parse_error(obj) -> str:
+        with pytest.raises(InputError) as exc:
+            ModularData.from_json_dict(obj)
+        return str(exc.value)
+
+    def test_each_distinct_scalar_is_parsed_and_written_once(self, monkeypatch):
+        obj = self.toric_json()
+        entries = [e for row in obj["S"] for e in row] + obj["T"]
+        distinct = {json.dumps(e, sort_keys=True) for e in entries}
+        assert (len(entries), len(distinct)) == (20, 4)  # S is +-1/2, T is +-1
+        parsed, written = [], []
+        parse, write = Cyclotomic.from_json_dict, Cyclotomic.to_json_dict
+        monkeypatch.setattr(Cyclotomic, "from_json_dict", lambda o: parsed.append(o) or parse(o))
+        monkeypatch.setattr(Cyclotomic, "to_json_dict", lambda e: written.append(e) or write(e))
+        md = ModularData.from_json_dict(obj)
+        assert len(parsed) == 4
+        assert json.loads(json.dumps(md.to_json_dict())) == obj
+        assert len(written) == 4
+
+    def test_repeated_malformed_scalar_is_named_at_its_first_entry(self):
+        obj = self.toric_json()
+        first = {"N": 1, "c": [["1", "x"]]}
+        second = {"N": 1, "c": [["y", "2"]]}
+        # row-major: S[1][2] comes before S[2][1], which comes before S[3][0]
+        obj["S"][1][2] = obj["S"][3][0] = first
+        obj["S"][2][1] = second
+        assert "['1', 'x']" in self.parse_error(obj)
+        obj["S"][0][3] = second
+        assert "['y', '2']" in self.parse_error(obj)
+
+    def test_malformed_twins_of_parsed_scalars_are_still_refused(self):
+        # a boolean conductor or coefficient compares equal to an integer,
+        # so it must not be taken for the well-formed scalar parsed before it
+        obj = self.toric_json()
+        half = obj["S"][0][0]
+        assert half == {"N": 1, "c": [["1", "2"]]}
+        obj["S"][0][1] = {"N": True, "c": [["1", "2"]]}
+        assert "bad conductor True" in self.parse_error(obj)
+        obj["S"][0][1] = {"N": 1, "c": [[True, "2"]]}
+        assert "bad coefficient entry [True, '2']" in self.parse_error(obj)
+        obj["S"][0][1] = {"N": 1, "c": [[1, 2]]}  # integers are a valid spelling
+        assert ModularData.from_json_dict(obj).s[0][1] == rational(Fraction(1, 2))
 
 
 class TestDimensions:
@@ -327,6 +401,74 @@ class TestCentralCharge:
             md = corpus.build(name).modular
             plus, minus, total = gauss_sums(md)
             assert plus * minus == total * total
+
+
+class TestScalarOracle:
+    """The Gauss sums, the central charge and the label loops of
+    `validate_modular`, which run once per distinct value, against the
+    label-by-label routes they replaced (`tests.helpers`)."""
+
+    @staticmethod
+    def assert_checks_match_per_label(md, label):
+        checks = {c.name: (c.ok, c.where, c.detail) for c in validate_modular(md).checks}
+        for name, expected in per_label_scalar_checks(md).items():
+            assert checks[name] == expected, (label, name)
+
+    def assert_matches_per_label(self, md, label):
+        assert gauss_sums(md) == per_label_gauss_sums(md), label
+        assert central_charge(md) == per_label_central_charge(md), label
+        self.assert_checks_match_per_label(md, label)
+
+    def test_fixtures_doubles_and_seeded_groups(self):
+        for label, md in oracle_inputs():
+            self.assert_matches_per_label(md, label)
+
+    def test_matrix_workload_products(self):
+        products = matrix_workload_products()
+        assert sorted(md.rank for _, md in products) == [12] * 4 + [36] * 3
+        for label, md in products:
+            self.assert_matches_per_label(md, label)
+
+    def test_seeded_metric_groups(self):
+        rng = random.Random(808)
+        for _ in range(200):
+            mg = random_metric_group(rng, max_size=16)
+            self.assert_matches_per_label(metric_modular_data(mg), mg.orders)
+
+    def test_failing_dim_is_named_at_its_first_label(self):
+        # dims (1, 1, -1, -1): the failing value is the second distinct
+        # one, first carried by label 2 and repeated at label 3
+        md = toric_md()
+        rows = [list(r) for r in md.s]
+        for j in (2, 3):
+            rows[0][j] = rows[j][0] = -rows[0][j]
+        bad = ModularData(s=tuple(map(tuple, rows)), t=md.t)
+        assert [d.as_rational() for d in bad.dims()] == [1, 1, -1, -1]
+        check = validate_modular(bad).first_failure()
+        assert (check.name, check.where) == ("dims_real_positive", (2,))
+        self.assert_checks_match_per_label(bad, "dims (1, 1, -1, -1)")
+
+    def test_failing_twist_is_named_at_its_first_label(self):
+        # twists (1, 1, 2, 2): the value 2 is no root of unity, first
+        # carried by label 2 and repeated at label 3
+        md = toric_md()
+        bad = ModularData(s=md.s, t=(ONE, ONE, rational(2), rational(2)), ring=md.ring)
+        report = validate_modular(bad)
+        check = next(c for c in report.checks if c.name == "theta_root_of_unity")
+        assert (check.ok, check.where) == (False, (2,))
+        self.assert_checks_match_per_label(bad, "twists (1, 1, 2, 2)")
+
+    def test_gauss_sums_are_computed_once_per_datum(self, monkeypatch):
+        md = double(fib_md())
+        calls = []
+        original = modular._distinct
+        monkeypatch.setattr(
+            modular, "_distinct", lambda *c: calls.append(len(c)) or original(*c)
+        )
+        for _ in range(2):
+            gauss_sums(md)
+            central_charge(md)
+        assert calls == [2, 2]  # one (d, theta) histogram for each of tau+ and tau-
 
 
 class TestValidationReport:

@@ -163,50 +163,37 @@ class TestPointedCrossOracle:
         assert fake not in found
         assert found == indicators
 
-    def test_filter_off_equals_subgroups_on_seeded_pointed_data(self):
-        # S n = n decides NoBoundary_NoCandidate, so the search must lose
-        # no Lagrangian indicator and admit nothing else. ("filter off"
-        # names the unfiltered search; there is no other kind left.)
-        rng = random.Random(7)
+    @staticmethod
+    def assert_search_equals_subgroups(mg, label):
+        # S n = n and n_i <= floor(d_i) = 1 force the support to be an
+        # isotropic subgroup with multiplicities 1, so the search must
+        # lose no Lagrangian indicator and admit nothing else
+        expected = sorted(subgroup_indicator(mg, s) for s in lagrangian_subgroups(mg))
+        found = candidate_search(metric_modular_data(mg))
+        for vec in expected:
+            assert vec in found, (label, vec)
+        assert found == expected, label
+
+    @pytest.mark.parametrize(
+        "seed,draws,min_forms", [(7, 200, 20), (2024, 10, 1)], ids=["seed7", "seed2024"]
+    )
+    def test_search_equals_subgroups_on_seeded_data(self, seed, draws, min_forms):
+        rng = random.Random(seed)
         seen = set()  # equal forms recur often; each is searched once
-        for _ in range(200):
+        for _ in range(draws):
             mg = random_metric_group(rng, max_size=36)
             key = (mg.orders, tuple(sorted(mg.q.items())))
             if key in seen or milgram_signature(mg) != 0:
                 continue
             seen.add(key)
-            md = metric_modular_data(mg)
-            expected = sorted(
-                subgroup_indicator(mg, s) for s in lagrangian_subgroups(mg)
-            )
-            found = candidate_search(md)
-            for vec in expected:
-                assert vec in found, (mg.orders, vec)
-            assert found == expected, mg.orders
-        assert len(seen) >= 20
+            self.assert_search_equals_subgroups(mg, mg.orders)
+        assert len(seen) >= min_forms
+
+    def test_search_equals_subgroups_on_metric_fixtures(self):
         for name in corpus.fixture_names():
             mg = corpus.build(name).metric
-            if mg is None or milgram_signature(mg) != 0:
-                continue
-            expected = sorted(
-                subgroup_indicator(mg, s) for s in lagrangian_subgroups(mg)
-            )
-            found = candidate_search(metric_modular_data(mg))
-            assert found == expected, name
-
-    def test_filter_on_matches_subgroups_on_small_pointed_data(self):
-        # S n = n and n_i <= floor(d_i) = 1 force the support to be an
-        # isotropic subgroup with multiplicities 1
-        rng = random.Random(2024)
-        for _ in range(10):
-            mg = random_metric_group(rng, max_size=36)
-            md = metric_modular_data(mg)
-            if central_charge(md) != 0:
-                continue
-            expected = sorted(
-                subgroup_indicator(mg, s) for s in lagrangian_subgroups(mg)
-            )
-            assert candidate_search(md) == expected
+            if mg is not None and milgram_signature(mg) == 0:
+                self.assert_search_equals_subgroups(mg, name)
 
 
 class TestExactSearchOracle:

@@ -29,6 +29,7 @@ from tests.helpers import (
     fraction_radical,
     fraction_validate_metric,
     per_entry_metric_modular_data,
+    per_element_milgram_signature,
     per_entry_pack,
     random_metric_group,
 )
@@ -333,6 +334,23 @@ class TestMilgram:
         assert milgram_signature(corpus.semion().metric) == 1
         assert milgram_signature(toric_mg()) == 0
         assert milgram_signature(dsem_mg()) == 0
+
+    def test_histogram_route_matches_per_element_sum(self):
+        # one from_angle per distinct q-exponent against one per element
+        groups = [corpus.build(n).metric for n in corpus.fixture_names()]
+        groups = [mg for mg in groups if mg is not None]
+        groups += [abelian_double(orders) for orders in ((3, 3), (2, 2, 2), (4, 4))]
+        rng = random.Random(2718)
+        groups += [random_metric_group(rng, max_size=64) for _ in range(200)]
+        for mg in groups:
+            assert milgram_signature(mg) == per_element_milgram_signature(mg), mg.orders
+
+    def test_degenerate_gauss_sum_is_refused_by_both_routes(self):
+        # q = 0 on Z2: g = 2, whose magnitude is not sqrt(2)
+        mg = MetricGroup(orders=(2,), q={(0,): 0, (1,): 0})
+        for route in (milgram_signature, per_element_milgram_signature):
+            with pytest.raises(Degenerate):
+                route(mg)
 
     def test_against_central_charge_on_random_groups(self):
         rng = random.Random(12345)

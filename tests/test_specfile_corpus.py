@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,15 @@ class TestCorpus:
         for path in paths:
             loaded = CategorySpecFile.load(path)
             assert loaded.dumps() == corpus.build(loaded.name).dumps()
+
+    def test_load_then_save_is_byte_identical(self, tmp_path):
+        # S entries repeat (toric code: two distinct values in 16), and
+        # parsing and writing them once per distinct value keeps the bytes
+        assert len({str(e) for row in corpus.toric_code().modular.s for e in row}) == 2
+        for path in map(Path, corpus.write_all(tmp_path)):
+            again = tmp_path / "again.json"
+            CategorySpecFile.load(path).save(again)
+            assert again.read_bytes() == path.read_bytes(), path.name
 
     def test_write_all_creates_a_missing_directory(self, tmp_path):
         paths = corpus.write_all(tmp_path / "new")
