@@ -328,11 +328,20 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """1/x.  When |x|^2 = x conj(x) is rational (roots of unity, the
+        entries of a pointed S, 1/sqrt(n)) this is conj(x)/|x|^2; other
+        values take the extended Euclid with Phi_N."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.conductor == 1:
             return Cyclotomic(1, (self.den,), self.nums[0])
         n = self.conductor
+        conj = self.conj()
+        # x = a/d and conj(x) = c/e give |x|^2 = (a c)/(d e), so when
+        # a c = p is rational, 1/x = c d/p
+        norm = _mul_nums(n, self.nums, conj.nums)
+        if not any(norm[1:]):
+            return Cyclotomic(n, tuple(v * self.den for v in conj.nums), norm[0])
         target = [Fraction(v, self.den) for v in self.nums]
         modulus = [Fraction(c) for c in cyclotomic_polynomial(n)]
 

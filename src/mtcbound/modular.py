@@ -71,7 +71,7 @@ from .errors import (
     NonModular,
     NotRootOfUnity,
 )
-from .fusion import FusionRing, ring_product
+from .fusion import FusionRing, _assemble, first_difference, ring_product
 from .report import ValidationReport
 
 Matrix = tuple  # tuple of tuple of Cyclotomic
@@ -313,10 +313,10 @@ class ModularData:
         s = tuple(tuple(row) for row in self.s)
         if any(len(row) != r for row in s):
             raise InputError("S must be square")
-        if any(not isinstance(e, Cyclotomic) for row in s for e in row):
+        if not _all_cyclotomic(chain.from_iterable(s)):
             raise InputError("S entries must be cyclotomic scalars")
         t = tuple(self.t)
-        if len(t) != r or any(not isinstance(e, Cyclotomic) for e in t):
+        if len(t) != r or not _all_cyclotomic(t):
             raise InputError("T must be a length-r vector of cyclotomic scalars")
         if isinstance(self.unit_index, bool) or not isinstance(self.unit_index, int):
             raise InputError(f"unit index must be an integer, got {self.unit_index!r}")
@@ -380,9 +380,7 @@ class ModularData:
         return self._derived("dual", _dual_permutation)
 
     def conductor(self) -> int:
-        conductors = {e.conductor for row in self.s for e in row}
-        conductors.update(e.conductor for e in self.t)
-        return math.lcm(*conductors)
+        return self._derived("conductor", _conductor)
 
     # -- serialization ----------------------------------------------------------
 
@@ -419,6 +417,16 @@ class ModularData:
                 f"conductor field {obj['conductor']} does not match entries ({md.conductor()})"
             )
         return md
+
+
+def _all_cyclotomic(values) -> bool:
+    """Every value is a `Cyclotomic`: one C-level scan of the types."""
+    return all(issubclass(kind, Cyclotomic) for kind in set(map(type, values)))
+
+
+def _conductor(md: ModularData) -> int:
+    """lcm of the entry conductors."""
+    return math.lcm(*{e.conductor for e in chain(chain.from_iterable(md.s), md.t)})
 
 
 def _scalar_parser():
@@ -476,10 +484,19 @@ def _dual_permutation(md: ModularData) -> tuple | None:
 
 
 def verlinde(md: ModularData) -> dict:
-    """Exact fusion tensor N_{ij}^k = sum_m S_im S_jm conj(S_km) / S_um.
+    """Exact fusion tensor N_{ij}^k = sum_m S_im S_jm conj(S_km) / S_um,
+    as {(i, j, k): N} over the nonzero coefficients.
 
     Raises NonIntegralVerlinde when any coefficient fails to be a
     non-negative integer, and NonModular when the unit row has a zero.
+    """
+    table = verlinde_table(md)
+    return dict(zip(map(tuple, table[:, :3].tolist()), table[:, 3].tolist()))
+
+
+def verlinde_table(md: ModularData) -> np.ndarray:
+    """`verlinde` as fusion-table rows [i, j, k, N], in (i, j, k) order.
+
     One packed matrix product per i: (S_im S_jm / S_um)_{jm} times
     conj(S)^T.
     """
@@ -491,7 +508,7 @@ def verlinde(md: ModularData) -> dict:
     inverses = _distinct_map(Cyclotomic.inverse, unit_row)
     weighted = s.times(PackedMatrix.pack((inverses,), s.conductor))
     conj_t = s.conj().transpose()
-    out: dict = {}
+    keys, values = [], []
     for i in range(md.rank):
         row = PackedMatrix(s.conductor, s.nums[i : i + 1], s.den)
         fused = weighted.times(row) @ conj_t
@@ -501,9 +518,10 @@ def verlinde(md: ModularData) -> dict:
         if bad.any():
             j, k = (int(x) for x in np.argwhere(bad)[0])
             raise NonIntegralVerlinde(f"N[{i},{j},{k}] = {fused.entry(j, k)}")
-        for j, k in np.argwhere(value != 0).tolist():
-            out[(i, j, k)] = int(value[j, k]) // den
-    return out
+        j, k = np.nonzero(value)  # row-major, so rows come in (i, j, k) order
+        keys.append(np.stack((np.full(len(j), i), j, k), axis=1))
+        values.append(value[j, k] // den)
+    return _assemble(np.concatenate(keys).astype(np.int64), _settle(np.concatenate(values)))
 
 
 def ring_from_verlinde(md: ModularData, labels: tuple | None = None) -> FusionRing:
@@ -511,12 +529,12 @@ def ring_from_verlinde(md: ModularData, labels: tuple | None = None) -> FusionRi
     perm = md.dual_permutation()
     if perm is None:
         raise NonModular("S^2 is not a permutation matrix")
-    fusion = verlinde(md)
+    table = verlinde_table(md)
     if labels is None:
         labels = md.ring.labels if md.ring is not None else tuple(
             f"x{i}" for i in range(md.rank)
         )
-    return FusionRing(labels=tuple(labels), unit=(md.unit_index,), dual=perm, fusion=fusion)
+    return FusionRing.from_table(tuple(labels), (md.unit_index,), perm, table)
 
 
 def with_ring(md: ModularData, ring: FusionRing | None = None) -> ModularData:
@@ -757,20 +775,16 @@ def validate_modular(md: ModularData) -> ValidationReport:
         report.add("gauss_identity", False, None, "twists unavailable")
 
     try:
-        fusion = verlinde(md)
+        table = verlinde_table(md)
     except (NonIntegralVerlinde, NonModular) as exc:
         report.add("verlinde_integral", False, None, str(exc))
-        fusion = None
+        table = None
     else:
         report.add("verlinde_integral", True, None)
     if md.ring is not None:
-        if fusion is None:
+        if table is None:
             report.add("verlinde_matches_ring", False, None, "verlinde unavailable")
         else:
-            ok = fusion == md.ring.fusion
-            where = None
-            if not ok:
-                keys = set(fusion) | set(md.ring.fusion)
-                where = min(k for k in keys if fusion.get(k, 0) != md.ring.fusion.get(k, 0))
-            report.add("verlinde_matches_ring", ok, where)
+            where = first_difference(md.ring, table)
+            report.add("verlinde_matches_ring", where is None, where)
     return report

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AmbiguousBlock, InputError
-from .fusion import FusionRing, fp_dimensions
+from .fusion import FusionRing, _assemble, fp_dimensions
 
 
 def unit_summands_check(ring: FusionRing) -> list[tuple]:
@@ -30,11 +32,11 @@ def unit_summands_check(ring: FusionRing) -> list[tuple]:
         if ring.dual[u] != u:
             bad.append((u, "not self-dual"))
         for v in unit:
-            expected_diag = 1 if u == v else 0
-            for k in range(ring.rank):
-                want = expected_diag if k == u else 0
-                if ring.n(u, v, k) != want:
-                    bad.append((u, v, k))
+            want = np.zeros(ring.rank, dtype=np.int64)
+            if u == v:
+                want[u] = 1
+            wrong = np.flatnonzero(ring.product_vector(u, v) != want)
+            bad.extend((u, v, k) for k in wrong.tolist())
     return bad
 
 
@@ -84,32 +86,50 @@ def block_partition(ring: FusionRing) -> BlockDecomposition:
     if violations:
         raise AmbiguousBlock(f"unit summands are not orthogonal projectors: {violations[0]}")
     unit = ring.unit
-    position = {u: p for p, u in enumerate(unit)}
-    block_of: dict[int, tuple[int, int]] = {}
-    for x in range(ring.rank):
-        lefts = [u for u in unit if ring.n(u, x, x) == 1]
-        rights = [u for u in unit if ring.n(x, u, x) == 1]
-        if len(lefts) != 1 or len(rights) != 1:
-            raise AmbiguousBlock(
-                f"label {ring.labels[x]} is supported by {len(lefts)} left and "
-                f"{len(rights)} right unit projectors"
-            )
-        block_of[x] = (position[lefts[0]], position[rights[0]])
+    r = ring.rank
+    position = np.zeros(r, dtype=np.int64)
+    is_unit = np.zeros(r, dtype=bool)
+    position[list(unit)] = np.arange(len(unit))
+    is_unit[list(unit)] = True
+    x, y, z = ring.indices().T
+    one = ring.table[:, 3] == 1
+    # x in B(p, q) when N_ux^x = 1 for exactly one unit u, at position p,
+    # and N_xv^x = 1 for exactly one unit v, at position q
+    lefts = is_unit[x] & (y == z) & one
+    rights = is_unit[y] & (x == z) & one
+    n_left = np.bincount(y[lefts], minlength=r)
+    n_right = np.bincount(x[rights], minlength=r)
+    ambiguous = np.flatnonzero((n_left != 1) | (n_right != 1))
+    if ambiguous.size:
+        a = int(ambiguous[0])
+        raise AmbiguousBlock(
+            f"label {ring.labels[a]} is supported by {n_left[a]} left and "
+            f"{n_right[a]} right unit projectors"
+        )
+    row = np.zeros(r, dtype=np.int64)
+    col = np.zeros(r, dtype=np.int64)
+    row[y[lefts]] = position[x[lefts]]
+    col[x[rights]] = position[y[rights]]
+    block_of = dict(enumerate(zip(row.tolist(), col.tolist())))
 
     # matrix calculus: x in B(i, j), y in B(k, l) can only multiply when
     # j = k, and then the product lies in B(i, l)
-    for (x, y, z), v in ring.fusion.items():
-        (i, j), (k, l) = block_of[x], block_of[y]
-        if j != k:
+    mismatched = col[x] != row[y]
+    leaves = (row[z] != row[x]) | (col[z] != col[y])
+    bad = np.flatnonzero(mismatched | leaves)
+    if bad.size:
+        p = int(bad[0])
+        a, b, c = int(x[p]), int(y[p]), int(z[p])
+        (i, j), (k, l) = block_of[a], block_of[b]
+        if mismatched[p]:
             raise AmbiguousBlock(
                 f"nonzero product across mismatched blocks: "
-                f"{ring.labels[x]} in block ({i},{j}) times {ring.labels[y]} in block ({k},{l})"
+                f"{ring.labels[a]} in block ({i},{j}) times {ring.labels[b]} in block ({k},{l})"
             )
-        if block_of[z] != (i, l):
-            raise AmbiguousBlock(
-                f"product {ring.labels[x]} * {ring.labels[y]} leaves its block: "
-                f"{ring.labels[z]} sits in block {block_of[z]}, expected ({i}, {l})"
-            )
+        raise AmbiguousBlock(
+            f"product {ring.labels[a]} * {ring.labels[b]} leaves its block: "
+            f"{ring.labels[c]} sits in block {block_of[c]}, expected ({i}, {l})"
+        )
 
     parent = list(range(len(unit)))
 
@@ -137,16 +157,14 @@ def corner_ring(dec: BlockDecomposition, i: int) -> FusionRing:
     """The simple-unit fusion ring carried by the diagonal block B(i, i)."""
     ring = dec.ring
     keep = dec.block_labels(i, i)
-    index = {x: t for t, x in enumerate(keep)}
+    index = np.full(ring.rank, -1, dtype=np.int64)
+    index[keep] = np.arange(len(keep))
     labels = tuple(ring.labels[x] for x in keep)
-    unit_label = ring.unit[i]
-    fusion = {
-        (index[x], index[y], index[z]): v
-        for (x, y, z), v in ring.fusion.items()
-        if x in index and y in index and z in index
-    }
-    dual = tuple(index[ring.dual[x]] for x in keep)
-    return FusionRing(labels=labels, unit=(index[unit_label],), dual=dual, fusion=fusion)
+    keys = index[ring.indices()]
+    inside = (keys >= 0).all(axis=1)
+    dual = tuple(int(index[ring.dual[x]]) for x in keep)
+    table = _assemble(keys[inside], ring.table[inside, 3])
+    return FusionRing.from_table(labels, (int(index[ring.unit[i]]),), dual, table)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -345,7 +345,8 @@ def metric_modular_data(mg: MetricGroup) -> ModularData:
     """Pointed modular data; raises Degenerate when the form is degenerate.
 
     S is gathered from its distinct entries by the pairing exponents,
-    and the fusion dict and the dual are read off the group law.
+    and the fusion table [a, c, a + c, 1] and the dual are read off the
+    group law.
     """
     if np.count_nonzero(_radical_mask(mg)) != 1:
         raise Degenerate("bilinear form has a nonzero radical")
@@ -353,12 +354,17 @@ def metric_modular_data(mg: MetricGroup) -> ModularData:
     s = tuple(tuple(map(values.__getitem__, row)) for row in slots.tolist())
     n = mg.size
     labels = tuple(_element_label(a) for a in mg.elements)
-    columns = list(range(n))
-    law = _group_law(mg)
-    fusion = dict.fromkeys(
-        zip(np.repeat(columns, n).tolist(), columns * n, law.ravel().tolist()), 1
+    index = np.arange(n, dtype=np.int64)
+    table = np.stack(
+        (
+            np.repeat(index, n),
+            np.tile(index, n),
+            _group_law(mg).ravel(),
+            np.ones(n * n, dtype=np.int64),
+        ),
+        axis=1,
     )
-    ring = FusionRing(labels=labels, unit=(0,), dual=_negation(mg), fusion=fusion)
+    ring = FusionRing.from_table(labels, (0,), _negation(mg), table)
     return ModularData(s=s, t=mg._derived(_twists), unit_index=0, ring=ring)
 
 
@@ -368,8 +374,7 @@ def matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
     Compared with mg's tables, without building that data: packed S
     against the distinct entries gathered by the pairing exponents, T
     entry by entry, and the ring against the group law (every fusion
-    key is (a, c, a + c) with multiplicity 1, the dual is a -> -a, the
-    unit is 0).
+    row is [a, c, a + c, 1], the dual is a -> -a, the unit is 0).
     """
     if np.count_nonzero(_radical_mask(mg)) != 1:
         return False
@@ -389,12 +394,11 @@ def matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
         return True
     if ring.unit != (0,) or ring.dual != _negation(mg):
         return False
-    if len(ring.fusion) != n * n or set(ring.fusion.values()) != {1}:
+    table = ring.table
+    if len(table) != n * n or not (table[:, 3] == 1).all():
         return False
     # n^2 distinct keys, each (a, c, a + c), name every pair (a, c) once
-    keys = np.fromiter(
-        chain.from_iterable(ring.fusion), dtype=np.int64, count=3 * n * n
-    ).reshape(n * n, 3)
+    keys = ring.indices()
     return bool((_group_law(mg)[keys[:, 0], keys[:, 1]] == keys[:, 2]).all())
 
 

@@ -51,12 +51,9 @@ class CategorySpecFile:
                 matches_modular_data(self.metric, self.modular),
             )
         if self.ring is not None and self.modular is not None and self.modular.ring is not None:
-            other = self.modular.ring
             report.add(
                 "fusion_section_matches_modular_ring",
-                self.ring.fusion == other.fusion
-                and self.ring.dual == other.dual
-                and self.ring.unit == other.unit,
+                self.ring.same_fusion(self.modular.ring),
             )
         return report
 

@@ -5,16 +5,30 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
 import numpy as np
 
-from mtcbound.cyclotomic import ZERO, _embed_nums, _lcm, cyc_sum, from_angle, sqrt_int
+from mtcbound.cyclotomic import (
+    ZERO,
+    Cyclotomic,
+    _embed_nums,
+    _lcm,
+    _power_row,
+    cyc_sum,
+    cyclotomic_polynomial,
+    euler_phi,
+    from_angle,
+    sqrt_int,
+)
 from mtcbound.errors import (
+    AmbiguousBlock,
     Degenerate,
     GaussIdentityFailure,
+    InputError,
     NonIntegralVerlinde,
     NonModular,
     NotRootOfUnity,
@@ -23,6 +37,7 @@ from mtcbound.errors import (
 )
 from mtcbound.fusion import FusionRing
 from mtcbound.modular import ModularData, PackedMatrix, _balancing_sides, _settle
+from mtcbound.multifusion import BlockDecomposition
 from mtcbound.obstruction import central_charge_gate, search_budget
 from mtcbound.pointed import SUBGROUP_SIZE_CAP, MetricGroup, _element_label
 from mtcbound.report import ValidationReport
@@ -603,3 +618,390 @@ def backtracking_candidates(md: ModularData, budget: int | None = None) -> list:
     if pending:
         confirm_pending()
     return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# dict-of-keys reference routes for fusion rings
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=True)
+class DictFusionRing:
+    """A fusion ring stored as a {(i, j, k): N} dict and checked key by
+    key at construction: the representation `FusionRing` had before it
+    held one sorted table."""
+
+    labels: tuple
+    unit: tuple
+    dual: tuple
+    fusion: dict
+
+    def __post_init__(self):
+        r = len(self.labels)
+        if r == 0:
+            raise InputError("a fusion ring needs at least one label")
+        if len(set(self.labels)) != r:
+            raise InputError("duplicate labels")
+        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        unit = tuple(self.unit)
+        if not unit:
+            raise InputError("unit_summands must be nonempty")
+        if len(set(unit)) != len(unit):
+            raise InputError("repeated unit summand")
+        if any(not isinstance(u, int) or not 0 <= u < r for u in unit):
+            raise InputError("unit summand index out of range")
+        object.__setattr__(self, "unit", tuple(sorted(unit)))
+        dual = tuple(self.dual)
+        if len(dual) != r or sorted(dual) != list(range(r)):
+            raise InputError("dual must be a permutation of all label indices")
+        object.__setattr__(self, "dual", dual)
+        fusion = {}
+        for key, value in self.fusion.items():
+            i, j, k = key
+            if not (
+                isinstance(i, int)
+                and isinstance(j, int)
+                and isinstance(k, int)
+                and 0 <= i < r
+                and 0 <= j < r
+                and 0 <= k < r
+            ):
+                raise InputError(f"fusion index out of range: {key}")
+            if not isinstance(value, int) or value < 0:
+                raise InputError(f"fusion multiplicity must be a non-negative integer: {key}")
+            if value:
+                fusion[(i, j, k)] = value
+        object.__setattr__(self, "fusion", fusion)
+
+    @staticmethod
+    def of(ring: FusionRing) -> "DictFusionRing":
+        return DictFusionRing(ring.labels, ring.unit, ring.dual, dict(ring.fusion))
+
+    @property
+    def rank(self) -> int:
+        return len(self.labels)
+
+    def n(self, i: int, j: int, k: int) -> int:
+        return self.fusion.get((i, j, k), 0)
+
+    def dense(self) -> np.ndarray:
+        r = self.rank
+        out = np.zeros((r, r, r), dtype=np.int64)
+        for (i, j, k), v in self.fusion.items():
+            out[i, j, k] = v
+        return out
+
+    def to_json_dict(self) -> dict:
+        return {
+            "labels": list(self.labels),
+            "unit": list(self.unit),
+            "dual": list(self.dual),
+            "fusion": [[i, j, k, v] for (i, j, k), v in sorted(self.fusion.items())],
+        }
+
+    @staticmethod
+    def from_json_dict(obj) -> "DictFusionRing":
+        if not isinstance(obj, dict):
+            raise InputError("fusion ring section must be an object")
+        for key in ("labels", "unit", "dual", "fusion"):
+            if key not in obj:
+                raise InputError(f"fusion ring section missing key {key!r}")
+        labels = obj["labels"]
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise InputError("labels must be an array of strings")
+        for key in ("unit", "dual"):
+            if not _is_int_list(obj[key]):
+                raise InputError(f"{key} must be an array of integers")
+        triples = obj["fusion"]
+        if not isinstance(triples, list):
+            raise InputError("fusion must be a list of [i, j, k, N] rows")
+        fusion: dict = {}
+        for row in triples:
+            if not _is_int_list(row) or len(row) != 4:
+                raise InputError(f"bad fusion row {row!r}")
+            i, j, k, v = row
+            if (i, j, k) in fusion:
+                raise InputError(f"duplicate fusion triple {(i, j, k)}")
+            fusion[(i, j, k)] = v
+        return DictFusionRing(
+            labels=tuple(labels),
+            unit=tuple(obj["unit"]),
+            dual=tuple(obj["dual"]),
+            fusion=fusion,
+        )
+
+
+def _is_int_list(obj) -> bool:
+    return isinstance(obj, list) and all(type(x) is int for x in obj)
+
+
+def dict_validate(ring: DictFusionRing) -> ValidationReport:
+    """`fusion.validate` one key at a time."""
+    report = ValidationReport("fusion ring")
+    r = ring.rank
+
+    ok, where = True, None
+    for i in range(r):
+        if ring.dual[ring.dual[i]] != i:
+            ok, where = False, (i,)
+            break
+    report.add("dual_involution", ok, where)
+
+    ok, where = True, None
+    for u in ring.unit:
+        if ring.dual[u] != u:
+            ok, where = False, (u,)
+            break
+    report.add("unit_summands_self_dual", ok, where)
+
+    ok, where = True, None
+    for j in range(r):
+        for k in range(r):
+            want = 1 if j == k else 0
+            left = sum(ring.n(u, j, k) for u in ring.unit)
+            right = sum(ring.n(j, u, k) for u in ring.unit)
+            if left != want or right != want:
+                ok, where = False, (j, k)
+                break
+        if not ok:
+            break
+    report.add("unit_law", ok, where)
+
+    report.add("associativity", *dict_associativity(ring))
+
+    ok, where = True, None
+    for (i, j, k), v in sorted(ring.fusion.items()):
+        if ring.n(ring.dual[i], k, j) != v or ring.n(k, ring.dual[j], i) != v:
+            ok, where = False, (i, j, k)
+            break
+    report.add("frobenius_reciprocity", ok, where)
+    return report
+
+
+def dict_associativity(ring: DictFusionRing) -> tuple:
+    """Dense int64 einsum up to rank 64, one key at a time beyond; the
+    int64 route wraps silently once r max N^2 reaches 2^63."""
+    r = ring.rank
+    if r <= 64:
+        n = ring.dense()
+        left = np.einsum("ijm,mkl->ijkl", n, n)
+        right = np.einsum("jkm,iml->ijkl", n, n)
+        if np.array_equal(left, right):
+            return True, None
+        bad = np.argwhere(left != right)[0]
+        return False, tuple(int(t) for t in bad)
+    by_left: dict = {}
+    for (i, j, k), v in ring.fusion.items():
+        by_left.setdefault((i, j), []).append((k, v))
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                for l in range(r):
+                    lhs = sum(v * ring.n(m, k, l) for m, v in by_left.get((i, j), ()))
+                    rhs = sum(v * ring.n(i, m, l) for m, v in by_left.get((j, k), ()))
+                    if lhs != rhs:
+                        return False, (i, j, k, l)
+    return True, None
+
+
+def exact_associativity(ring) -> tuple:
+    """(x_i x_j) x_k = x_i (x_j x_k) on Python integers, by brute force."""
+    r = ring.rank
+    for i, j, k, l in product(range(r), repeat=4):
+        lhs = sum(ring.n(i, j, m) * ring.n(m, k, l) for m in range(r))
+        rhs = sum(ring.n(j, k, m) * ring.n(i, m, l) for m in range(r))
+        if lhs != rhs:
+            return False, (i, j, k, l)
+    return True, None
+
+
+def dict_ring_product(a: DictFusionRing, b: DictFusionRing) -> DictFusionRing:
+    rb = b.rank
+    labels = tuple(f"({x},{y})" for x in a.labels for y in b.labels)
+    unit = tuple(u * rb + v for u in a.unit for v in b.unit)
+    dual = tuple(a.dual[i] * rb + b.dual[j] for i in range(a.rank) for j in range(rb))
+    fusion = {}
+    for (i, j, k), v in a.fusion.items():
+        for (x, y, z), w in b.fusion.items():
+            fusion[(i * rb + x, j * rb + y, k * rb + z)] = v * w
+    return DictFusionRing(labels=labels, unit=unit, dual=dual, fusion=fusion)
+
+
+def dict_direct_sum(a: DictFusionRing, b: DictFusionRing, tags=("a", "b")) -> DictFusionRing:
+    ra = a.rank
+    labels = tuple(f"{x}.{tags[0]}" for x in a.labels) + tuple(
+        f"{x}.{tags[1]}" for x in b.labels
+    )
+    unit = tuple(a.unit) + tuple(u + ra for u in b.unit)
+    dual = tuple(a.dual) + tuple(d + ra for d in b.dual)
+    fusion = dict(a.fusion)
+    for (i, j, k), v in b.fusion.items():
+        fusion[(i + ra, j + ra, k + ra)] = v
+    return DictFusionRing(labels=labels, unit=unit, dual=dual, fusion=fusion)
+
+
+def dict_group_ring(orders: tuple) -> DictFusionRing:
+    elements = list(product(*(range(n) for n in orders))) or [()]
+    index = {e: i for i, e in enumerate(elements)}
+    labels = tuple(",".join(str(c) for c in e) if e else "0" for e in elements)
+
+    def add(x, y):
+        return tuple((p + q) % n for p, q, n in zip(x, y, orders))
+
+    def neg(x):
+        return tuple((-p) % n for p, n in zip(x, orders))
+
+    fusion = {
+        (index[x], index[y], index[add(x, y)]): 1 for x in elements for y in elements
+    }
+    dual = tuple(index[neg(e)] for e in elements)
+    return DictFusionRing(
+        labels=labels, unit=(index[tuple(0 for _ in orders)],), dual=dual, fusion=fusion
+    )
+
+
+def dict_unit_summands_check(ring: DictFusionRing) -> list:
+    bad: list = []
+    unit = ring.unit
+    for u in unit:
+        if ring.dual[u] != u:
+            bad.append((u, "not self-dual"))
+        for v in unit:
+            expected_diag = 1 if u == v else 0
+            for k in range(ring.rank):
+                want = expected_diag if k == u else 0
+                if ring.n(u, v, k) != want:
+                    bad.append((u, v, k))
+    return bad
+
+
+def dict_block_partition(ring: DictFusionRing) -> BlockDecomposition:
+    """`block_partition` label by label and key by key, in the dict's order."""
+    violations = dict_unit_summands_check(ring)
+    if violations:
+        raise AmbiguousBlock(f"unit summands are not orthogonal projectors: {violations[0]}")
+    unit = ring.unit
+    position = {u: p for p, u in enumerate(unit)}
+    block_of: dict = {}
+    for x in range(ring.rank):
+        lefts = [u for u in unit if ring.n(u, x, x) == 1]
+        rights = [u for u in unit if ring.n(x, u, x) == 1]
+        if len(lefts) != 1 or len(rights) != 1:
+            raise AmbiguousBlock(
+                f"label {ring.labels[x]} is supported by {len(lefts)} left and "
+                f"{len(rights)} right unit projectors"
+            )
+        block_of[x] = (position[lefts[0]], position[rights[0]])
+    for (x, y, z), v in ring.fusion.items():
+        (i, j), (k, l) = block_of[x], block_of[y]
+        if j != k:
+            raise AmbiguousBlock(
+                f"nonzero product across mismatched blocks: "
+                f"{ring.labels[x]} in block ({i},{j}) times {ring.labels[y]} in block ({k},{l})"
+            )
+        if block_of[z] != (i, l):
+            raise AmbiguousBlock(
+                f"product {ring.labels[x]} * {ring.labels[y]} leaves its block: "
+                f"{ring.labels[z]} sits in block {block_of[z]}, expected ({i}, {l})"
+            )
+    parent = list(range(len(unit)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in block_of.values():
+        ra, rb = find(i), find(j)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups: dict = {}
+    for p in range(len(unit)):
+        groups.setdefault(find(p), []).append(p)
+    components = tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+    return BlockDecomposition(ring=ring, block_of=block_of, components=components)
+
+
+def dict_corner_ring(dec: BlockDecomposition, i: int) -> DictFusionRing:
+    ring = dec.ring
+    keep = dec.block_labels(i, i)
+    index = {x: t for t, x in enumerate(keep)}
+    fusion = {
+        (index[x], index[y], index[z]): v
+        for (x, y, z), v in ring.fusion.items()
+        if x in index and y in index and z in index
+    }
+    return DictFusionRing(
+        labels=tuple(ring.labels[x] for x in keep),
+        unit=(index[ring.unit[i]],),
+        dual=tuple(index[ring.dual[x]] for x in keep),
+        fusion=fusion,
+    )
+
+
+# ---------------------------------------------------------------------------
+# extended-Euclid reference route for Cyclotomic.inverse
+# ---------------------------------------------------------------------------
+
+
+def euclid_inverse(x: Cyclotomic) -> Cyclotomic:
+    """1/x by the extended Euclid of x's polynomial with Phi_N, for every
+    irrational x."""
+    if x.conductor == 1:
+        return x.inverse()
+    n = x.conductor
+    target = [Fraction(v, x.den) for v in x.nums]
+    modulus = [Fraction(c) for c in cyclotomic_polynomial(n)]
+
+    def deg(p):
+        for i in range(len(p) - 1, -1, -1):
+            if p[i]:
+                return i
+        return -1
+
+    def polymod(p, q):
+        p = list(p)
+        dq = deg(q)
+        lead = q[dq]
+        quo = [Fraction(0)] * (max(len(p) - dq, 1))
+        for k in range(len(p) - 1, dq - 1, -1):
+            if p[k]:
+                c = p[k] / lead
+                quo[k - dq] = c
+                for i in range(dq + 1):
+                    p[k - dq + i] -= c * q[i]
+        return quo, p[:dq] if dq > 0 else [Fraction(0)]
+
+    r0, r1 = modulus, target
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while deg(r1) > 0:
+        quo, rem = polymod(r0, r1)
+        r0, r1 = r1, rem
+        prod = [Fraction(0)] * (len(quo) + len(s1))
+        for i, qc in enumerate(quo):
+            if qc:
+                for j, sc in enumerate(s1):
+                    if sc:
+                        prod[i + j] += qc * sc
+        nxt = [Fraction(0)] * max(len(s0), len(prod))
+        for i, v in enumerate(s0):
+            nxt[i] += v
+        for i, v in enumerate(prod):
+            nxt[i] -= v
+        s0, s1 = s1, nxt
+    c = r1[deg(r1)]
+    inv = [v / c for v in s1]
+    phi = euler_phi(n)
+    while len(inv) > phi:
+        top = inv.pop()
+        if top:
+            row = _power_row(n, len(inv))
+            for t, rt in enumerate(row):
+                if rt:
+                    inv[t] += top * rt
+    inv += [Fraction(0)] * (phi - len(inv))
+    den = 1
+    for v in inv:
+        den = _lcm(den, v.denominator)
+    return Cyclotomic(n, tuple(int(v * den) for v in inv), den)

@@ -21,6 +21,7 @@ from mtcbound.cyclotomic import (
     zeta,
 )
 from mtcbound.errors import ConductorLimitError, DivisionByZero, InputError
+from tests.helpers import euclid_inverse
 
 
 def test_basic_identities():
@@ -238,3 +239,51 @@ class TestFieldProperties:
         va = a.approx()
         v2 = (a * a).approx()
         assert abs(va * va - v2) < 1e-9 * (1 + abs(va) ** 2)
+
+
+def _parts(x) -> tuple:
+    return (x.conductor, x.nums, x.den)
+
+
+class TestInverseOracle:
+    """`inverse` (conj(x)/|x|^2 when |x|^2 is rational) against the
+    extended Euclid it replaced on those values."""
+
+    def test_fixture_s_and_t_entries(self):
+        seen = set()
+        for name in corpus.fixture_names():
+            md = corpus.build(name).effective_modular()
+            if md is None:
+                continue
+            for x in (*(e for row in md.s for e in row), *md.t):
+                if x.is_zero() or _parts(x) in seen:
+                    continue
+                seen.add(_parts(x))
+                assert _parts(x.inverse()) == _parts(euclid_inverse(x)), (name, x)
+        assert len(seen) >= 25
+
+    def test_square_roots(self):
+        # the inverse over x's own conductor is unique, so y x = 1 at that
+        # conductor pins y to the Euclid result; the Euclid route itself
+        # runs where it is quick (it takes ~20 s on sqrt(197))
+        for n in range(1, 201):
+            x = sqrt_int(n)
+            y = x.inverse()
+            assert (x * x.conj()).is_rational()
+            assert x * y == 1 and y.conductor == x.conductor, n
+            if x.conductor <= 64:
+                assert _parts(y) == _parts(euclid_inverse(x)), n
+
+    def test_golden_ratio_values_take_the_euclid_route(self):
+        golden = (1 + sqrt_int(5)) / 2
+        values = [golden, golden - 1, golden * golden, golden + zeta(5), 3 * golden - zeta(10)]
+        for x in values:
+            assert not (x * x.conj()).is_rational(), x
+            assert _parts(x.inverse()) == _parts(euclid_inverse(x)), x
+            assert x * x.inverse() == 1
+
+    @given(cyclotomics())
+    @settings(max_examples=60, deadline=None)
+    def test_random_values(self, a):
+        if not a.is_zero():
+            assert _parts(a.inverse()) == _parts(euclid_inverse(a))

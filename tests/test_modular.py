@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -117,6 +118,24 @@ class TestStructure:
     def test_rejects_non_cyclotomic_entries(self):
         with pytest.raises(InputError):
             ModularData(s=((1,),), t=(ONE,))
+        md = fib_md()
+        for s, t, message in (
+            (((md.s[0][0], 1), md.s[1]), md.t, "S entries must be cyclotomic scalars"),
+            ((md.s[0], (md.s[1][0], None)), md.t, "S entries must be cyclotomic scalars"),
+            (md.s, (md.t[0], Fraction(1)), "T must be a length-r vector of cyclotomic scalars"),
+        ):
+            with pytest.raises(InputError) as exc:
+                ModularData(s=s, t=t)
+            assert str(exc.value) == message
+
+    def test_conductor_is_the_lcm_of_the_entries(self):
+        for name in corpus.fixture_names():
+            md = corpus.build(name).effective_modular()
+            if md is not None:
+                want = 1
+                for e in (*(e for row in md.s for e in row), *md.t):
+                    want = want * e.conductor // math.gcd(want, e.conductor)
+                assert md.conductor() == want, name
 
     def test_ring_rank_must_match(self):
         ring = corpus.fibonacci().modular.ring
