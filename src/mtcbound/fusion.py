@@ -61,8 +61,10 @@ class FusionRing:
     @classmethod
     def from_table(cls, labels, unit, dual, table) -> "FusionRing":
         """A ring from rows [i, j, k, N] in any order; zero rows are
-        dropped.  A contiguous int64 array in (i, j, k) order is kept as
-        it is, not copied, and made read-only."""
+        dropped.  A contiguous int64 array that owns its data and is
+        already in (i, j, k) order is taken over, not copied: it becomes
+        the ring's table and is made read-only.  A view of another
+        array is copied, so no writeable buffer reaches the table."""
         labels, unit, dual = _checked_header(labels, unit, dual)
         ring = cls.__new__(cls)
         ring._set(labels, unit, dual, table)
@@ -70,6 +72,8 @@ class FusionRing:
 
     def _set(self, labels, unit, dual, table) -> None:
         table, codes = _checked_table(table, len(labels))
+        if table.base is not None:
+            table = table.copy()
         table.flags.writeable = False
         codes.flags.writeable = False
         for name, value in (
@@ -210,7 +214,7 @@ class FusionRing:
             labels=tuple(labels),
             unit=tuple(obj["unit"]),
             dual=tuple(obj["dual"]),
-            table=_json_table(triples, len(labels)),
+            table=_json_table(triples),
         )
 
 
@@ -281,25 +285,12 @@ def _assemble(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.column_stack((keys, values)).astype(np.int64, copy=False)
 
 
-def _json_table(triples: list, r: int) -> np.ndarray:
-    """The table of JSON rows for r labels.  The first bad row or
-    repeated (i, j, k), whichever comes first, is named as a row-by-row
-    read would, before any check of the other fields."""
-    if not (
-        set(map(type, triples)) <= {list}
-        and set(map(len, triples)) <= {4}
-        and set(map(type, chain.from_iterable(triples))) <= {int}
-    ):
-        _scan_rows(triples)
-    table = _table_of(triples)
-    keys = table[:, :3]
-    if len(keys) and (keys.min() < 0 or keys.max() >= r):
-        _scan_rows(triples)  # the key out of range is reported later
-    else:
-        p = _first_repeat(_codes(keys.astype(np.int64), r))
-        if p is not None:
-            raise InputError(f"duplicate fusion triple {tuple(triples[p][:3])}")
-    return table
+def _json_table(triples: list) -> np.ndarray:
+    """The table of JSON rows.  The first bad row or
+    repeated (i, j, k) is named, row by row, before any check of the
+    other fields."""
+    _scan_rows(triples)
+    return _table_of(triples)
 
 
 def _scan_rows(triples: list) -> None:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .cyclotomic import _lcm, cyc_sum, from_angle, sqrt_int
 from .errors import Degenerate, InputError, SizeLimit
-from .fusion import FusionRing
+from .fusion import group_ring
 from .modular import ModularData, PackedMatrix
 from .report import ValidationReport
 
@@ -216,14 +216,6 @@ def _group_law(mg: MetricGroup, among=None, dtype=np.int64) -> np.ndarray:
     return law
 
 
-def _negation(mg: MetricGroup) -> tuple:
-    """dual[a] = index of -a."""
-    neg = np.zeros(mg.size, dtype=np.int64)
-    for digit, order, stride in zip(_coordinates(mg), mg.orders, _strides(mg.orders)):
-        neg += -digit % order * stride
-    return tuple(neg.tolist())
-
-
 def _radical_mask(mg: MetricGroup) -> np.ndarray:
     """Boolean over element indices: b(a, g_u) = 0 for every generator
     g_u, with b(a, g_u) M = (e[a + g_u] - e[a] - e[g_u]) mod M."""
@@ -344,27 +336,15 @@ def validate_metric(mg: MetricGroup) -> ValidationReport:
 def metric_modular_data(mg: MetricGroup) -> ModularData:
     """Pointed modular data; raises Degenerate when the form is degenerate.
 
-    S is gathered from its distinct entries by the pairing exponents,
-    and the fusion table [a, c, a + c, 1] and the dual are read off the
-    group law.
+    S is gathered from its distinct entries by the pairing exponents;
+    the ring is the group ring of the orders, whose elements and labels
+    come in the order of `mg.elements`.
     """
     if np.count_nonzero(_radical_mask(mg)) != 1:
         raise Degenerate("bilinear form has a nonzero radical")
     values, slots = mg._derived(_s_entries)
     s = tuple(tuple(map(values.__getitem__, row)) for row in slots.tolist())
-    n = mg.size
-    labels = tuple(_element_label(a) for a in mg.elements)
-    index = np.arange(n, dtype=np.int64)
-    table = np.stack(
-        (
-            np.repeat(index, n),
-            np.tile(index, n),
-            _group_law(mg).ravel(),
-            np.ones(n * n, dtype=np.int64),
-        ),
-        axis=1,
-    )
-    ring = FusionRing.from_table(labels, (0,), _negation(mg), table)
+    ring = group_ring(mg.orders)
     return ModularData(s=s, t=mg._derived(_twists), unit_index=0, ring=ring)
 
 
@@ -392,14 +372,16 @@ def matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
     ring = md.ring
     if ring is None:
         return True
-    if ring.unit != (0,) or ring.dual != _negation(mg):
+    law = _group_law(mg)
+    # -a is the c with a + c = 0
+    if ring.unit != (0,) or ring.dual != tuple(np.argmax(law == 0, axis=1).tolist()):
         return False
     table = ring.table
     if len(table) != n * n or not (table[:, 3] == 1).all():
         return False
     # n^2 distinct keys, each (a, c, a + c), name every pair (a, c) once
     keys = ring.indices()
-    return bool((_group_law(mg)[keys[:, 0], keys[:, 1]] == keys[:, 2]).all())
+    return bool((law[keys[:, 0], keys[:, 1]] == keys[:, 2]).all())
 
 
 def abelian_double(orders: tuple) -> MetricGroup:

@@ -355,6 +355,16 @@ class TestMappingAdapter:
         with pytest.raises(InputError, match="must be integers"):
             FusionRing.from_table(("1", "x"), (0,), (0, 1), [[0, 0, 0, 1.0]])
 
+    def test_a_view_is_copied_and_an_owning_array_taken_over(self):
+        rows = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]]
+        buffer = np.array(rows, dtype=np.int64).ravel()
+        ring = FusionRing.from_table(("1", "x"), (0,), (0, 1), buffer.reshape(4, 4))
+        buffer[3] = 5
+        assert ring.n(0, 0, 0) == 1 and buffer.flags.writeable
+        owned = np.array(rows, dtype=np.int64)
+        ring = FusionRing.from_table(("1", "x"), (0,), (0, 1), owned)
+        assert ring.table is owned and not owned.flags.writeable
+
 
 class TestExactness:
     def test_associativity_does_not_wrap(self):

@@ -284,7 +284,7 @@ class TestVerdict:
         assert report.candidates == (diag,)
 
     def test_ring_less_data_derives_c_and_ring_once_per_verdict(self, monkeypatch):
-        counts = {"verlinde": 0, "central_charge": 0}
+        counts = {"verlinde_table": 0, "central_charge": 0}
 
         def counting(name, fn):
             def wrapper(md):
@@ -293,7 +293,11 @@ class TestVerdict:
 
             return wrapper
 
-        monkeypatch.setattr(modular, "verlinde", counting("verlinde", modular.verlinde))
+        # every ring derivation (ring_from_verlinde, validate_modular)
+        # runs through verlinde_table
+        monkeypatch.setattr(
+            modular, "verlinde_table", counting("verlinde_table", modular.verlinde_table)
+        )
         monkeypatch.setattr(
             obstruction, "central_charge", counting("central_charge", central_charge)
         )
@@ -302,7 +306,7 @@ class TestVerdict:
         report = verdict(md)
         # the search reads S and T only, so no ring is derived
         assert len(report.candidates) > 1
-        assert counts == {"verlinde": 0, "central_charge": 1}
+        assert counts == {"verlinde_table": 0, "central_charge": 1}
 
     def test_caveat_always_present(self):
         for report in (
