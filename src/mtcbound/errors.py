@@ -28,6 +28,13 @@ class ConductorLimitError(InputError):
     refused as input, like any other malformed document."""
 
 
+class MultiplicityLimitError(InputError):
+    """A fusion multiplicity is above the cap of the float64 FP dimensions.
+
+    Like the conductor cap, it bounds what the program accepts: a ring
+    that needs more is refused as input where FP dimensions are asked."""
+
+
 class NumericError(MtcError):
     """A floating-point fallback could not certify its answer."""
 

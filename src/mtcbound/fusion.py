@@ -35,7 +35,13 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DualMismatch, InputError, NumericError, PerfectnessFailure
+from .errors import (
+    DualMismatch,
+    InputError,
+    MultiplicityLimitError,
+    NumericError,
+    PerfectnessFailure,
+)
 from .report import ValidationReport
 
 DENSE_RANK_CAP = 128
@@ -46,6 +52,11 @@ _FLOAT_EXACT = 2**53
 _INT64_LIMIT = 2**63
 # entries of dense tensor per associativity block
 _BLOCK_ENTRIES = 2**21
+# FP dimensions run in float64: multiplicities up to the cap are exact
+# there and give finite dimensions and global dimensions
+FP_MULTIPLICITY_CAP = 2**53
+# an eigenvalue e counts as real when |Im e| <= _REAL_TOLERANCE (1 + |e|)
+_REAL_TOLERANCE = 1e-10
 
 
 class FusionRing:
@@ -577,14 +588,23 @@ def pairing_symmetry_check(ring: FusionRing) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def fp_dimensions(ring: FusionRing, tolerance: float = 1e-10) -> list[float]:
-    """Largest real eigenvalue of left multiplication, per label."""
+def fp_dimensions(ring: FusionRing) -> list[float]:
+    """Largest real eigenvalue of left multiplication, per label.
+
+    Raises MultiplicityLimitError on a multiplicity above
+    FP_MULTIPLICITY_CAP, naming the first such row."""
+    over = np.flatnonzero(ring.table[:, 3] > FP_MULTIPLICITY_CAP)
+    if len(over):
+        i, j, k, _ = ring.table[over[0]].tolist()
+        raise MultiplicityLimitError(
+            f"multiplicity N[{i},{j},{k}] exceeds cap 2^53 for FP dimensions"
+        )
     dims = []
     for i in range(ring.rank):
         eigs = np.linalg.eigvals(ring.left_matrix(i).astype(np.float64))
         if not np.all(np.isfinite(eigs)):
             raise NumericError(f"eigenvalue computation failed for label {i}")
-        real = [e.real for e in eigs if abs(e.imag) <= tolerance * (1 + abs(e))]
+        real = [e.real for e in eigs if abs(e.imag) <= _REAL_TOLERANCE * (1 + abs(e))]
         if not real:
             raise NumericError(f"no real eigenvalue for label {i}")
         dims.append(max(real))

@@ -19,6 +19,9 @@ int64 when they fit.  S^2 (the dual permutation), the balancing
 identity (ST)^3 = (tau+/D) S^2 and the Verlinde sum all use it, and
 since the power basis is a basis, "is a permutation matrix" and "is a
 non-negative integer" are read off the packed coefficients directly.
+The Verlinde sum is symmetric in i and j, so `verlinde_table` computes
+the pairs i <= j only, as one packed product per block of pairs of at
+most `_BLOCK_ENTRIES` coefficients, and mirrors the rest.
 
 Derived invariants (packed S and S^2, dims, twists, D, the dual
 permutation, the Gauss sums, and through `ModularData._derived` the
@@ -80,6 +83,11 @@ Matrix = tuple  # tuple of tuple of Cyclotomic
 # every sum of them that stays below it; int64 holds |x| < 2^63.
 _FLOAT_EXACT = 2**53
 _INT64_LIMIT = 2**63
+
+# Bound on the coefficients of one Verlinde block, (pairs, r, 2 phi - 1):
+# a rank-12 datum runs as one block, and a block of rank-1,296 pointed
+# data holds about 2 MB of them.
+_BLOCK_ENTRIES = 2**18
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +505,13 @@ def verlinde(md: ModularData) -> dict:
 def verlinde_table(md: ModularData) -> np.ndarray:
     """`verlinde` as fusion-table rows [i, j, k, N], in (i, j, k) order.
 
-    One packed matrix product per i: (S_im S_jm / S_um)_{jm} times
-    conj(S)^T.
+    The sum is symmetric in i and j for any S, so only the pairs i <= j
+    are computed, a block of pairs at a time: the rows S_im S_jm / S_um
+    of the block times conj(S)^T, one packed matrix product per block.
+    Each off-diagonal row is mirrored to (j, i, k), and the rows are
+    sorted once.  The first bad coefficient in (i, j, k) order has
+    i <= j (its mirror would come earlier), and the blocks run in that
+    order, so the error names the same coefficient as a full scan.
     """
     u = md.unit_index
     unit_row = md.s[u]
@@ -508,20 +521,29 @@ def verlinde_table(md: ModularData) -> np.ndarray:
     inverses = _distinct_map(Cyclotomic.inverse, unit_row)
     weighted = s.times(PackedMatrix.pack((inverses,), s.conductor))
     conj_t = s.conj().transpose()
+    r, phi = md.rank, s.nums.shape[2]
+    first, second = np.triu_indices(r)  # the pairs i <= j, row-major
+    step = max(1, _BLOCK_ENTRIES // (r * (2 * phi - 1)))
     keys, values = [], []
-    for i in range(md.rank):
-        row = PackedMatrix(s.conductor, s.nums[i : i + 1], s.den)
-        fused = weighted.times(row) @ conj_t
+    for start in range(0, len(first), step):
+        i, j = first[start : start + step], second[start : start + step]
+        left = PackedMatrix(s.conductor, s.nums[i], s.den)
+        fused = left.times(PackedMatrix(s.conductor, weighted.nums[j], weighted.den)) @ conj_t
         nums, den = fused.nums, fused.den
         value = _int_compatible(nums[:, :, 0], den)
         bad = (nums[:, :, 1:] != 0).any(axis=2) | (value < 0) | (value % den != 0)
         if bad.any():
-            j, k = (int(x) for x in np.argwhere(bad)[0])
-            raise NonIntegralVerlinde(f"N[{i},{j},{k}] = {fused.entry(j, k)}")
-        j, k = np.nonzero(value)  # row-major, so rows come in (i, j, k) order
-        keys.append(np.stack((np.full(len(j), i), j, k), axis=1))
-        values.append(value[j, k] // den)
-    return _assemble(np.concatenate(keys).astype(np.int64), _settle(np.concatenate(values)))
+            p, k = (int(x) for x in np.argwhere(bad)[0])
+            raise NonIntegralVerlinde(f"N[{int(i[p])},{int(j[p])},{k}] = {fused.entry(p, k)}")
+        p, k = np.nonzero(value)
+        keys.append(np.stack((i[p], j[p], k), axis=1))
+        values.append(value[p, k] // den)
+    keys, values = np.concatenate(keys).astype(np.int64), np.concatenate(values)
+    mirror = keys[:, 0] != keys[:, 1]
+    keys = np.concatenate((keys, keys[mirror][:, [1, 0, 2]]))
+    values = np.concatenate((values, values[mirror]))
+    order = np.argsort((keys[:, 0] * r + keys[:, 1]) * r + keys[:, 2])
+    return _assemble(keys[order], _settle(values[order]))
 
 
 def ring_from_verlinde(md: ModularData, labels: tuple | None = None) -> FusionRing:

@@ -283,6 +283,29 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("exponent", [200, 400])
+    def test_huge_multiplicity_exits_2(self, capsys, tmp_path, exponent):
+        # x x = 1 + n x is a valid ring for every n, but its FP dimension
+        # (about n) and global dimension (about n^2) leave float64: 10^400
+        # does not convert, 10^200 squares to infinity
+        n = 10**exponent
+        doc = {
+            "name": "huge",
+            "fusion_ring": {
+                "labels": ["1", "x"],
+                "unit": [0],
+                "dual": [0, 1],
+                "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, n]],
+            },
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 0, out
+        code, out, err = run(capsys, "decompose", "--format", "json", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: multiplicity N[1,1,1] exceeds cap 2^53 for FP dimensions\n"
+
 
 class TestRepeatedCalls:
     """One process, many calls: the parser is built once and reused."""

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from mtcbound.errors import DualMismatch, InputError, PerfectnessFailure
+from mtcbound.errors import DualMismatch, InputError, MultiplicityLimitError, PerfectnessFailure
 from mtcbound.fusion import (
+    FP_MULTIPLICITY_CAP,
     FusionRing,
     direct_sum,
     fp_dimensions,
@@ -155,6 +156,19 @@ def test_fp_dimensions():
     assert fp_dimensions(group_ring((2,))) == [1.0, 1.0]
     d = fp_dimensions(ising_ring())
     assert abs(d[2] - math.sqrt(2)) < 1e-10
+
+
+def test_fp_dimensions_refuse_multiplicities_over_the_cap():
+    # x x = 1 + n x: d_x = (n + sqrt(n^2 + 4)) / 2
+    def ring(n):
+        fusion = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): n}
+        return FusionRing(labels=("1", "x"), unit=(0,), dual=(0, 1), fusion=fusion)
+
+    d = fp_dimensions(ring(FP_MULTIPLICITY_CAP))
+    assert abs(d[1] / FP_MULTIPLICITY_CAP - 1) < 1e-12 and math.isfinite(d[1] ** 2)
+    for n in (FP_MULTIPLICITY_CAP + 1, 2**63, 10**400):
+        with pytest.raises(MultiplicityLimitError, match=r"N\[1,1,1\]"):
+            fp_dimensions(ring(n))
 
 
 def test_fp_dimension_multiplicativity_simple_unit():

@@ -23,6 +23,7 @@ from mtcbound.modular import (
     ring_from_verlinde,
     validate_modular,
     verlinde,
+    verlinde_table,
 )
 
 from mtcbound.pointed import metric_modular_data
@@ -232,10 +233,27 @@ class TestVerlinde:
             md = corpus.build(name).modular
             assert verlinde(md) == md.ring.fusion, name
 
-    def test_fast_and_object_routes_agree(self):
-        # the packed route against the entry-by-entry object sum
+    @staticmethod
+    def block_settings(md) -> dict:
+        """_BLOCK_ENTRIES values: one pair i <= j per block, three blocks
+        for md, and the default."""
+        r, phi = md.rank, md.packed_s().nums.shape[2]
+        pairs = r * (r + 1) // 2
+        return {
+            "one pair": 1,
+            "three blocks": r * (2 * phi - 1) * -(-pairs // 3),
+            "default": modular._BLOCK_ENTRIES,
+        }
+
+    def test_fast_and_object_routes_agree(self, monkeypatch):
+        # the packed route against the entry-by-entry object sum, in
+        # (i, j, k) order, whichever blocks the pairs i <= j run in
         for name, md in oracle_inputs():
-            assert verlinde(md) == object_verlinde(md), name
+            expected = sorted([*key, n] for key, n in object_verlinde(md).items())
+            for setting, entries in self.block_settings(md).items():
+                monkeypatch.setattr(modular, "_BLOCK_ENTRIES", entries)
+                fresh = ModularData(s=md.s, t=md.t, unit_index=md.unit_index)
+                assert verlinde_table(fresh).tolist() == expected, (name, setting)
 
     def test_object_dtype_route_agrees(self, monkeypatch):
         # no float64 products and no int64 storage: every product of the
@@ -266,6 +284,41 @@ class TestVerlinde:
         )
         with pytest.raises(NonIntegralVerlinde):
             verlinde(ModularData(s=flipped, t=toric_md().t))
+
+    def test_error_names_the_oracle_coefficient_in_every_block_setting(self, monkeypatch):
+        # D S D with D = diag(+-1), unit sign +1, stays unitary and
+        # multiplies N_ij^k by D_i D_j D_k, so some coefficients turn -1
+        rng = random.Random(23)
+        raised = 0
+        inputs = [
+            (name, corpus.build(name).modular)
+            for name in ("toric_code", "d_z3", "double_of_double_semion")
+        ]
+        inputs.append(("toric_code x ising", box_tensor(toric_md(), ising_md())))
+        for name, md in inputs:
+            r, u = md.rank, md.unit_index
+            for _ in range(4):
+                signs = [rng.choice((1, -1)) for _ in range(r)]
+                signs[u] = 1
+                s = tuple(
+                    tuple(md.s[i][j] * (signs[i] * signs[j]) for j in range(r))
+                    for i in range(r)
+                )
+                flipped = ModularData(s=s, t=md.t, unit_index=u)
+                try:
+                    expected = object_verlinde(flipped)
+                except NonIntegralVerlinde as exc:
+                    expected = str(exc)
+                    raised += 1
+                for setting, entries in self.block_settings(flipped).items():
+                    monkeypatch.setattr(modular, "_BLOCK_ENTRIES", entries)
+                    fresh = ModularData(s=s, t=md.t, unit_index=u)
+                    try:
+                        got = verlinde(fresh)
+                    except NonIntegralVerlinde as exc:
+                        got = str(exc)
+                    assert got == expected, (name, signs, setting)
+        assert raised >= 8
 
     def test_ring_from_verlinde_gets_dual_from_s_squared(self):
         ring = ring_from_verlinde(fib_md(), labels=("1", "tau"))
