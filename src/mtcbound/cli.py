@@ -4,7 +4,7 @@ Subcommands: validate, verdict, double, decompose, fixtures.  All
 output is deterministic; JSON mode prints a single sorted-keys
 document.  Exit code 0 means the run completed (whatever the verdict
 was), 1 means an axiom check failed, 2 covers missing or malformed
-input, 3 means the search budget ran out.
+input and input above a size cap, 3 means the search budget ran out.
 """
 
 from __future__ import annotations

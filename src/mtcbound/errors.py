@@ -73,8 +73,8 @@ class Degenerate(MtcError):
     """The bilinear form of a metric group has a nonzero radical."""
 
 
-class SizeLimit(MtcError):
-    """An enumeration was refused because the input exceeds a hard size cap."""
+class SizeLimit(InputError):
+    """An input above a hard size cap of an enumeration, refused as input (exit 2)."""
 
 
 class SearchBudgetExceeded(MtcError):

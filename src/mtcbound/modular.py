@@ -31,23 +31,23 @@ central charge and the Verlinde ring) are computed at most once per
 
 Scalar work runs once per distinct value, not once per label or entry.
 Modular data repeats few values: a pointed S has one per pairing
-exponent, all of its dims are 1, and its twists take at most M values.
-Two values are the same when their normalised (conductor, nums, den)
-agree.  `_distinct_map` applies a `Cyclotomic` function once per
-distinct value of a tuple (dims, twists, the inverses of the unit row,
-the JSON form of S and T), and `_distinct` lists the distinct values of
+exponent, and the rank-144 double of toric code x Ising has 7.  Two
+values are the same when their normalised (conductor, nums, den) agree.
+S is held once, as a `FactoredMatrix`: the distinct entries, each with
+its own conductor, and an integer slot array.  `reverse` conjugates the
+entries, `box_tensor` multiplies each pair of them once and gathers by
+the Kronecker of the slots, and packed S is a gather too.
+`_distinct_map` applies a `Cyclotomic` function once per distinct value
+of a tuple (dims, twists, the inverses of the unit row, the JSON form
+of the S entries and T), and `_distinct` lists the distinct values of
 one or more tuples with the first label and the multiplicity of each.
 So there is one Gauss sum, tau+- = sum over the distinct (d, theta) of
 multiplicity * d^2 theta^(+-1), cached per datum by `_gauss_sum`;
 `central_charge`, `gauss_sums` and the balancing and Gauss-identity
-checks of `validate_modular` all read it.  The positivity of the dims
-and the root-of-unity test of the twists run on distinct values too,
-and a failure is reported at the first label that carries the value.
-`PackedMatrix.pack` embeds each distinct entry once, and
+checks of `validate_modular` all read it.  The dims' positivity and the
+twists' root-of-unity test run on distinct values too, and a failure is
+reported at the first label that carries the value.
 `ModularData.from_json_dict` parses each distinct scalar object once.
-A construction that makes S by gathering distinct entries (pointed
-data) leaves the packed entries and the slot index on the datum, and
-`packed_s` gathers from them with no per-entry work.
 """
 
 from __future__ import annotations
@@ -80,8 +80,6 @@ from .errors import (
 )
 from .fusion import FusionRing, _assemble, first_difference, ring_product
 from .report import ValidationReport
-
-Matrix = tuple  # tuple of tuple of Cyclotomic
 
 # Integers of absolute value below 2^53 are exact in float64, and so is
 # every sum of them that stays below it; int64 holds |x| < 2^63.
@@ -251,34 +249,9 @@ class PackedMatrix:
 
     @staticmethod
     def pack(rows, conductor: int | None = None) -> "PackedMatrix":
-        """Pack rows of Cyclotomic scalars over Q(zeta_conductor); the
-        default conductor is the lcm of the entries' conductors.
-
-        Each distinct (conductor, nums, den) entry is embedded and scaled
-        to the common denominator once, into one row of a table; the
-        matrix is that table gathered by a numpy index array.  Matrices
-        over a cyclotomic field repeat few values (a pointed S has at
-        most one per pairing exponent), so the Python work grows with
-        the distinct values and only the gather with the entry count.
-        """
-        slots: dict = {}
-        index = [
-            [slots.setdefault((e.conductor, e.nums, e.den), len(slots)) for e in row]
-            for row in rows
-        ]
-        if conductor is None:
-            conductor = 1
-            for n, _, _ in slots:
-                conductor = _lcm(conductor, n)
-        den = 1
-        for _, _, d in slots:
-            den = _lcm(den, d)
-        table = [
-            [v * (den // d) for v in _embed_nums(nums, n, conductor)]
-            for n, nums, d in slots
-        ]
-        table = _settle(np.array(table, dtype=object))
-        return PackedMatrix(conductor, table[np.array(index, dtype=np.intp)], den)
+        """Pack rows of Cyclotomic scalars over Q(zeta_conductor), by
+        default the lcm of the entries' conductors: factored, then gathered."""
+        return FactoredMatrix.of(rows).packed(conductor)
 
     def entry(self, i: int, j: int) -> Cyclotomic:
         return Cyclotomic(self.conductor, tuple(int(v) for v in self.nums[i, j]), self.den)
@@ -321,22 +294,96 @@ class PackedMatrix:
         return (_scaled(a, other.den) == _scaled(b, self.den)).all(axis=-1)
 
 
+class FactoredMatrix:
+    """Entry (i, j) is entries[slots[i, j]]: each normalised (conductor, nums,
+    den) once, in row-major order of first appearance, and a read-only
+    integer slot array.  Rows read back as tuples; equality is in value."""
+
+    __slots__ = ("entries", "slots", "_packed")
+
+    def __init__(self, entries: tuple, slots: np.ndarray):
+        slots.flags.writeable = False
+        self.entries = entries
+        self.slots = slots
+        self._packed = None
+
+    @staticmethod
+    def gathered(value, index: np.ndarray) -> "FactoredMatrix":
+        """Entry (i, j) = value(index[i, j]): value runs once per distinct
+        index, in row-major order of first use; equal values share a slot."""
+        used, first, inverse = np.unique(index.ravel(), return_index=True, return_inverse=True)
+        keys: dict = {}
+        slot = np.empty(len(used), dtype=np.intp)
+        for u in np.argsort(first).tolist():
+            e = value(int(used[u]))
+            slot[u] = keys.setdefault((e.conductor, e.nums, e.den), (len(keys), e))[0]
+        slots = slot[inverse].reshape(index.shape).astype(np.min_scalar_type(len(keys)))
+        return FactoredMatrix(tuple(e for _, e in keys.values()), slots)
+
+    @staticmethod
+    def of(rows) -> "FactoredMatrix":
+        """Factor rows of Cyclotomic scalars of one length."""
+        keys: dict = {}
+        index = [
+            [keys.setdefault((e.conductor, e.nums, e.den), (len(keys), e))[0] for e in row]
+            for row in rows
+        ]
+        slots = np.array(index, dtype=np.min_scalar_type(len(keys)))
+        return FactoredMatrix(tuple(e for _, e in keys.values()), slots)
+
+    def packed(self, conductor: int | None = None) -> PackedMatrix:
+        """`PackedMatrix.pack`: a table of the embedded entries gathered by the
+        slots.  The packing over the entries' lcm conductor is kept."""
+        if conductor is None:
+            if self._packed is None:
+                self._packed = self.packed(math.lcm(*(e.conductor for e in self.entries)))
+            return self._packed
+        den = math.lcm(*(e.den for e in self.entries))
+        table = [
+            [v * (den // e.den) for v in _embed_nums(e.nums, e.conductor, conductor)]
+            for e in self.entries
+        ]
+        return PackedMatrix(conductor, _settle(np.array(table, dtype=object))[self.slots], den)
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __getitem__(self, i) -> tuple:
+        return tuple(map(self.entries.__getitem__, self.slots[i].tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, FactoredMatrix):
+            return NotImplemented
+        if self.slots.shape != other.slots.shape:
+            return False
+        width = len(other.entries)
+        pairs = np.unique(self.slots.astype(np.intp) * width + other.slots).tolist()
+        return all(self.entries[p // width] == other.entries[p % width] for p in pairs)
+
+    def __repr__(self) -> str:
+        return f"FactoredMatrix(entries={self.entries!r}, slots={self.slots.tolist()!r})"
+
+
 @dataclass(frozen=True)
 class ModularData:
-    s: Matrix
+    s: FactoredMatrix  # rows given here are checked and factored once
     t: tuple
     unit_index: int = 0
     ring: FusionRing | None = None
 
     def __post_init__(self):
-        r = len(self.s)
-        if r == 0:
-            raise InputError("empty S matrix")
-        s = tuple(tuple(row) for row in self.s)
-        if any(len(row) != r for row in s):
-            raise InputError("S must be square")
-        if not _all_cyclotomic(chain.from_iterable(s)):
-            raise InputError("S entries must be cyclotomic scalars")
+        s = self.s
+        if not isinstance(s, FactoredMatrix):
+            r = len(s)
+            if r == 0:
+                raise InputError("empty S matrix")
+            s = tuple(tuple(row) for row in s)
+            if any(len(row) != r for row in s):
+                raise InputError("S must be square")
+            if not _all_cyclotomic(chain.from_iterable(s)):
+                raise InputError("S entries must be cyclotomic scalars")
+            s = FactoredMatrix.of(s)
+        r = len(s)
         t = tuple(self.t)
         if len(t) != r or not _all_cyclotomic(t):
             raise InputError("T must be a length-r vector of cyclotomic scalars")
@@ -368,21 +415,11 @@ class ModularData:
 
     @property
     def s_unit(self) -> Cyclotomic:
-        return self.s[self.unit_index][self.unit_index]
+        return self.s.entries[self.s.slots[self.unit_index, self.unit_index]]
 
     def packed_s(self) -> PackedMatrix:
-        """S packed over the conductor of its own entries: gathered from
-        the slot table its construction left (`_leave_s_slots`), else packed
-        entry by entry."""
-        return self._derived("packed_s", _packed_s)
-
-    def _leave_s_slots(self, table: PackedMatrix, slots: np.ndarray) -> None:
-        """Record S[i][j] = table entry (0, slots[i, j]), for a
-        construction that made S by that gather; `packed_s` gathers
-        from it on first use instead of scanning the r^2 entries.  table
-        holds each distinct entry of S once, packed over their lcm
-        conductor."""
-        self._cache["s_slots"] = (table, slots)
+        """S packed over the conductor of its own entries."""
+        return self.s.packed()
 
     def packed_s_squared(self) -> PackedMatrix:
         return self._derived("packed_s2", lambda md: md.packed_s() @ md.packed_s())
@@ -418,14 +455,13 @@ class ModularData:
 
     def to_json_dict(self) -> dict:
         """The JSON form; entries equal in value share one scalar object."""
-        r = self.rank
-        scalars = _distinct_map(Cyclotomic.to_json_dict, chain(*self.s, self.t))
+        scalars = _distinct_map(Cyclotomic.to_json_dict, chain(self.s.entries, self.t))
         return {
             "ring": self.ring.to_json_dict() if self.ring is not None else None,
             "unit": self.unit_index,
             "conductor": self.conductor(),
-            "S": [list(scalars[i : i + r]) for i in range(0, r * r, r)],
-            "T": list(scalars[r * r :]),
+            "S": [list(map(scalars.__getitem__, row)) for row in self.s.slots.tolist()],
+            "T": list(scalars[len(self.s.entries) :]),
         }
 
     @staticmethod
@@ -456,16 +492,9 @@ def _all_cyclotomic(values) -> bool:
     return all(issubclass(kind, Cyclotomic) for kind in set(map(type, values)))
 
 
-def _packed_s(md: ModularData) -> PackedMatrix:
-    if "s_slots" not in md._cache:
-        return PackedMatrix.pack(md.s)
-    table, slots = md._cache["s_slots"]
-    return PackedMatrix(table.conductor, table.nums[0][slots], table.den)
-
-
 def _conductor(md: ModularData) -> int:
     """lcm of the entry conductors."""
-    return math.lcm(*{e.conductor for e in chain(chain.from_iterable(md.s), md.t)})
+    return math.lcm(*{e.conductor for e in chain(md.s.entries, md.t)})
 
 
 def _scalar_parser():
@@ -679,19 +708,20 @@ def central_charge_float_oracle(md: ModularData) -> float:
 
 
 def reverse(md: ModularData) -> ModularData:
-    """Mirror braiding: S and T entrywise conjugated, same ring."""
-    s = tuple(tuple(e.conj() for e in row) for row in md.s)
+    """Mirror braiding: S and T entrywise conjugated (S keeps its slots), same ring."""
+    s = FactoredMatrix(tuple(e.conj() for e in md.s.entries), md.s.slots)
     t = tuple(e.conj() for e in md.t)
     return ModularData(s=s, t=t, unit_index=md.unit_index, ring=md.ring)
 
 
 def box_tensor(a: ModularData, b: ModularData) -> ModularData:
-    """Deligne-product data: Kronecker S, entrywise product T."""
-    rb = b.rank
-    s = tuple(
-        tuple(a.s[i][j] * b.s[x][y] for j in range(a.rank) for y in range(rb))
-        for i in range(a.rank)
-        for x in range(rb)
+    """Deligne-product data: Kronecker S, entrywise product T.  S is one
+    product per pair of distinct entries, gathered by the Kronecker slots."""
+    rb, ea, eb = b.rank, a.s.entries, b.s.entries
+    # in intp: narrow slots would wrap, e.g. uint8 at 17 * 16 + 16 > 255
+    pairs = a.s.slots.astype(np.intp)[:, None, :, None] * len(eb) + b.s.slots[None, :, None, :]
+    s = FactoredMatrix.gathered(
+        lambda p: ea[p // len(eb)] * eb[p % len(eb)], pairs.reshape(a.rank * rb, -1)
     )
     t = tuple(a.t[i] * b.t[x] for i in range(a.rank) for x in range(rb))
     ring = None

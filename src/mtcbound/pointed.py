@@ -24,16 +24,15 @@ pairing b(a, c) = K[a, c]/M of `MetricGroup.bilinear` on every pair,
 quadratic q or not, and S[a, c] = e^(-2 pi i K[a, c]/M)/sqrt(|A|) is
 one `Cyclotomic` per distinct exponent, gathered by K, so the scalar
 work grows with the number of distinct pairing values (at most M), not
-with |A|^2.  Those distinct entries are also packed once, as one row;
-`metric_modular_data` leaves that row and the slot index on the datum,
-whose `packed_s` gathers from them on first use instead of scanning
-the |A|^2 entries, and the hint check `matches_modular_data` compares
-given data with the same gather, without building a second
-`ModularData`.  The radical and `validate_metric` read e and the
-coordinates only.  The Lagrangian enumeration adds one int16 table of
-sums among the isotropic elements and runs one order at a time: all
-isotropic subgroups of one order are one array, deduplicated by a
-lexicographic sort and extended together in chunks of bounded size.
+with |A|^2.  That S is a `FactoredMatrix`, the form in which every
+`ModularData` holds S: `metric_modular_data` puts it on the datum as it
+is, and the hint check `matches_modular_data` compares given data with
+its packed gather, without building a second `ModularData`.  The
+radical and `validate_metric` read e and the coordinates only.  The
+Lagrangian enumeration adds one int16 table of sums among the isotropic
+elements and runs one order at a time: all isotropic subgroups of one
+order are one array, deduplicated by a lexicographic sort and extended
+together in chunks of bounded size.
 The Milgram sum is one integer product of the q-exponent histogram
 with the power-basis rows of the roots of unity it counts.
 """
@@ -50,7 +49,7 @@ import numpy as np
 from .cyclotomic import Cyclotomic, _lcm, _power_row, from_angle, sqrt_int
 from .errors import Degenerate, InputError, SizeLimit
 from .fusion import group_ring
-from .modular import ModularData, PackedMatrix
+from .modular import FactoredMatrix, ModularData
 from .report import ValidationReport
 
 # |A| <= 4096 < 2^15 also lets positions among the isotropic elements
@@ -73,7 +72,7 @@ class MetricGroup:
 
     def __post_init__(self):
         orders = tuple(self.orders)
-        if any(not isinstance(n, int) or n < 1 for n in orders):
+        if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in orders):
             raise InputError("orders must be positive integers")
         if len(self.q) != math.prod(orders):
             # Name the first missing element, as the full scan below
@@ -176,7 +175,7 @@ class MetricGroup:
 
 # ---------------------------------------------------------------------------
 # integer tables over element indices; `MetricGroup._derived` keeps
-# the exponents, the twists and the S entries
+# the exponents, the twists and S
 # ---------------------------------------------------------------------------
 
 
@@ -241,27 +240,14 @@ def _radical_mask(mg: MetricGroup) -> np.ndarray:
     return mask
 
 
-def _s_entries(mg: MetricGroup) -> tuple[list, np.ndarray, PackedMatrix]:
-    """(values, slots, table): S[a, c] = values[slots[a, c]], and table
-    is values packed as one row.
-
-    One value e^(-2 pi i k/M) / sqrt(|A|) per distinct exponent k of
-    K[a, c] = (e[a + c] - e[a] - e[c]) mod M, and slots is K with each
-    exponent replaced by its place among the distinct ones.
-    """
-    n = mg.size
+def _s_entries(mg: MetricGroup) -> FactoredMatrix:
+    """S: one e^(-2 pi i k/M) / sqrt(|A|) per distinct k in K[a, c] =
+    (e[a + c] - e[a] - e[c]) mod M, made in row-major order of first
+    use, so a conductor error names the entry a row-major build would."""
     e, m = mg._derived(_exponents)
     k = (e[_group_law(mg)] - e[:, None] - e[None, :]) % m
-    inv_sqrt = sqrt_int(n).inverse()
-    distinct, first, slots = np.unique(k.ravel(), return_index=True, return_inverse=True)
-    values = [None] * len(distinct)
-    # in order of first appearance, so a conductor error names the same
-    # entry as a row-major build would
-    for slot in np.argsort(first).tolist():
-        values[slot] = from_angle(Fraction(-int(distinct[slot]), m)) * inv_sqrt
-    # kept per group, so in the narrowest dtype that indexes the values
-    slots = slots.reshape(n, n).astype(np.min_scalar_type(len(values)))
-    return values, slots, PackedMatrix.pack([values])
+    inv_sqrt = sqrt_int(mg.size).inverse()
+    return FactoredMatrix.gathered(lambda x: from_angle(Fraction(-x, m)) * inv_sqrt, k)
 
 
 def _twists(mg: MetricGroup) -> tuple:
@@ -355,31 +341,25 @@ def metric_modular_data(mg: MetricGroup) -> ModularData:
     """
     if np.count_nonzero(_radical_mask(mg)) != 1:
         raise Degenerate("bilinear form has a nonzero radical")
-    values, slots, table = mg._derived(_s_entries)
-    s = tuple(tuple(map(values.__getitem__, row)) for row in slots.tolist())
     ring = group_ring(mg.orders)
-    md = ModularData(s=s, t=mg._derived(_twists), unit_index=0, ring=ring)
-    md._leave_s_slots(table, slots)
-    return md
+    return ModularData(s=mg._derived(_s_entries), t=mg._derived(_twists), ring=ring)
 
 
 def matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
     """Does md equal the data regenerated from mg (labels aside)?
 
     Compared with mg's tables, without building that data: packed S
-    against the distinct entries gathered by the pairing exponents, T
-    entry by entry, and the ring against the group law (every fusion
-    row is [a, c, a + c, 1], the dual is a -> -a, the unit is 0).
+    against the gather of mg's factored S, T entry by entry, and the
+    ring against the group law (every fusion row is [a, c, a + c, 1],
+    the dual is a -> -a, the unit is 0).
     """
     if np.count_nonzero(_radical_mask(mg)) != 1:
         return False
-    _, slots, table = mg._derived(_s_entries)
     twists = mg._derived(_twists)
     n = mg.size
     if md.rank != n or md.unit_index != 0:
         return False
-    s = PackedMatrix(table.conductor, table.nums[0][slots], table.den)
-    if not s.entries_equal(md.packed_s()).all():
+    if not mg._derived(_s_entries).packed().entries_equal(md.packed_s()).all():
         return False
     if md.t != twists:
         return False

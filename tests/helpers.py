@@ -35,7 +35,7 @@ from mtcbound.errors import (
     SearchBudgetExceeded,
     SizeLimit,
 )
-from mtcbound.fusion import FusionRing
+from mtcbound.fusion import FusionRing, ring_product
 from mtcbound.modular import ModularData, PackedMatrix, _balancing_sides, _settle
 from mtcbound.multifusion import BlockDecomposition
 from mtcbound.obstruction import central_charge_gate, search_budget
@@ -407,6 +407,90 @@ def per_entry_pack(rows, conductor: int | None = None) -> PackedMatrix:
     ]
     return PackedMatrix(conductor, _settle(np.array(nums, dtype=object)), den)
 
+
+
+def row_pack(rows, conductor: int | None = None) -> PackedMatrix:
+    """`PackedMatrix.pack` as it was before S was held factored: one
+    dictionary slot per distinct (conductor, nums, den), looked up entry
+    by entry, and the embedded table gathered by the nested index."""
+    slots: dict = {}
+    index = [
+        [slots.setdefault((e.conductor, e.nums, e.den), len(slots)) for e in row]
+        for row in rows
+    ]
+    if conductor is None:
+        conductor = 1
+        for n, _, _ in slots:
+            conductor = _lcm(conductor, n)
+    den = 1
+    for _, _, d in slots:
+        den = _lcm(den, d)
+    table = [
+        [v * (den // d) for v in _embed_nums(nums, n, conductor)]
+        for n, nums, d in slots
+    ]
+    table = _settle(np.array(table, dtype=object))
+    return PackedMatrix(conductor, table[np.array(index, dtype=np.intp)], den)
+
+
+# ---------------------------------------------------------------------------
+# entry-by-entry reference routes for the constructions
+# ---------------------------------------------------------------------------
+
+
+def per_entry_reverse(md: ModularData) -> ModularData:
+    """`reverse` with every entry of S conjugated on its own."""
+    s = tuple(tuple(e.conj() for e in row) for row in md.s)
+    t = tuple(e.conj() for e in md.t)
+    return ModularData(s=s, t=t, unit_index=md.unit_index, ring=md.ring)
+
+
+def per_entry_box_tensor(a: ModularData, b: ModularData) -> ModularData:
+    """`box_tensor` entry by entry: S[(i, x), (j, y)] = S_a[i][j] S_b[x][y]
+    for every entry, indexed by the labels.  The scalar products are
+    memoised on the operands' (conductor, nums, den), so a rank-289 S
+    costs seconds less; which operands meet at an entry is still read
+    off the rows, not off slots."""
+    a_rows, b_rows = tuple(a.s), tuple(b.s)
+    rb = b.rank
+    products: dict = {}
+
+    def times(x: Cyclotomic, y: Cyclotomic) -> Cyclotomic:
+        pair = ((x.conductor, x.nums, x.den), (y.conductor, y.nums, y.den))
+        if pair not in products:
+            products[pair] = x * y
+        return products[pair]
+
+    s = tuple(
+        tuple(times(a_rows[i][j], b_rows[x][y]) for j in range(a.rank) for y in range(rb))
+        for i in range(a.rank)
+        for x in range(rb)
+    )
+    t = tuple(a.t[i] * b.t[x] for i in range(a.rank) for x in range(rb))
+    ring = None
+    if a.ring is not None and b.ring is not None:
+        ring = ring_product(a.ring, b.ring)
+    return ModularData(s=s, t=t, unit_index=a.unit_index * rb + b.unit_index, ring=ring)
+
+
+def relabelled(md: ModularData, perm: list) -> ModularData:
+    """The same data with new label k standing for old label perm[k]."""
+    inv = [0] * len(perm)
+    for k, old in enumerate(perm):
+        inv[old] = k
+    rows = tuple(md.s)
+    s = tuple(tuple(rows[a][b] for b in perm) for a in perm)
+    t = tuple(md.t[a] for a in perm)
+    ring = None
+    if md.ring is not None:
+        old = md.ring
+        ring = FusionRing(
+            labels=tuple(old.labels[a] for a in perm),
+            unit=tuple(inv[u] for u in old.unit),
+            dual=tuple(inv[old.dual[a]] for a in perm),
+            fusion={(inv[i], inv[j], inv[k]): v for (i, j, k), v in old.fusion.items()},
+        )
+    return ModularData(s=s, t=t, unit_index=inv[md.unit_index], ring=ring)
 
 
 def object_matmul(a, b):

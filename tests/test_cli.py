@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mtcbound import corpus, modular
+from mtcbound import corpus, modular, pointed
 from mtcbound.cli import build_parser, main
 from mtcbound.cyclotomic import CONDUCTOR_CAP, Cyclotomic
 from mtcbound.errors import MtcError
@@ -129,6 +133,20 @@ class TestValidate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "q is missing element (0, 1)" in err
 
+    def test_boolean_orders_exit_2(self, capsys, tmp_path):
+        # True is an int to isinstance; as an order it once loaded as 1
+        # and was written back as true
+        doc = {
+            "name": "bool-orders",
+            "metric_group": {"orders": [True, 2], "q": {"0,0": "0", "0,1": "1/4"}},
+        }
+        bad = tmp_path / "bool_orders.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "orders" in err
+
     def test_malformed_field_sweep_exits_2(self, capsys, tmp_path, fixture_dir):
         bad = tmp_path / "sweep.json"
         for name, path, value, text in malformed_field_sweep(fixture_dir):
@@ -192,6 +210,14 @@ class TestVerdict:
         assert code == 0
         assert "ExactBoundaries" in out
         assert out.count("subgroup:") == 2
+
+    def test_pointed_above_the_size_cap_exits_2(self, capsys, fixture_dir, monkeypatch):
+        # a refused enumeration is refused input, not a failed axiom check
+        monkeypatch.setattr(pointed, "SUBGROUP_SIZE_CAP", 2)
+        code, out, err = run(capsys, "verdict", "--pointed", str(fixture_dir / "toric_code.json"))
+        assert code == 2 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "cap 2" in err
 
     def test_pointed_flag_without_metric_section(self, capsys, fixture_dir):
         code, _, err = run(
@@ -362,6 +388,105 @@ class TestFixturesCommand:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "fixtures", "--format", "json")
         assert json.loads(out)["fixtures"] == corpus.fixture_names()
+
+
+def _mutate(obj: dict, mutation: tuple, other_ring) -> None:
+    """Apply one mutation to the modular section of a fixture document."""
+    md = obj["modular_data"]
+    kind, i, j, value = mutation
+    s, t = md["S"], md["T"]
+    if kind == "drop_entry" and s and s[i % len(s)]:
+        s[i % len(s)].pop(j % len(s[i % len(s)]))
+    elif kind == "drop_row" and s:
+        s.pop(i % len(s))
+    elif kind == "extra_row" and s:
+        s.append(list(s[i % len(s)]))
+    elif kind == "scalar" and s and s[i % len(s)]:
+        s[i % len(s)][j % len(s[i % len(s)])] = value
+    elif kind == "conductor":
+        target = [e for row in s for e in row if isinstance(e, dict)] + t
+        if target and isinstance(target[i % len(target)], dict):
+            target[i % len(target)]["N"] = value
+    elif kind == "coefficients":
+        target = [e for row in s for e in row if isinstance(e, dict)] + t
+        if target and isinstance(target[i % len(target)], dict):
+            c = target[i % len(target)]["c"]
+            if j % 2 and isinstance(c, list) and c:
+                c.pop()
+            elif isinstance(c, list):
+                c.append(["0", "1"])
+    elif kind == "short_t" and t:
+        t.pop()
+    elif kind == "swap_t" and t:  # well formed, so usually a failed check
+        a, b = i % len(t), j % len(t)
+        t[a], t[b] = t[b], t[a]
+    elif kind == "unit":
+        md["unit"] = value
+    elif kind == "ring":
+        md["ring"] = other_ring
+
+
+MUTATIONS = st.one_of(
+    st.tuples(
+        st.sampled_from(
+            ("drop_entry", "drop_row", "extra_row", "coefficients", "short_t", "swap_t", "ring")
+        ),
+        st.integers(0, 80),
+        st.integers(0, 80),
+        st.none(),
+    ),
+    st.tuples(
+        st.just("scalar"),
+        st.integers(0, 80),
+        st.integers(0, 80),
+        st.sampled_from((1, 0.5, "x", None, [], [1, 2], True, {"N": 1}, {"c": []})),
+    ),
+    st.tuples(
+        st.just("conductor"),
+        st.integers(0, 80),
+        st.integers(0, 80),
+        st.sampled_from((0, -1, -12, 10**7, 10**30, True, 2.0, "3", None)),
+    ),
+    st.tuples(
+        st.just("unit"),
+        st.integers(0, 80),
+        st.integers(0, 80),
+        st.sampled_from((True, False, 1.0, 0.5, -1, 1, 3, 9, 10**20, "0", None)),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    corpus.write_all(directory)
+    return directory
+
+
+class TestModularSectionFuzz:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(("toric_code", "ising", "fibonacci", "d_z3", "double_ising")),
+        mutations=st.lists(MUTATIONS, min_size=1, max_size=3),
+    )
+    def test_mutated_modular_sections_exit_cleanly(self, fuzz_dir, name, mutations):
+        # every document either exits 2 with one error line or runs to a
+        # verdict on its checks (0 or 1) with nothing on stderr
+        obj = json.loads((fuzz_dir / f"{name}.json").read_text())
+        other = "fibonacci" if name != "fibonacci" else "ising"
+        other_ring = json.loads((fuzz_dir / f"{other}.json").read_text())["modular_data"]["ring"]
+        for mutation in mutations:
+            _mutate(obj, mutation, other_ring)
+        path = fuzz_dir / "mutated.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", str(path)])
+        err = err.getvalue()
+        if code == 2:
+            assert err.startswith("error:") and err.count("\n") == 1, (mutations, err)
+        else:
+            assert code in (0, 1) and not err, (mutations, code, err)
 
 
 def test_console_entry_point_runs():

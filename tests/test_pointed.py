@@ -366,7 +366,6 @@ class TestPackedSFromSlots:
         charges = set()
         for mg in groups:
             md = metric_modular_data(mg)
-            assert "s_slots" in md._cache, mg.orders
             packed, expected = md.packed_s(), PackedMatrix.pack(md.s)
             assert (packed.conductor, packed.den) == (expected.conductor, expected.den), mg.orders
             assert packed.nums.dtype == expected.nums.dtype, mg.orders
