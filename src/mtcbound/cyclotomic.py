@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 
 from .errors import (
     ConductorLimitError,
@@ -30,6 +31,8 @@ from .errors import (
 
 CONDUCTOR_CAP = 10**6
 TABLE_PHI_CAP = 2048
+# roots of unity of larger order are not scanned one power at a time
+ROOT_SCAN_CAP = 10**5
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (index = power, trailing entry nonzero)
@@ -520,7 +523,9 @@ class Cyclotomic:
 
         Sound and complete: the only roots of unity in Q(zeta_N) form the
         cyclic group of order lcm(2, N), so a full scan settles membership.
-        A float-guided fast path avoids the scan in the common case.
+        A guess of the exponent from a float64 evaluation, checked
+        exactly with its two neighbours, avoids the scan in the common
+        case; a wrong or non-finite guess only costs the scan.
         """
         if self.is_zero():
             return None
@@ -530,9 +535,6 @@ class Cyclotomic:
                 return (0, 1)
             if r == -1:
                 return (1, 2)
-            return None
-        one = Cyclotomic.from_rational(1)
-        if self * self.conj() != one:
             return None
         m = _lcm(2, self.conductor)
         target = self.embed(m)
@@ -544,13 +546,17 @@ class Cyclotomic:
             g = math.gcd(j, m)
             return (j // g, m // g)
 
-        # fast path: guess the exponent from the float argument
-        val = self.approx()
-        guess = round(math.atan2(val.imag, val.real) * m / (2 * math.pi))
-        for j in (guess, guess + 1, guess - 1):
-            if target == zeta(m, j % m):
-                return packaged(j)
-        if m > 10**5:
+        # fast path: guess the exponent from a float64 evaluation; only
+        # the exact comparison decides
+        guess = _exponent_guess(self, m)
+        if guess is not None:
+            for j in (guess, guess + 1, guess - 1):
+                if target == zeta(m, j % m):
+                    return packaged(j)
+        one = Cyclotomic.from_rational(1)
+        if self * self.conj() != one:
+            return None
+        if m > ROOT_SCAN_CAP:
             raise NumericError(f"root-of-unity scan refused for order {m}")
         w = one
         zm = zeta(m, 1)
@@ -627,6 +633,27 @@ class Cyclotomic:
         return out or "0"
 
 
+@lru_cache(maxsize=None)
+def _unit_powers(n: int) -> np.ndarray:
+    """zeta_n^k for k < phi(n), as complex float64."""
+    return np.exp(2j * np.pi * np.arange(euler_phi(n)) / n)
+
+
+def _exponent_guess(x: Cyclotomic, m: int) -> int | None:
+    """round(m arg(x) / 2 pi) from a float64 evaluation of x, or None
+    when the evaluation is not finite.  The positive denominator does
+    not change the argument, so only the coefficients are evaluated."""
+    try:
+        nums = np.array(x.nums, dtype=np.float64)
+    except OverflowError:
+        return None
+    with np.errstate(all="ignore"):
+        value = complex(nums @ _unit_powers(x.conductor))
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        return None
+    return round(math.atan2(value.imag, value.real) * m / (2 * math.pi))
+
+
 # ---------------------------------------------------------------------------
 # module-level constructors and helpers
 # ---------------------------------------------------------------------------
@@ -677,8 +704,10 @@ def cyc_prod(values) -> Cyclotomic:
     return total
 
 
+@lru_cache(maxsize=None)
 def sqrt_int(n: int) -> Cyclotomic:
-    """Exact positive square root of a non-negative integer.
+    """Exact positive square root of a non-negative integer, built once
+    per n.
 
     Uses quadratic Gauss sums: sqrt(2) = z8 + z8^-1, sqrt(p) = g_p for
     p = 1 mod 4 and -i g_p for p = 3 mod 4, where g_p = sum_a zeta_p^(a^2).

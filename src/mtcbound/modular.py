@@ -33,16 +33,23 @@ Scalar work runs once per distinct value, not once per label or entry.
 Modular data repeats few values: a pointed S has one per pairing
 exponent, and the rank-144 double of toric code x Ising has 7.  Two
 values are the same when their normalised (conductor, nums, den) agree.
-S is held once, as a `FactoredMatrix`: the distinct entries, each with
-its own conductor, and an integer slot array.  `reverse` conjugates the
-entries, `box_tensor` multiplies each pair of them once and gathers by
-the Kronecker of the slots, and packed S is a gather too.
-`_distinct_map` applies a `Cyclotomic` function once per distinct value
-of a tuple (dims, twists, the inverses of the unit row, the JSON form
-of the S entries and T), and `_distinct` lists the distinct values of
-one or more tuples with the first label and the multiplicity of each.
-So there is one Gauss sum, tau+- = sum over the distinct (d, theta) of
-multiplicity * d^2 theta^(+-1), cached per datum by `_gauss_sum`;
+S and T are each held once, as a `FactoredMatrix`: the distinct
+entries, each with its own conductor, and an integer slot array (two
+axes for S, one for T).  `reverse` conjugates the entries, `box_tensor`
+multiplies each pair of them once and gathers by the Kronecker of the
+slots, and packed S or T is a gather of one table of the entries.
+Equal slots imply equal values; distinct slots may still hold equal
+values at different conductors (zeta_4 and zeta_8^2 over Q(zeta_8)), so
+comparisons are in value.  Dims, twists and the inverses of the unit
+row are mapped once per distinct slot (`_slot_map`), `_distinct_map`
+applies a `Cyclotomic` function once per distinct value of a sequence
+(the JSON form of the entries), and `_distinct` lists the distinct
+values of a tuple with the first label and the multiplicity of each.
+The Gauss sum tau+- = sum_i d_i^2 theta_i^(+-1) is one integer product,
+cached per datum by `_gauss_sum`: the histogram of (unit-row S slot,
+T slot) pairs times the packed table of the distinct T entries (their
+inverses for tau-) gives one class sum per distinct unit-row entry,
+then one d^2 product per class and one division by T_u.
 `central_charge`, `gauss_sums` and the balancing and Gauss-identity
 checks of `validate_modular` all read it.  The dims' positivity and the
 twists' root-of-unity test run on distinct values too, and a failure is
@@ -110,18 +117,18 @@ def _distinct_map(f, values) -> tuple:
     return tuple(out)
 
 
-def _distinct(*columns) -> list:
-    """[(first, row, count)] over the distinct rows of zip(*columns), in
-    order of first appearance: the first label carrying the row, the
-    row of values and its multiplicity."""
-    rows: dict = {}
-    for i, row in enumerate(zip(*columns)):
-        key = tuple((v.conductor, v.nums, v.den) for v in row)
-        if key in rows:
-            rows[key][2] += 1
+def _distinct(values) -> list:
+    """[(first, value, count)] over the distinct values, in order of
+    first appearance: the first label carrying the value, the value and
+    its multiplicity."""
+    seen: dict = {}
+    for i, v in enumerate(values):
+        key = (v.conductor, v.nums, v.den)
+        if key in seen:
+            seen[key][2] += 1
         else:
-            rows[key] = [i, row, 1]
-    return list(rows.values())
+            seen[key] = [i, v, 1]
+    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------
@@ -295,22 +302,24 @@ class PackedMatrix:
 
 
 class FactoredMatrix:
-    """Entry (i, j) is entries[slots[i, j]]: each normalised (conductor, nums,
-    den) once, in row-major order of first appearance, and a read-only
-    integer slot array.  Rows read back as tuples; equality is in value."""
+    """Entry x is entries[slots[x]], for a slot array of two axes (S) or
+    one (T): each normalised (conductor, nums, den) once, in row-major
+    order of first appearance, and a read-only integer slot array.  A
+    matrix reads back as rows of tuples, a vector as its scalars;
+    equality is in value."""
 
-    __slots__ = ("entries", "slots", "_packed")
+    __slots__ = ("entries", "slots", "_table", "_packed")
 
     def __init__(self, entries: tuple, slots: np.ndarray):
         slots.flags.writeable = False
         self.entries = entries
         self.slots = slots
-        self._packed = None
+        self._table = self._packed = None
 
     @staticmethod
     def gathered(value, index: np.ndarray) -> "FactoredMatrix":
-        """Entry (i, j) = value(index[i, j]): value runs once per distinct
-        index, in row-major order of first use; equal values share a slot."""
+        """Entry x = value(index[x]): value runs once per distinct index,
+        in row-major order of first use; equal values share a slot."""
         used, first, inverse = np.unique(index.ravel(), return_index=True, return_inverse=True)
         keys: dict = {}
         slot = np.empty(len(used), dtype=np.intp)
@@ -331,29 +340,77 @@ class FactoredMatrix:
         slots = np.array(index, dtype=np.min_scalar_type(len(keys)))
         return FactoredMatrix(tuple(e for _, e in keys.values()), slots)
 
-    def packed(self, conductor: int | None = None) -> PackedMatrix:
-        """`PackedMatrix.pack`: a table of the embedded entries gathered by the
-        slots.  The packing over the entries' lcm conductor is kept."""
+    @staticmethod
+    def vector(values) -> "FactoredMatrix":
+        """Factor a vector of Cyclotomic scalars."""
+        row = FactoredMatrix.of((values,))
+        return FactoredMatrix(row.entries, row.slots[0])
+
+    def conj(self) -> "FactoredMatrix":
+        """Entrywise conjugate.  Conjugation keeps each conductor and maps
+        distinct entries to distinct entries, so the slots stay."""
+        return FactoredMatrix(tuple(e.conj() for e in self.entries), self.slots)
+
+    def kron(self, other: "FactoredMatrix") -> "FactoredMatrix":
+        """The Kronecker product, entry (i x, j y) = self[i, j] other[x, y]
+        (for vectors, entry i x = self[i] other[x]): one product per pair
+        of distinct entries, gathered by the Kronecker of the slots."""
+        ea, eb = self.entries, other.entries
+        axes = self.slots.ndim
+        # in intp: narrow slots would wrap, e.g. uint8 at 17 * 16 + 16 > 255
+        pairs = np.add.outer(self.slots.astype(np.intp) * len(eb), other.slots)
+        pairs = pairs.transpose([k for axis in range(axes) for k in (axis, axes + axis)])
+        shape = tuple(a * b for a, b in zip(self.slots.shape, other.slots.shape))
+        return FactoredMatrix.gathered(
+            lambda p: ea[p // len(eb)] * eb[p % len(eb)], pairs.reshape(shape)
+        )
+
+    def table(self, conductor: int | None = None) -> PackedMatrix:
+        """The distinct entries packed over Q(zeta_conductor), by default
+        the lcm of their conductors, as a column: row k is entries[k].
+        The default packing is kept."""
         if conductor is None:
-            if self._packed is None:
-                self._packed = self.packed(math.lcm(*(e.conductor for e in self.entries)))
-            return self._packed
+            if self._table is None:
+                self._table = self.table(math.lcm(*(e.conductor for e in self.entries)))
+            return self._table
         den = math.lcm(*(e.den for e in self.entries))
-        table = [
-            [v * (den // e.den) for v in _embed_nums(e.nums, e.conductor, conductor)]
+        rows = [
+            [[v * (den // e.den) for v in _embed_nums(e.nums, e.conductor, conductor)]]
             for e in self.entries
         ]
-        return PackedMatrix(conductor, _settle(np.array(table, dtype=object))[self.slots], den)
+        return PackedMatrix(conductor, _settle(np.array(rows, dtype=object)), den)
+
+    def packed(self, conductor: int | None = None) -> PackedMatrix:
+        """`PackedMatrix.pack`: the table of the entries gathered by the
+        slots.  The packing over the entries' lcm conductor is kept."""
+        if conductor is None and self._packed is not None:
+            return self._packed
+        table = self.table(conductor)
+        packed = PackedMatrix(table.conductor, table.nums[self.slots, 0], table.den)
+        if conductor is None:
+            self._packed = packed
+        return packed
 
     def __len__(self) -> int:
         return len(self.slots)
 
-    def __getitem__(self, i) -> tuple:
-        return tuple(map(self.entries.__getitem__, self.slots[i].tolist()))
+    def __getitem__(self, i):
+        slots = self.slots[i]
+        if slots.ndim == 0:
+            return self.entries[int(slots)]
+        return tuple(map(self.entries.__getitem__, slots.tolist()))
+
+    def __iter__(self):
+        entries = self.entries
+        if self.slots.ndim == 1:
+            return map(entries.__getitem__, self.slots.tolist())
+        return (tuple(map(entries.__getitem__, row)) for row in self.slots.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, FactoredMatrix):
             return NotImplemented
+        if self is other:
+            return True
         if self.slots.shape != other.slots.shape:
             return False
         width = len(other.entries)
@@ -367,7 +424,7 @@ class FactoredMatrix:
 @dataclass(frozen=True)
 class ModularData:
     s: FactoredMatrix  # rows given here are checked and factored once
-    t: tuple
+    t: FactoredMatrix  # and so is a T given as a sequence
     unit_index: int = 0
     ring: FusionRing | None = None
 
@@ -383,9 +440,16 @@ class ModularData:
             if not _all_cyclotomic(chain.from_iterable(s)):
                 raise InputError("S entries must be cyclotomic scalars")
             s = FactoredMatrix.of(s)
+        elif s.slots.ndim != 2 or len(set(s.slots.shape)) != 1:
+            raise InputError("S must be square")
         r = len(s)
-        t = tuple(self.t)
-        if len(t) != r or not _all_cyclotomic(t):
+        t = self.t
+        if not isinstance(t, FactoredMatrix):
+            t = tuple(t)
+            if len(t) != r or not _all_cyclotomic(t):
+                raise InputError("T must be a length-r vector of cyclotomic scalars")
+            t = FactoredMatrix.vector(t)
+        elif t.slots.shape != (r,):
             raise InputError("T must be a length-r vector of cyclotomic scalars")
         if isinstance(self.unit_index, bool) or not isinstance(self.unit_index, int):
             raise InputError(f"unit index must be an integer, got {self.unit_index!r}")
@@ -434,7 +498,8 @@ class ModularData:
         """Quantum dimensions d_i = S_{ui}/S_{uu}."""
         inv = self.total_dim()
         return self._derived(
-            "dims", lambda md: _distinct_map(lambda x: x * inv, md.s[md.unit_index])
+            "dims",
+            lambda md: _slot_map(lambda x: x * inv, md.s.entries, md.s.slots[md.unit_index]),
         )
 
     def theta(self) -> tuple:
@@ -455,13 +520,14 @@ class ModularData:
 
     def to_json_dict(self) -> dict:
         """The JSON form; entries equal in value share one scalar object."""
-        scalars = _distinct_map(Cyclotomic.to_json_dict, chain(self.s.entries, self.t))
+        scalars = _distinct_map(Cyclotomic.to_json_dict, chain(self.s.entries, self.t.entries))
+        t_scalars = scalars[len(self.s.entries) :]
         return {
             "ring": self.ring.to_json_dict() if self.ring is not None else None,
             "unit": self.unit_index,
             "conductor": self.conductor(),
             "S": [list(map(scalars.__getitem__, row)) for row in self.s.slots.tolist()],
-            "T": list(scalars[len(self.s.entries) :]),
+            "T": list(map(t_scalars.__getitem__, self.t.slots.tolist())),
         }
 
     @staticmethod
@@ -494,7 +560,7 @@ def _all_cyclotomic(values) -> bool:
 
 def _conductor(md: ModularData) -> int:
     """lcm of the entry conductors."""
-    return math.lcm(*{e.conductor for e in chain(md.s.entries, md.t)})
+    return math.lcm(*{e.conductor for e in chain(md.s.entries, md.t.entries)})
 
 
 def _scalar_parser():
@@ -525,9 +591,17 @@ def _scalar_parser():
     return parse
 
 
-def _divided(values: tuple, x: Cyclotomic) -> tuple:
+def _divided(values: FactoredMatrix, x: Cyclotomic) -> tuple:
     inv = x.inverse()
-    return _distinct_map(lambda v: v * inv, values)
+    return _slot_map(lambda v: v * inv, values.entries, values.slots)
+
+
+def _slot_map(f, entries: tuple, slots: np.ndarray) -> tuple:
+    """tuple(f(entries[k]) for k in slots), f evaluated once per
+    distinct slot."""
+    slots = slots.tolist()
+    images = {k: f(entries[k]) for k in dict.fromkeys(slots)}
+    return tuple(map(images.__getitem__, slots))
 
 
 def _dual_permutation(md: ModularData) -> tuple | None:
@@ -579,7 +653,7 @@ def verlinde_table(md: ModularData) -> np.ndarray:
         raise NonModular("unit row of S has a zero entry")
     s = md.packed_s()
     n = s.conductor
-    inverses = _distinct_map(Cyclotomic.inverse, unit_row)
+    inverses = _slot_map(Cyclotomic.inverse, md.s.entries, md.s.slots[u])
     weighted = s.times(PackedMatrix.pack((inverses,), n))
     # conj(S)^T is the right operand of every block: scanned and cast once
     conj_t = s.conj().transpose()
@@ -641,15 +715,44 @@ def with_ring(md: ModularData, ring: FusionRing | None = None) -> ModularData:
 
 def _gauss_sum(md: ModularData, sign: int) -> Cyclotomic:
     """tau+ (sign 1) or tau- (sign -1) = sum_i d_i^2 theta_i^sign,
-    computed once per datum: one term per distinct (d_i, theta_i^sign)
-    pair, times its multiplicity."""
+    computed once per datum as one integer product.
+
+    With d_i = S_ui D and theta_i = T_i / T_u, the sum is
+    D^2 T_u^(-sign) sum_a S_ua^2 sum_b count[a, b] T_b^sign over the
+    distinct unit-row entries a and the distinct T entries b, where
+    count[a, b] is the number of labels carrying both.  The histogram
+    count of (unit-row slot, T slot) pairs times the packed table of the
+    T entries (of their inverses for tau-) gives one class sum per a;
+    then each class takes one d^2 product, and the total one division
+    by T_u.
+    """
 
     def compute(md: ModularData) -> Cyclotomic:
-        theta = md.theta() if sign > 0 else _distinct_map(Cyclotomic.inverse, md.theta())
+        tu = md.t[md.unit_index]
+        if tu.is_zero():
+            raise NonModular("T_u = 0, twists undefined")
+        t = md.t
+        if sign < 0:
+            t = FactoredMatrix(tuple(e.inverse() for e in t.entries), t.slots)
+        if md.s_unit.is_zero():
+            raise NonModular("S_{uu} = 0")
+        unit_row = md.s.slots[md.unit_index]
+        classes = sorted(set(unit_row.tolist()))
+        row = np.searchsorted(classes, unit_row)
+        count = np.bincount(
+            row * len(t.entries) + t.slots, minlength=len(classes) * len(t.entries)
+        ).reshape(len(classes), len(t.entries))
+        table = t.table()
+        nums = table.nums[:, 0]
+        sums = _linear(count, (nums, int(np.abs(nums).sum(axis=0).max())))
         total = ZERO
-        for _, (d, th), count in _distinct(md.dims(), theta):
-            total = total + d * d * th * count
-        return total
+        for a, class_sum in zip(classes, sums.tolist()):
+            term = Cyclotomic(table.conductor, tuple(class_sum), table.den)
+            if a != unit_row[md.unit_index]:  # on the slot of S_uu, d = 1
+                d = md.s.entries[a] * md.total_dim()
+                term = d * d * term
+            total = total + term
+        return total * (tu.inverse() if sign > 0 else tu)
 
     return md._derived(f"tau{sign:+d}", compute)
 
@@ -708,27 +811,18 @@ def central_charge_float_oracle(md: ModularData) -> float:
 
 
 def reverse(md: ModularData) -> ModularData:
-    """Mirror braiding: S and T entrywise conjugated (S keeps its slots), same ring."""
-    s = FactoredMatrix(tuple(e.conj() for e in md.s.entries), md.s.slots)
-    t = tuple(e.conj() for e in md.t)
-    return ModularData(s=s, t=t, unit_index=md.unit_index, ring=md.ring)
+    """Mirror braiding: S and T entrywise conjugated (both keep their slots), same ring."""
+    return ModularData(s=md.s.conj(), t=md.t.conj(), unit_index=md.unit_index, ring=md.ring)
 
 
 def box_tensor(a: ModularData, b: ModularData) -> ModularData:
-    """Deligne-product data: Kronecker S, entrywise product T.  S is one
-    product per pair of distinct entries, gathered by the Kronecker slots."""
-    rb, ea, eb = b.rank, a.s.entries, b.s.entries
-    # in intp: narrow slots would wrap, e.g. uint8 at 17 * 16 + 16 > 255
-    pairs = a.s.slots.astype(np.intp)[:, None, :, None] * len(eb) + b.s.slots[None, :, None, :]
-    s = FactoredMatrix.gathered(
-        lambda p: ea[p // len(eb)] * eb[p % len(eb)], pairs.reshape(a.rank * rb, -1)
-    )
-    t = tuple(a.t[i] * b.t[x] for i in range(a.rank) for x in range(rb))
+    """Deligne-product data: Kronecker S, and T the Kronecker of the
+    T vectors, each one product per pair of distinct entries."""
     ring = None
     if a.ring is not None and b.ring is not None:
         ring = ring_product(a.ring, b.ring)
     return ModularData(
-        s=s, t=t, unit_index=a.unit_index * rb + b.unit_index, ring=ring
+        s=a.s.kron(b.s), t=a.t.kron(b.t), unit_index=a.unit_index * b.rank + b.unit_index, ring=ring
     )
 
 
@@ -773,7 +867,7 @@ def validate_modular(md: ModularData) -> ValidationReport:
         ok, where, detail = True, None, ""
         # each distinct value at its first label, so a failure names
         # the first label that carries it
-        for i, (d,), _ in _distinct(dims):
+        for i, d, _ in _distinct(dims):
             if d.conj() != d:
                 ok, where, detail = False, (i,), "not fixed by conjugation"
                 break
@@ -785,7 +879,7 @@ def validate_modular(md: ModularData) -> ValidationReport:
     if dims is not None:
         total = md.total_dim()
         square_sum = ZERO
-        for _, (d,), count in _distinct(dims):
+        for _, d, count in _distinct(dims):
             square_sum = square_sum + d * d * count
         ok = total * total == square_sum
         detail = "" if ok else "1/S_uu squared differs from sum of d_i^2"
@@ -828,7 +922,7 @@ def validate_modular(md: ModularData) -> ValidationReport:
 
     if theta is not None:
         ok, where = True, None
-        for i, (th,), _ in _distinct(theta):
+        for i, th, _ in _distinct(theta):
             if th.as_root_of_unity() is None:
                 ok, where = False, (i,)
                 break

@@ -12,10 +12,10 @@ central charge.
 Everything runs on integer tables over the element indices (mixed
 radix, row-major over the cyclic factors).  The three that cost scalar
 work, the q-exponent vector e with q(a) = e[a]/M for M the common
-denominator of q, the twists and the distinct entries of S, are
-computed at most once per `MetricGroup` and kept on it: one
-`verdict --pointed` on a file reads them up to three times (validation,
-the cross-section check and the hint check).  The coordinates, the
+denominator of q, the factored T and the factored S, are computed at
+most once per `MetricGroup` and kept on it: one `verdict --pointed` on
+a file reads them up to three times (validation, the cross-section
+check and the hint check).  The coordinates, the
 negation, the radical and the group law law[a, c] = a + c cost one
 vectorised pass per cyclic factor, so they are rebuilt where they are
 needed rather than kept.
@@ -24,17 +24,21 @@ pairing b(a, c) = K[a, c]/M of `MetricGroup.bilinear` on every pair,
 quadratic q or not, and S[a, c] = e^(-2 pi i K[a, c]/M)/sqrt(|A|) is
 one `Cyclotomic` per distinct exponent, gathered by K, so the scalar
 work grows with the number of distinct pairing values (at most M), not
-with |A|^2.  That S is a `FactoredMatrix`, the form in which every
-`ModularData` holds S: `metric_modular_data` puts it on the datum as it
-is, and the hint check `matches_modular_data` compares given data with
-its packed gather, without building a second `ModularData`.  The
-radical and `validate_metric` read e and the coordinates only.  The
-Lagrangian enumeration adds one int16 table of sums among the isotropic
-elements and runs one order at a time: all isotropic subgroups of one
+with |A|^2.  T[a] = e^(2 pi i e[a]/M) is one `from_angle` per distinct
+q-exponent, gathered by e.  Both are `FactoredMatrix` objects, the form
+in which every `ModularData` holds S and T: `metric_modular_data` puts
+them on the datum as they are, so the datum and its group share one
+factored, packed S and T, and the hint check `matches_modular_data`
+compares given data with them in value, without building a second
+`ModularData`.  The radical and `validate_metric` read e and the
+coordinates only.  The Lagrangian enumeration adds one int16 table of
+sums among the isotropic elements, built one coordinate at a time in
+place, and runs one order at a time: all isotropic subgroups of one
 order are one array, deduplicated by a lexicographic sort and extended
 together in chunks of bounded size.
 The Milgram sum is one integer product of the q-exponent histogram
-with the power-basis rows of the roots of unity it counts.
+with the power-basis rows of the roots of unity it counts; sqrt(|A|) is
+built once per |A|.
 """
 
 from __future__ import annotations
@@ -215,14 +219,19 @@ def _exponents(mg: MetricGroup) -> tuple[np.ndarray, int]:
 def _group_law(mg: MetricGroup, among=None, dtype=np.int64) -> np.ndarray:
     """law[i, j] = index of a_i + a_j for a_i, a_j the elements with
     indices `among` (all of them by default), added coordinate by
-    coordinate in `dtype`."""
+    coordinate into one `dtype` table in place, which must hold twice
+    the largest order and the largest index."""
     coords = _coordinates(mg)
     if among is not None:
         coords = coords[:, among]
     coords = coords.astype(dtype, copy=False)
     law = np.zeros((coords.shape[1],) * 2, dtype=dtype)
+    term = np.empty_like(law)
     for digit, order, stride in zip(coords, mg.orders, _strides(mg.orders)):
-        law += (digit[:, None] + digit[None, :]) % order * stride
+        np.add(digit[:, None], digit[None, :], out=term)
+        np.remainder(term, order, out=term)
+        np.multiply(term, stride, out=term)
+        law += term
     return law
 
 
@@ -250,14 +259,11 @@ def _s_entries(mg: MetricGroup) -> FactoredMatrix:
     return FactoredMatrix.gathered(lambda x: from_angle(Fraction(-x, m)) * inv_sqrt, k)
 
 
-def _twists(mg: MetricGroup) -> tuple:
-    """T[a] = e^(2 pi i q(a)), one `from_angle` per distinct value of q."""
-    angles: dict = {}
-    for a in mg.elements:
-        v = mg.q[a]
-        if v not in angles:
-            angles[v] = from_angle(v)
-    return tuple(angles[mg.q[a]] for a in mg.elements)
+def _twists(mg: MetricGroup) -> FactoredMatrix:
+    """T[a] = e^(2 pi i e[a]/M): one `from_angle` per distinct q-exponent,
+    gathered by the exponents."""
+    e, m = mg._derived(_exponents)
+    return FactoredMatrix.gathered(lambda k: from_angle(Fraction(k, m)), e)
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +354,18 @@ def metric_modular_data(mg: MetricGroup) -> ModularData:
 def matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
     """Does md equal the data regenerated from mg (labels aside)?
 
-    Compared with mg's tables, without building that data: packed S
-    against the gather of mg's factored S, T entry by entry, and the
-    ring against the group law (every fusion row is [a, c, a + c, 1],
-    the dual is a -> -a, the unit is 0).
+    Compared with mg's tables, without building that data: S and T
+    against mg's factored S and T in value, one comparison per pair of
+    distinct entries that meet (none when md shares them, as data from
+    `metric_modular_data` do), and the ring against the group law (every
+    fusion row is [a, c, a + c, 1], the dual is a -> -a, the unit is 0).
     """
     if np.count_nonzero(_radical_mask(mg)) != 1:
         return False
-    twists = mg._derived(_twists)
     n = mg.size
     if md.rank != n or md.unit_index != 0:
         return False
-    if not mg._derived(_s_entries).packed().entries_equal(md.packed_s()).all():
-        return False
-    if md.t != twists:
+    if md.s != mg._derived(_s_entries) or md.t != mg._derived(_twists):
         return False
     ring = md.ring
     if ring is None:
@@ -491,8 +495,8 @@ def _isotropic_sums(mg: MetricGroup, iso: np.ndarray) -> np.ndarray:
     sum is not isotropic: an int16 table over the isotropic elements."""
     position = np.full(mg.size, -1, dtype=np.int16)
     position[iso] = np.arange(len(iso))
-    # indices below SUBGROUP_SIZE_CAP fit in int32
-    return position[_group_law(mg, iso, np.int32)]
+    # indices below SUBGROUP_SIZE_CAP, and sums of two coordinates, fit in int16
+    return position[_group_law(mg, iso, np.int16)]
 
 
 def _extensions(h: np.ndarray, sums: np.ndarray, target: int) -> list:

@@ -23,6 +23,7 @@ from mtcbound.cyclotomic import (
     euler_phi,
     from_angle,
     sqrt_int,
+    zeta,
 )
 from mtcbound.errors import (
     AmbiguousBlock,
@@ -32,6 +33,7 @@ from mtcbound.errors import (
     NonIntegralVerlinde,
     NonModular,
     NotRootOfUnity,
+    NumericError,
     SearchBudgetExceeded,
     SizeLimit,
 )
@@ -318,11 +320,12 @@ def fraction_validate_metric(mg: MetricGroup) -> ValidationReport:
 
 
 def per_element_milgram_signature(mg: MetricGroup) -> Fraction:
-    """`milgram_signature` adding one `from_angle` per element."""
+    """`milgram_signature` adding one `from_angle` per element, read off
+    by the mpmath-guided `mpmath_root_of_unity`."""
     g = cyc_sum(from_angle(mg.qval(a)) for a in mg.elements)
     if g * g.conj() != mg.size:
         raise Degenerate("Gauss sum magnitude differs from sqrt(|A|)")
-    root = (g * sqrt_int(mg.size) / mg.size).as_root_of_unity()
+    root = mpmath_root_of_unity(g * sqrt_int(mg.size) / mg.size)
     if root is None:
         raise Degenerate("Gauss sum over sqrt(|A|) is not a root of unity")
     k, m = root
@@ -439,7 +442,8 @@ def row_pack(rows, conductor: int | None = None) -> PackedMatrix:
 
 
 def per_entry_reverse(md: ModularData) -> ModularData:
-    """`reverse` with every entry of S conjugated on its own."""
+    """`reverse` with every entry of S conjugated on its own, and T
+    conjugated label by label as a tuple."""
     s = tuple(tuple(e.conj() for e in row) for row in md.s)
     t = tuple(e.conj() for e in md.t)
     return ModularData(s=s, t=t, unit_index=md.unit_index, ring=md.ring)
@@ -450,7 +454,8 @@ def per_entry_box_tensor(a: ModularData, b: ModularData) -> ModularData:
     for every entry, indexed by the labels.  The scalar products are
     memoised on the operands' (conductor, nums, den), so a rank-289 S
     costs seconds less; which operands meet at an entry is still read
-    off the rows, not off slots."""
+    off the rows, not off slots.  T is a tuple of one product per pair
+    of labels."""
     a_rows, b_rows = tuple(a.s), tuple(b.s)
     rb = b.rank
     products: dict = {}
@@ -466,7 +471,8 @@ def per_entry_box_tensor(a: ModularData, b: ModularData) -> ModularData:
         for i in range(a.rank)
         for x in range(rb)
     )
-    t = tuple(a.t[i] * b.t[x] for i in range(a.rank) for x in range(rb))
+    a_t, b_t = tuple(a.t), tuple(b.t)
+    t = tuple(a_t[i] * b_t[x] for i in range(a.rank) for x in range(rb))
     ring = None
     if a.ring is not None and b.ring is not None:
         ring = ring_product(a.ring, b.ring)
@@ -620,6 +626,100 @@ def per_label_scalar_checks(md: ModularData) -> dict:
     out["balancing"] = (ok, None if ok else tuple(int(x) for x in mismatch[0]), "")
     out["gauss_identity"] = (tau_plus * tau_minus == total * total, None, "")
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-distinct-value reference routes for the Gauss sums and the
+# root-of-unity read-off
+# ---------------------------------------------------------------------------
+
+
+def mpmath_root_of_unity(x: Cyclotomic) -> tuple | None:
+    """`Cyclotomic.as_root_of_unity` as it was before the float64 guess:
+    the unit-modulus test first, then the exponent guessed from the
+    mpmath argument and its neighbours, then the scan."""
+    if x.is_zero():
+        return None
+    if x.conductor == 1:
+        r = x.as_rational()
+        return (0, 1) if r == 1 else (1, 2) if r == -1 else None
+    if x * x.conj() != 1:
+        return None
+    m = _lcm(2, x.conductor)
+    target = x.embed(m)
+
+    def packaged(j: int) -> tuple:
+        j %= m
+        if j == 0:
+            return (0, 1)
+        g = gcd(j, m)
+        return (j // g, m // g)
+
+    val = x.approx()
+    guess = round(math.atan2(val.imag, val.real) * m / (2 * math.pi))
+    for j in (guess, guess + 1, guess - 1):
+        if target == zeta(m, j % m):
+            return packaged(j)
+    if m > 10**5:
+        raise NumericError(f"root-of-unity scan refused for order {m}")
+    for j in range(m):
+        if target == zeta(m, j):
+            return packaged(j)
+    return None
+
+
+def distinct_pair_gauss_sum(md: ModularData, sign: int) -> Cyclotomic:
+    """tau+ (sign 1) or tau- (sign -1) as one term per distinct
+    (d_i, theta_i^sign) pair times its multiplicity: the route before
+    the (unit-row slot, T slot) histogram.  Nothing is cached, and the
+    errors come in the order of that route."""
+    t_unit = md.t[md.unit_index]
+    if t_unit.is_zero():
+        raise NonModular("T_u = 0, twists undefined")
+    theta = tuple(v / t_unit for v in md.t)
+    if sign < 0:
+        theta = tuple(th.inverse() for th in theta)
+    if md.s_unit.is_zero():
+        raise NonModular("S_{uu} = 0")
+    dims = tuple(x / md.s_unit for x in md.s[md.unit_index])
+    pairs: dict = {}
+    for d, th in zip(dims, theta):
+        key = (d.conductor, d.nums, d.den, th.conductor, th.nums, th.den)
+        if key in pairs:
+            pairs[key][2] += 1
+        else:
+            pairs[key] = [d, th, 1]
+    total = ZERO
+    for d, th, count in pairs.values():
+        total = total + d * d * th * count
+    return total
+
+
+def distinct_pair_central_charge(md: ModularData) -> Fraction:
+    """`central_charge` from the distinct-pair tau+ and the mpmath-guided
+    read-off."""
+    u = distinct_pair_gauss_sum(md, 1) * md.s_unit  # tau+ / D
+    root = mpmath_root_of_unity(u)
+    if root is None:
+        raise NotRootOfUnity(f"tau+/D = {u} is not a root of unity")
+    k, m = root
+    return Fraction(8 * k, m) % 8
+
+
+def distinct_pair_central_charge_via_square(md: ModularData) -> Fraction:
+    """`central_charge_via_square` from the distinct-pair Gauss sums and
+    the mpmath-guided read-off."""
+    tau_plus, tau_minus = distinct_pair_gauss_sum(md, 1), distinct_pair_gauss_sum(md, -1)
+    total = md.s_unit.inverse()
+    if tau_plus * tau_minus != total * total:
+        raise GaussIdentityFailure("tau+ tau- differs from D^2")
+    square = tau_plus / tau_minus
+    root = mpmath_root_of_unity(square)
+    if root is None:
+        raise NotRootOfUnity(f"tau+/tau- = {square} is not a root of unity")
+    k, m = root
+    base = Fraction(4 * k, m) % 8
+    return base if tau_plus == from_angle(base / 8) * total else (base + 4) % 8
 
 
 # ---------------------------------------------------------------------------

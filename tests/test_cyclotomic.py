@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtcbound import corpus
+from mtcbound import corpus, cyclotomic
 from mtcbound.cyclotomic import (
     CONDUCTOR_CAP,
+    ROOT_SCAN_CAP,
     Cyclotomic,
     _embed_nums,
     _mul_nums,
@@ -20,8 +21,8 @@ from mtcbound.cyclotomic import (
     sqrt_int,
     zeta,
 )
-from mtcbound.errors import ConductorLimitError, DivisionByZero, InputError
-from tests.helpers import euclid_inverse
+from mtcbound.errors import ConductorLimitError, DivisionByZero, InputError, NumericError
+from tests.helpers import euclid_inverse, mpmath_root_of_unity
 
 
 def test_basic_identities():
@@ -287,3 +288,57 @@ class TestInverseOracle:
     def test_random_values(self, a):
         if not a.is_zero():
             assert _parts(a.inverse()) == _parts(euclid_inverse(a))
+
+
+def _root_cases() -> list:
+    """Roots of unity at every order up to 60, products across conductors
+    and unit-modulus values that are no root of unity."""
+    cases = [zeta(m, k) for m in range(1, 61) for k in range(m)]
+    cases += [zeta(12, 5) * zeta(20, 3), -zeta(9, 2), zeta(8) * zeta(8)]
+    cases += [(rational(3) + 4 * zeta(4)) / 5, (zeta(7) + 2) / (zeta(7, 6) + 2)]
+    return cases + [zeta(8) + 1, rational(2), rational(0), sqrt_int(3) * zeta(3)]
+
+
+class TestRootOfUnityReadOff:
+    """`as_root_of_unity` guesses the exponent from a float64 evaluation;
+    only exact comparisons decide."""
+
+    def test_matches_the_mpmath_guided_route(self):
+        for x in _root_cases():
+            assert x.as_root_of_unity() == mpmath_root_of_unity(x), x
+
+    @pytest.mark.parametrize("wrong", [lambda x, m: None, lambda x, m: 7, lambda x, m: -m // 3])
+    def test_a_wrong_guess_falls_back_to_the_scan(self, monkeypatch, wrong):
+        monkeypatch.setattr(cyclotomic, "_exponent_guess", wrong)
+        for m in range(1, 31):
+            for k in range(m):
+                g = math.gcd(k, m) if k else m
+                assert zeta(m, k).as_root_of_unity() == ((k // g, m // g) if k else (0, 1))
+        for x in _root_cases():
+            assert x.as_root_of_unity() == mpmath_root_of_unity(x), x
+
+    def test_coefficients_beyond_float64_reach_the_scan(self, monkeypatch):
+        # (a + b i)/c with a^2 + b^2 = c^2 near 10^800: unit modulus, no
+        # root of unity, coefficients no float64 holds
+        p, q = 10**400 + 7, 10**399 + 3
+        x = (rational(p * p - q * q) + 2 * p * q * zeta(4)) / (p * p + q * q)
+        assert x * x.conj() == 1
+        assert cyclotomic._exponent_guess(x, 4) is None
+        scanned = []
+        monkeypatch.setattr(cyclotomic, "ROOT_SCAN_CAP", 4)
+        real_zeta = cyclotomic.zeta
+        monkeypatch.setattr(cyclotomic, "zeta", lambda n, k=1: scanned.append(n) or real_zeta(n, k))
+        assert x.as_root_of_unity() is None
+        assert scanned == [4]  # the scan's generator, and no guess tried
+        big = Cyclotomic(4, (10**400, 10**400))  # not of unit modulus
+        assert cyclotomic._exponent_guess(big, 4) is None and big.as_root_of_unity() is None
+
+    def test_orders_above_the_scan_cap_are_refused(self, monkeypatch):
+        assert ROOT_SCAN_CAP == 10**5
+        monkeypatch.setattr(cyclotomic, "ROOT_SCAN_CAP", 3)
+        with pytest.raises(NumericError, match="root-of-unity scan refused for order 4"):
+            ((rational(3) + 4 * zeta(4)) / 5).as_root_of_unity()
+        assert zeta(8, 3).as_root_of_unity() == (3, 8)  # the guess needs no scan
+        monkeypatch.setattr(cyclotomic, "_exponent_guess", lambda x, m: None)
+        with pytest.raises(NumericError, match="order 8"):
+            zeta(8, 3).as_root_of_unity()

@@ -10,6 +10,7 @@ from mtcbound import corpus, modular
 from mtcbound.cyclotomic import Cyclotomic, cyc_sum, rational, sqrt_int, zeta
 from mtcbound.errors import InputError, NonIntegralVerlinde, NonModular
 from mtcbound.modular import (
+    FactoredMatrix,
     ModularData,
     PackedMatrix,
     _balancing_sides,
@@ -530,17 +531,36 @@ class TestScalarOracle:
         assert (check.ok, check.where) == (False, (2,))
         self.assert_checks_match_per_label(bad, "twists (1, 1, 2, 2)")
 
-    def test_gauss_sums_are_computed_once_per_datum(self, monkeypatch):
-        md = double(fib_md())
-        calls = []
-        original = modular._distinct
-        monkeypatch.setattr(
-            modular, "_distinct", lambda *c: calls.append(len(c)) or original(*c)
-        )
+    def test_gauss_sums_are_computed_once_per_datum(self):
+        # T as a FactoredMatrix that counts reads of its entries: a Gauss
+        # sum cannot be formed without reading the twists' values
+        class CountedT(FactoredMatrix):
+            reads = 0
+
+            @property
+            def entries(self):
+                CountedT.reads += 1
+                return self._values
+
+            @entries.setter
+            def entries(self, values):
+                self._values = values
+
+        base = double(fib_md())
+        md = ModularData(s=base.s, t=CountedT(base.t.entries, base.t.slots))
+        rounds = []
         for _ in range(2):
-            gauss_sums(md)
-            central_charge(md)
-        assert calls == [2, 2]  # one (d, theta) histogram for each of tau+ and tau-
+            CountedT.reads = 0
+            taus = gauss_sums(md)[:2]
+            after_gauss_sums = CountedT.reads
+            charge = central_charge(md)
+            rounds.append((taus, charge, after_gauss_sums, CountedT.reads))
+        (taus, charge, first_reads, reads), (again, charge_again, more, later) = rounds
+        assert first_reads > 0 and reads == first_reads  # c reuses tau+
+        assert more == later == 0  # the second round reads no twist
+        # the second round returns the very objects of the first
+        assert all(x is y for x, y in zip(taus, again)) and charge == charge_again
+        assert taus == per_label_gauss_sums(base)[:2]
 
 
 class TestValidationReport:
