@@ -16,7 +16,10 @@ epistemic weight, and reports keep them separate:
   definitive NO.  Survivors are candidates only; nothing here verifies
   an algebra structure on them.  S n = n is one integer linear system
   over the packed coefficients of S (its unit row is sum n_i d_i = D),
-  reduced exactly once; the search branches only on its free
+  gathered from the columns of S once per search and reduced exactly
+  once, by a fraction-free elimination on one numpy integer array with
+  one vectorised step per pivot (int64 while a bound allows, Python
+  integers past it).  The search branches only on its free
   multiplicities and solves for the others, so every candidate solves
   the system exactly and no float decides acceptance.  Each
   multiplicity is capped by n_i <= floor(d_i), which holds for every
@@ -26,7 +29,6 @@ epistemic weight, and reports keep them separate:
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +37,7 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic
 from .errors import InputError, NonModular, SearchBudgetExceeded
-from .modular import ModularData, _distinct_map, central_charge
+from .modular import _INT64_LIMIT, ModularData, _distinct_map, _max_abs, central_charge
 from .pointed import MetricGroup, lagrangian_subgroups, matches_modular_data, subgroup_indicator
 
 DEFAULT_BUDGET = 10**8
@@ -76,53 +78,96 @@ def central_charge_gate(md: ModularData):
     return c == 0, c
 
 
-def _fixed_space_rows(md: ModularData, columns: list) -> list:
-    """Distinct nonzero rows of the integer system A m = 0 that says
-    S n = n for n = sum_c m_c 1_(columns[c]).
+def _theta_trivial(md: ModularData) -> np.ndarray:
+    """Boolean mask over the labels: theta_i = 1, that is T_i = T_u in
+    value.  Each distinct T entry is compared with T_u once; distinct
+    slots may hold equal values at different conductors."""
+    t = md.t
+    tu = t[md.unit_index]
+    if tu.is_zero():
+        raise NonModular("T_u = 0, twists undefined")
+    return np.array([e == tu for e in t.entries], dtype=bool)[t.slots]
+
+
+def _fixed_space_rows(md: ModularData, columns: list) -> np.ndarray:
+    """Nonzero rows of the integer system A m = 0 that says S n = n for
+    n = sum_c m_c 1_(columns[c]), in order of first appearance.
 
     Column c is sum_(j in columns[c]) (S e_j - e_j) in packed-S
     coefficients times den, one row per label and power of zeta.  The
-    power basis is a basis, so A m = 0 iff S n = n exactly.
+    power basis is a basis, so A m = 0 iff S n = n exactly.  A is one
+    gather of the columns of packed S, summed per orbit by
+    `np.add.reduceat`: int64 when no sum can reach 2^63, with repeated
+    rows dropped; else Python integers in an object array, where a
+    repeated row just reduces to zero.
     """
     packed = md.packed_s()
-    r, _, phi = packed.nums.shape
-    a = np.zeros((r, phi, len(columns)), dtype=object)  # Python integers
-    for c, members in enumerate(columns):
-        for j in members:
-            a[:, :, c] += packed.nums[:, j, :].astype(object)
-            a[j, 0, c] -= packed.den
-    rows = dict.fromkeys(map(tuple, a.reshape(r * phi, len(columns)).tolist()))
-    return [row for row in rows if any(row)]
+    sizes = [len(c) for c in columns]
+    members = [j for c in columns for j in c]
+    # packed S is a gather of the table of distinct S entries
+    bound = max(sizes) * _max_abs(md.s.table().nums) + packed.den
+    gathered = packed.nums[:, members, :].astype(
+        np.int64 if bound < _INT64_LIMIT else object, copy=False
+    )
+    a = np.add.reduceat(gathered, np.cumsum([0] + sizes[:-1]), axis=1)  # (r, k, phi)
+    a[members, np.repeat(np.arange(len(columns)), sizes), 0] -= packed.den
+    a = a.transpose(0, 2, 1).reshape(-1, len(columns))
+    a = a[(a != 0).any(axis=1)]
+    if a.dtype == object:
+        return a
+    keys = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()  # a row's bytes
+    return a[np.sort(np.unique(keys, return_index=True)[1])]
 
 
-def _primitive(row: list) -> list:
-    """row divided by the gcd of its entries, leading entry positive."""
-    g = math.gcd(*row)
-    if next(v for v in row if v) < 0:
-        g = -g
-    return [v // g for v in row]
-
-
-def _reduced_system(rows: list, width: int) -> dict | None:
+def _reduced_system(rows, width: int) -> dict | None:
     """The reduced row echelon form of the rows over Q, as {pivot column:
-    primitive integer row}; None when the last column is a pivot, that
-    is, when the system A [m; 1] = 0 has no solution."""
-    basis: dict = {}
-    for row in rows:
-        for p, prow in basis.items():
-            if row[p]:
-                row = [prow[p] * x - row[p] * y for x, y in zip(row, prow)]
-        lead = next((c for c, v in enumerate(row) if v), None)
-        if lead is None:
+    primitive integer row, leading entry positive}; None when the last
+    column is a pivot, that is, when A [m; 1] = 0 has no solution.
+
+    Rows are taken in order, and a row's pivot is the leading column
+    left once the pivots found before it are cleared from it; the dict
+    keeps the order in which pivots are found, which fixes the search
+    plan.  The elimination is fraction-free on one integer array, and
+    every row is kept primitive.  A pivot row is only negated to make its
+    leading entry positive; then it clears its column from every other
+    row in one step, p x - c y, and each changed row is divided by the
+    gcd of its entries.  While the array is int64, `top` bounds its
+    entries, and a step can make them at most 2 top^2.  Where that could
+    reach 2^63, top is measured again; if it still could, the array
+    becomes Python integers in an object array for the rest of the run.
+    """
+    a = np.asarray(rows)
+    if a.dtype != np.int64:  # Python integers, in a list or an object array
+        a = np.array(rows, dtype=object)
+    a = a.reshape(len(a), width).copy()
+    g = np.gcd.reduce(a, axis=1)
+    a //= np.maximum(g, 1)[:, None]
+    top = _max_abs(a)
+    pivots: dict = {}
+    for i in range(len(a)):
+        nonzero = a[i].nonzero()[0]
+        if not len(nonzero):
             continue
+        lead = int(nonzero[0])
         if lead == width - 1:
             return None
-        row = _primitive(row)
-        for p, prow in basis.items():
-            if prow[lead]:
-                basis[p] = _primitive([row[lead] * x - prow[lead] * y for x, y in zip(prow, row)])
-        basis[lead] = row
-    return basis
+        if a[i, lead] < 0:
+            a[i] = -a[i]
+        hit = a[:, lead].nonzero()[0]
+        if len(hit) > 1:
+            if a.dtype != object:
+                if 2 * top * top >= _INT64_LIMIT:
+                    top = _max_abs(a)
+                    if 2 * top * top >= _INT64_LIMIT:
+                        a = a.astype(object)
+                top = 2 * top * top
+            row, rows = a[i].copy(), a[hit]
+            rows = row[lead] * rows - rows[:, lead, None] * row  # row i becomes 0
+            g = np.gcd.reduce(rows, axis=1)
+            a[hit] = rows // np.maximum(g, 1)[:, None]
+            a[i] = row
+        pivots[lead] = i
+    return {lead: a[i].tolist() for lead, i in pivots.items()}
 
 
 def candidate_search(md: ModularData, budget: int | None = None) -> list:
@@ -151,13 +196,12 @@ def candidate_search(md: ModularData, budget: int | None = None) -> list:
 
     r = md.rank
     u = md.unit_index
-    theta = md.theta()
+    trivial = _theta_trivial(md)
     dual = md.dual_permutation()
     if dual is None:
         raise NonModular("S^2 is not a permutation matrix")
 
-    one = theta[u]
-    eligible = [i for i in range(r) if i != u and theta[i] == one]
+    eligible = [i for i in np.flatnonzero(trivial).tolist() if i != u]
     floors = md._derived("dim_floors", lambda md: _distinct_map(Cyclotomic.floor, md.dims()))
 
     orbits = []  # (members, bound on the multiplicity)
@@ -168,7 +212,7 @@ def candidate_search(md: ModularData, budget: int | None = None) -> list:
         j = dual[i]
         if j == i:
             members = (i,)
-        elif theta[j] != one:
+        elif not trivial[j]:
             # dual of a theta-trivial label is theta-trivial in valid
             # data; a violation here just means the label is unusable
             seen.add(i)

@@ -101,6 +101,21 @@ def random_metric_group(rng: random.Random, max_size: int = 64) -> MetricGroup:
             return mg
 
 
+def seeded_triple_double_semion(rng: random.Random, base: MetricGroup) -> MetricGroup:
+    """The orthogonal sum of three copies of `base` (the double semion
+    on Z2 x Z2) on Z2^6, in a seeded random basis: q'(x) = q(M x) for a
+    random invertible M over GF(2)."""
+    while True:
+        m = [[rng.randrange(2) for _ in range(6)] for _ in range(6)]
+        if round(abs(np.linalg.det(np.array(m)))) % 2:  # invertible mod 2
+            break
+    q = {}
+    for x in product(range(2), repeat=6):
+        y = [sum(a * b for a, b in zip(row, x)) % 2 for row in m]
+        q[x] = sum((base.q[(y[2 * i], y[2 * i + 1])] for i in range(3)), Fraction(0)) % 1
+    return MetricGroup(orders=(2,) * 6, q=q)
+
+
 def brute_force_lagrangians(mg: MetricGroup) -> list:
     """Independent oracle: try every subset of size sqrt(|A|)."""
     from itertools import combinations
@@ -745,6 +760,59 @@ def s_invariant(md: ModularData, n) -> bool:
         cyc_sum(row[j] if n[j] == 1 else row[j] * n[j] for j in support) == n[i]
         for i, row in enumerate(md.s)
     )
+
+
+def per_label_theta_trivial(md: ModularData) -> list:
+    """Labels with theta_i = 1, one `Cyclotomic` comparison per label
+    (the choice `obstruction._theta_trivial` makes once per T slot)."""
+    theta = md.theta()
+    one = theta[md.unit_index]
+    return [i for i in range(md.rank) if theta[i] == one]
+
+
+def per_member_fixed_space_rows(md: ModularData, columns: list) -> list:
+    """The rows of `obstruction._fixed_space_rows` as tuples, built in
+    Python integers with one object cast per orbit member, with repeated
+    and zero rows dropped."""
+    packed = md.packed_s()
+    r, _, phi = packed.nums.shape
+    a = np.zeros((r, phi, len(columns)), dtype=object)
+    for c, members in enumerate(columns):
+        for j in members:
+            a[:, :, c] += packed.nums[:, j, :].astype(object)
+            a[j, 0, c] -= packed.den
+    rows = dict.fromkeys(map(tuple, a.reshape(r * phi, len(columns)).tolist()))
+    return [row for row in rows if any(row)]
+
+
+def _primitive(row: list) -> list:
+    """row divided by the gcd of its entries, leading entry positive."""
+    g = math.gcd(*row)
+    if next(v for v in row if v) < 0:
+        g = -g
+    return [v // g for v in row]
+
+
+def list_reduced_system(rows, width: int) -> dict | None:
+    """`obstruction._reduced_system` by Python-list row combinations, one
+    row at a time: each row is reduced by the basis so far, made
+    primitive and cleared from the basis rows."""
+    basis: dict = {}
+    for row in map(list, rows):
+        for p, prow in basis.items():
+            if row[p]:
+                row = [prow[p] * x - row[p] * y for x, y in zip(row, prow)]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        if lead == width - 1:
+            return None
+        row = _primitive(row)
+        for p, prow in basis.items():
+            if prow[lead]:
+                basis[p] = _primitive([row[lead] * x - prow[lead] * y for x, y in zip(prow, row)])
+        basis[lead] = row
+    return basis
 
 
 def _float_and_height(x) -> tuple:

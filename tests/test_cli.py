@@ -471,7 +471,9 @@ class TestModularSectionFuzz:
     )
     def test_mutated_modular_sections_exit_cleanly(self, fuzz_dir, name, mutations):
         # every document either exits 2 with one error line or runs to a
-        # verdict on its checks (0 or 1) with nothing on stderr
+        # verdict on its checks (0 or 1) with nothing on stderr; `verdict`
+        # may also stop on a failed exact check (1) or the search budget
+        # (3), each with one error line, and never with a traceback
         obj = json.loads((fuzz_dir / f"{name}.json").read_text())
         other = "fibonacci" if name != "fibonacci" else "ising"
         other_ring = json.loads((fuzz_dir / f"{other}.json").read_text())["modular_data"]["ring"]
@@ -487,6 +489,12 @@ class TestModularSectionFuzz:
             assert err.startswith("error:") and err.count("\n") == 1, (mutations, err)
         else:
             assert code in (0, 1) and not err, (mutations, code, err)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verdict", str(path), "--format", "json"])
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3), (mutations, code, err)
+        assert not err or (err.startswith("error:") and err.count("\n") == 1), (mutations, err)
 
 
 def test_console_entry_point_runs():
