@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import corpus
@@ -23,7 +22,7 @@ from .multifusion import block_partition, morita_witness
 from .obstruction import verdict as run_verdict
 from .pointed import validate_metric
 from .report import ValidationReport
-from .specfile import CategorySpecFile
+from .specfile import CategorySpecFile, json_text
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -32,7 +31,7 @@ EXIT_BUDGET = 3
 
 
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json_text(obj))
 
 
 def _load(path: str) -> CategorySpecFile:

@@ -282,7 +282,8 @@ def _table_of(rows) -> np.ndarray:
     if not rows:
         return np.zeros((0, 4), dtype=np.int64)
     if max(map(abs, chain.from_iterable(rows))) < _INT64_LIMIT:
-        return np.array(rows, dtype=np.int64)
+        entries = chain.from_iterable(rows)
+        return np.fromiter(entries, dtype=np.int64, count=4 * len(rows)).reshape(-1, 4)
     return np.array(rows, dtype=object)
 
 
@@ -297,11 +298,28 @@ def _assemble(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _json_table(triples: list) -> np.ndarray:
-    """The table of JSON rows.  The first bad row or
-    repeated (i, j, k) is named, row by row, before any check of the
-    other fields."""
+    """The table of JSON rows.  The first bad row or repeated (i, j, k)
+    is named, in row order, before any check of the other fields.
+    Well-formed rows pass a few C-level checks; the row-by-row scan runs
+    only after one of them has found a fault, to name it."""
+    if (
+        set(map(type, triples)) <= {list}
+        and set(map(len, triples)) <= {4}
+        and set(map(type, chain.from_iterable(triples))) <= {int}
+    ):
+        table = _table_of(triples)
+        if not _has_repeated_key(table):
+            return table
     _scan_rows(triples)
     return _table_of(triples)
+
+
+def _has_repeated_key(table: np.ndarray) -> bool:
+    """Some two rows share (i, j, k)."""
+    if table.dtype == object:
+        return len(set(map(tuple, table[:, :3].tolist()))) < len(table)
+    keys = table[np.lexsort(table[:, 2::-1].T), :3]
+    return bool((keys[1:] == keys[:-1]).all(axis=1).any())
 
 
 def _scan_rows(triples: list) -> None:

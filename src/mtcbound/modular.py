@@ -59,6 +59,7 @@ reported at the first label that carries the value.
 
 from __future__ import annotations
 
+import marshal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -565,28 +566,23 @@ def _conductor(md: ModularData) -> int:
 
 def _scalar_parser():
     """`Cyclotomic.from_json_dict`, run once per distinct scalar object
-    of one document.  Objects in the form `to_json_dict` writes (an
-    integer "N" and pairs of strings in "c") are keyed by those fields,
-    which are all the parse reads; any other object is parsed on its
-    own, so a malformed entry raises where it stands."""
+    of one document.  The cache key is the object's `marshal` bytes: one
+    C-level step that records every type, so two objects share a key
+    only if they are equal JSON values of equal types (`True` is not
+    `1`, "12" is not ["1", "2"]), and the parse, which reads nothing
+    else, gives both the same scalar.  Anything `marshal` refuses is
+    parsed on its own, so a malformed entry raises where it stands."""
     parsed: dict = {}
 
     def parse(obj) -> Cyclotomic:
-        if type(obj) is dict and type(obj.get("N")) is int and type(obj.get("c")) is list:
-            key = [obj["N"]]
-            for pair in obj["c"]:
-                if type(pair) is not list or len(pair) != 2:
-                    break
-                p, q = pair
-                if type(p) is not str or type(q) is not str:
-                    break
-                key += pair
-            else:
-                key = tuple(key)
-                if key not in parsed:
-                    parsed[key] = Cyclotomic.from_json_dict(obj)
-                return parsed[key]
-        return Cyclotomic.from_json_dict(obj)
+        try:
+            key = marshal.dumps(obj)
+        except ValueError:  # nested beyond marshal's depth limit
+            return Cyclotomic.from_json_dict(obj)
+        value = parsed.get(key)
+        if value is None:
+            value = parsed[key] = Cyclotomic.from_json_dict(obj)
+        return value
 
     return parse
 

@@ -6,14 +6,24 @@ are optional but at least one must be present.  When both a metric
 group and modular data appear the former must regenerate the latter
 exactly; that (like all semantic checks) is reported by the validation
 pipeline rather than raised at load time, so a tampered file still has
-its most specific failure named.  Serialization is deterministic:
-sorted keys, two-space indent, trailing newline.
+its most specific failure named.
+
+`json_text` is the one JSON writer: category files and every CLI JSON
+document go through it.  Its bytes are those of
+`json.dumps(obj, sort_keys=True, indent=2)` plus a trailing newline
+(sorted keys, two-space indent, ASCII only), written without that
+function's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import InputError
 from .fusion import FusionRing
@@ -107,11 +117,12 @@ class CategorySpecFile:
         )
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_json_dict())
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
+        # the pieces, not their join: a large file is never held twice
+        with _gc_paused(), open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(_json_pieces(self.to_json_dict()))
 
     @staticmethod
     def load(path) -> "CategorySpecFile":
@@ -120,8 +131,129 @@ class CategorySpecFile:
                 text = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
         try:
-            obj = json.loads(text)
+            with _gc_paused():
+                # the parsed tree is freed before the collector resumes
+                return CategorySpecFile.from_json_dict(json.loads(text))
         except json.JSONDecodeError as exc:
             raise InputError(f"{path} is not valid JSON: {exc}") from exc
-        return CategorySpecFile.from_json_dict(obj)
+        except RecursionError as exc:
+            raise InputError(f"{path} is nested too deeply to read") from exc
+
+
+@contextmanager
+def _gc_paused():
+    """The cyclic collector paused while a JSON tree is built, read or
+    written.  Such a tree holds no cycles, and on a large file the
+    collector's passes over millions of new containers took longer than
+    the parse itself."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+_STDLIB_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+def json_text(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte,
+    for an acyclic document."""
+    return "".join(_json_pieces(obj))
+
+
+def _json_pieces(obj) -> list:
+    """The pieces of `json_text(obj)`, in order.  A dict that is an array
+    item is written once per (id, depth) within one call, so the scalar
+    objects that `to_json_dict` shares cost one lookup after their
+    first use.  Arrays of exact str leaves are one C-level map; arrays
+    and tables of exact int leaves are one pass of the C encoder,
+    re-indented; tuples are written as arrays.  Anything else (floats,
+    dicts with a non-str key, subclasses) is handed whole to the stdlib
+    encoder with the same settings and re-indented by replacing each
+    newline, which is exact because an encoded JSON string never holds
+    a raw newline."""
+    out: list = []
+    memos: defaultdict = defaultdict(dict)  # depth -> {id(dict): its text}
+
+    def write(x, depth: int) -> None:
+        kind = type(x)
+        if kind is str:
+            out.append(_quote(x))
+        elif kind is int:
+            out.append(int.__repr__(x))
+        elif kind is list or kind is tuple:
+            write_array(x, depth)
+        elif kind is dict and all(type(k) is str for k in x):
+            write_object(x, depth)
+        elif x is None:
+            out.append("null")
+        elif x is True:
+            out.append("true")
+        elif x is False:
+            out.append("false")
+        else:
+            out.append(_STDLIB_ENCODER.encode(x).replace("\n", "\n" + "  " * depth))
+
+    def write_object(obj: dict, depth: int) -> None:
+        if not obj:
+            out.append("{}")
+            return
+        pad = "\n" + "  " * (depth + 1)
+        sep = "{" + pad
+        for key in sorted(obj):
+            out.append(f"{sep}{_quote(key)}: ")
+            write(obj[key], depth + 1)
+            sep = "," + pad
+        out.append("\n" + "  " * depth + "}")
+
+    def write_array(items, depth: int) -> None:
+        if not items:
+            out.append("[]")
+            return
+        inner = depth + 1
+        pad = "\n" + "  " * inner
+        end = "\n" + "  " * depth + "]"
+        kinds = set(map(type, items))
+        if kinds == {int}:
+            # the C encoder's ", " separators become indented ones; an
+            # integer's text holds no comma, space or bracket
+            out.append(f"[{pad}{json.dumps(items)[1:-1].replace(', ', ',' + pad)}{end}")
+        elif kinds == {list} and all(items) and set(map(type, chain.from_iterable(items))) == {int}:
+            # a table of integer rows, the same way
+            row_pad = pad + "  "
+            body = json.dumps(items)[2:-2]
+            body = body.replace("], [", f"{pad}],{pad}[{row_pad}").replace(", ", "," + row_pad)
+            out.append(f"[{pad}[{row_pad}{body}{pad}]{end}")
+        elif kinds == {str}:
+            out.append(f"[{pad}{(',' + pad).join(map(_quote, items))}{end}")
+        else:
+            memo = memos[inner]
+            texts = list(map(memo.get, map(id, items)))
+            if None not in texts:  # every item a dict already written at this depth
+                out.append(f"[{pad}{(',' + pad).join(texts)}{end}")
+                return
+            sep = "[" + pad
+            for x in items:
+                out.append(sep)
+                sep = "," + pad
+                text = memo.get(id(x))
+                if text is not None:
+                    out.append(text)
+                elif type(x) is dict:
+                    start = len(out)
+                    write(x, inner)
+                    text = memo[id(x)] = "".join(out[start:])
+                    out[start:] = [text]
+                else:
+                    write(x, inner)
+            out.append(end)
+
+    write(obj, 0)
+    out.append("\n")
+    return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from mtcbound.errors import (
     SearchBudgetExceeded,
     SizeLimit,
 )
-from mtcbound.fusion import FusionRing, ring_product
+from mtcbound.fusion import FusionRing, _scan_rows, _table_of, ring_product
 from mtcbound.modular import ModularData, PackedMatrix, _balancing_sides, _settle
 from mtcbound.multifusion import BlockDecomposition
 from mtcbound.obstruction import central_charge_gate, search_budget
@@ -1358,3 +1359,47 @@ def euclid_inverse(x: Cyclotomic) -> Cyclotomic:
     for v in inv:
         den = _lcm(den, v.denominator)
     return Cyclotomic(n, tuple(int(v * den) for v in inv), den)
+
+
+# ---------------------------------------------------------------------------
+# JSON I/O reference routes
+# ---------------------------------------------------------------------------
+
+
+def stdlib_json_text(obj) -> str:
+    """The CLI and category-file text before `specfile.json_text`: the
+    stdlib's pure-Python indenting encoder."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def field_keyed_scalar_parser():
+    """`modular._scalar_parser` before the marshal key: objects with an
+    integer "N" and pairs of strings in "c" keyed by those fields, any
+    other object parsed on its own."""
+    parsed: dict = {}
+
+    def parse(obj) -> Cyclotomic:
+        if type(obj) is dict and type(obj.get("N")) is int and type(obj.get("c")) is list:
+            key = [obj["N"]]
+            for pair in obj["c"]:
+                if type(pair) is not list or len(pair) != 2:
+                    break
+                p, q = pair
+                if type(p) is not str or type(q) is not str:
+                    break
+                key += pair
+            else:
+                key = tuple(key)
+                if key not in parsed:
+                    parsed[key] = Cyclotomic.from_json_dict(obj)
+                return parsed[key]
+        return Cyclotomic.from_json_dict(obj)
+
+    return parse
+
+
+def row_scan_json_table(triples: list) -> np.ndarray:
+    """`fusion._json_table` before its C-level passes: every row scanned
+    one by one, then the table built."""
+    _scan_rows(triples)
+    return _table_of(triples)
