@@ -74,7 +74,8 @@ class Degenerate(MtcError):
 
 
 class SizeLimit(InputError):
-    """An input above a hard size cap of an enumeration, refused as input (exit 2)."""
+    """An input above a hard size cap of an enumeration or a construction,
+    refused as input (exit 2)."""
 
 
 class SearchBudgetExceeded(MtcError):

@@ -18,13 +18,12 @@ corners, Verlinde, JSON) goes through `FusionRing.from_table`;
 rings that turns the mapping into rows first.  `ring.fusion` is a
 read-only {(i, j, k): N} view of the table, built on first access.
 
-Validation is exact.  Associativity multiplies slices of the dense
-tensor for ranks up to `DENSE_RANK_CAP`, a block of labels i at a time.
-Every partial sum of a product is at most r max N^2, so the products run
-in float64 (BLAS) when that bound is below 2^53, in int64 when it is
-below 2^63, and on Python integers otherwise; no product can wrap.
-Beyond the cap one pair (i, j) at a time is multiplied, under the same
-rule.
+Validation is exact.  Associativity, at every rank, joins the table with
+itself: row (i, j, m) with the rows of label m, row (i, m, l) with the
+rows of third index m, a block of labels i at a time.  One sort brings
+the signed products of each key (i, j, k, l) together, and each must sum
+to zero.  Partial sums are at most r max N^2 in absolute value, so they
+run in int64 below 2^63 and on Python integers beyond; none can wrap.
 """
 
 from __future__ import annotations
@@ -44,14 +43,10 @@ from .errors import (
 )
 from .report import ValidationReport
 
-DENSE_RANK_CAP = 128
-
-# every integer below 2^53 in absolute value is exact in float64, and
 # int64 holds |x| < 2^63
-_FLOAT_EXACT = 2**53
 _INT64_LIMIT = 2**63
-# entries of dense tensor per associativity block
-_BLOCK_ENTRIES = 2**21
+# joined row products per associativity block
+_BLOCK_ENTRIES = 2**18
 # FP dimensions run in float64: multiplicities up to the cap are exact
 # there and give finite dimensions and global dimensions
 FP_MULTIPLICITY_CAP = 2**53
@@ -169,21 +164,6 @@ class FusionRing:
         out = np.zeros(self.rank, dtype=self.table.dtype)
         rows = self._rows(i, j)
         out[rows[:, 2].astype(np.int64)] = rows[:, 3]
-        return out
-
-    @property
-    def is_simple_unit(self) -> bool:
-        return len(self.unit) == 1
-
-    def dense(self) -> np.ndarray:
-        """Dense [r, r, r] tensor (int64, or object when entries are
-        big); refuses silly sizes."""
-        r = self.rank
-        if r > DENSE_RANK_CAP:
-            raise InputError(f"dense tensor refused for rank {r} > {DENSE_RANK_CAP}")
-        out = np.zeros((r, r, r), dtype=self.table.dtype)
-        i, j, k = self.indices().T
-        out[i, j, k] = self.table[:, 3]
         return out
 
     def left_matrix(self, i: int) -> np.ndarray:
@@ -497,44 +477,61 @@ def _unit_law(ring: FusionRing) -> tuple[bool, tuple | None]:
 
 def _associativity(ring: FusionRing) -> tuple[bool, tuple | None]:
     """(x_i x_j) x_k = x_i (x_j x_k), coefficient by coefficient; the
-    first failing (i, j, k, l) in lexicographic order."""
+    first failing (i, j, k, l) in lexicographic order.
+
+    Left minus right at (i, j, k, l) is sum_m N_ij^m N_mk^l - N_jk^m
+    N_im^l, a sum over the row pairs (i, j, m), (m, k, l) and (i, m, l),
+    (j, k, m) of the table.  A block of labels i sums its products key
+    by key after one sort; blocks run in increasing i, so the first
+    nonzero sum is the first failure.
+    """
     r = ring.rank
+    first, middle, last = ring.indices().T
     values = ring.table[:, 3]
-    bound = r * int(values.max()) ** 2 if len(values) else 0
-    dtype = np.float64 if bound < _FLOAT_EXACT else np.int64 if bound < _INT64_LIMIT else object
-    if r > DENSE_RANK_CAP:
-        return _sparse_associativity(ring, dtype)
-    n = ring.dense().astype(dtype)
-    by_left = n.reshape(r, r * r)  # [m, (k, l)]
-    by_right = n.reshape(r * r, r)  # [(j, k), m]
-    step = max(1, _BLOCK_ENTRIES // (r * r * r))
-    for start in range(0, r, step):
-        block = n[start : start + step]  # [i, j, m]
-        # left[i, j, k, l] = sum_m N_ij^m N_mk^l, right = sum_m N_jk^m N_im^l
-        left = (block.reshape(-1, r) @ by_left).reshape(-1, r, r, r)
-        right = np.matmul(by_right, block).reshape(-1, r, r, r)
-        bad = np.argwhere(left != right)
+    if len(values) and r * int(values.max()) ** 2 >= _INT64_LIMIT:
+        values = values.astype(object)
+    labels = np.arange(r + 1)
+    # the rows with first index m are one slice of the table, the rows
+    # with third index m one slice of the table sorted by that index
+    by_first = first.searchsorted(labels)
+    by_last = last.argsort(kind="stable")
+    by_last_start = last[by_last].searchsorted(labels)
+    n_left = (by_first[1:] - by_first[:-1])[last]
+    n_right = (by_last_start[1:] - by_last_start[:-1])[middle]
+    # products made by the rows of the labels below i
+    made = np.concatenate(([0], np.cumsum(n_left + n_right)))[by_first]
+    # so that every key ((i - start) r + j) r + k) r + l is below 2^63
+    span = max(1, (_INT64_LIMIT - 1) // r**3)
+    pairs, tails = ring._codes // r, ring._codes % (r * r)  # i r + j, j r + k
+    start = 0
+    while start < r:
+        stop = int(np.searchsorted(made, made[start] + _BLOCK_ENTRIES, side="right")) - 1
+        stop = min(max(stop, start + 1), start + span)
+        lo, hi = by_first[start], by_first[stop]
+        p, q = _join(by_first[last[lo:hi]], n_left[lo:hi], lo)  # (i, j, m), (m, k, l)
+        left = (pairs[p] - start * r) * (r * r) + tails[q], values[p] * values[q]
+        p, q = _join(by_last_start[middle[lo:hi]], n_right[lo:hi], lo)
+        q = by_last[q]  # (i, m, l), (j, k, m)
+        right = (first[p] - start) * r**3 + pairs[q] * r + last[p], -(values[p] * values[q])
+        keys, terms = np.concatenate((left[0], right[0])), np.concatenate((left[1], right[1]))
+        order = keys.argsort()
+        keys = keys[order]
+        # the first product of each key (keys are >= 0)
+        heads = np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])).nonzero()[0]
+        bad = np.add.reduceat(terms[order], heads).nonzero()[0]
         if len(bad):
-            i, j, k, l = (int(t) for t in bad[0])
-            return False, (start + i, j, k, l)
+            code = int(keys[heads[bad[0]]])
+            return False, (start + code // r**3, code // (r * r) % r, code // r % r, code % r)
+        start = stop
     return True, None
 
 
-def _sparse_associativity(ring: FusionRing, dtype) -> tuple[bool, tuple | None]:
-    """`_associativity` one pair (i, j) at a time, for ranks too large
-    for the dense tensor: with A_i the matrix of left multiplication by
-    x_i, (x_i x_j) x_k is sum_m N_ij^m A_m and x_i (x_j x_k) is A_j A_i."""
-    for i in range(ring.rank):
-        a_i = ring.left_matrix(i).astype(dtype)
-        for j in range(ring.rank):
-            left = np.zeros_like(a_i)
-            for _, _, m, v in ring._rows(i, j).tolist():
-                left += ring.left_matrix(m).astype(dtype) * v
-            right = ring.left_matrix(j).astype(dtype) @ a_i
-            bad = np.argwhere(left != right)
-            if len(bad):
-                return False, (i, j, int(bad[0][0]), int(bad[0][1]))
-    return True, None
+def _join(starts: np.ndarray, counts: np.ndarray, offset: int) -> tuple:
+    """Index pairs (offset + a, starts[a] + t) for t < counts[a]: row
+    offset + a of the table against its counts[a] partner rows."""
+    source = np.arange(offset, offset + len(counts)).repeat(counts)
+    target = np.arange(counts.sum()) + (starts - counts.cumsum() + counts).repeat(counts)
+    return source, target
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,6 @@ from .cyclotomic import (
     _power_row,
     _reduction,
     euler_phi,
-    from_angle,
 )
 from .errors import (
     GaussIdentityFailure,
@@ -85,6 +84,7 @@ from .errors import (
     NonIntegralVerlinde,
     NonModular,
     NotRootOfUnity,
+    SizeLimit,
 )
 from .fusion import FusionRing, _assemble, first_difference, ring_product
 from .report import ValidationReport
@@ -98,6 +98,13 @@ _INT64_LIMIT = 2**63
 # a rank-12 datum runs as one block, and a block of rank-1,296 pointed
 # data holds about 2 MB of them.
 _BLOCK_ENTRIES = 2**18
+
+# `box_tensor` refuses a product whose fusion table (the product of the
+# two row counts) or S (rank^2 entries) would exceed this many entries.
+# `ring_product` peaks at about 150 bytes per output row (measured at
+# 2^20 rows), so a product at the cap takes about 3 GB; the largest
+# product the tests and fixtures build has 25,600 rows.
+PRODUCT_SIZE_CAP = 2 * 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -772,21 +779,6 @@ def central_charge(md: ModularData) -> Fraction:
     return Fraction(8 * k, m) % 8
 
 
-def central_charge_via_square(md: ModularData) -> Fraction:
-    """Secondary route: (tau+/D)^2 = tau+/tau- exactly gives c mod 4,
-    and of the two square roots e^(2 pi i c/8) and its negative,
-    tau+/D is the one with tau+ = e^(2 pi i c/8) D exactly.  Used as a
-    cross-check."""
-    tau_plus, tau_minus, total = gauss_sums(md)
-    square = tau_plus / tau_minus
-    root = square.as_root_of_unity()
-    if root is None:
-        raise NotRootOfUnity(f"tau+/tau- = {square} is not a root of unity")
-    k, m = root
-    base = Fraction(4 * k, m) % 8
-    return base if tau_plus == from_angle(base / 8) * total else (base + 4) % 8
-
-
 def central_charge_float_oracle(md: ModularData) -> float:
     """arg(tau+) * 8 / 2pi mod 8, pure floating point; diagnostic only."""
     import cmath
@@ -813,10 +805,19 @@ def reverse(md: ModularData) -> ModularData:
 
 def box_tensor(a: ModularData, b: ModularData) -> ModularData:
     """Deligne-product data: Kronecker S, and T the Kronecker of the
-    T vectors, each one product per pair of distinct entries."""
-    ring = None
-    if a.ring is not None and b.ring is not None:
-        ring = ring_product(a.ring, b.ring)
+    T vectors, each one product per pair of distinct entries.
+
+    Raises SizeLimit, before allocating anything, when the product's S
+    or fusion table would exceed PRODUCT_SIZE_CAP entries."""
+    rings = a.ring is not None and b.ring is not None
+    rows = len(a.ring.table) * len(b.ring.table) if rings else 0
+    entries = (a.rank * b.rank) ** 2
+    if max(rows, entries) > PRODUCT_SIZE_CAP:
+        raise SizeLimit(
+            f"the product needs {entries} S entries and {rows} fusion rows, "
+            f"above the cap of {PRODUCT_SIZE_CAP}"
+        )
+    ring = ring_product(a.ring, b.ring) if rings else None
     return ModularData(
         s=a.s.kron(b.s), t=a.t.kron(b.t), unit_index=a.unit_index * b.rank + b.unit_index, ring=ring
     )

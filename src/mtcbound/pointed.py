@@ -122,9 +122,6 @@ class MetricGroup:
     def add(self, a: tuple, b: tuple) -> tuple:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
 
-    def neg(self, a: tuple) -> tuple:
-        return tuple((-x) % n for x, n in zip(a, self.orders))
-
     def qval(self, a: tuple) -> Fraction:
         return self.q[a]
 

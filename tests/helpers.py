@@ -39,7 +39,13 @@ from mtcbound.errors import (
     SizeLimit,
 )
 from mtcbound.fusion import FusionRing, _scan_rows, _table_of, ring_product
-from mtcbound.modular import ModularData, PackedMatrix, _balancing_sides, _settle
+from mtcbound.modular import (
+    ModularData,
+    PackedMatrix,
+    _balancing_sides,
+    _settle,
+    gauss_sums,
+)
 from mtcbound.multifusion import BlockDecomposition
 from mtcbound.obstruction import central_charge_gate, search_budget
 from mtcbound.pointed import (
@@ -371,6 +377,11 @@ def histogram_milgram_signature(mg: MetricGroup) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def metric_neg(mg: MetricGroup, a: tuple) -> tuple:
+    """-a in the group of mg."""
+    return tuple((-x) % n for x, n in zip(a, mg.orders))
+
+
 def per_entry_metric_modular_data(mg: MetricGroup) -> ModularData:
     """Pointed modular data built one entry at a time: S[a][b] from the
     `Fraction` pairing `mg.bilinear(a, b)`, the ring from `mg.add`."""
@@ -395,7 +406,7 @@ def per_entry_metric_modular_data(mg: MetricGroup) -> ModularData:
     ring = FusionRing(
         labels=labels,
         unit=(index(zero),),
-        dual=tuple(index(mg.neg(a)) for a in elements),
+        dual=tuple(index(metric_neg(mg, a)) for a in elements),
         fusion=fusion,
     )
     return ModularData(s=s, t=t, unit_index=index(zero), ring=ring)
@@ -720,6 +731,21 @@ def distinct_pair_central_charge(md: ModularData) -> Fraction:
         raise NotRootOfUnity(f"tau+/D = {u} is not a root of unity")
     k, m = root
     return Fraction(8 * k, m) % 8
+
+
+def central_charge_via_square(md: ModularData) -> Fraction:
+    """Secondary route: (tau+/D)^2 = tau+/tau- exactly gives c mod 4,
+    and of the two square roots e^(2 pi i c/8) and its negative,
+    tau+/D is the one with tau+ = e^(2 pi i c/8) D exactly.  Used as a
+    cross-check of `central_charge`."""
+    tau_plus, tau_minus, total = gauss_sums(md)
+    square = tau_plus / tau_minus
+    root = square.as_root_of_unity()
+    if root is None:
+        raise NotRootOfUnity(f"tau+/tau- = {square} is not a root of unity")
+    k, m = root
+    base = Fraction(4 * k, m) % 8
+    return base if tau_plus == from_angle(base / 8) * total else (base + 4) % 8
 
 
 def distinct_pair_central_charge_via_square(md: ModularData) -> Fraction:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mtcbound import corpus, modular, pointed
 from mtcbound.cli import build_parser, main
 from mtcbound.cyclotomic import CONDUCTOR_CAP, Cyclotomic
-from mtcbound.errors import MtcError
+from mtcbound.errors import MtcError, SizeLimit
 from mtcbound.specfile import CategorySpecFile
 
 
@@ -277,6 +277,26 @@ class TestDouble:
             capsys, "double", str(fixture_dir / "m2.json"), str(tmp_path / "x.json")
         )
         assert code == 2
+
+    def test_product_above_the_size_cap_exits_2_and_writes_nothing(
+        self, capsys, tmp_path, fixture_dir, monkeypatch
+    ):
+        # the double of ising has 9^2 = 81 S entries and 10 * 10 fusion rows
+        path, out_path = str(fixture_dir / "ising.json"), tmp_path / "di.json"
+        monkeypatch.setattr(modular, "PRODUCT_SIZE_CAP", 99)
+        code, out, err = run(capsys, "double", path, str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cap of 99" in err
+        assert not out_path.exists()
+        monkeypatch.setattr(modular, "PRODUCT_SIZE_CAP", 100)
+        assert run(capsys, "double", path, str(out_path))[0] == 0
+        # data without a ring are capped by their S entries alone
+        md = corpus.build("ising").modular
+        bare = modular.ModularData(s=md.s, t=md.t, unit_index=md.unit_index)
+        assert modular.double(bare).rank == 9
+        monkeypatch.setattr(modular, "PRODUCT_SIZE_CAP", 80)
+        with pytest.raises(SizeLimit, match="81 S entries and 0 fusion rows"):
+            modular.double(bare)
 
 
 class TestDecompose:

@@ -16,7 +16,6 @@ from mtcbound.modular import (
     _gauss_sum,
     box_tensor,
     central_charge,
-    central_charge_via_square,
     double,
     gauss_sums,
     reverse,
@@ -24,6 +23,7 @@ from mtcbound.modular import (
 from mtcbound.pointed import MetricGroup, metric_modular_data, milgram_signature
 
 from tests.helpers import (
+    central_charge_via_square,
     distinct_pair_central_charge,
     distinct_pair_central_charge_via_square,
     distinct_pair_gauss_sum,

@@ -222,13 +222,11 @@ class TestMutants:
             assert from_json[1] == ring, count
             assert checks(validate(ring)) == checks(dict_validate(old)), count
             assert_same_decomposition(ring, old, count)
-            # the blocked and the pair-by-pair associativity routes
-            dense = _associativity(ring)
+            # one block for the whole ring and one label per block
+            whole = _associativity(ring)
             with monkeypatch.context() as m:
                 m.setattr(fusion, "_BLOCK_ENTRIES", 1)
-                assert _associativity(ring) == dense, count
-                m.setattr(fusion, "DENSE_RANK_CAP", 0)
-                assert _associativity(ring) == dense, count
+                assert _associativity(ring) == whole, count
         assert built >= 300
 
     def test_verlinde_mismatch_names_the_first_differing_key(self):
@@ -384,6 +382,42 @@ class TestExactness:
         assert exact_associativity(ring) == (False, (0, 0, 0, 0))
         assert _associativity(ring) == (False, (0, 0, 0, 0))
         assert not next(c for c in validate(ring).checks if c.name == "associativity").ok
+
+    def test_tampered_summand_of_a_rank_130_sum(self, monkeypatch):
+        """A non-associative rank-2 ring beside the rank-128 group ring,
+        in both orders: the first failure is the small ring's own,
+        shifted by its offset, also with one label per block."""
+        small = FusionRing(
+            ("1", "t"), (0,), (0, 1), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 2, (1, 1, 0): 1}
+        )
+        ok, where = exact_associativity(small)
+        assert not ok
+        big = group_ring((2,) * 7)
+        for ring, shift in ((direct_sum(small, big), 0), (direct_sum(big, small), 128)):
+            assert ring.rank == 130
+            expected = (False, tuple(x + shift for x in where))
+            assert _associativity(ring) == expected
+            with monkeypatch.context() as m:
+                m.setattr(fusion, "_BLOCK_ENTRIES", 1)
+                assert _associativity(ring) == expected
+
+    def test_no_key_wraps_at_rank_60000(self):
+        """Orthogonal idempotents x_i x_i = x_i, every label a unit
+        summand: r^4 is above 2^63, so a block may not hold every label.
+        With x_a x_a = x_a + x_b added for a = r - 1 and b = r - 2, the
+        first failure is (b, a, a, b): x_b (x_a x_a) = x_b, while
+        (x_b x_a) x_a = 0."""
+        r = 60_000
+        index = np.arange(r)
+        table = np.stack((index, index, index, np.ones(r, dtype=np.int64)), axis=1)
+        labels, every = tuple(map(str, range(r))), tuple(range(r))
+        ring = FusionRing.from_table(labels, every, every, table)
+        assert _associativity(ring) == (True, None)
+        a, b = r - 1, r - 2
+        tampered = FusionRing.from_table(
+            labels, every, every, np.concatenate((table, [[a, a, b, 1]]))
+        )
+        assert _associativity(tampered) == (False, (b, a, a, b))
 
     def test_big_multiplicities_against_brute_force(self):
         rng = random.Random(3)

@@ -17,7 +17,6 @@ from mtcbound.modular import (
     box_tensor,
     central_charge,
     central_charge_float_oracle,
-    central_charge_via_square,
     double,
     gauss_sums,
     reverse,
@@ -29,6 +28,7 @@ from mtcbound.modular import (
 
 from mtcbound.pointed import metric_modular_data
 from tests.helpers import (
+    central_charge_via_square,
     object_matmul,
     object_scale_columns,
     object_verlinde,
