@@ -295,9 +295,19 @@ def _json_table(triples: list) -> np.ndarray:
 
 
 def _has_repeated_key(table: np.ndarray) -> bool:
-    """Some two rows share (i, j, k)."""
+    """Some two rows share (i, j, k).  Rows in strictly increasing
+    (i, j, k) order, as `save` writes them, pass one comparison of
+    neighbours; only other tables are sorted."""
     if table.dtype == object:
         return len(set(map(tuple, table[:, :3].tolist()))) < len(table)
+    before, after = table[:-1], table[1:]
+    increasing = after[:, 2] > before[:, 2]
+    for column in (1, 0):
+        increasing = (after[:, column] > before[:, column]) | (
+            (after[:, column] == before[:, column]) & increasing
+        )
+    if increasing.all():
+        return False
     keys = table[np.lexsort(table[:, 2::-1].T), :3]
     return bool((keys[1:] == keys[:-1]).all(axis=1).any())
 

@@ -24,6 +24,19 @@ the pairs i <= j only, as one packed product per block of pairs of at
 most `_BLOCK_ENTRIES` coefficients, and mirrors the rest; conj(S)^T,
 the right operand of every block, is cast and scanned once.
 
+`validate_modular` decides balancing and the two Verlinde checks by one
+of two routes.  Data that declare a fusion ring and pass every earlier
+check take the ring route, `_ring_equations`: one read of conj(S) = C S
+and two passes over the sorted ring table, S_um sum_k N_ij^k S_km =
+S_im S_jm and T_i T_j S_ij = T_u sum_k N_i*j^k T_k S_uk, gathered from
+products of the distinct entries, with no inverse and no product of
+r x r matrices.  Its docstring proves that these imply the Verlinde
+formula for the declared ring and (ST)^3 = (tau+/D) S^2.  Ring-less
+data, and data on which a precondition or either equation fails, take
+the full route: `verlinde_table` against the ring, and (ST)^3 against
+(tau+/D) S^2, which name the first failing key.  Both routes give the
+same report.
+
 Derived invariants (packed S and S^2, dims, twists, D, the dual
 permutation, the Gauss sums, and through `ModularData._derived` the
 central charge and the Verlinde ring) are computed at most once per
@@ -98,6 +111,11 @@ _INT64_LIMIT = 2**63
 # a rank-12 datum runs as one block, and a block of rank-1,296 pointed
 # data holds about 2 MB of them.
 _BLOCK_ENTRIES = 2**18
+
+# `_ring_equations` forms every product of two distinct S entries, as
+# (entries^2, 2 phi - 1) coefficients; above this many it leaves the
+# Verlinde and balancing checks to the full routes.
+_PRODUCT_TABLE_CAP = 2**20
 
 # `box_tensor` refuses a product whose fusion table (the product of the
 # two row counts) or S (rank^2 entries) would exceed this many entries.
@@ -840,6 +858,197 @@ def _balancing_sides(md: ModularData, theta: tuple, factor: Cyclotomic) -> tuple
     return st @ st @ st, md.packed_s_squared().times(PackedMatrix.pack(((factor,),), n))
 
 
+def _ring_equations(md: ModularData) -> tuple[bool, bool]:
+    """(verlinde, balancing): whether the declared ring N passes
+    `verlinde_integral` and `verlinde_matches_ring`, and the data pass
+    `balancing`, read off the ring table without a product of r x r
+    matrices and without an inverse.  False means only "not shown here":
+    the caller then runs the full routes.
+
+    The caller has already passed s_symmetric, dims_real_positive,
+    total_dim, s_squared_dual_permutation (S^2 = C, an involution fixing
+    the unit u), dual_matches_ring (C = ring.dual), theta_root_of_unity
+    and theta_dual_invariant.  So S = S^T, d_i = S_ui / S_uu > 0, S_uu
+    is real, and theta_i* = theta_i.  This function checks three things.
+
+    (U) conj(S) = C S, i.e. conj(S_ij) = S_i*j: one read of the slots.
+    (V) S_um sum_k N_ij^k S_km = S_im S_jm for all i, j, m.
+    (B) T_i T_j S_ij = T_u sum_k N_i*j^k T_k S_uk for all i, j; with
+        theta = T / T_u this is theta_i theta_j S_ij = S_uu sum_k
+        N_i*j^k theta_k d_k.
+
+    Unitarity.  S commutes with S^2 = C, so S conj(S) = S C S = C S S =
+    C^2 = 1 by (U): S^-1 = conj(S).
+
+    (V) gives Verlinde.  d_m > 0, so S_um != 0.  Multiply (V) by
+    conj(S_lm) / S_um and sum over m; S conj(S) = 1 leaves N_ij^l =
+    sum_m S_im S_jm conj(S_lm) / S_um, which is the coefficient that
+    `verlinde_table` computes.  The declared N are non-negative integers
+    (ring construction checks that), so `verlinde_table` returns exactly
+    the ring's table: verlinde_integral passes and first_difference
+    finds nothing.
+
+    (B) with (V) gives balancing.  Write p = tau+ / D = S_uu sum_k d_k^2
+    theta_k and T = diag(theta).
+    - sum_a d_a N_a*b^k = d_b d_k.  By the Verlinde formula and
+      S_a*m = conj(S_am) (from (U)), the left side is sum_m
+      (sum_a d_a conj(S_am)) S_bm conj(S_km) / S_um, and sum_a S_ua
+      conj(S_am) = delta_um, so it is S_bu conj(S_ku) / S_uu^2 =
+      d_b d_k (the d are real).
+    - The Gauss identity sum_a theta_a d_a S_ab = p theta_b^-1 d_b:
+      multiply (B) at (a, b) by d_a and sum over a; the step above
+      turns the right side into S_uu sum_k theta_k d_k^2 d_b = p d_b.
+    - S T S = p T^-1 S T^-1: (B) at (j, b) gives theta_j S_jb =
+      theta_b^-1 S_uu sum_k N_j*b^k theta_k d_k.  By Verlinde and
+      S conj(S) = 1, sum_j S_aj N_j*b^k = S_ba conj(S_ka) / S_ua, and
+      conj(S_ka) = S_a*k = S_ka*.  So (S T S)_ab = theta_b^-1 S_uu
+      S_ab / S_ua sum_k theta_k d_k S_ka*, and the Gauss identity at
+      a*, with theta_a* = theta_a and d_a* = d_a, makes it p
+      theta_a^-1 theta_b^-1 S_ab.
+    - Hence (S T)^3 = (S T S) T S T = p T^-1 S^2 T = p T^-1 C T = p C =
+      p S^2, since C commutes with T (theta is dual invariant).  Both
+      sides are equal in value, so `balancing` passes.
+
+    (V) is checked a block of labels i at a time, each block about
+    `_BLOCK_ENTRIES` coefficients or one label: the left side gathers N
+    times the product S_um S_km for each table row (i, j, k) and sums
+    the rows of each (i, j) with one `np.add.reduceat`; the right side
+    gathers S_im S_jm.  Both read one table of the products of every two
+    distinct S entries (the route is not taken when that table would
+    exceed `_PRODUCT_TABLE_CAP` coefficients), so no product is formed
+    per entry, and they share its denominator, so equal values have
+    equal numerators.  (B)
+    gathers T_i T_j S_ij and T_u T_k S_uk from one product per distinct
+    triple of slots, and sums the rows (a, j, k) into (a*, j) the same
+    way.  Sums run in int64 under a bound and on Python integers past it.
+    """
+    ring = md.ring
+    r, u = md.rank, md.unit_index
+    slots = md.s.slots.astype(np.intp)
+    table = md.s.table()
+    n, entries = table.conductor, table.nums[:, 0]
+    e, phi = entries.shape
+    dual = np.array(ring.dual, dtype=np.intp)
+
+    # (U): value ids of the entries and of their conjugates
+    ids: dict = {}
+    rows = np.concatenate((entries, _linear(entries, _conj_table(n)))).tolist()
+    value = np.array([ids.setdefault(tuple(row), len(ids)) for row in rows])
+    if not (value[e:][slots] == value[:e][slots[dual]]).all():
+        return False, False
+
+    first, pair_j, k = ring.indices().T
+    counts = ring.table[:, 3]
+    pairs = first * r + pair_j
+    heads = np.flatnonzero(np.concatenate(([True], pairs[1:] != pairs[:-1])))
+    by_first = first.searchsorted(np.arange(r + 1))
+    # the largest sum of N over one (i, j) bounds every sum of products
+    top = int(np.add.reduceat(counts, heads).max()) if len(counts) else 0
+
+    def sums(terms, start, stop):
+        """terms holds one item per table row of the labels start to
+        stop - 1: their sums over each (i, j), at row (i - start) r + j
+        of an array that is zero where (i, j) has no row."""
+        lo, hi = by_first[start], by_first[stop]
+        out = np.zeros(((stop - start) * r,) + terms.shape[1:], dtype=terms.dtype)
+        block = heads[heads.searchsorted(lo) : heads.searchsorted(hi)]
+        if len(block) < hi - lo:  # some (i, j) has several rows
+            terms = np.add.reduceat(terms, block - lo)
+        out[pairs[block] - start * r] = terms
+        return out
+
+    # (V), from the products of every two distinct S entries
+    if e * e * (2 * phi - 1) > _PRODUCT_TABLE_CAP:
+        return False, False
+    products = _linear(_conv_entrywise(entries[:, None], entries[None]), _reduction_table(n))
+    if top * _max_abs(products) >= _INT64_LIMIT:
+        products = products.astype(object)
+    product = _gather_rows(products)
+    unit_row = slots[u]
+    for start, stop in _label_blocks(by_first, r * phi):
+        lo, hi = by_first[start], by_first[stop]
+        left = sums(product(unit_row, slots[k[lo:hi]]) * counts[lo:hi, None, None], start, stop)
+        right = product(slots[start:stop, None], slots[None])
+        if not (left.reshape(right.shape) == right).all():
+            return False, False
+
+    # (B), from the products T_i T_j S_ij and T_u T_k S_uk
+    c = md.conductor()
+    t_entries = md.t.table().embed(c).nums[:, 0]
+    t = md.t.slots.astype(np.intp)
+    # the slots of T_i T_j S_ij for every (i, j), then of T_u T_k S_uk
+    triples, index = _products(
+        c,
+        (t_entries, t_entries, table.embed(c).nums[:, 0]),
+        (
+            np.append(np.repeat(t, r), np.full(r, t[u])),
+            np.append(np.tile(t, r), t),
+            np.append(slots, unit_row),
+        ),
+    )
+    if top * _max_abs(triples) >= _INT64_LIMIT:
+        triples = triples.astype(object)
+    triple = _gather_rows(triples)
+    lhs, rhs = index[: r * r].reshape(r, r), index[r * r :]
+    for start, stop in _label_blocks(by_first, triples.shape[1]):
+        lo, hi = by_first[start], by_first[stop]
+        right = sums(triple(rhs[k[lo:hi]]) * counts[lo:hi, None], start, stop)
+        if not (triple(lhs[dual[start:stop]]).reshape(right.shape) == right).all():
+            return True, False
+    return True, True
+
+
+def _label_blocks(by_first: np.ndarray, width: int):
+    """Ranges [start, stop) of labels, at least one each, whose table
+    rows plus r per label, times width, add up to about `_BLOCK_ENTRIES`;
+    by_first[i] is the first table row of label i."""
+    r = len(by_first) - 1
+    made = (by_first + np.arange(r + 1) * r) * width
+    start = 0
+    while start < r:
+        stop = int(np.searchsorted(made, made[start] + _BLOCK_ENTRIES, side="right")) - 1
+        stop = max(stop, start + 1)
+        yield start, stop
+        start = stop
+
+
+def _gather_rows(a: np.ndarray):
+    """index -> a[index] for an array (..., p) indexed on its leading
+    axes.  An int64 array is gathered as one p-coefficient record per
+    row, several times faster than as p separate items."""
+    if a.dtype != np.int64:
+        return lambda *index: a[index]
+    p = a.shape[-1]
+    records = np.ascontiguousarray(a).view(np.dtype((np.void, 8 * p)))[..., 0]
+
+    def gather(*index):
+        out = records[index]
+        return out.view(np.int64).reshape(out.shape + (p,))
+
+    return gather
+
+
+def _products(n: int, factors: tuple, slots: tuple) -> tuple:
+    """(nums, index): the product of factors[f][slots[f][x]] over f, as
+    power-basis numerators over Q(zeta_n) whose denominator is the
+    product of the factors' denominators, is nums[index[x]].  Each factor
+    is an integer array (entries, phi(n)) and each slot array is 1-D.
+    One product is formed per distinct combination of slots."""
+    code = np.zeros(len(slots[0]), dtype=np.int64)
+    for factor, s in zip(factors, slots):
+        code = code * len(factor) + s
+    used, index = np.unique(code, return_inverse=True)
+    digits = []
+    for factor in reversed(factors):
+        digits.append(used % len(factor))
+        used = used // len(factor)
+    nums = None
+    for factor, digit in zip(factors, reversed(digits)):
+        term = factor[digit]
+        nums = term if nums is None else _linear(_conv_entrywise(nums, term), _reduction_table(n))
+    return nums, index.reshape(-1)
+
+
 def validate_modular(md: ModularData) -> ValidationReport:
     """Exact check of every modular axiom; names are stable API.
 
@@ -910,6 +1119,7 @@ def validate_modular(md: ModularData) -> ValidationReport:
             "" if ok else "S^2 permutation differs from the declared dual",
         )
 
+    ring_verlinde = ring_balancing = False
     theta = None
     if md.t[u].is_zero():
         report.add("theta_normalized", False, (u,), "T_u = 0")
@@ -935,14 +1145,21 @@ def validate_modular(md: ModularData) -> ValidationReport:
         else:
             report.add("theta_dual_invariant", False, None, "dual permutation unavailable")
 
+        # every check so far passed: try the ring route (see _ring_equations)
+        if md.ring is not None and report.ok:
+            ring_verlinde, ring_balancing = _ring_equations(md)
+
         # (S T)^3 = (tau+/D) S^2 with T the normalized twist diagonal
         if dims is not None:
             tau_plus = _gauss_sum(md, 1)
-            lhs, rhs = _balancing_sides(md, theta, tau_plus * md.s_unit)
-            mismatch = np.argwhere(~lhs.entries_equal(rhs))
-            ok = not len(mismatch)
-            where = None if ok else tuple(int(x) for x in mismatch[0])
-            report.add("balancing", ok, where)
+            if ring_balancing:
+                report.add("balancing", True, None)
+            else:
+                lhs, rhs = _balancing_sides(md, theta, tau_plus * md.s_unit)
+                mismatch = np.argwhere(~lhs.entries_equal(rhs))
+                ok = not len(mismatch)
+                where = None if ok else tuple(int(x) for x in mismatch[0])
+                report.add("balancing", ok, where)
 
             total = md.total_dim()
             report.add(
@@ -954,6 +1171,10 @@ def validate_modular(md: ModularData) -> ValidationReport:
         report.add("balancing", False, None, "twists unavailable")
         report.add("gauss_identity", False, None, "twists unavailable")
 
+    if ring_verlinde:
+        report.add("verlinde_integral", True, None)
+        report.add("verlinde_matches_ring", True, None)
+        return report
     try:
         table = verlinde_table(md)
     except (NonIntegralVerlinde, NonModular) as exc:

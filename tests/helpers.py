@@ -38,13 +38,16 @@ from mtcbound.errors import (
     SearchBudgetExceeded,
     SizeLimit,
 )
-from mtcbound.fusion import FusionRing, _scan_rows, _table_of, ring_product
+from mtcbound.fusion import FusionRing, _scan_rows, _table_of, first_difference, ring_product
 from mtcbound.modular import (
     ModularData,
     PackedMatrix,
     _balancing_sides,
+    _gauss_sum,
     _settle,
     gauss_sums,
+    validate_modular,
+    verlinde_table,
 )
 from mtcbound.multifusion import BlockDecomposition
 from mtcbound.obstruction import central_charge_gate, search_budget
@@ -55,7 +58,7 @@ from mtcbound.pointed import (
     _exponents,
     _isotropic_sums,
 )
-from mtcbound.report import ValidationReport
+from mtcbound.report import CheckResult, ValidationReport
 
 _FACTOR_CHOICES = (2, 3, 4, 5, 6, 7, 8, 9, 16, 25)
 
@@ -611,6 +614,37 @@ def per_label_central_charge(md: ModularData) -> Fraction:
         raise NotRootOfUnity(f"tau+/D = {u} is not a root of unity")
     k, m = root
     return Fraction(8 * k, m) % 8
+
+
+def full_route_validate_modular(md: ModularData) -> ValidationReport:
+    """`validate_modular` with `balancing`, `verlinde_integral` and
+    `verlinde_matches_ring` always decided by the full routes that
+    ring-less data take: (S T)^3 against (tau+/D) S^2, and
+    `verlinde_table` against the declared ring.  The oracle of the ring
+    route (`modular._ring_equations`); the other checks are copied."""
+    checks = []
+    table = None
+    for check in validate_modular(md).checks:
+        if check.name == "balancing" and check.detail != "twists unavailable":
+            lhs, rhs = _balancing_sides(md, md.theta(), _gauss_sum(md, 1) * md.s_unit)
+            mismatch = np.argwhere(~lhs.entries_equal(rhs))
+            where = tuple(int(x) for x in mismatch[0]) if len(mismatch) else None
+            check = CheckResult("balancing", where is None, where)
+        elif check.name == "verlinde_integral":
+            try:
+                table = verlinde_table(md)
+            except (NonIntegralVerlinde, NonModular) as exc:
+                check = CheckResult("verlinde_integral", False, None, str(exc))
+            else:
+                check = CheckResult("verlinde_integral", True)
+        elif check.name == "verlinde_matches_ring":
+            if table is None:
+                check = CheckResult("verlinde_matches_ring", False, None, "verlinde unavailable")
+            else:
+                where = first_difference(md.ring, table)
+                check = CheckResult("verlinde_matches_ring", where is None, where)
+        checks.append(check)
+    return ValidationReport("modular data", checks)
 
 
 def per_label_scalar_checks(md: ModularData) -> dict:

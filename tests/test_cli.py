@@ -196,6 +196,65 @@ class TestValidate:
         assert "verlinde_integral" in names
 
 
+def _ragged_s(md):
+    md["S"][1].pop()
+
+
+def _short_t(md):
+    md["T"].pop()
+
+
+def _empty_s(md):
+    md["S"] = []
+
+
+def _duplicate_ring_labels(md):
+    md["ring"]["labels"][1] = md["ring"]["labels"][0]
+
+
+def _unit_out_of_range(md):
+    md["unit"] = len(md["T"])
+
+
+def _conductor_field_mismatch(md):
+    md["conductor"] += 1
+
+
+def _entry_conductor_10_12(md):
+    md["T"][1] = {"N": 10**12, "c": [["1", "1"]]}
+
+
+class TestMalformedInputs:
+    """Malformed modular sections through every command that reads one:
+    exit 2 and one line on stderr, never a traceback or exit 1."""
+
+    @pytest.mark.parametrize("command", ("validate", "verdict", "decompose"))
+    @pytest.mark.parametrize(
+        "edit, message",
+        (
+            (_ragged_s, "S must be square"),
+            (_short_t, "T must be a length-r vector"),
+            (_empty_s, "empty S matrix"),
+            (_duplicate_ring_labels, "duplicate labels"),
+            (_unit_out_of_range, "unit index 3 out of range"),
+            (_conductor_field_mismatch, "conductor field 17 does not match"),
+            (_entry_conductor_10_12, "conductor 1000000000000 exceeds cap"),
+        ),
+    )
+    def test_exits_2_with_one_stderr_line(
+        self, capsys, tmp_path, fixture_dir, command, edit, message
+    ):
+        obj = json.loads((fixture_dir / "ising.json").read_text())
+        edit(obj["modular_data"])
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 2, err
+        assert not out
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert message in err
+
+
 class TestVerdict:
     def test_fibonacci(self, capsys, fixture_dir):
         code, out, _ = run(capsys, "verdict", str(fixture_dir / "fibonacci.json"))

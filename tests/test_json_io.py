@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,6 +266,33 @@ RING_TARGETS = (
     ("m2_times_fib", ("fusion_ring",)),
     ("ising", ("modular_data", "ring")),
 )
+
+
+class TestRepeatedKeys:
+    """`fusion._has_repeated_key` takes one neighbour comparison on rows
+    in increasing (i, j, k) order and sorts only other tables."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        keys=st.lists(st.tuples(*(st.integers(0, 3),) * 3), max_size=12),
+        sort=st.booleans(),
+    )
+    def test_against_a_set_of_keys(self, keys, sort):
+        if sort:
+            keys = sorted(keys)
+        table = np.array([key + (1,) for key in keys], dtype=np.int64).reshape(-1, 4)
+        assert fusion._has_repeated_key(table) == (len(set(keys)) < len(keys)), keys
+
+    def test_sorted_tables_are_not_sorted_again(self, monkeypatch):
+        table = fusion.group_ring((3, 3)).table
+
+        def refuse(*_):
+            raise AssertionError("lexsort on a sorted table")
+
+        monkeypatch.setattr(fusion.np, "lexsort", refuse)
+        assert not fusion._has_repeated_key(table)
+        with pytest.raises(AssertionError):
+            fusion._has_repeated_key(np.concatenate((table, table[:1])))
 
 
 class TestLoaderFuzz:

@@ -1,0 +1,251 @@
+"""The ring route of `validate_modular` against the full products.
+
+On data that declare a fusion ring and pass every earlier check,
+`validate_modular` decides `balancing`, `verlinde_integral` and
+`verlinde_matches_ring` by `modular._ring_equations`, two passes over
+the ring table.  `tests.helpers.full_route_validate_modular` decides
+them by (S T)^3 and `verlinde_table`, as before.  The reports must be
+equal, byte for byte in JSON, on valid data and on tampered data, where
+the ring route gives up and the full routes name the failure.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mtcbound import corpus, modular
+from mtcbound.fusion import FusionRing
+from mtcbound.modular import (
+    ModularData,
+    _ring_equations,
+    box_tensor,
+    double,
+    reverse,
+    validate_modular,
+)
+from mtcbound.pointed import abelian_double, metric_modular_data
+from tests.helpers import full_route_validate_modular, random_metric_group
+
+
+def modular_fixtures() -> list:
+    """(label, datum) for the 13 fixtures with modular data."""
+    out = []
+    for name in corpus.fixture_names():
+        md = corpus.build(name).modular
+        if md is not None:
+            out.append((name, md))
+    assert len(out) == 13
+    return out
+
+
+def rank_12_products() -> list:
+    """The four rank-12 data that the benchmark's matrix workload
+    validates: toric code and double semion, each with Ising and its
+    reverse."""
+    ising = corpus.build("ising").modular
+    return [
+        (f"{name} x {label}", box_tensor(corpus.build(name).modular, chiral))
+        for name in ("toric_code", "double_semion")
+        for label, chiral in (("ising", ising), ("reverse(ising)", reverse(ising)))
+    ]
+
+
+def seeded_metric_data(count: int = 8) -> list:
+    rng = random.Random(1717)
+    return [
+        (f"metric {mg.orders}", metric_modular_data(mg))
+        for mg in (random_metric_group(rng, max_size=32) for _ in range(count))
+    ]
+
+
+def small_data() -> list:
+    return modular_fixtures() + rank_12_products() + seeded_metric_data()
+
+
+def assert_routes_agree(md, label) -> None:
+    ours, full = validate_modular(md), full_route_validate_modular(md)
+    assert ours.to_json_dict() == full.to_json_dict(), label
+
+
+def with_s(md: ModularData, rows) -> ModularData:
+    return ModularData(s=tuple(map(tuple, rows)), t=md.t, unit_index=md.unit_index, ring=md.ring)
+
+
+def with_ring_table(md: ModularData, table) -> ModularData:
+    ring = md.ring
+    bad = FusionRing.from_table(ring.labels, ring.unit, ring.dual, table)
+    return ModularData(s=md.s, t=md.t, unit_index=md.unit_index, ring=bad)
+
+
+def multiplicity_raised(md: ModularData, p: int, delta: int) -> ModularData:
+    table = md.ring.table.astype(object)
+    table[p % len(table), 3] += delta
+    return with_ring_table(md, table)
+
+
+def columns_swapped(md: ModularData, a: int, b: int) -> ModularData:
+    rows = [list(row) for row in md.s]
+    for row in rows:
+        row[a], row[b] = row[b], row[a]
+    return with_s(md, rows)
+
+
+def labels_swapped_in_s(md: ModularData, a: int, b: int) -> ModularData:
+    """Rows and columns a and b of S swapped: S stays symmetric."""
+    perm = list(range(md.rank))
+    perm[a], perm[b] = b, a
+    rows = tuple(md.s)
+    return with_s(md, [[rows[x][y] for y in perm] for x in perm])
+
+
+def row_conjugated(md: ModularData, i: int, column_too: bool) -> ModularData:
+    rows = [list(row) for row in md.s]
+    rows[i] = [x.conj() for x in rows[i]]
+    if column_too:
+        for j, row in enumerate(rows):
+            if j != i:
+                row[i] = row[i].conj()
+    return with_s(md, rows)
+
+
+def twist_squared(md: ModularData, i: int) -> ModularData:
+    t = list(md.t)
+    t[i] = t[i] * t[i]
+    return ModularData(s=md.s, t=tuple(t), unit_index=md.unit_index, ring=md.ring)
+
+
+def dual_relabelled(md: ModularData) -> ModularData:
+    """The declared dual with the images of the last two labels swapped."""
+    ring = md.ring
+    dual = list(ring.dual)
+    dual[-1], dual[-2] = dual[-2], dual[-1]
+    bad = FusionRing.from_table(ring.labels, ring.unit, tuple(dual), ring.table)
+    return ModularData(s=md.s, t=md.t, unit_index=md.unit_index, ring=bad)
+
+
+def tampers(md: ModularData) -> list:
+    """(label, datum): the tampers of one datum of rank >= 3."""
+    r, u = md.rank, md.unit_index
+    a, b = [x for x in range(r) if x != u][:2]
+    twisted = next((i for i in range(r) if md.t[i] * md.t[i] != md.t[i]), a)
+    return [
+        ("multiplicity + 1", multiplicity_raised(md, len(md.ring.table) // 2, 1)),
+        ("unit-row multiplicity + 1", multiplicity_raised(md, 0, 1)),
+        ("multiplicity 2^70", multiplicity_raised(md, 1, 2**70)),
+        ("two S columns swapped", columns_swapped(md, a, b)),
+        ("two labels swapped in S", labels_swapped_in_s(md, a, b)),
+        ("one S row conjugated", row_conjugated(md, a, False)),
+        ("one S row and column conjugated", row_conjugated(md, a, True)),
+        ("one twist squared", twist_squared(md, twisted)),
+        ("dual relabelled", dual_relabelled(md)),
+    ]
+
+
+class TestRingRoute:
+    def test_valid_ring_bearing_data_take_the_route(self):
+        for label, md in small_data():
+            assert md.ring is not None and validate_modular(md).ok, label
+            assert _ring_equations(md) == (True, True), label
+
+    def test_reports_match_the_full_routes(self):
+        for label, md in small_data():
+            assert_routes_agree(md, label)
+
+    def test_large_doubles(self):
+        d_z3 = double(corpus.build("d_z3").modular)
+        rank_144 = double(
+            box_tensor(corpus.build("toric_code").modular, corpus.build("ising").modular)
+        )
+        for label, md in (("double(d_z3)", d_z3), ("rank-144 double", rank_144)):
+            assert _ring_equations(md) == (True, True), label
+            assert_routes_agree(md, label)
+        assert_routes_agree(multiplicity_raised(d_z3, 4000, 1), "double(d_z3), N + 1")
+
+    def test_ring_less_data_take_the_full_routes(self, monkeypatch):
+        def refuse(md):
+            raise AssertionError("ring route on ring-less data")
+
+        monkeypatch.setattr(modular, "_ring_equations", refuse)
+        for name in ("ising", "fibonacci", "d_z3"):
+            md = corpus.build(name).modular
+            bare = ModularData(s=md.s, t=md.t, unit_index=md.unit_index)
+            assert validate_modular(bare).ok, name
+            assert_routes_agree(bare, name)
+
+    def test_tampers_match_the_full_routes(self):
+        for label, md in small_data():
+            if md.rank < 3:
+                continue
+            for tamper, bad in tampers(md):
+                assert_routes_agree(bad, (label, tamper))
+                report = validate_modular(bad)
+                if tamper.startswith(("multiplicity", "unit-row")):
+                    assert "verlinde_matches_ring" in report.failed_names(), (label, tamper)
+
+    def test_one_label_per_block(self, monkeypatch):
+        monkeypatch.setattr(modular, "_BLOCK_ENTRIES", 1)
+        for label, md in rank_12_products() + [("double(ising)", double(corpus.ising().modular))]:
+            assert _ring_equations(md) == (True, True), label
+            assert_routes_agree(md, label)
+            for tamper, bad in tampers(md):
+                assert_routes_agree(bad, (label, tamper))
+
+    def test_the_route_reads_conj_s_against_the_declared_dual(self):
+        # d_z3 has a complex S and the dual a -> -a; with the identity
+        # declared as dual, conj(S) = C S fails, and the route must say
+        # so itself, although the Verlinde equation does not read C
+        md = corpus.build("d_z3").modular
+        ring = md.ring
+        assert ring.dual != tuple(range(md.rank))
+        identity = FusionRing.from_table(ring.labels, ring.unit, tuple(range(md.rank)), ring.table)
+        bad = ModularData(s=md.s, t=md.t, unit_index=md.unit_index, ring=identity)
+        assert _ring_equations(bad) == (False, False)
+        assert_routes_agree(bad, "d_z3 with the identity as dual")
+
+    def test_above_the_product_table_cap_the_full_routes_run(self, monkeypatch):
+        monkeypatch.setattr(modular, "_PRODUCT_TABLE_CAP", 0)
+        for label, md in rank_12_products():
+            assert _ring_equations(md) == (False, False), label
+            assert validate_modular(md).ok, label
+
+
+SMALL = [md for _, md in small_data()]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    which=st.integers(0, len(SMALL) - 1),
+    ring_row=st.booleans(),
+    position=st.integers(0, 10**6),
+    other=st.integers(0, 10**6),
+    delta=st.sampled_from((-1, 1, 2)),
+    symmetric=st.booleans(),
+)
+def test_random_tamper_of_a_ring_row_or_an_s_slot(
+    which, ring_row, position, other, delta, symmetric
+):
+    md = SMALL[which]
+    if ring_row:
+        bad = multiplicity_raised(md, position, delta)
+    else:
+        r = md.rank
+        i, j = position % r, position // r % r
+        values = md.s.entries + tuple(-x for x in md.s.entries)
+        rows = [list(row) for row in md.s]
+        rows[i][j] = values[other % len(values)]
+        if symmetric:
+            rows[j][i] = rows[i][j]
+        bad = with_s(md, rows)
+    assert_routes_agree(bad, (which, ring_row, position, other, delta, symmetric))
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (3,), (4, 2)])
+def test_a_ring_missing_every_row_of_one_pair(orders):
+    # the left side of the Verlinde equation is zero at (1, 1), the
+    # right side is not
+    md = metric_modular_data(abelian_double(orders))
+    table = md.ring.table
+    keep = (table[:, 0] != 1) | (table[:, 1] != 1)
+    assert_routes_agree(with_ring_table(md, table[keep]), orders)
