@@ -37,6 +37,7 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic
 from .errors import InputError, NonModular, SearchBudgetExceeded
+from .fusion import element_label
 from .modular import _INT64_LIMIT, ModularData, _distinct_map, _max_abs, central_charge
 from .pointed import MetricGroup, lagrangian_subgroups, matches_modular_data, subgroup_indicator
 
@@ -308,10 +309,7 @@ class ObstructionReport:
             "conditions": {k: list(v) for k, v in sorted(self.conditions.items())},
         }
         if self.verdict == "ExactBoundaries":
-            out["subgroups"] = [
-                [",".join(str(c) for c in a) if a else "0" for a in sub]
-                for sub in self.subgroups
-            ]
+            out["subgroups"] = [[element_label(a) for a in sub] for sub in self.subgroups]
         return out
 
 

@@ -9,33 +9,32 @@ module builds that data exactly, enumerates Lagrangian subgroups
 computes the Gauss-Milgram signature as an independent route to the
 central charge.
 
-Everything runs on integer tables over the element indices (mixed
-radix, row-major over the cyclic factors).  The three that cost scalar
-work, the q-exponent vector e with q(a) = e[a]/M for M the common
-denominator of q, the factored T and the factored S, are computed at
-most once per `MetricGroup` and kept on it: one `verdict --pointed` on
-a file reads them up to three times (validation, the cross-section
-check and the hint check).  The coordinates, the
-negation, the radical and the group law law[a, c] = a + c cost one
-vectorised pass per cyclic factor, so they are rebuilt where they are
-needed rather than kept.
-The exponent matrix K[a, c] = (e[a + c] - e[a] - e[c]) mod M is the
-pairing b(a, c) = K[a, c]/M of `MetricGroup.bilinear` on every pair,
-quadratic q or not, and S[a, c] = e^(-2 pi i K[a, c]/M)/sqrt(|A|) is
-one `Cyclotomic` per distinct exponent, gathered by K, so the scalar
-work grows with the number of distinct pairing values (at most M), not
-with |A|^2.  T[a] = e^(2 pi i e[a]/M) is one `from_angle` per distinct
-q-exponent, gathered by e.  Both are `FactoredMatrix` objects, the form
-in which every `ModularData` holds S and T: `metric_modular_data` puts
-them on the datum as they are, so the datum and its group share one
-factored, packed S and T, and the hint check `matches_modular_data`
-compares given data with them in value, without building a second
-`ModularData`.  The radical and `validate_metric` read e and the
-coordinates only.  The Lagrangian enumeration adds one int16 table of
-sums among the isotropic elements, built one coordinate at a time in
-place, and runs one order at a time: all isotropic subgroups of one
-order are one array, deduplicated by a lexicographic sort and extended
-together in chunks of bounded size.
+Everything runs on integer tables over the element indices, in the one
+encoding of `mtcbound.fusion` (mixed radix, row-major over the cyclic
+factors; `group_law`, `element_label`), so element i of `mg.elements`
+is label i of `group_ring(mg.orders)`.  What costs work is computed at
+most once per `MetricGroup` and kept on it: the q-exponent vector e
+with q(a) = e[a]/M for M the common denominator of q, the radical, the
+group ring, and the factored T and S.  One `verdict --pointed` on a
+file reads them up to three times (validation, the cross-section check
+and the hint check).
+The exponent matrix K[a, c] = (e[a + c] - e[a] - e[c]) mod M, with
+a + c read off the group ring's rows, is the pairing b(a, c) = K[a, c]/M
+on every pair, quadratic q or not, and S[a, c] = e^(-2 pi i K[a, c]/M)
+/ sqrt(|A|) is one `Cyclotomic` per distinct exponent, gathered by K,
+so the scalar work grows with the number of distinct pairing values (at
+most M), not with |A|^2.  T[a] = e^(2 pi i e[a]/M) is one `from_angle`
+per distinct q-exponent, gathered by e.  Both are `FactoredMatrix`
+objects, the form in which every `ModularData` holds S and T:
+`metric_modular_data` puts them and the group ring on the datum as they
+are, so the datum and its group share them, and the hint check
+`matches_modular_data` compares given data with them (S and T in value,
+the ring by `FusionRing.same_fusion`) without building a second
+`ModularData`.  `validate_metric` reads e, the coordinates and the
+radical only.  The Lagrangian enumeration adds one int16 `group_law` of
+sums among the isotropic elements, and runs one order at a time: all
+isotropic subgroups of one order are one array, deduplicated by a
+lexicographic sort and extended together in chunks of bounded size.
 The Milgram sum is one integer product of the q-exponent histogram
 with the power-basis rows of the roots of unity it counts; sqrt(|A|) is
 built once per |A|.
@@ -52,7 +51,7 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic, _lcm, _power_row, from_angle, sqrt_int
 from .errors import Degenerate, InputError, SizeLimit
-from .fusion import group_ring
+from .fusion import element_label, group_coordinates, group_law, group_ring, group_strides
 from .modular import FactoredMatrix, ModularData
 from .report import ValidationReport
 
@@ -63,10 +62,6 @@ SUBGROUP_SIZE_CAP = 4096
 # Bound on the int16 entries of one gather sums[H] in the Lagrangian
 # enumeration, (subgroups, |H|, isotropic elements): 2 MB per chunk.
 _GATHER_ENTRIES = 2**20
-
-
-def _element_label(a: tuple) -> str:
-    return ",".join(str(c) for c in a) if a else "0"
 
 
 @dataclass(frozen=True)
@@ -125,26 +120,16 @@ class MetricGroup:
     def qval(self, a: tuple) -> Fraction:
         return self.q[a]
 
-    def bilinear(self, a: tuple, b: tuple) -> Fraction:
-        return (self.q[self.add(a, b)] - self.q[a] - self.q[b]) % 1
-
-    def generators(self) -> list:
-        """Canonical generators of the cyclic factors, reduced mod orders."""
-        return [
-            tuple(1 % self.orders[j] if i == j else 0 for j in range(len(self.orders)))
-            for i in range(len(self.orders))
-        ]
-
     def radical(self) -> list:
         """Elements pairing trivially with everything."""
-        return [self._elements[i] for i in np.flatnonzero(_radical_mask(self)).tolist()]
+        return [self._elements[i] for i in np.flatnonzero(self._derived(_radical_mask)).tolist()]
 
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {
             "orders": list(self.orders),
-            "q": {_element_label(a): str(self.q[a]) for a in self._elements},
+            "q": {element_label(a): str(self.q[a]) for a in self._elements},
         }
 
     @staticmethod
@@ -176,26 +161,8 @@ class MetricGroup:
 
 # ---------------------------------------------------------------------------
 # integer tables over element indices; `MetricGroup._derived` keeps
-# the exponents, the twists and S
+# the exponents, the radical, the group ring, the twists and S
 # ---------------------------------------------------------------------------
-
-
-def _strides(orders: tuple) -> list:
-    """Element a has index sum_u a_u * stride_u; the zero element has index 0."""
-    strides, stride = [], math.prod(orders)
-    for order in orders:
-        stride //= order
-        strides.append(stride)
-    return strides
-
-
-def _coordinates(mg: MetricGroup) -> np.ndarray:
-    """(s, |A|) int64: coordinate u of every element index."""
-    indices = np.arange(mg.size, dtype=np.int64)
-    coords = np.empty((len(mg.orders), mg.size), dtype=np.int64)
-    for u, (order, stride) in enumerate(zip(mg.orders, _strides(mg.orders))):
-        coords[u] = indices // stride % order
-    return coords
 
 
 def _exponents(mg: MetricGroup) -> tuple[np.ndarray, int]:
@@ -213,32 +180,14 @@ def _exponents(mg: MetricGroup) -> tuple[np.ndarray, int]:
     return e, m
 
 
-def _group_law(mg: MetricGroup, among=None, dtype=np.int64) -> np.ndarray:
-    """law[i, j] = index of a_i + a_j for a_i, a_j the elements with
-    indices `among` (all of them by default), added coordinate by
-    coordinate into one `dtype` table in place, which must hold twice
-    the largest order and the largest index."""
-    coords = _coordinates(mg)
-    if among is not None:
-        coords = coords[:, among]
-    coords = coords.astype(dtype, copy=False)
-    law = np.zeros((coords.shape[1],) * 2, dtype=dtype)
-    term = np.empty_like(law)
-    for digit, order, stride in zip(coords, mg.orders, _strides(mg.orders)):
-        np.add(digit[:, None], digit[None, :], out=term)
-        np.remainder(term, order, out=term)
-        np.multiply(term, stride, out=term)
-        law += term
-    return law
-
-
 def _radical_mask(mg: MetricGroup) -> np.ndarray:
     """Boolean over element indices: b(a, g_u) = 0 for every generator
     g_u, with b(a, g_u) M = (e[a + g_u] - e[a] - e[g_u]) mod M."""
     e, m = mg._derived(_exponents)
     index = np.arange(mg.size, dtype=np.int64)
     mask = np.ones(mg.size, dtype=bool)
-    for digit, order, stride in zip(_coordinates(mg), mg.orders, _strides(mg.orders)):
+    coords = group_coordinates(mg.orders)
+    for digit, order, stride in zip(coords, mg.orders, group_strides(mg.orders)):
         # a + g_u steps coordinate u up by one, wrapping at its order;
         # the zero element steps to g_u itself
         shifted = index + np.where(digit == order - 1, (1 - order) * stride, stride)
@@ -246,12 +195,20 @@ def _radical_mask(mg: MetricGroup) -> np.ndarray:
     return mask
 
 
+def _group_ring(mg: MetricGroup):
+    """The group ring of the orders: its label i is element i of
+    `mg.elements`, and its third column is the group law."""
+    return group_ring(mg.orders)
+
+
 def _s_entries(mg: MetricGroup) -> FactoredMatrix:
     """S: one e^(-2 pi i k/M) / sqrt(|A|) per distinct k in K[a, c] =
     (e[a + c] - e[a] - e[c]) mod M, made in row-major order of first
-    use, so a conductor error names the entry a row-major build would."""
+    use, so a conductor error names the entry a row-major build would.
+    a + c is read off the group ring's rows, one per pair (a, c)."""
     e, m = mg._derived(_exponents)
-    k = (e[_group_law(mg)] - e[:, None] - e[None, :]) % m
+    law = mg._derived(_group_ring).table[:, 2].reshape(mg.size, mg.size)
+    k = (e[law] - e[:, None] - e[None, :]) % m
     inv_sqrt = sqrt_int(mg.size).inverse()
     return FactoredMatrix.gathered(lambda x: from_angle(Fraction(-x, m)) * inv_sqrt, k)
 
@@ -274,54 +231,49 @@ def validate_metric(mg: MetricGroup) -> ValidationReport:
     q is quadratic iff it agrees with the polynomial built from its
     values on generators (and generator pairs) and that polynomial
     descends to the quotient; nondegeneracy is a radical computation.
-    The polynomial is evaluated at every element at once over the
-    common denominator M of q.
+    All of it is read off e in integers mod M: g_u has index stride_u
+    (0 when n_u = 1), so M q(g_u) = e[g_u] and M b(g_u, g_v) =
+    (e[g_u + g_v] - e[g_u] - e[g_v]) mod M, with g_u + g_v at index
+    g_u + g_v.  The polynomial is evaluated at every element at once.
     """
     report = ValidationReport("metric group")
+    e, m = mg._derived(_exponents)
     zero = tuple(0 for _ in mg.orders)
-    report.add("q_zero_at_zero", mg.qval(zero) == 0, (zero,) if mg.qval(zero) else None)
+    report.add("q_zero_at_zero", e[0] == 0, (zero,) if e[0] else None)
 
     s = len(mg.orders)
-    gens = mg.generators()
-    diag = [mg.qval(g) for g in gens]
+    gens = [stride if n > 1 else 0 for n, stride in zip(mg.orders, group_strides(mg.orders))]
+    # M q(g_u) and M b(g_u, g_v) = M b(g_v, g_u), as Python integers in [0, M)
+    diag = [int(e[g]) for g in gens]
     off = {}
     for u in range(s):
         for v in range(u + 1, s):
-            off[(u, v)] = mg.bilinear(gens[u], gens[v])
+            off[u, v] = off[v, u] = int(e[gens[u] + gens[v]] - e[gens[u]] - e[gens[v]]) % m
 
-    ok, where = True, None
-    for u in range(s):
-        n = mg.orders[u]
-        if (n * n * diag[u]) % 1 != 0 or (2 * n * diag[u]) % 1 != 0:
-            ok, where = False, (u,)
+    where = None
+    for u, n in enumerate(mg.orders):
+        if n * n * diag[u] % m or 2 * n * diag[u] % m:
+            where = (u,)
+        else:
+            where = next(((u, v) for v in range(s) if v != u and n * off[u, v] % m), None)
+        if where:
             break
-        for v in range(s):
-            if v == u:
-                continue
-            key = (min(u, v), max(u, v))
-            if (n * off[key]) % 1 != 0:
-                ok, where = False, (u, v)
-                break
-        if not ok:
-            break
-    report.add("q_descends_to_quotient", ok, where)
+    report.add("q_descends_to_quotient", where is None, where)
 
-    # M q(a) against sum_u a_u^2 M diag_u + sum_{u<v} a_u a_v M off_uv;
-    # the Gram values have denominators dividing M, and every partial
-    # sum is at most M (sum_u (n_u - 1))^2
-    e, m = mg._derived(_exponents)
-    coords = _coordinates(mg)
+    # M q(a) against sum_u a_u^2 M q(g_u) + sum_{u<v} a_u a_v M b(g_u, g_v);
+    # every partial sum is at most M (sum_u (n_u - 1))^2
+    coords = group_coordinates(mg.orders)
     if m * (1 + sum(n - 1 for n in mg.orders)) ** 2 >= 2**63:
         coords = coords.astype(object)
     want = np.zeros(mg.size, dtype=coords.dtype)
     for u in range(s):
-        want += coords[u] * coords[u] * int(diag[u] * m)
+        want += coords[u] * coords[u] * diag[u]
         for v in range(u + 1, s):
-            want += coords[u] * coords[v] * int(off[(u, v)] * m)
+            want += coords[u] * coords[v] * off[u, v]
     wrong = np.flatnonzero(want % m != e)
     report.add("q_is_quadratic", not wrong.size, (mg.elements[wrong[0]],) if wrong.size else None)
 
-    rad = np.flatnonzero(_radical_mask(mg))
+    rad = np.flatnonzero(mg._derived(_radical_mask))
     report.add(
         "nondegenerate",
         len(rad) == 1,
@@ -340,12 +292,14 @@ def metric_modular_data(mg: MetricGroup) -> ModularData:
 
     S is gathered from its distinct entries by the pairing exponents;
     the ring is the group ring of the orders, whose elements and labels
-    come in the order of `mg.elements`.
+    come in the order of `mg.elements`.  S, T and the ring are made
+    once per group, and every datum made from it shares them.
     """
-    if np.count_nonzero(_radical_mask(mg)) != 1:
+    if np.count_nonzero(mg._derived(_radical_mask)) != 1:
         raise Degenerate("bilinear form has a nonzero radical")
-    ring = group_ring(mg.orders)
-    return ModularData(s=mg._derived(_s_entries), t=mg._derived(_twists), ring=ring)
+    return ModularData(
+        s=mg._derived(_s_entries), t=mg._derived(_twists), ring=mg._derived(_group_ring)
+    )
 
 
 def matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
@@ -354,29 +308,16 @@ def matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
     Compared with mg's tables, without building that data: S and T
     against mg's factored S and T in value, one comparison per pair of
     distinct entries that meet (none when md shares them, as data from
-    `metric_modular_data` do), and the ring against the group law (every
-    fusion row is [a, c, a + c, 1], the dual is a -> -a, the unit is 0).
+    `metric_modular_data` do), and the ring against mg's group ring by
+    `FusionRing.same_fusion` (no work when md shares it).
     """
-    if np.count_nonzero(_radical_mask(mg)) != 1:
+    if np.count_nonzero(mg._derived(_radical_mask)) != 1:
         return False
-    n = mg.size
-    if md.rank != n or md.unit_index != 0:
+    if md.rank != mg.size or md.unit_index != 0:
         return False
     if md.s != mg._derived(_s_entries) or md.t != mg._derived(_twists):
         return False
-    ring = md.ring
-    if ring is None:
-        return True
-    law = _group_law(mg)
-    # -a is the c with a + c = 0
-    if ring.unit != (0,) or ring.dual != tuple(np.argmax(law == 0, axis=1).tolist()):
-        return False
-    table = ring.table
-    if len(table) != n * n or not (table[:, 3] == 1).all():
-        return False
-    # n^2 distinct keys, each (a, c, a + c), name every pair (a, c) once
-    keys = ring.indices()
-    return bool((law[keys[:, 0], keys[:, 1]] == keys[:, 2]).all())
+    return md.ring is None or md.ring.same_fusion(mg._derived(_group_ring))
 
 
 def abelian_double(orders: tuple) -> MetricGroup:
@@ -493,7 +434,7 @@ def _isotropic_sums(mg: MetricGroup, iso: np.ndarray) -> np.ndarray:
     position = np.full(mg.size, -1, dtype=np.int16)
     position[iso] = np.arange(len(iso))
     # indices below SUBGROUP_SIZE_CAP, and sums of two coordinates, fit in int16
-    return position[_group_law(mg, iso, np.int16)]
+    return position[group_law(mg.orders, iso, np.int16)]
 
 
 def _extensions(h: np.ndarray, sums: np.ndarray, target: int) -> list:

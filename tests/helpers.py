@@ -54,9 +54,11 @@ from mtcbound.obstruction import central_charge_gate, search_budget
 from mtcbound.pointed import (
     SUBGROUP_SIZE_CAP,
     MetricGroup,
-    _element_label,
     _exponents,
     _isotropic_sums,
+    _radical_mask,
+    _s_entries,
+    _twists,
 )
 from mtcbound.report import CheckResult, ValidationReport
 
@@ -281,14 +283,19 @@ def per_subgroup_extensions(h: np.ndarray, sums: np.ndarray, target: int) -> lis
     return out
 
 
-def fraction_radical(mg: MetricGroup) -> list:
-    """Elements pairing trivially with every generator, by `Fraction`s."""
-    gens = mg.generators()
+def fraction_generators(mg: MetricGroup) -> list:
+    """Canonical generators of the cyclic factors, reduced mod orders."""
     return [
-        a
-        for a in mg.elements
-        if all(mg.bilinear(a, g) == 0 for g in gens)
+        tuple(1 % n if u == v else 0 for v, n in enumerate(mg.orders))
+        for u in range(len(mg.orders))
     ]
+
+
+def fraction_radical(mg: MetricGroup) -> list:
+    """Elements pairing trivially with every generator, by `Fraction`s:
+    b(a, g) = (q(a + g) - q(a) - q(g)) mod 1."""
+    q, gens = mg.qval, fraction_generators(mg)
+    return [a for a in mg.elements if all((q(mg.add(a, g)) - q(a) - q(g)) % 1 == 0 for g in gens)]
 
 
 def fraction_validate_metric(mg: MetricGroup) -> ValidationReport:
@@ -298,12 +305,13 @@ def fraction_validate_metric(mg: MetricGroup) -> ValidationReport:
     report.add("q_zero_at_zero", mg.qval(zero) == 0, (zero,) if mg.qval(zero) else None)
 
     s = len(mg.orders)
-    gens = mg.generators()
+    gens = fraction_generators(mg)
     diag = [mg.qval(g) for g in gens]
     off = {}
     for u in range(s):
         for v in range(u + 1, s):
-            off[(u, v)] = mg.bilinear(gens[u], gens[v])
+            g, h = gens[u], gens[v]
+            off[(u, v)] = (mg.qval(mg.add(g, h)) - mg.qval(g) - mg.qval(h)) % 1
 
     ok, where = True, None
     for u in range(s):
@@ -387,18 +395,20 @@ def metric_neg(mg: MetricGroup, a: tuple) -> tuple:
 
 def per_entry_metric_modular_data(mg: MetricGroup) -> ModularData:
     """Pointed modular data built one entry at a time: S[a][b] from the
-    `Fraction` pairing `mg.bilinear(a, b)`, the ring from `mg.add`."""
+    `Fraction` pairing (q(a + b) - q(a) - q(b)) mod 1, the ring from
+    `mg.add`."""
     if len(fraction_radical(mg)) != 1:
         raise Degenerate("bilinear form has a nonzero radical")
     n = mg.size
     elements = mg.elements
     inv_sqrt = sqrt_int(n).inverse()
+    q = mg.qval
     s = tuple(
-        tuple(from_angle(-mg.bilinear(a, b)) * inv_sqrt for b in elements)
+        tuple(from_angle(-((q(mg.add(a, b)) - q(a) - q(b)) % 1)) * inv_sqrt for b in elements)
         for a in elements
     )
-    t = tuple(from_angle(mg.qval(a)) for a in elements)
-    labels = tuple(_element_label(a) for a in elements)
+    t = tuple(from_angle(q(a)) for a in elements)
+    labels = tuple(",".join(map(str, a)) if a else "0" for a in elements)
     index = mg.index
     fusion = {
         (index(a), index(b), index(mg.add(a, b))): 1
@@ -413,6 +423,32 @@ def per_entry_metric_modular_data(mg: MetricGroup) -> ModularData:
         fusion=fusion,
     )
     return ModularData(s=s, t=t, unit_index=index(zero), ring=ring)
+
+
+def law_matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
+    """`matches_modular_data` checking the ring against a group law
+    table built from `mg.add`: every fusion row is [a, c, a + c, 1],
+    the dual is a -> -a (found as the c with a + c = 0), the unit is 0."""
+    if np.count_nonzero(_radical_mask(mg)) != 1:
+        return False
+    n = mg.size
+    if md.rank != n or md.unit_index != 0:
+        return False
+    if md.s != mg._derived(_s_entries) or md.t != mg._derived(_twists):
+        return False
+    ring = md.ring
+    if ring is None:
+        return True
+    elements = mg.elements
+    law = np.array([[mg.index(mg.add(a, c)) for c in elements] for a in elements])
+    if ring.unit != (0,) or ring.dual != tuple(np.argmax(law == 0, axis=1).tolist()):
+        return False
+    table = ring.table
+    if len(table) != n * n or not (table[:, 3] == 1).all():
+        return False
+    # n^2 distinct keys, each (a, c, a + c), name every pair (a, c) once
+    keys = ring.indices()
+    return bool((law[keys[:, 0], keys[:, 1]] == keys[:, 2]).all())
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mtcbound import corpus, pointed
 from mtcbound.errors import ConductorLimitError, Degenerate, InputError, SizeLimit
-from mtcbound.fusion import FusionRing
+from mtcbound.fusion import FusionRing, group_ring
 from mtcbound.modular import (
     ModularData,
     PackedMatrix,
@@ -36,6 +36,7 @@ from tests.helpers import (
     fraction_radical,
     fraction_validate_metric,
     histogram_milgram_signature,
+    law_matches_modular_data,
     per_entry_metric_modular_data,
     per_element_milgram_signature,
     per_entry_pack,
@@ -123,6 +124,15 @@ SQUARE_SHAPES = (
 )
 
 
+def with_trivial_factor(mg, position, q_zero) -> MetricGroup:
+    """mg with a cyclic factor of order 1 inserted at position and q(0)
+    set to q_zero."""
+    orders = mg.orders[:position] + (1,) + mg.orders[position:]
+    q = {a[:position] + (0,) + a[position:]: value for a, value in mg.q.items()}
+    q[(0,) * len(orders)] = q_zero
+    return MetricGroup(orders=orders, q=q)
+
+
 def sparse_q_table(rng, orders) -> MetricGroup:
     """q(0) = 0 and a seeded share of zeros elsewhere, the rest random
     fractions: almost never quadratic, with many isotropic elements."""
@@ -149,6 +159,24 @@ class TestValidationOracle:
         for _ in range(50):
             mg = sparse_q_table(rng, rng.choice(SQUARE_SHAPES))
             assert checks(validate_metric(mg)) == checks(fraction_validate_metric(mg)), mg.orders
+        # a factor of order 1, whose generator is the zero element
+        for _ in range(60):
+            mg = random_metric_group(rng, max_size=36)
+            if rng.random() < 0.5:
+                mg = sparse_q_table(rng, mg.orders)
+            position = rng.randint(0, len(mg.orders))
+            mg = with_trivial_factor(mg, position, rng.choice((0, Fraction(1, 4))))
+            assert checks(validate_metric(mg)) == checks(fraction_validate_metric(mg)), mg.orders
+            assert mg.radical() == fraction_radical(mg)
+        # M >= 2^62 keeps the exponents in Python integers
+        for m in (2**62, 2**62 + 1, 3 * 2**62 - 1):
+            for orders in ((2,), (1, 3), (2, 2), (3, 1, 2)):
+                q = {a: Fraction(rng.randrange(m), m) for a in product(*map(range, orders))}
+                if rng.random() < 0.5:
+                    q[(0,) * len(orders)] = Fraction(0)
+                mg = MetricGroup(orders=orders, q=q)
+                assert checks(validate_metric(mg)) == checks(fraction_validate_metric(mg)), m
+                assert mg.radical() == fraction_radical(mg)
 
     DESIGNED = {
         "q_zero_at_zero": ((2,), {(0,): Fraction(1, 2), (1,): Fraction(1, 4)}),
@@ -168,6 +196,13 @@ class TestValidationOracle:
         assert checks(report) == checks(fraction_validate_metric(mg))
         if failure == "nondegenerate":
             assert report.checks[-1].where == ((0, 1),) == (fraction_radical(mg)[1],)
+
+    def test_descent_needs_both_bounds(self):
+        # q(x) = x^2/16 on Z4: n^2 q(g) = 1 is an integer, 2n q(g) = 1/2 is not
+        mg = MetricGroup(orders=(4,), q={(x,): Fraction(x * x, 16) for x in range(4)})
+        report = validate_metric(mg)
+        assert report.failed_names() == ["q_descends_to_quotient"]
+        assert checks(report) == checks(fraction_validate_metric(mg))
 
     def test_huge_denominator_takes_python_integers(self):
         # M = 10^30 + 1 puts M (sum (n_u - 1))^2 far above 2^63
@@ -261,6 +296,110 @@ class TestModularBridge:
         fusion = dict(md.ring.fusion)
         del fusion[next(iter(fusion))]
         assert not matches_modular_data(mg, with_ring(fusion=fusion))
+
+
+def with_ring(md, ring, unit_index=0) -> ModularData:
+    return ModularData(s=md.s, t=md.t, unit_index=unit_index, ring=ring)
+
+
+def ring_tampers(md) -> list:
+    """(name, datum, whether it still matches the group): md with its
+    ring changed in one way each."""
+    ring = md.ring
+
+    def tampered(labels=ring.labels, unit=0, dual=ring.dual, table=ring.table):
+        return with_ring(md, FusionRing.from_table(labels, (unit,), dual, table), unit)
+
+    out = [("labels permuted", tampered(labels=ring.labels[::-1]), True)]
+    out.append(("no ring", with_ring(md, None), True))
+    if md.rank < 2:
+        return out
+    moved = ring.table.copy()
+    moved[-1, 2] = (moved[-1, 2] + 1) % md.rank
+    doubled = ring.table.copy()
+    doubled[len(doubled) // 2, 3] = 2
+    out += [
+        ("k moved", tampered(table=moved), False),
+        ("multiplicity 2", tampered(table=doubled), False),
+        ("row dropped", tampered(table=ring.table[1:]), False),
+        ("unit moved", tampered(unit=1), False),
+    ]
+    if md.rank >= 3:
+        # a self-dual pair i, j becomes dual to each other, or a dual
+        # pair i, j self-dual
+        dual = list(ring.dual)
+        i = next((i for i in range(1, md.rank) if dual[i] != i), None)
+        if i is None:
+            dual[1], dual[2] = 2, 1
+        else:
+            j = dual[i]
+            dual[i], dual[j] = i, j
+        out.append(("dual swapped", tampered(dual=tuple(dual)), False))
+    return out
+
+
+class TestRingCheckOracle:
+    """`matches_modular_data` comparing rings by `same_fusion` against
+    the group-law check it replaced."""
+
+    def assert_same_answer(self, mg, md, expected, label):
+        assert matches_modular_data(mg, md) is expected, label
+        assert law_matches_modular_data(mg, md) is expected, label
+
+    def test_fixtures_and_doubles_with_tampers(self):
+        groups = [(n, corpus.build(n)) for n in corpus.fixture_names()]
+        groups = [(name, spec.metric, spec.modular) for name, spec in groups if spec.metric]
+        groups += [(orders, abelian_double(orders), None) for orders in ((2, 2), (3, 3), (4, 4))]
+        for name, mg, shipped in groups:
+            md = metric_modular_data(mg)
+            data = [(name, md, True)] + ring_tampers(md)
+            if shipped is not None:
+                # the fixture's own data, its ring a separate object
+                loaded = ModularData.from_json_dict(json.loads(json.dumps(shipped.to_json_dict())))
+                data.append((f"{name} loaded", loaded, True))
+            for tamper, datum, expected in data:
+                self.assert_same_answer(mg, datum, expected, (name, tamper))
+
+    def test_other_law_of_the_same_order(self):
+        # Z4's group ring on Z2 x Z2 data: same rank, unit and labels
+        mg = toric_mg()
+        md = metric_modular_data(mg)
+        z4 = group_ring((4,))
+        for dual in (md.ring.dual, z4.dual):
+            ring = FusionRing.from_table(md.ring.labels, (0,), dual, z4.table)
+            self.assert_same_answer(mg, with_ring(md, ring), False, dual)
+
+    def test_seeded_random_groups(self):
+        rng = random.Random(99)
+        for _ in range(200):
+            mg = random_metric_group(rng, max_size=36)
+            md = metric_modular_data(mg)
+            self.assert_same_answer(mg, md, True, mg.orders)
+            name, tampered, expected = rng.choice(ring_tampers(md))
+            self.assert_same_answer(mg, tampered, expected, (mg.orders, name))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["toric_code", "double_semion", "d_z3"]),
+        row=st.integers(0, 80),
+        raise_multiplicity=st.booleans(),
+        shift=st.integers(1, 8),
+    )
+    def test_one_tampered_row(self, name, row, raise_multiplicity, shift):
+        mg = corpus.build(name).metric
+        md = metric_modular_data(mg)
+        table = md.ring.table.copy()
+        row %= len(table)
+        if raise_multiplicity:
+            table[row, 3] += shift
+        else:
+            table[row, 2] = (table[row, 2] + 1 + shift % (md.rank - 1)) % md.rank
+        ring = FusionRing.from_table(md.ring.labels, md.ring.unit, md.ring.dual, table)
+        self.assert_same_answer(mg, with_ring(md, ring), False, (name, row))
+
+    def test_one_ring_per_group(self):
+        mg = corpus.d_z3().metric
+        assert metric_modular_data(mg).ring is metric_modular_data(mg).ring
 
 
 def entries(values) -> list:
