@@ -14,7 +14,7 @@ from itertools import product
 
 from .cyclotomic import rational, sqrt_int, zeta
 from .fusion import FusionRing, direct_sum, ring_product
-from .modular import ModularData, double, ring_from_verlinde, with_ring
+from .modular import ModularData, double, ring_from_verlinde
 from .pointed import MetricGroup, metric_modular_data
 from .specfile import CategorySpecFile
 
@@ -106,7 +106,7 @@ def ising() -> CategorySpecFile:
     ring = ring_from_verlinde(md, labels=("1", "psi", "sigma"))
     return CategorySpecFile(
         name="ising",
-        modular=with_ring(md, ring),
+        modular=ModularData(s=md.s, t=md.t, unit_index=md.unit_index, ring=ring),
         notes=(
             "S entries are the exact half-integer and sqrt(2)/2 values;"
             " sqrt(2) is expanded in the 8th cyclotomic field.",
@@ -130,7 +130,7 @@ def fibonacci() -> CategorySpecFile:
     ring = ring_from_verlinde(md, labels=("1", "tau"))
     return CategorySpecFile(
         name="fibonacci",
-        modular=with_ring(md, ring),
+        modular=ModularData(s=md.s, t=md.t, unit_index=md.unit_index, ring=ring),
         notes=(
             "The golden ratio is written as 1 + z5 + z5^4 and the total"
             " dimension as z20 - z20^9; both were checked numerically"

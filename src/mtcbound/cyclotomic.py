@@ -7,6 +7,11 @@ point only ever enters through :meth:`Cyclotomic.approx` and the
 sign/argument helpers, which escalate precision until the answer is
 certified by an explicit error bound.
 
+One substitution, zeta -> zeta^k (`_embed_nums`), is the layer's only
+power map: it embeds a value into a larger conductor, conjugates it, and
+applies the Galois automorphisms from which `Cyclotomic.inverse` forms
+the field norm, so no division of polynomials is needed.
+
 Mixing conductors is handled by embedding both operands into the lcm
 conductor.  The lcm is capped (`CONDUCTOR_CAP`), and dense reduction
 tables are refused beyond `TABLE_PHI_CAP` basis elements, so a runaway
@@ -168,12 +173,15 @@ def _lcm(a: int, b: int) -> int:
     return a // math.gcd(a, b) * b
 
 
-def _embed_nums(nums: tuple[int, ...], n_from: int, n_to: int) -> tuple[int, ...]:
-    """Rewrite a coefficient vector from Q(zeta_n_from) in Q(zeta_n_to)."""
-    if n_to == n_from:
+def _embed_nums(nums: tuple[int, ...], n_from: int, n_to: int, power: int = 1) -> tuple[int, ...]:
+    """The substitution zeta_n_from^i -> zeta_n_to^(i power n_to/n_from) on
+    a coefficient vector: power 1 rewrites a value of Q(zeta_n_from) in
+    Q(zeta_n_to), and with n_to = n_from, power a is the Galois
+    automorphism sigma_a (a = -1 is complex conjugation)."""
+    if n_to == n_from and power == 1:
         return nums
     phi = euler_phi(n_to)
-    step = n_to // n_from
+    step = n_to // n_from * power
     acc = [0] * phi
     for i, v in enumerate(nums):
         if v:
@@ -331,76 +339,28 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """1/x.  When |x|^2 = x conj(x) is rational (roots of unity, the
-        entries of a pointed S, 1/sqrt(n)) this is conj(x)/|x|^2; other
-        values take the extended Euclid with Phi_N."""
+        """1/x from the Galois action sigma_k: zeta -> zeta^k of Q(zeta_N).
+
+        For x = a/d, c = conj(a) makes b = a c real.  When b is rational
+        (roots of unity, the entries of a pointed S, sqrt(n)), 1/x = c d/b.
+        Otherwise b lies in the real subfield, whose Galois group is
+        (Z/N)^x/{+-1}: b times sigma_k(b) over every k prime to N with
+        1 < k < N/2 is its norm, a nonzero rational p, so c times those
+        sigma_k(b) gives 1/x = c d/p.  Every product stays at conductor N.
+        """
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        if self.conductor == 1:
-            return Cyclotomic(1, (self.den,), self.nums[0])
         n = self.conductor
-        conj = self.conj()
-        # x = a/d and conj(x) = c/e give |x|^2 = (a c)/(d e), so when
-        # a c = p is rational, 1/x = c d/p
-        norm = _mul_nums(n, self.nums, conj.nums)
-        if not any(norm[1:]):
-            return Cyclotomic(n, tuple(v * self.den for v in conj.nums), norm[0])
-        target = [Fraction(v, self.den) for v in self.nums]
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(n)]
-
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        def polymod(p, q):
-            p = list(p)
-            dq = deg(q)
-            lead = q[dq]
-            quo = [Fraction(0)] * (max(len(p) - dq, 1))
-            for k in range(len(p) - 1, dq - 1, -1):
-                if p[k]:
-                    c = p[k] / lead
-                    quo[k - dq] = c
-                    for i in range(dq + 1):
-                        p[k - dq + i] -= c * q[i]
-            return quo, p[: dq] if dq > 0 else [Fraction(0)]
-
-        r0, r1 = modulus, target
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while deg(r1) > 0:
-            quo, rem = polymod(r0, r1)
-            r0, r1 = r1, rem
-            # s_next = s0 - quo*s1
-            prod = [Fraction(0)] * (len(quo) + len(s1))
-            for i, qc in enumerate(quo):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        if sc:
-                            prod[i + j] += qc * sc
-            nxt = [Fraction(0)] * max(len(s0), len(prod))
-            for i, v in enumerate(s0):
-                nxt[i] += v
-            for i, v in enumerate(prod):
-                nxt[i] -= v
-            s0, s1 = s1, nxt
-        c = r1[deg(r1)]  # nonzero constant: gcd(self, Phi_n) up to scale
-        inv = [v / c for v in s1]
-        phi = euler_phi(n)
-        # reduce degree below phi (xgcd keeps deg(s1) < deg(Phi), but be safe)
-        while len(inv) > phi:
-            top = inv.pop()
-            if top:
-                row = _power_row(n, len(inv))
-                for t, rt in enumerate(row):
-                    if rt:
-                        inv[t] += top * rt
-        inv += [Fraction(0)] * (phi - len(inv))
-        den = 1
-        for v in inv:
-            den = _lcm(den, v.denominator)
-        return Cyclotomic(n, tuple(int(v * den) for v in inv), den)
+        if n == 1:
+            return Cyclotomic(1, (self.den,), self.nums[0])
+        c = _embed_nums(self.nums, n, n, -1)
+        b = _mul_nums(n, self.nums, c)
+        if any(b[1:]):
+            for k in range(2, (n + 1) // 2):
+                if math.gcd(k, n) == 1:
+                    c = _mul_nums(n, c, _embed_nums(b, n, n, k))
+            b = _mul_nums(n, self.nums, c)
+        return Cyclotomic(n, tuple(v * self.den for v in c), b[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -434,15 +394,7 @@ class Cyclotomic:
         n = self.conductor
         if n == 1:
             return self
-        phi = euler_phi(n)
-        acc = [0] * phi
-        for i, v in enumerate(self.nums):
-            if v:
-                row = _power_row(n, (n - i) % n)
-                for t, rt in enumerate(row):
-                    if rt:
-                        acc[t] += v * rt
-        return Cyclotomic(n, tuple(acc), self.den)
+        return Cyclotomic(n, _embed_nums(self.nums, n, n, -1), self.den)
 
     # -- comparison ---------------------------------------------------------
 
@@ -694,13 +646,6 @@ def cyc_sum(values) -> Cyclotomic:
     total = ZERO
     for v in values:
         total = total + v
-    return total
-
-
-def cyc_prod(values) -> Cyclotomic:
-    total = ONE
-    for v in values:
-        total = total * v
     return total
 
 

@@ -335,13 +335,6 @@ def _codes(keys: np.ndarray, r: int) -> np.ndarray:
     return (keys[:, 0] * r + keys[:, 1]) * r + keys[:, 2]
 
 
-def _first_repeat(codes: np.ndarray) -> int | None:
-    """Index of the first code equal to an earlier one, or None."""
-    order = np.argsort(codes, kind="stable")
-    repeated = codes[order[1:]] == codes[order[:-1]]
-    return int(order[1:][repeated].min()) if repeated.any() else None
-
-
 def _checked_table(table, r: int) -> tuple[np.ndarray, np.ndarray]:
     """(table, codes): the rows sorted by (i, j, k), zero rows dropped,
     with their codes (i r + j) r + k.  Raises InputError naming the first
@@ -379,11 +372,14 @@ def _checked_table(table, r: int) -> tuple[np.ndarray, np.ndarray]:
     keys = keys.astype(np.int64, copy=False)
     codes = _codes(keys, r)
     if not (codes[1:] > codes[:-1]).all():
-        p = _first_repeat(codes)
-        if p is not None:
-            raise InputError(f"duplicate fusion triple {tuple(int(x) for x in keys[p])}")
-        order = np.argsort(codes)
+        # stable: the earliest row of a run of equal codes comes first, so
+        # the rest of the run are the repeats
+        order = np.argsort(codes, kind="stable")
         codes, table = codes[order], table[order]
+        repeated = codes[1:] == codes[:-1]
+        if repeated.any():
+            p = int(order[1:][repeated].min())
+            raise InputError(f"duplicate fusion triple {tuple(int(x) for x in keys[p])}")
     nonzero = table[:, 3] != 0
     if not nonzero.all():
         table, codes = table[nonzero], codes[nonzero]

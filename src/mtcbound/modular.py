@@ -39,8 +39,8 @@ same report.
 
 Derived invariants (packed S and S^2, dims, twists, D, the dual
 permutation, the Gauss sums, and through `ModularData._derived` the
-central charge and the Verlinde ring) are computed at most once per
-`ModularData`, in a private cache that equality and repr ignore.
+central charge) are computed at most once per `ModularData`, in a
+private cache that equality and repr ignore.
 
 Scalar work runs once per distinct value, not once per label or entry.
 Modular data repeats few values: a pointed S has one per pairing
@@ -198,17 +198,11 @@ def _reduction_table(n: int) -> tuple[np.ndarray, int]:
 
 
 @lru_cache(maxsize=None)
-def _conj_table(n: int) -> tuple[np.ndarray, int]:
-    """Complex conjugation zeta -> zeta^(-1) on the power basis."""
-    return _int_table([_power_row(n, (n - k) % n) for k in range(euler_phi(n))])
-
-
-@lru_cache(maxsize=None)
-def _embed_table(n_from: int, n_to: int) -> tuple[np.ndarray, int]:
-    step = n_to // n_from
-    return _int_table(
-        [_power_row(n_to, (k * step) % n_to) for k in range(euler_phi(n_from))]
-    )
+def _power_table(n_from: int, n_to: int, power: int = 1) -> tuple[np.ndarray, int]:
+    """`_embed_nums(., n_from, n_to, power)` on the power basis: the
+    embedding for power 1, complex conjugation for n_to = n_from and -1."""
+    units = [_power_row(n_from, k) for k in range(euler_phi(n_from))]
+    return _int_table([_embed_nums(unit, n_from, n_to, power) for unit in units])
 
 
 def _linear(a: np.ndarray, table: tuple[np.ndarray, int]) -> np.ndarray:
@@ -295,7 +289,7 @@ class PackedMatrix:
             return self
         if conductor % self.conductor:
             raise InputError(f"cannot embed conductor {self.conductor} into {conductor}")
-        nums = _linear(self.nums, _embed_table(self.conductor, conductor))
+        nums = _linear(self.nums, _power_table(self.conductor, conductor))
         return PackedMatrix(conductor, nums, self.den)
 
     def _unified(self, other: "PackedMatrix") -> tuple:
@@ -314,9 +308,8 @@ class PackedMatrix:
         return PackedMatrix(n, nums, self.den * other.den)
 
     def conj(self) -> "PackedMatrix":
-        return PackedMatrix(
-            self.conductor, _linear(self.nums, _conj_table(self.conductor)), self.den
-        )
+        n = self.conductor
+        return PackedMatrix(n, _linear(self.nums, _power_table(n, n, -1)), self.den)
 
     def transpose(self) -> "PackedMatrix":
         return PackedMatrix(self.conductor, self.nums.transpose(1, 0, 2), self.den)
@@ -720,15 +713,6 @@ def ring_from_verlinde(md: ModularData, labels: tuple | None = None) -> FusionRi
     return FusionRing.from_table(tuple(labels), (md.unit_index,), perm, table)
 
 
-def with_ring(md: ModularData, ring: FusionRing | None = None) -> ModularData:
-    """Attach a ring (derived via Verlinde when not supplied)."""
-    if ring is None:
-        if md.ring is not None:
-            return md
-        ring = md._derived("ring", ring_from_verlinde)
-    return ModularData(s=md.s, t=md.t, unit_index=md.unit_index, ring=ring)
-
-
 # ---------------------------------------------------------------------------
 # Gauss sums and central charge
 # ---------------------------------------------------------------------------
@@ -932,7 +916,7 @@ def _ring_equations(md: ModularData) -> tuple[bool, bool]:
 
     # (U): value ids of the entries and of their conjugates
     ids: dict = {}
-    rows = np.concatenate((entries, _linear(entries, _conj_table(n)))).tolist()
+    rows = np.concatenate((entries, _linear(entries, _power_table(n, n, -1)))).tolist()
     value = np.array([ids.setdefault(tuple(row), len(ids)) for row in rows])
     if not (value[e:][slots] == value[:e][slots[dual]]).all():
         return False, False

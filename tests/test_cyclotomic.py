@@ -246,9 +246,16 @@ def _parts(x) -> tuple:
     return (x.conductor, x.nums, x.den)
 
 
+def _su2_s00(m: int) -> Cyclotomic:
+    """S_00 = sqrt(2/m) sin(pi/m) of SU(2)_(m-2), real with |x|^2 irrational."""
+    sine = (zeta(2 * m) - zeta(2 * m, -1)) / (2 * zeta(4))
+    return sqrt_int(2 * m) / m * sine
+
+
 class TestInverseOracle:
-    """`inverse` (conj(x)/|x|^2 when |x|^2 is rational) against the
-    extended Euclid it replaced on those values."""
+    """`inverse` against the extended Euclid with Phi_N it replaced, on
+    both of its routes: conj(x)/|x|^2 when |x|^2 is rational, and the
+    field norm of |x|^2 over the real subfield otherwise."""
 
     def test_fixture_s_and_t_entries(self):
         seen = set()
@@ -266,22 +273,27 @@ class TestInverseOracle:
     def test_square_roots(self):
         # the inverse over x's own conductor is unique, so y x = 1 at that
         # conductor pins y to the Euclid result; the Euclid route itself
-        # runs where it is quick (it takes ~20 s on sqrt(197))
-        for n in range(1, 201):
-            x = sqrt_int(n)
+        # runs where it is quick (it takes ~20 s on sqrt(197)).  The last
+        # value is stored above its minimal conductor.
+        for x in [*(sqrt_int(n) for n in range(1, 201)), sqrt_int(2).embed(16)]:
             y = x.inverse()
             assert (x * x.conj()).is_rational()
-            assert x * y == 1 and y.conductor == x.conductor, n
+            assert x * y == 1 and y.conductor == x.conductor, x
             if x.conductor <= 64:
-                assert _parts(y) == _parts(euclid_inverse(x)), n
+                assert _parts(y) == _parts(euclid_inverse(x)), x
 
     def test_golden_ratio_values_take_the_euclid_route(self):
+        # real and non-real values with |x|^2 irrational, up to phi(N) = 96
         golden = (1 + sqrt_int(5)) / 2
         values = [golden, golden - 1, golden * golden, golden + zeta(5), 3 * golden - zeta(10)]
+        values += [golden.embed(40), golden + zeta(8), *(_su2_s00(m) for m in (5, 7, 35))]
+        for m, x in zip((5, 7, 35), values[-3:]):
+            assert x.conductor == 8 * m
+            assert abs(x.approx() - math.sqrt(2 / m) * math.sin(math.pi / m)) < 1e-12
         for x in values:
             assert not (x * x.conj()).is_rational(), x
             assert _parts(x.inverse()) == _parts(euclid_inverse(x)), x
-            assert x * x.inverse() == 1
+            assert x * x.inverse() == 1 and x.inverse().conductor == x.conductor, x
 
     @given(cyclotomics())
     @settings(max_examples=60, deadline=None)
