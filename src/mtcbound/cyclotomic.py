@@ -21,6 +21,7 @@ computation fails loudly instead of thrashing.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,6 +39,8 @@ CONDUCTOR_CAP = 10**6
 TABLE_PHI_CAP = 2048
 # roots of unity of larger order are not scanned one power at a time
 ROOT_SCAN_CAP = 10**5
+# integers of absolute value below 2^53 are exact in float64
+_FLOAT_EXACT = 2**53
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (index = power, trailing entry nonzero)
@@ -132,7 +135,7 @@ def _reduction(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def _power_row(n: int, e: int) -> tuple[int, ...]:
-    """Coefficient vector of x^e mod Phi_n, 0 <= e < n."""
+    """Coefficient vector of x^e mod Phi_n, e >= 0."""
     phi, rows = _reduction(n)
     cache = _POWER_ROWS.get(n)
     if cache is None:
@@ -344,9 +347,12 @@ class Cyclotomic:
         For x = a/d, c = conj(a) makes b = a c real.  When b is rational
         (roots of unity, the entries of a pointed S, sqrt(n)), 1/x = c d/b.
         Otherwise b lies in the real subfield, whose Galois group is
-        (Z/N)^x/{+-1}: b times sigma_k(b) over every k prime to N with
-        1 < k < N/2 is its norm, a nonzero rational p, so c times those
-        sigma_k(b) gives 1/x = c d/p.  Every product stays at conductor N.
+        (Z/N)^x/{+-1}, so the conjugates of b are the sigma_k(b) for k
+        prime to N with 0 < k < N/2, each repeated equally often when b
+        lies in a smaller field.  The product of the distinct ones is the
+        norm of b over Q, a nonzero rational p, so c times the distinct
+        sigma_k(b) other than b gives 1/x = c d/p.  Every product stays
+        at conductor N.
         """
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
@@ -356,9 +362,13 @@ class Cyclotomic:
         c = _embed_nums(self.nums, n, n, -1)
         b = _mul_nums(n, self.nums, c)
         if any(b[1:]):
+            seen = {b}
             for k in range(2, (n + 1) // 2):
                 if math.gcd(k, n) == 1:
-                    c = _mul_nums(n, c, _embed_nums(b, n, n, k))
+                    conjugate = _embed_nums(b, n, n, k)
+                    if conjugate not in seen:
+                        seen.add(conjugate)
+                        c = _mul_nums(n, c, conjugate)
             b = _mul_nums(n, self.nums, c)
         return Cyclotomic(n, tuple(v * self.den for v in c), b[0])
 
@@ -436,16 +446,40 @@ class Cyclotomic:
     def _height(self) -> Fraction:
         return Fraction(sum(abs(v) for v in self.nums), self.den)
 
+    def _float_real(self) -> tuple[float, float] | None:
+        """(v, bound): v = sum_k c_k cos(2 pi k/N) in float64 and a bound
+        on |v - den Re(x)| (see `real_sign`), or None when a coefficient
+        has absolute value 2^53 or more, where float64 is not exact."""
+        nums = self.nums
+        if max(nums) >= _FLOAT_EXACT or min(nums) <= -_FLOAT_EXACT:
+            return None
+        value = math.fsum(map(operator.mul, nums, _cosines(self.conductor)))
+        return value, sum(map(abs, nums)) * (len(nums) + 32) * 2.0**-50
+
     def real_sign(self) -> int:
         """Sign of a real cyclotomic number, certified.
 
-        Raises NumericError if the value cannot be certified nonzero at the
-        precision ceiling (never happens for exact zero, which returns 0).
+        The first rung is float64 (`_float_real`): v = sum_k c_k
+        cos(2 pi k/N), with |c_k| < 2^53 exact, decides the sign when
+        |v| > sum |c_k| (phi + 32) 2^-50.  That bound assumes libm's cos
+        is faithfully rounded (off by under one ulp).  The float64
+        argument 2 pi k/N is off by less than 2^-49, so each cosine is
+        off by less than 2^-48; each product rounds once and `math.fsum`
+        once, so |v - den Re(x)| < sum |c_k| (2^-48 + 2^-52)(1 + 2^-52),
+        and the bound is over seven times that.  Otherwise, and when a
+        coefficient is too large for float64, mpmath evaluates the value
+        at 30, 120, 480, 2,000 and 8,000 digits until it exceeds
+        (height + 1) 10^(3 - digits).  Raises NumericError if the value
+        cannot be certified nonzero at that ceiling (never happens for
+        exact zero, which returns 0).
         """
         if self.is_zero():
             return 0
         if self.conductor == 1:
             return 1 if self.nums[0] > 0 else -1
+        rung = self._float_real()
+        if rung is not None and abs(rung[0]) > rung[1]:
+            return 1 if rung[0] > 0 else -1
         height = self._height()
         for dps in (30, 120, 480, 2000, 8000):
             with mpmath.workdps(dps):
@@ -460,10 +494,15 @@ class Cyclotomic:
     def floor(self) -> int:
         """The integer floor of a real cyclotomic number, exact: rationals
         directly, irrationals by certifying the signs of x - k and
-        x - (k + 1) for k the floor of the float value."""
+        x - (k + 1) for k the floor of a float value: the float64 rung's
+        when its error is below 1/2, else mpmath's."""
         if self.conductor == 1:
             return self.nums[0] // self.den
-        k = math.floor(self.approx().real)
+        rung = self._float_real()
+        if rung is not None and 2 * rung[1] < self.den:
+            k = math.floor(rung[0]) // self.den
+        else:
+            k = math.floor(self.approx().real)
         while (self - k).real_sign() < 0:
             k -= 1
         while (self - (k + 1)).real_sign() > 0:
@@ -583,6 +622,12 @@ class Cyclotomic:
                     terms.append(f"{f}*{unit}")
         out = " + ".join(terms).replace("+ -", "- ")
         return out or "0"
+
+
+@lru_cache(maxsize=None)
+def _cosines(n: int) -> tuple[float, ...]:
+    """cos(2 pi k/n) = Re(zeta_n^k) for k < phi(n), by math.cos."""
+    return tuple(math.cos(2 * math.pi * k / n) for k in range(euler_phi(n)))
 
 
 @lru_cache(maxsize=None)

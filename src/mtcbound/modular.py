@@ -28,14 +28,14 @@ the right operand of every block, is cast and scanned once.
 of two routes.  Data that declare a fusion ring and pass every earlier
 check take the ring route, `_ring_equations`: one read of conj(S) = C S
 and two passes over the sorted ring table, S_um sum_k N_ij^k S_km =
-S_im S_jm and T_i T_j S_ij = T_u sum_k N_i*j^k T_k S_uk, gathered from
-products of the distinct entries, with no inverse and no product of
-r x r matrices.  Its docstring proves that these imply the Verlinde
-formula for the declared ring and (ST)^3 = (tau+/D) S^2.  Ring-less
-data, and data on which a precondition or either equation fails, take
-the full route: `verlinde_table` against the ring, and (ST)^3 against
-(tau+/D) S^2, which name the first failing key.  Both routes give the
-same report.
+S_im S_jm and theta_i theta_j S_ij = sum_k N_i*j^k theta_k S_uk, read
+off the products of two S entries and the S entries rotated by the
+twists, with no inverse and no r x r matrix product.  Its docstring
+proves that these imply the Verlinde formula for the declared ring and
+(ST)^3 = (tau+/D) S^2.  Ring-less data, and data on which a
+precondition or either equation fails, take the full route:
+`verlinde_table` against the ring, and (ST)^3 against (tau+/D) S^2,
+which name the first failing key.  Both routes give the same report.
 
 Derived invariants (packed S and S^2, dims, twists, D, the dual
 permutation, the Gauss sums, and through `ModularData._derived` the
@@ -85,10 +85,10 @@ from .cyclotomic import (
     Cyclotomic,
     ONE,
     ZERO,
+    _FLOAT_EXACT,
     _embed_nums,
     _lcm,
     _power_row,
-    _reduction,
     euler_phi,
 )
 from .errors import (
@@ -102,9 +102,7 @@ from .errors import (
 from .fusion import FusionRing, _assemble, first_difference, ring_product
 from .report import ValidationReport
 
-# Integers of absolute value below 2^53 are exact in float64, and so is
-# every sum of them that stays below it; int64 holds |x| < 2^63.
-_FLOAT_EXACT = 2**53
+# int64 holds |x| < 2^63
 _INT64_LIMIT = 2**63
 
 # Bound on the coefficients of one Verlinde block, (pairs, r, 2 phi - 1):
@@ -113,8 +111,8 @@ _INT64_LIMIT = 2**63
 _BLOCK_ENTRIES = 2**18
 
 # `_ring_equations` forms every product of two distinct S entries, as
-# (entries^2, 2 phi - 1) coefficients; above this many it leaves the
-# Verlinde and balancing checks to the full routes.
+# (entries^2, 2 phi - 1) coefficients, and rotated S entries, (rows, L);
+# above this many it leaves a table's checks to the full routes.
 _PRODUCT_TABLE_CAP = 2**20
 
 # `box_tensor` refuses a product whose fusion table (the product of the
@@ -190,11 +188,14 @@ def _int_table(rows) -> tuple[np.ndarray, int]:
 
 
 @lru_cache(maxsize=None)
+def _power_rows(n: int, count: int) -> tuple[np.ndarray, int]:
+    """Maps coefficients of 1, x, ..., x^(count - 1) to x^k mod Phi_n."""
+    return _int_table([_power_row(n, k) for k in range(count)])
+
+
 def _reduction_table(n: int) -> tuple[np.ndarray, int]:
-    """Maps coefficients of 1, x, ..., x^(2 phi - 2) to x^k mod Phi_n."""
-    phi, rows = _reduction(n)
-    identity = [[int(i == j) for j in range(phi)] for i in range(phi)]
-    return _int_table(identity + [list(r) for r in rows[: phi - 1]])
+    """`_power_rows` for a product's coefficients, 1, ..., x^(2 phi - 2)."""
+    return _power_rows(n, 2 * euler_phi(n) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -842,7 +843,22 @@ def _balancing_sides(md: ModularData, theta: tuple, factor: Cyclotomic) -> tuple
     return st @ st @ st, md.packed_s_squared().times(PackedMatrix.pack(((factor,),), n))
 
 
-def _ring_equations(md: ModularData) -> tuple[bool, bool]:
+def _twist_roots(theta: tuple, slots: np.ndarray) -> tuple:
+    """(None, order, exponents) with theta_i = zeta_order^exponents[i],
+    by one `as_root_of_unity` per distinct T slot; or ((i,), None, None)
+    for the first label i whose twist is no root of unity."""
+    slots = slots.tolist()
+    roots: dict = {}
+    for i, x in enumerate(slots):
+        if x not in roots:
+            roots[x] = theta[i].as_root_of_unity()
+            if roots[x] is None:
+                return (i,), None, None
+    order = math.lcm(*(m for _, m in roots.values()))
+    return None, order, np.array([k * (order // m) for k, m in map(roots.get, slots)])
+
+
+def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple[bool, bool]:
     """(verlinde, balancing): whether the declared ring N passes
     `verlinde_integral` and `verlinde_matches_ring`, and the data pass
     `balancing`, read off the ring table without a product of r x r
@@ -853,13 +869,14 @@ def _ring_equations(md: ModularData) -> tuple[bool, bool]:
     total_dim, s_squared_dual_permutation (S^2 = C, an involution fixing
     the unit u), dual_matches_ring (C = ring.dual), theta_root_of_unity
     and theta_dual_invariant.  So S = S^T, d_i = S_ui / S_uu > 0, S_uu
-    is real, and theta_i* = theta_i.  This function checks three things.
+    is real, theta_i* = theta_i, and theta_i = zeta_order^exponents[i].
+    This function checks three things.
 
     (U) conj(S) = C S, i.e. conj(S_ij) = S_i*j: one read of the slots.
     (V) S_um sum_k N_ij^k S_km = S_im S_jm for all i, j, m.
-    (B) T_i T_j S_ij = T_u sum_k N_i*j^k T_k S_uk for all i, j; with
-        theta = T / T_u this is theta_i theta_j S_ij = S_uu sum_k
-        N_i*j^k theta_k d_k.
+    (B) theta_i theta_j S_ij = sum_k N_i*j^k theta_k S_uk for all i, j,
+        i.e. = S_uu sum_k N_i*j^k theta_k d_k: the T form T_i T_j S_ij =
+        T_u sum_k N_i*j^k T_k S_uk over T_u^2 != 0, so equivalent to it.
 
     Unitarity.  S commutes with S^2 = C, so S conj(S) = S C S = C S S =
     C^2 = 1 by (U): S^-1 = conj(S).
@@ -901,10 +918,12 @@ def _ring_equations(md: ModularData) -> tuple[bool, bool]:
     distinct S entries (the route is not taken when that table would
     exceed `_PRODUCT_TABLE_CAP` coefficients), so no product is formed
     per entry, and they share its denominator, so equal values have
-    equal numerators.  (B)
-    gathers T_i T_j S_ij and T_u T_k S_uk from one product per distinct
-    triple of slots, and sums the rows (a, j, k) into (a*, j) the same
-    way.  Sums run in int64 under a bound and on Python integers past it.
+    equal numerators.  In (B) every term is zeta_L^b times an S entry,
+    L = lcm(order, n): each (slot, b) that occurs is rotated once, by an
+    index shift to the basis zeta_L^t, t < L, and one product with the
+    rows zeta_L^t mod Phi_L (past `_PRODUCT_TABLE_CAP`, (B) is left to
+    (S T)^3), and the rows (a, j, k) sum into (a*, j) as in (V).  Sums
+    run in int64 under a bound and on Python integers past it.
     """
     ring = md.ring
     r, u = md.rank, md.unit_index
@@ -956,28 +975,26 @@ def _ring_equations(md: ModularData) -> tuple[bool, bool]:
         if not (left.reshape(right.shape) == right).all():
             return False, False
 
-    # (B), from the products T_i T_j S_ij and T_u T_k S_uk
-    c = md.conductor()
-    t_entries = md.t.table().embed(c).nums[:, 0]
-    t = md.t.slots.astype(np.intp)
-    # the slots of T_i T_j S_ij for every (i, j), then of T_u T_k S_uk
-    triples, index = _products(
-        c,
-        (t_entries, t_entries, table.embed(c).nums[:, 0]),
-        (
-            np.append(np.repeat(t, r), np.full(r, t[u])),
-            np.append(np.tile(t, r), t),
-            np.append(slots, unit_row),
-        ),
-    )
-    if top * _max_abs(triples) >= _INT64_LIMIT:
-        triples = triples.astype(object)
-    triple = _gather_rows(triples)
+    # (B): theta_a* theta_j S_a*j at row (a, j) on the left
+    c = math.lcm(order, n)
+    t = exponents * (c // order)
+    codes = np.append((slots * c + (t[:, None] + t) % c)[dual], unit_row * c + t)
+    used, index = np.unique(codes, return_inverse=True)
+    if len(used) * c > _PRODUCT_TABLE_CAP:
+        return True, False
+    slot, shift = np.divmod(used, c)
+    spread = np.zeros((len(used), c), dtype=entries.dtype)
+    places = (np.arange(phi) * (c // n) + shift[:, None]) % c
+    spread[np.arange(len(used))[:, None], places] = entries[slot]
+    rotated = _linear(spread, _power_rows(c, c))
+    if top * _max_abs(rotated) >= _INT64_LIMIT:
+        rotated = rotated.astype(object)
+    rotation = _gather_rows(rotated)
     lhs, rhs = index[: r * r].reshape(r, r), index[r * r :]
-    for start, stop in _label_blocks(by_first, triples.shape[1]):
+    for start, stop in _label_blocks(by_first, rotated.shape[1]):
         lo, hi = by_first[start], by_first[stop]
-        right = sums(triple(rhs[k[lo:hi]]) * counts[lo:hi, None], start, stop)
-        if not (triple(lhs[dual[start:stop]]).reshape(right.shape) == right).all():
+        right = sums(rotation(rhs[k[lo:hi]]) * counts[lo:hi, None], start, stop)
+        if not (rotation(lhs[start:stop]).reshape(right.shape) == right).all():
             return True, False
     return True, True
 
@@ -1010,27 +1027,6 @@ def _gather_rows(a: np.ndarray):
         return out.view(np.int64).reshape(out.shape + (p,))
 
     return gather
-
-
-def _products(n: int, factors: tuple, slots: tuple) -> tuple:
-    """(nums, index): the product of factors[f][slots[f][x]] over f, as
-    power-basis numerators over Q(zeta_n) whose denominator is the
-    product of the factors' denominators, is nums[index[x]].  Each factor
-    is an integer array (entries, phi(n)) and each slot array is 1-D.
-    One product is formed per distinct combination of slots."""
-    code = np.zeros(len(slots[0]), dtype=np.int64)
-    for factor, s in zip(factors, slots):
-        code = code * len(factor) + s
-    used, index = np.unique(code, return_inverse=True)
-    digits = []
-    for factor in reversed(factors):
-        digits.append(used % len(factor))
-        used = used // len(factor)
-    nums = None
-    for factor, digit in zip(factors, reversed(digits)):
-        term = factor[digit]
-        nums = term if nums is None else _linear(_conv_entrywise(nums, term), _reduction_table(n))
-    return nums, index.reshape(-1)
 
 
 def validate_modular(md: ModularData) -> ValidationReport:
@@ -1112,12 +1108,8 @@ def validate_modular(md: ModularData) -> ValidationReport:
         report.add("theta_normalized", theta[u] == ONE, None)
 
     if theta is not None:
-        ok, where = True, None
-        for i, th, _ in _distinct(theta):
-            if th.as_root_of_unity() is None:
-                ok, where = False, (i,)
-                break
-        report.add("theta_root_of_unity", ok, where)
+        where, order, exponents = _twist_roots(theta, md.t.slots)
+        report.add("theta_root_of_unity", where is None, where)
 
         if perm is not None:
             ok, where = True, None
@@ -1131,7 +1123,7 @@ def validate_modular(md: ModularData) -> ValidationReport:
 
         # every check so far passed: try the ring route (see _ring_equations)
         if md.ring is not None and report.ok:
-            ring_verlinde, ring_balancing = _ring_equations(md)
+            ring_verlinde, ring_balancing = _ring_equations(md, order, exponents)
 
         # (S T)^3 = (tau+/D) S^2 with T the normalized twist diagonal
         if dims is not None:

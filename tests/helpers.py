@@ -43,7 +43,10 @@ from mtcbound.modular import (
     ModularData,
     PackedMatrix,
     _balancing_sides,
+    _conv_entrywise,
     _gauss_sum,
+    _linear,
+    _reduction_table,
     _settle,
     gauss_sums,
     validate_modular,
@@ -681,6 +684,57 @@ def full_route_validate_modular(md: ModularData) -> ValidationReport:
                 check = CheckResult("verlinde_matches_ring", where is None, where)
         checks.append(check)
     return ValidationReport("modular data", checks)
+
+
+def distinct_products(n: int, factors: tuple, slots: tuple) -> tuple:
+    """(nums, index): the product of factors[f][slots[f][x]] over f, as
+    power-basis numerators over Q(zeta_n) whose denominator is the
+    product of the factors' denominators, is nums[index[x]].  Each factor
+    is an integer array (entries, phi(n)) and each slot array is 1-D.
+    One product is formed per distinct combination of slots."""
+    code = np.zeros(len(slots[0]), dtype=np.int64)
+    for factor, s in zip(factors, slots):
+        code = code * len(factor) + s
+    used, index = np.unique(code, return_inverse=True)
+    digits = []
+    for factor in reversed(factors):
+        digits.append(used % len(factor))
+        used = used // len(factor)
+    nums = None
+    for factor, digit in zip(factors, reversed(digits)):
+        term = factor[digit]
+        nums = term if nums is None else _linear(_conv_entrywise(nums, term), _reduction_table(n))
+    return nums, index.reshape(-1)
+
+
+def triple_product_balancing(md: ModularData) -> bool:
+    """Check (B) of `modular._ring_equations` in its T form, T_i T_j S_ij
+    = T_u sum_k N_i*j^k T_k S_uk for all i, j, by triple products: one
+    product per distinct (T, T, S) slot triple over Q(zeta_c), c the
+    datum's conductor, and N times the right-hand terms of the ring's
+    rows (a, j, k) summed into (a*, j) on Python integers.  Needs a
+    declared ring; the oracle of the twist-exponent form."""
+    ring = md.ring
+    r, u = md.rank, md.unit_index
+    c = md.conductor()
+    slots = md.s.slots.astype(np.intp)
+    t = md.t.slots.astype(np.intp)
+    t_entries = md.t.table().embed(c).nums[:, 0]
+    triples, index = distinct_products(
+        c,
+        (t_entries, t_entries, md.s.table().embed(c).nums[:, 0]),
+        (
+            np.append(np.repeat(t, r), np.full(r, t[u])),
+            np.append(np.tile(t, r), t),
+            np.append(slots, slots[u]),
+        ),
+    )
+    triples = triples.astype(object)
+    lhs, rhs = index[: r * r].reshape(r, r), index[r * r :]
+    a, j, k = ring.indices().T
+    right = np.zeros((r, r, triples.shape[1]), dtype=object)
+    np.add.at(right, (a, j), triples[rhs[k]] * ring.table[:, 3:].astype(object))
+    return bool((triples[lhs[list(ring.dual)]] == right).all())
 
 
 def per_label_scalar_checks(md: ModularData) -> dict:

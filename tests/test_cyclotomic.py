@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from mtcbound.cyclotomic import (
 )
 from mtcbound.errors import ConductorLimitError, DivisionByZero, InputError, NumericError
 from tests.helpers import euclid_inverse, mpmath_root_of_unity
+from tests.test_ring_route import modular_fixtures, rank_12_products
 
 
 def test_basic_identities():
@@ -283,11 +285,13 @@ class TestInverseOracle:
                 assert _parts(y) == _parts(euclid_inverse(x)), x
 
     def test_golden_ratio_values_take_the_euclid_route(self):
-        # real and non-real values with |x|^2 irrational, up to phi(N) = 96
+        # real and non-real values with |x|^2 irrational, up to phi(N) =
+        # 144; S_00's |x|^2 lies in a proper subfield of the real one, so
+        # its conjugates repeat
         golden = (1 + sqrt_int(5)) / 2
         values = [golden, golden - 1, golden * golden, golden + zeta(5), 3 * golden - zeta(10)]
-        values += [golden.embed(40), golden + zeta(8), *(_su2_s00(m) for m in (5, 7, 35))]
-        for m, x in zip((5, 7, 35), values[-3:]):
+        values += [golden.embed(40), golden + zeta(8), *(_su2_s00(m) for m in (5, 7, 35, 63))]
+        for m, x in zip((5, 7, 35, 63), values[-4:]):
             assert x.conductor == 8 * m
             assert abs(x.approx() - math.sqrt(2 / m) * math.sin(math.pi / m)) < 1e-12
         for x in values:
@@ -354,3 +358,100 @@ class TestRootOfUnityReadOff:
         monkeypatch.setattr(cyclotomic, "_exponent_guess", lambda x, m: None)
         with pytest.raises(NumericError, match="order 8"):
             zeta(8, 3).as_root_of_unity()
+
+
+def _golden_truncation_gap(digits: int) -> Cyclotomic:
+    """The golden ratio minus its decimal truncation to `digits`
+    significant digits: positive, below 10^(1 - digits)."""
+    scale = 10 ** (digits - 1)
+    # floor(scale (1 + sqrt 5) / 2), exactly
+    truncated = (scale + math.isqrt(5 * scale * scale)) // 2
+    return (1 + sqrt_int(5)) / 2 - rational(Fraction(truncated, scale))
+
+
+class TestFloatSignRung:
+    """`real_sign` and `floor` with the float64 first rung against the
+    mpmath ladder alone (the rung monkeypatched off): the two never
+    disagree, and what the rung cannot certify climbs the ladder."""
+
+    @staticmethod
+    def ladder(monkeypatch, method, values) -> list:
+        with monkeypatch.context() as patch:
+            patch.setattr(Cyclotomic, "_float_real", lambda self: None)
+            return [method(x) for x in values]
+
+    @staticmethod
+    def mpmath_calls(monkeypatch) -> list:
+        calls = []
+        evaluate = Cyclotomic._eval_mp
+        monkeypatch.setattr(Cyclotomic, "_eval_mp", lambda x: calls.append(x) or evaluate(x))
+        return calls
+
+    def test_dims_and_total_dims(self, monkeypatch):
+        values = []
+        for _, md in modular_fixtures() + rank_12_products():
+            values += [*md.dims(), md.total_dim()]
+        values = [x for x in values if x.conductor > 1]
+        assert len(values) == 28
+        assert self.ladder(monkeypatch, Cyclotomic.real_sign, values) == [1] * len(values)
+        calls = self.mpmath_calls(monkeypatch)
+        assert [x.real_sign() for x in values] == [1] * len(values)
+        assert calls == []  # the float64 rung certified every one
+
+    def test_seeded_real_values(self, monkeypatch):
+        rng = random.Random(5080)
+        values = []
+        for _ in range(1000):
+            n = rng.randint(5, 80)
+            height = rng.choice((3, 10**3, 10**12))
+            nums = tuple(rng.randint(-height, height) for _ in range(euler_phi(n)))
+            x = Cyclotomic(n, nums, rng.randint(1, 9))
+            values.append(x + x.conj())
+        signs = [x.real_sign() for x in values]
+        assert signs == self.ladder(monkeypatch, Cyclotomic.real_sign, values)
+        assert {-1, 1} <= set(signs)
+
+    @pytest.mark.parametrize("digits", [16, 19])
+    def test_near_misses_escalate(self, monkeypatch, digits):
+        gap = _golden_truncation_gap(digits)
+        assert 0 < gap.approx(60).real < 10.0 ** (1 - digits)
+        rung = gap._float_real()
+        if digits == 16:
+            assert abs(rung[0]) <= rung[1]  # too close for float64
+        else:
+            assert rung is None  # 10^18-sized coefficients
+        calls = self.mpmath_calls(monkeypatch)
+        assert gap.real_sign() == 1 and (-gap).real_sign() == -1
+        assert len(calls) == 2
+        assert self.ladder(monkeypatch, Cyclotomic.real_sign, [gap, -gap]) == [1, -1]
+
+    def test_coefficients_from_2_to_the_53_skip_the_rung(self, monkeypatch):
+        for big in (2**53, -(2**53), 3**40):
+            x = Cyclotomic(5, (big, 1, 0, 1), 7)
+            assert x._float_real() is None
+            calls = self.mpmath_calls(monkeypatch)
+            assert x.real_sign() == (1 if big > 0 else -1) and len(calls) == 1
+            assert self.ladder(monkeypatch, Cyclotomic.real_sign, [x]) == [x.real_sign()]
+        assert Cyclotomic(5, (2**53 - 1, 1, 0, 1))._float_real() is not None
+
+    def test_floor_near_integers(self, monkeypatch):
+        # phi^n = L_n - (-1/phi)^n for the Lucas numbers L_n, within
+        # 10^-12 of L_n from n = 58 on; and integers plus or minus gaps
+        # of sqrt 2 against its Pell convergents, down to ~10^-13
+        golden = (1 + sqrt_int(5)) / 2
+        lucas = [2, 1]
+        while len(lucas) < 66:
+            lucas.append(lucas[-1] + lucas[-2])
+        cases = [(golden**n, lucas[n] - (n % 2 == 0)) for n in range(58, 66)]
+        p, q = 1, 1
+        while q < 2 * 10**6:
+            p, q = p + 2 * q, p + q
+            gap = sqrt_int(2) - rational(Fraction(p, q))
+            if abs(gap.approx().real) < 1e-12:
+                below = gap.real_sign() < 0
+                cases += [(k + gap, k - below) for k in (-3, 0, 7)]
+                cases += [(k - gap, k - (not below)) for k in (-3, 0, 7)]
+        assert len(cases) >= 14
+        values = [x for x, _ in cases]
+        assert [x.floor() for x in values] == [k for _, k in cases]
+        assert self.ladder(monkeypatch, Cyclotomic.floor, values) == [k for _, k in cases]

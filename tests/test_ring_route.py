@@ -4,11 +4,14 @@ On data that declare a fusion ring and pass every earlier check,
 `validate_modular` decides `balancing`, `verlinde_integral` and
 `verlinde_matches_ring` by `modular._ring_equations`, two passes over
 the ring table.  `tests.helpers.full_route_validate_modular` decides
-them by (S T)^3 and `verlinde_table`, as before.  The reports must be
+them by (S T)^3 and `verlinde_table`, as before, and
+`tests.helpers.triple_product_balancing` checks the balancing equation
+in its T form by triple products.  The reports must be
 equal, byte for byte in JSON, on valid data and on tampered data, where
 the ring route gives up and the full routes name the failure.
 """
 
+import math
 import random
 
 import pytest
@@ -16,17 +19,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtcbound import corpus, modular
+from mtcbound.cyclotomic import zeta
 from mtcbound.fusion import FusionRing
 from mtcbound.modular import (
     ModularData,
     _ring_equations,
+    _twist_roots,
     box_tensor,
     double,
     reverse,
     validate_modular,
 )
 from mtcbound.pointed import abelian_double, metric_modular_data
-from tests.helpers import full_route_validate_modular, random_metric_group
+from tests.helpers import (
+    full_route_validate_modular,
+    random_metric_group,
+    triple_product_balancing,
+)
 
 
 def modular_fixtures() -> list:
@@ -62,6 +71,14 @@ def seeded_metric_data(count: int = 8) -> list:
 
 def small_data() -> list:
     return modular_fixtures() + rank_12_products() + seeded_metric_data()
+
+
+def ring_equations(md: ModularData) -> tuple:
+    """`_ring_equations` with the twist exponents that `validate_modular`
+    passes it."""
+    where, order, exponents = _twist_roots(md.theta(), md.t.slots)
+    assert where is None
+    return _ring_equations(md, order, exponents)
 
 
 def assert_routes_agree(md, label) -> None:
@@ -111,9 +128,14 @@ def row_conjugated(md: ModularData, i: int, column_too: bool) -> ModularData:
 
 
 def twist_squared(md: ModularData, i: int) -> ModularData:
-    t = list(md.t)
-    t[i] = t[i] * t[i]
-    return ModularData(s=md.s, t=tuple(t), unit_index=md.unit_index, ring=md.ring)
+    return twists_rotated(md, {i}, md.t[i])
+
+
+def twists_rotated(md: ModularData, labels, root) -> ModularData:
+    """T_i times root for each label i: for a self-dual label or a dual
+    pair, every check before balancing still passes."""
+    t = tuple(x * root if i in labels else x for i, x in enumerate(md.t))
+    return ModularData(s=md.s, t=t, unit_index=md.unit_index, ring=md.ring)
 
 
 def dual_relabelled(md: ModularData) -> ModularData:
@@ -125,12 +147,28 @@ def dual_relabelled(md: ModularData) -> ModularData:
     return ModularData(s=md.s, t=md.t, unit_index=md.unit_index, ring=bad)
 
 
+def twist_tampers(md: ModularData) -> list:
+    """(label, datum): the first self-dual label but the unit with its
+    twist negated, and the first dual pair with both twists times
+    zeta_3, where the datum has such labels.  Every check before
+    balancing still passes."""
+    dual, u = md.ring.dual, md.unit_index
+    self_dual = [i for i, d in enumerate(dual) if d == i != u]
+    pairs = [i for i, d in enumerate(dual) if d > i]
+    out = [("a self-dual twist negated", twists_rotated(md, {i}, zeta(2))) for i in self_dual[:1]]
+    out += [
+        ("a dual pair's twists times zeta_3", twists_rotated(md, {i, dual[i]}, zeta(3)))
+        for i in pairs[:1]
+    ]
+    return out
+
+
 def tampers(md: ModularData) -> list:
     """(label, datum): the tampers of one datum of rank >= 3."""
     r, u = md.rank, md.unit_index
     a, b = [x for x in range(r) if x != u][:2]
     twisted = next((i for i in range(r) if md.t[i] * md.t[i] != md.t[i]), a)
-    return [
+    return twist_tampers(md) + [
         ("multiplicity + 1", multiplicity_raised(md, len(md.ring.table) // 2, 1)),
         ("unit-row multiplicity + 1", multiplicity_raised(md, 0, 1)),
         ("multiplicity 2^70", multiplicity_raised(md, 1, 2**70)),
@@ -147,7 +185,7 @@ class TestRingRoute:
     def test_valid_ring_bearing_data_take_the_route(self):
         for label, md in small_data():
             assert md.ring is not None and validate_modular(md).ok, label
-            assert _ring_equations(md) == (True, True), label
+            assert ring_equations(md) == (True, True), label
 
     def test_reports_match_the_full_routes(self):
         for label, md in small_data():
@@ -159,7 +197,7 @@ class TestRingRoute:
             box_tensor(corpus.build("toric_code").modular, corpus.build("ising").modular)
         )
         for label, md in (("double(d_z3)", d_z3), ("rank-144 double", rank_144)):
-            assert _ring_equations(md) == (True, True), label
+            assert ring_equations(md) == (True, True), label
             assert_routes_agree(md, label)
         assert_routes_agree(multiplicity_raised(d_z3, 4000, 1), "double(d_z3), N + 1")
 
@@ -184,10 +222,65 @@ class TestRingRoute:
                 if tamper.startswith(("multiplicity", "unit-row")):
                     assert "verlinde_matches_ring" in report.failed_names(), (label, tamper)
 
+    def test_twist_tampers_reach_balancing(self):
+        reached = 0
+        for label, md in small_data():
+            if md.rank < 3:
+                continue
+            for tamper, bad in twist_tampers(md):
+                report = validate_modular(bad)
+                assert report.failed_names()[0] == "balancing", (label, tamper)
+                assert ring_equations(bad) == (True, False), (label, tamper)
+                assert_routes_agree(bad, (label, tamper))
+                reached += 1
+        assert reached >= 20
+
+    def test_twists_against_the_triple_products(self):
+        # (B) from the rotated S entries against the T form by one
+        # product per (T, T, S) slot triple, wherever (B) runs
+        compared = 0
+        for label, md in small_data():
+            for tamper, bad in [("none", md)] + (tampers(md) if md.rank >= 3 else []):
+                verlinde, balancing = ring_equations(bad)
+                if verlinde:
+                    assert balancing == triple_product_balancing(bad), (label, tamper)
+                    compared += 1
+        assert compared >= 100
+
+    def test_t_times_zeta_8(self):
+        # T_u = zeta_8 != 1: the twists, and so (B), do not change
+        for label, md in small_data():
+            rotated = twists_rotated(md, range(md.rank), zeta(8))
+            assert rotated.t[rotated.unit_index] != 1, label
+            assert ring_equations(rotated) == (True, True), label
+            assert_routes_agree(rotated, label)
+
+    def test_the_rotation_conductor_can_exceed_the_data(self):
+        # L = lcm(order of the twists, conductor of the S entries).  The
+        # toric code's twists (1, 1, 1, -1) have order 2, though its S
+        # and T are rational; elsewhere L may exceed S's conductor only
+        def conductors(md):
+            _, order, _ = _twist_roots(md.theta(), md.t.slots)
+            s = md.s.table().conductor
+            return math.lcm(order, s), s, md.conductor()
+
+        fixtures = {name: conductors(md) for name, md in modular_fixtures()}
+        above_data = {name for name, (c, _, n) in fixtures.items() if c > n}
+        above_s = {name for name, (c, s, _) in fixtures.items() if c > s}
+        assert above_data == {"toric_code", "double_toric_code"}
+        assert above_s == above_data | {
+            "double_semion",
+            "ising",
+            "double_of_semion",
+            "double_of_double_semion",
+            "double_ising",
+        }
+        assert fixtures["toric_code"] == (2, 1, 1)
+
     def test_one_label_per_block(self, monkeypatch):
         monkeypatch.setattr(modular, "_BLOCK_ENTRIES", 1)
         for label, md in rank_12_products() + [("double(ising)", double(corpus.ising().modular))]:
-            assert _ring_equations(md) == (True, True), label
+            assert ring_equations(md) == (True, True), label
             assert_routes_agree(md, label)
             for tamper, bad in tampers(md):
                 assert_routes_agree(bad, (label, tamper))
@@ -201,14 +294,23 @@ class TestRingRoute:
         assert ring.dual != tuple(range(md.rank))
         identity = FusionRing.from_table(ring.labels, ring.unit, tuple(range(md.rank)), ring.table)
         bad = ModularData(s=md.s, t=md.t, unit_index=md.unit_index, ring=identity)
-        assert _ring_equations(bad) == (False, False)
+        assert ring_equations(bad) == (False, False)
         assert_routes_agree(bad, "d_z3 with the identity as dual")
 
     def test_above_the_product_table_cap_the_full_routes_run(self, monkeypatch):
         monkeypatch.setattr(modular, "_PRODUCT_TABLE_CAP", 0)
         for label, md in rank_12_products():
-            assert _ring_equations(md) == (False, False), label
+            assert ring_equations(md) == (False, False), label
             assert validate_modular(md).ok, label
+
+    def test_above_the_cap_balancing_takes_the_full_route(self, monkeypatch):
+        # the rotation table needs 288 coefficients on these data, the
+        # product table of (V) 175
+        monkeypatch.setattr(modular, "_PRODUCT_TABLE_CAP", 200)
+        for label, md in rank_12_products()[2:]:
+            assert ring_equations(md) == (True, False), label
+            assert validate_modular(md).ok, label
+            assert_routes_agree(md, label)
 
 
 SMALL = [md for _, md in small_data()]
