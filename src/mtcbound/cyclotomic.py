@@ -105,51 +105,50 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-_REDUCTION: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
 _POWER_ROWS: dict[int, list[tuple[int, ...]]] = {}
 
 
-def _reduction(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(phi, rows) with rows[k-phi] = x^k mod Phi_n for phi <= k <= 2phi-2."""
-    cached = _REDUCTION.get(n)
-    if cached is not None:
-        return cached
-    phi = euler_phi(n)
-    if phi > TABLE_PHI_CAP:
-        raise ConductorLimitError(
-            f"conductor {n} needs {phi} basis elements, table cap is {TABLE_PHI_CAP}"
-        )
-    poly = cyclotomic_polynomial(n)
-    base = tuple(-poly[i] for i in range(phi))
-    rows = [base]
-    for _ in range(phi + 1, 2 * phi - 1):
-        prev = rows[-1]
-        over = prev[phi - 1]
-        row = [0] + list(prev[: phi - 1])
-        if over:
-            row = [r + over * b for r, b in zip(row, base)]
-        rows.append(tuple(row))
-    result = (phi, tuple(rows))
-    _REDUCTION[n] = result
-    return result
-
-
 def _power_row(n: int, e: int) -> tuple[int, ...]:
-    """Coefficient vector of x^e mod Phi_n, e >= 0."""
-    phi, rows = _reduction(n)
+    """Coefficient vector of x^e mod Phi_n, e >= 0.
+
+    The rows of one n are cached in order of e: the unit vectors below
+    phi, then x^phi - Phi_n for x^phi, then each row the one before
+    shifted up one power, with its overflowing x^phi coefficient times
+    the row of x^phi added back.  The first call builds the rows up to
+    x^(2 phi - 2), the ones `_reduction` reads, and refuses phi above
+    `TABLE_PHI_CAP`."""
     cache = _POWER_ROWS.get(n)
+    top = e
     if cache is None:
-        cache = [tuple(1 if i == j else 0 for i in range(phi)) for j in range(min(phi, n))]
+        phi = euler_phi(n)
+        if phi > TABLE_PHI_CAP:
+            raise ConductorLimitError(
+                f"conductor {n} needs {phi} basis elements, table cap is {TABLE_PHI_CAP}"
+            )
+        cache = [tuple(1 if i == j else 0 for i in range(phi)) for j in range(phi)]
+        cache.append(tuple(-c for c in cyclotomic_polynomial(n)[:phi]))
         _POWER_ROWS[n] = cache
-    while len(cache) <= e:
+        top = max(e, 2 * phi - 2)
+    phi = len(cache[0])
+    base = cache[phi]
+    while len(cache) <= top:
         prev = cache[-1]
         over = prev[phi - 1]
         row = [0] + list(prev[: phi - 1])
         if over:
-            base = rows[0]
             row = [r + over * b for r, b in zip(row, base)]
         cache.append(tuple(row))
     return cache[e]
+
+
+def _reduction(n: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(phi, rows) with rows[k] = x^k mod Phi_n for every k <= 2 phi - 2:
+    `_power_row`'s cache."""
+    rows = _POWER_ROWS.get(n)
+    if rows is None:
+        _power_row(n, 0)
+        rows = _POWER_ROWS[n]
+    return len(rows[0]), rows
 
 
 def _mul_nums(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -165,7 +164,7 @@ def _mul_nums(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]
     for k in range(2 * phi - 2, phi - 1, -1):
         ck = c[k]
         if ck:
-            row = rows[k - phi]
+            row = rows[k]
             for t, rt in enumerate(row):
                 if rt:
                     c[t] += ck * rt

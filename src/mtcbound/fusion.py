@@ -515,10 +515,7 @@ def _associativity(ring: FusionRing) -> tuple[bool, tuple | None]:
     # so that every key ((i - start) r + j) r + k) r + l is below 2^63
     span = max(1, (_INT64_LIMIT - 1) // r**3)
     pairs, tails = ring._codes // r, ring._codes % (r * r)  # i r + j, j r + k
-    start = 0
-    while start < r:
-        stop = int(np.searchsorted(made, made[start] + _BLOCK_ENTRIES, side="right")) - 1
-        stop = min(max(stop, start + 1), start + span)
+    for start, stop in _label_blocks(made, _BLOCK_ENTRIES, span):
         lo, hi = by_first[start], by_first[stop]
         p, q = _join(by_first[last[lo:hi]], n_left[lo:hi], lo)  # (i, j, m), (m, k, l)
         left = (pairs[p] - start * r) * (r * r) + tails[q], values[p] * values[q]
@@ -534,8 +531,22 @@ def _associativity(ring: FusionRing) -> tuple[bool, tuple | None]:
         if len(bad):
             code = int(keys[heads[bad[0]]])
             return False, (start + code // r**3, code // (r * r) % r, code // r % r, code % r)
-        start = stop
     return True, None
+
+
+def _label_blocks(made: np.ndarray, budget: int, span: int | None = None):
+    """Ranges [start, stop) of labels, in order, that split the cost
+    made[r] - made[0] greedily into blocks of about budget: made[i] is
+    the cost of the labels below i, and a block holds at least one
+    label and at most span."""
+    r = len(made) - 1
+    span = span or r
+    start = 0
+    while start < r:
+        stop = int(np.searchsorted(made, made[start] + budget, side="right")) - 1
+        stop = min(max(stop, start + 1), start + span)
+        yield start, stop
+        start = stop
 
 
 def _join(starts: np.ndarray, counts: np.ndarray, offset: int) -> tuple:

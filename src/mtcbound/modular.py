@@ -44,29 +44,30 @@ private cache that equality and repr ignore.
 
 Scalar work runs once per distinct value, not once per label or entry.
 Modular data repeats few values: a pointed S has one per pairing
-exponent, and the rank-144 double of toric code x Ising has 7.  Two
-values are the same when their normalised (conductor, nums, den) agree.
-S and T are each held once, as a `FactoredMatrix`: the distinct
-entries, each with its own conductor, and an integer slot array (two
-axes for S, one for T).  `reverse` conjugates the entries, `box_tensor`
+exponent, and the rank-144 double of toric code x Ising has 7.  S and T
+are each held once, as a `FactoredMatrix`: the distinct entries, each a
+normalised (conductor, nums, den), and an integer slot array (two axes
+for S, one for T).  `reverse` conjugates the entries, `box_tensor`
 multiplies each pair of them once and gathers by the Kronecker of the
 slots, and packed S or T is a gather of one table of the entries.
-Equal slots imply equal values; distinct slots may still hold equal
-values at different conductors (zeta_4 and zeta_8^2 over Q(zeta_8)), so
-comparisons are in value.  Dims, twists and the inverses of the unit
-row are mapped once per distinct slot (`_slot_map`), `_distinct_map`
-applies a `Cyclotomic` function once per distinct value of a sequence
-(the JSON form of the entries), and `_distinct` lists the distinct
-values of a tuple with the first label and the multiplicity of each.
+Equal slots hold equal values, but distinct slots may hold one value
+at different conductors (zeta_4 and zeta_8^2 over Q(zeta_8)).  Every
+"same value" test within a datum therefore compares value ids
+(`_value_ids`: one integer per distinct row of the table of entries)
+gathered by slot: the symmetry of S, the twists' dual invariance, the
+ring route's conj(S) = C S and the search's theta_i = 1.  Per-value
+maps (dims, twists, dim floors, unit-row inverses, roots of unity, the
+JSON form) run once per distinct slot, and the dims' positivity and
+sum of squares once per distinct unit-row id, a failure named at the
+first label that carries the value.
 The Gauss sum tau+- = sum_i d_i^2 theta_i^(+-1) is one integer product,
 cached per datum by `_gauss_sum`: the histogram of (unit-row S slot,
 T slot) pairs times the packed table of the distinct T entries (their
 inverses for tau-) gives one class sum per distinct unit-row entry,
 then one d^2 product per class and one division by T_u.
 `central_charge`, `gauss_sums` and the balancing and Gauss-identity
-checks of `validate_modular` all read it.  The dims' positivity and the
-twists' root-of-unity test run on distinct values too, and a failure is
-reported at the first label that carries the value.
+checks of `validate_modular` all read it.  A zero twist leaves tau-
+undefined, and the Gauss-identity check fails at that label.
 `ModularData.from_json_dict` parses each distinct scalar object once.
 """
 
@@ -99,7 +100,7 @@ from .errors import (
     NotRootOfUnity,
     SizeLimit,
 )
-from .fusion import FusionRing, _assemble, first_difference, ring_product
+from .fusion import FusionRing, _assemble, _label_blocks, first_difference, ring_product
 from .report import ValidationReport
 
 # int64 holds |x| < 2^63
@@ -121,38 +122,6 @@ _PRODUCT_TABLE_CAP = 2**20
 # 2^20 rows), so a product at the cap takes about 3 GB; the largest
 # product the tests and fixtures build has 25,600 rows.
 PRODUCT_SIZE_CAP = 2 * 10**7
-
-
-# ---------------------------------------------------------------------------
-# distinct values
-# ---------------------------------------------------------------------------
-
-
-def _distinct_map(f, values) -> tuple:
-    """tuple(map(f, values)) with f evaluated once per distinct value;
-    equal values share one image."""
-    images: dict = {}
-    out = []
-    for v in values:
-        key = (v.conductor, v.nums, v.den)
-        if key not in images:
-            images[key] = f(v)
-        out.append(images[key])
-    return tuple(out)
-
-
-def _distinct(values) -> list:
-    """[(first, value, count)] over the distinct values, in order of
-    first appearance: the first label carrying the value, the value and
-    its multiplicity."""
-    seen: dict = {}
-    for i, v in enumerate(values):
-        key = (v.conductor, v.nums, v.den)
-        if key in seen:
-            seen[key][2] += 1
-        else:
-            seen[key] = [i, v, 1]
-    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +290,25 @@ class PackedMatrix:
         return (_scaled(a, other.den) == _scaled(b, self.den)).all(axis=-1)
 
 
+def _value_ids(nums: np.ndarray) -> np.ndarray:
+    """An integer id per row of nums (k, phi), the packed coefficients of
+    k values over one conductor and one denominator.  The power basis is
+    a basis, so two rows hold one value iff they are equal: equal values
+    share an id.  Ids count up in order of first appearance."""
+    ids: dict = {}
+    return np.array([ids.setdefault(tuple(row), len(ids)) for row in nums.tolist()], dtype=np.intp)
+
+
 class FactoredMatrix:
     """Entry x is entries[slots[x]], for a slot array of two axes (S) or
     one (T): each normalised (conductor, nums, den) once, in row-major
     order of first appearance, and a read-only integer slot array.  A
-    matrix reads back as rows of tuples, a vector as its scalars;
-    equality is in value."""
+    matrix reads back as rows of tuples, a vector as its scalars.
+
+    Equal slots hold equal values, but distinct slots may hold one value
+    at different conductors (zeta_4 and zeta_8^2).  Within one matrix,
+    values compare by `value_ids` gathered by slot; `==` compares two
+    matrices in value, one pair of slots at a time."""
 
     __slots__ = ("entries", "slots", "_table", "_packed")
 
@@ -410,6 +392,12 @@ class FactoredMatrix:
         if conductor is None:
             self._packed = packed
         return packed
+
+    def value_ids(self) -> np.ndarray:
+        """`_value_ids` of the entries packed over their lcm conductor:
+        ids[k] belongs to entries[k], so ids[slots] is one id per entry
+        of the matrix, equal exactly where the values are."""
+        return _value_ids(self.table().nums[:, 0])
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -527,7 +515,9 @@ class ModularData:
         tu = self.t[self.unit_index]
         if tu.is_zero():
             raise NonModular("T_u = 0, twists undefined")
-        return self._derived("theta", lambda md: _divided(md.t, tu))
+        return self._derived(
+            "theta", lambda md: _slot_map(tu.inverse().__mul__, md.t.entries, md.t.slots)
+        )
 
     def dual_permutation(self) -> tuple | None:
         """The permutation C with S^2 = C, or None if S^2 is no permutation."""
@@ -539,15 +529,14 @@ class ModularData:
     # -- serialization ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """The JSON form; entries equal in value share one scalar object."""
-        scalars = _distinct_map(Cyclotomic.to_json_dict, chain(self.s.entries, self.t.entries))
-        t_scalars = scalars[len(self.s.entries) :]
+        """The JSON form; the entries of one slot share one scalar object."""
+        s, t = (tuple(map(Cyclotomic.to_json_dict, m.entries)) for m in (self.s, self.t))
         return {
             "ring": self.ring.to_json_dict() if self.ring is not None else None,
             "unit": self.unit_index,
             "conductor": self.conductor(),
-            "S": [list(map(scalars.__getitem__, row)) for row in self.s.slots.tolist()],
-            "T": list(map(t_scalars.__getitem__, self.t.slots.tolist())),
+            "S": [list(map(s.__getitem__, row)) for row in self.s.slots.tolist()],
+            "T": list(map(t.__getitem__, self.t.slots.tolist())),
         }
 
     @staticmethod
@@ -604,11 +593,6 @@ def _scalar_parser():
         return value
 
     return parse
-
-
-def _divided(values: FactoredMatrix, x: Cyclotomic) -> tuple:
-    inv = x.inverse()
-    return _slot_map(lambda v: v * inv, values.entries, values.slots)
 
 
 def _slot_map(f, entries: tuple, slots: np.ndarray) -> tuple:
@@ -934,9 +918,7 @@ def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple
     dual = np.array(ring.dual, dtype=np.intp)
 
     # (U): value ids of the entries and of their conjugates
-    ids: dict = {}
-    rows = np.concatenate((entries, _linear(entries, _power_table(n, n, -1)))).tolist()
-    value = np.array([ids.setdefault(tuple(row), len(ids)) for row in rows])
+    value = _value_ids(np.concatenate((entries, _linear(entries, _power_table(n, n, -1)))))
     if not (value[e:][slots] == value[:e][slots[dual]]).all():
         return False, False
 
@@ -968,7 +950,9 @@ def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple
         products = products.astype(object)
     product = _gather_rows(products)
     unit_row = slots[u]
-    for start, stop in _label_blocks(by_first, r * phi):
+    # per label below i: its table rows plus r, times a width per row
+    made = by_first + np.arange(r + 1) * r
+    for start, stop in _label_blocks(made * (r * phi), _BLOCK_ENTRIES):
         lo, hi = by_first[start], by_first[stop]
         left = sums(product(unit_row, slots[k[lo:hi]]) * counts[lo:hi, None, None], start, stop)
         right = product(slots[start:stop, None], slots[None])
@@ -991,26 +975,12 @@ def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple
         rotated = rotated.astype(object)
     rotation = _gather_rows(rotated)
     lhs, rhs = index[: r * r].reshape(r, r), index[r * r :]
-    for start, stop in _label_blocks(by_first, rotated.shape[1]):
+    for start, stop in _label_blocks(made * rotated.shape[1], _BLOCK_ENTRIES):
         lo, hi = by_first[start], by_first[stop]
         right = sums(rotation(rhs[k[lo:hi]]) * counts[lo:hi, None], start, stop)
         if not (rotation(lhs[start:stop]).reshape(right.shape) == right).all():
             return True, False
     return True, True
-
-
-def _label_blocks(by_first: np.ndarray, width: int):
-    """Ranges [start, stop) of labels, at least one each, whose table
-    rows plus r per label, times width, add up to about `_BLOCK_ENTRIES`;
-    by_first[i] is the first table row of label i."""
-    r = len(by_first) - 1
-    made = (by_first + np.arange(r + 1) * r) * width
-    start = 0
-    while start < r:
-        stop = int(np.searchsorted(made, made[start] + _BLOCK_ENTRIES, side="right")) - 1
-        stop = max(stop, start + 1)
-        yield start, stop
-        start = stop
 
 
 def _gather_rows(a: np.ndarray):
@@ -1039,9 +1009,9 @@ def validate_modular(md: ModularData) -> ValidationReport:
     r = md.rank
     u = md.unit_index
 
-    s = md.packed_s()
+    ids = md.s.value_ids()[md.s.slots]
     # argwhere is row-major, so this is the first asymmetric (i, j), i < j
-    mismatch = np.argwhere(np.triu(~s.entries_equal(s.transpose()), 1))
+    mismatch = np.argwhere(np.triu(ids != ids.T, 1))
     ok = not len(mismatch)
     report.add("s_symmetric", ok, None if ok else tuple(int(x) for x in mismatch[0]))
 
@@ -1050,10 +1020,14 @@ def validate_modular(md: ModularData) -> ValidationReport:
         report.add("dims_real_positive", False, (u, u), "S_{uu} = 0")
     else:
         dims = md.dims()
+        # the distinct unit-row values, each at its first label with its
+        # count, so a failure names the first label that carries it
+        _, first, counts = np.unique(ids[u], return_index=True, return_counts=True)
+        order = first.argsort()
+        classes = list(zip(first[order].tolist(), counts[order].tolist()))
         ok, where, detail = True, None, ""
-        # each distinct value at its first label, so a failure names
-        # the first label that carries it
-        for i, d, _ in _distinct(dims):
+        for i, _ in classes:
+            d = dims[i]
             if d.conj() != d:
                 ok, where, detail = False, (i,), "not fixed by conjugation"
                 break
@@ -1065,8 +1039,8 @@ def validate_modular(md: ModularData) -> ValidationReport:
     if dims is not None:
         total = md.total_dim()
         square_sum = ZERO
-        for _, d, count in _distinct(dims):
-            square_sum = square_sum + d * d * count
+        for i, count in classes:
+            square_sum = square_sum + dims[i] * dims[i] * count
         ok = total * total == square_sum
         detail = "" if ok else "1/S_uu squared differs from sum of d_i^2"
         # a certified sign needs a real D
@@ -1112,12 +1086,11 @@ def validate_modular(md: ModularData) -> ValidationReport:
         report.add("theta_root_of_unity", where is None, where)
 
         if perm is not None:
-            ok, where = True, None
-            for i in range(r):
-                if theta[perm[i]] != theta[i]:
-                    ok, where = False, (i,)
-                    break
-            report.add("theta_dual_invariant", ok, where)
+            # theta_i = T_i / T_u with T_u != 0: equal twists, equal T
+            t_ids = md.t.value_ids()[md.t.slots]
+            moved = np.flatnonzero(t_ids[list(perm)] != t_ids)
+            ok = not len(moved)
+            report.add("theta_dual_invariant", ok, None if ok else (int(moved[0]),))
         else:
             report.add("theta_dual_invariant", False, None, "dual permutation unavailable")
 
@@ -1138,9 +1111,12 @@ def validate_modular(md: ModularData) -> ValidationReport:
                 report.add("balancing", ok, where)
 
             total = md.total_dim()
-            report.add(
-                "gauss_identity", tau_plus * _gauss_sum(md, -1) == total * total, None
-            )
+            zero = next((i for i, x in enumerate(theta) if x.is_zero()), None)
+            if zero is None:
+                ok = tau_plus * _gauss_sum(md, -1) == total * total
+                report.add("gauss_identity", ok, None)
+            else:  # tau- inverts every twist
+                report.add("gauss_identity", False, (zero,), f"theta_{zero} = 0, tau- undefined")
     else:
         report.add("theta_root_of_unity", False, None, "twists unavailable")
         report.add("theta_dual_invariant", False, None, "twists unavailable")

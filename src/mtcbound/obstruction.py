@@ -35,10 +35,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic
 from .errors import InputError, NonModular, SearchBudgetExceeded
 from .fusion import element_label
-from .modular import _INT64_LIMIT, ModularData, _distinct_map, _max_abs, central_charge
+from .modular import _INT64_LIMIT, ModularData, _max_abs, _slot_map, central_charge
 from .pointed import MetricGroup, lagrangian_subgroups, matches_modular_data, subgroup_indicator
 
 DEFAULT_BUDGET = 10**8
@@ -81,13 +80,14 @@ def central_charge_gate(md: ModularData):
 
 def _theta_trivial(md: ModularData) -> np.ndarray:
     """Boolean mask over the labels: theta_i = 1, that is T_i = T_u in
-    value.  Each distinct T entry is compared with T_u once; distinct
-    slots may hold equal values at different conductors."""
+    value.  The T value ids gathered by slot (`FactoredMatrix.value_ids`)
+    are compared with the id of T_u, so distinct slots holding T_u at
+    another conductor count too."""
     t = md.t
-    tu = t[md.unit_index]
-    if tu.is_zero():
+    if t[md.unit_index].is_zero():
         raise NonModular("T_u = 0, twists undefined")
-    return np.array([e == tu for e in t.entries], dtype=bool)[t.slots]
+    ids = t.value_ids()[t.slots]
+    return ids == ids[md.unit_index]
 
 
 def _fixed_space_rows(md: ModularData, columns: list) -> np.ndarray:
@@ -203,7 +203,11 @@ def candidate_search(md: ModularData, budget: int | None = None) -> list:
         raise NonModular("S^2 is not a permutation matrix")
 
     eligible = [i for i in np.flatnonzero(trivial).tolist() if i != u]
-    floors = md._derived("dim_floors", lambda md: _distinct_map(Cyclotomic.floor, md.dims()))
+    total = md.total_dim()  # d_i = S_ui D
+    floors = md._derived(
+        "dim_floors",
+        lambda md: _slot_map(lambda x: (x * total).floor(), md.s.entries, md.s.slots[u]),
+    )
 
     orbits = []  # (members, bound on the multiplicity)
     seen = set()

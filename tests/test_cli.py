@@ -74,6 +74,19 @@ class TestValidate:
         assert code == 1
         assert "[FAIL] balancing" in out
 
+    @pytest.mark.parametrize("command", ["validate", "verdict"])
+    def test_zero_twist_exits_1_with_a_report(self, capsys, tmp_path, fixture_dir, command):
+        obj = json.loads((fixture_dir / "toric_code.json").read_text())
+        del obj["metric_group"]
+        obj["modular_data"]["T"][3] = {"N": 1, "c": [["0", "1"]]}
+        bad = tmp_path / "zero-twist.json"
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run(capsys, command, "--format", "json", str(bad))
+        assert (code, err) == (1, "")
+        checks = json.loads(out)["reports"][0]["checks"]
+        failed = [c["name"] for c in checks if not c["ok"]]
+        assert failed == ["theta_root_of_unity", "balancing", "gauss_identity"]
+
     def test_nonexistent_path_exits_2(self, capsys):
         code, _, err = run(capsys, "validate", "/no/such/file.json")
         assert code == 2

@@ -12,6 +12,7 @@ from mtcbound import corpus, cyclotomic
 from mtcbound.cyclotomic import (
     CONDUCTOR_CAP,
     ROOT_SCAN_CAP,
+    TABLE_PHI_CAP,
     Cyclotomic,
     _embed_nums,
     _mul_nums,
@@ -137,6 +138,18 @@ def test_conductor_cap():
     # lcm blowup past the cap must fail loudly, not thrash
     with pytest.raises(ConductorLimitError):
         zeta(999983) * zeta(999979)
+
+
+def test_table_cap_refuses_the_first_conductor_past_it():
+    n = next(n for n in range(1, 2 * TABLE_PHI_CAP + 8) if euler_phi(n) > TABLE_PHI_CAP)
+    assert (n, euler_phi(n)) == (2053, 2052)
+    with pytest.raises(ConductorLimitError, match="table cap"):
+        zeta(n)
+    # zeta_n made without a table: its product reads the reduction rows
+    x = Cyclotomic(n, (0, 1) + (0,) * (euler_phi(n) - 2))
+    with pytest.raises(ConductorLimitError, match="table cap"):
+        x * x
+    assert n not in cyclotomic._POWER_ROWS
 
 
 def test_rational_factor_fast_path_equals_full_product():

@@ -603,6 +603,22 @@ class TestValidationReport:
         report = validate_modular(ModularData(s=md.s, t=tuple(t), ring=md.ring))
         assert "theta_root_of_unity" in report.failed_names()
 
+    def test_zero_twist_fails_the_gauss_identity_without_raising(self):
+        # tau- inverts every twist: a zero twist away from the unit is
+        # a failed check in the report, not an exception
+        md = toric_md()
+        bad = ModularData(s=md.s, t=tuple(md.t)[:3] + (rational(0),), ring=md.ring)
+        report = validate_modular(bad)
+        assert report.failed_names() == ["theta_root_of_unity", "balancing", "gauss_identity"]
+        checks = {c["name"]: c for c in report.to_json_dict()["checks"]}
+        assert checks["theta_root_of_unity"]["where"] == [3]
+        assert checks["gauss_identity"] == {
+            "name": "gauss_identity",
+            "ok": False,
+            "where": [3],
+            "detail": "theta_3 = 0, tau- undefined",
+        }
+
     def test_negative_dim_is_named(self):
         md = toric_md()
         rows = [list(r) for r in md.s]

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtcbound import corpus, modular
+from mtcbound import corpus, fusion, modular
 from mtcbound.cyclotomic import zeta
 from mtcbound.fusion import FusionRing
 from mtcbound.modular import (
@@ -284,6 +284,24 @@ class TestRingRoute:
             assert_routes_agree(md, label)
             for tamper, bad in tampers(md):
                 assert_routes_agree(bad, (label, tamper))
+
+    def test_a_budget_of_1_gives_one_label_per_block_in_both_callers(self, monkeypatch):
+        # associativity in fusion, (V) and (B) here: one splitter, each
+        # caller reading its own module's budget at call time
+        split, blocks = fusion._label_blocks, []
+
+        def spy(made, budget, span=None):
+            blocks.append(list(split(made, budget, span)))
+            return iter(blocks[-1])
+
+        for module in (fusion, modular):
+            monkeypatch.setattr(module, "_label_blocks", spy)
+            monkeypatch.setattr(module, "_BLOCK_ENTRIES", 1)
+        _, md = rank_12_products()[0]
+        assert fusion.validate(md.ring).ok
+        assert len(blocks) == 1
+        assert ring_equations(md) == (True, True)
+        assert blocks == [[(i, i + 1) for i in range(md.rank)]] * 3
 
     def test_the_route_reads_conj_s_against_the_declared_dual(self):
         # d_z3 has a complex S and the dual a -> -a; with the identity
