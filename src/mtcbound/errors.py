@@ -35,8 +35,12 @@ class MultiplicityLimitError(InputError):
     that needs more is refused as input where FP dimensions are asked."""
 
 
-class NumericError(MtcError):
-    """A floating-point fallback could not certify its answer."""
+class NumericError(InputError):
+    """A number the program could not certify: a sign still unresolved
+    at the precision ceiling of `Cyclotomic.real_sign`, a refused
+    root-of-unity scan, or a failed float eigensolve of the FP
+    dimensions.  No axiom check has failed, so, like the size caps, it
+    refuses the input (exit 2) rather than reporting it invalid."""
 
 
 class NotRootOfUnity(MtcError):

@@ -263,14 +263,13 @@ def _mapping_rows(fusion, r: int) -> list:
 
 
 def _table_of(rows) -> np.ndarray:
-    """(m, 4) array of integer rows: int64 when every entry fits, else
-    Python integers in an object array."""
-    if not rows:
-        return np.zeros((0, 4), dtype=np.int64)
-    if max(map(abs, chain.from_iterable(rows))) < _INT64_LIMIT:
-        entries = chain.from_iterable(rows)
-        return np.fromiter(entries, dtype=np.int64, count=4 * len(rows)).reshape(-1, 4)
-    return np.array(rows, dtype=object)
+    """(m, 4) array of integer rows: int64 when every entry fits, read in
+    one pass, else Python integers in an object array."""
+    try:
+        entries = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=4 * len(rows))
+    except OverflowError:
+        return np.array(rows, dtype=object)
+    return entries.reshape(-1, 4)
 
 
 def _assemble(keys: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -21,8 +21,10 @@ since the power basis is a basis, "is a permutation matrix" and "is a
 non-negative integer" are read off the packed coefficients directly.
 The Verlinde sum is symmetric in i and j, so `verlinde_table` computes
 the pairs i <= j only, as one packed product per block of pairs of at
-most `_BLOCK_ENTRIES` coefficients, and mirrors the rest; conj(S)^T,
-the right operand of every block, is cast and scanned once.
+most `_BLOCK_ENTRIES` coefficients, and mirrors the rest.  A packed
+matrix is always over the lcm of its entries' conductors; products,
+entrywise products and comparisons embed their operands into the lcm
+of the two.
 
 `validate_modular` decides balancing and the two Verlinde checks by one
 of two routes.  Data that declare a fusion ring and pass every earlier
@@ -182,28 +184,18 @@ def _linear(a: np.ndarray, table: tuple[np.ndarray, int]) -> np.ndarray:
     return _settle(a.astype(dtype) @ matrix.astype(dtype))
 
 
-def _conv_matmul_by(b: np.ndarray):
-    """a -> a b for polynomial matrices a (r, m, p) and b (m, c, q):
+def _conv_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of polynomial matrices a (r, m, p) and b (m, c, q):
     coefficient arrays (r, c, p + q - 1), one integer matmul per power
-    of a.  b is scanned once, and cast and reshaped once per work dtype,
-    however many products it is the right operand of."""
-    m, c, q = b.shape
-    b_max = _max_abs(b)
-    flats: dict = {}
-
-    def product(a: np.ndarray) -> np.ndarray:
-        r, _, p = a.shape
-        dtype = _exact_dtype(m * min(p, q) * _max_abs(a) * b_max)
-        if dtype not in flats:
-            flats[dtype] = b.astype(dtype).reshape(m, c * q)
-        flat = flats[dtype]
-        a = a.astype(dtype)
-        out = np.zeros((r, c, p + q - 1), dtype=dtype)
-        for k in range(p):
-            out[:, :, k : k + q] += (a[:, :, k] @ flat).reshape(r, c, q)
-        return _settle(out)
-
-    return product
+    of a."""
+    r, m, p = a.shape
+    _, c, q = b.shape
+    dtype = _exact_dtype(m * min(p, q) * _max_abs(a) * _max_abs(b))
+    a, flat = a.astype(dtype), np.ascontiguousarray(b, dtype=dtype).reshape(m, c * q)
+    out = np.zeros((r, c, p + q - 1), dtype=dtype)
+    for k in range(p):
+        out[:, :, k : k + q] += (a[:, :, k] @ flat).reshape(r, c, q)
+    return _settle(out)
 
 
 def _conv_entrywise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,10 +237,10 @@ class PackedMatrix:
         self.den = den
 
     @staticmethod
-    def pack(rows, conductor: int | None = None) -> "PackedMatrix":
-        """Pack rows of Cyclotomic scalars over Q(zeta_conductor), by
-        default the lcm of the entries' conductors: factored, then gathered."""
-        return FactoredMatrix.of(rows).packed(conductor)
+    def pack(rows) -> "PackedMatrix":
+        """Pack rows of Cyclotomic scalars over the lcm of the entries'
+        conductors: factored, then gathered."""
+        return FactoredMatrix.of(rows).packed()
 
     def entry(self, i: int, j: int) -> Cyclotomic:
         return Cyclotomic(self.conductor, tuple(int(v) for v in self.nums[i, j]), self.den)
@@ -268,7 +260,7 @@ class PackedMatrix:
 
     def __matmul__(self, other: "PackedMatrix") -> "PackedMatrix":
         n, a, b = self._unified(other)
-        nums = _linear(_conv_matmul_by(b)(a), _reduction_table(n))
+        nums = _linear(_conv_matmul(a, b), _reduction_table(n))
         return PackedMatrix(n, nums, self.den * other.den)
 
     def times(self, other: "PackedMatrix") -> "PackedMatrix":
@@ -282,7 +274,10 @@ class PackedMatrix:
         return PackedMatrix(n, _linear(self.nums, _power_table(n, n, -1)), self.den)
 
     def transpose(self) -> "PackedMatrix":
-        return PackedMatrix(self.conductor, self.nums.transpose(1, 0, 2), self.den)
+        """The transpose, copied into row-major order: a right operand of
+        `@` is then read in order, however many products take it."""
+        nums = np.ascontiguousarray(self.nums.transpose(1, 0, 2))
+        return PackedMatrix(self.conductor, nums, self.den)
 
     def entries_equal(self, other: "PackedMatrix") -> np.ndarray:
         """Boolean array: entry (i, j) of self equals that of other."""
@@ -367,31 +362,26 @@ class FactoredMatrix:
             lambda p: ea[p // len(eb)] * eb[p % len(eb)], pairs.reshape(shape)
         )
 
-    def table(self, conductor: int | None = None) -> PackedMatrix:
-        """The distinct entries packed over Q(zeta_conductor), by default
-        the lcm of their conductors, as a column: row k is entries[k].
-        The default packing is kept."""
-        if conductor is None:
-            if self._table is None:
-                self._table = self.table(math.lcm(*(e.conductor for e in self.entries)))
-            return self._table
-        den = math.lcm(*(e.den for e in self.entries))
-        rows = [
-            [[v * (den // e.den) for v in _embed_nums(e.nums, e.conductor, conductor)]]
-            for e in self.entries
-        ]
-        return PackedMatrix(conductor, _settle(np.array(rows, dtype=object)), den)
+    def table(self) -> PackedMatrix:
+        """The distinct entries packed over the lcm of their conductors,
+        as a column: row k is entries[k].  Made once, then kept."""
+        if self._table is None:
+            n = math.lcm(*(e.conductor for e in self.entries))
+            den = math.lcm(*(e.den for e in self.entries))
+            rows = [
+                [[v * (den // e.den) for v in _embed_nums(e.nums, e.conductor, n)]]
+                for e in self.entries
+            ]
+            self._table = PackedMatrix(n, _settle(np.array(rows, dtype=object)), den)
+        return self._table
 
-    def packed(self, conductor: int | None = None) -> PackedMatrix:
+    def packed(self) -> PackedMatrix:
         """`PackedMatrix.pack`: the table of the entries gathered by the
-        slots.  The packing over the entries' lcm conductor is kept."""
-        if conductor is None and self._packed is not None:
-            return self._packed
-        table = self.table(conductor)
-        packed = PackedMatrix(table.conductor, table.nums[self.slots, 0], table.den)
-        if conductor is None:
-            self._packed = packed
-        return packed
+        slots.  Made once, then kept."""
+        if self._packed is None:
+            table = self.table()
+            self._packed = PackedMatrix(table.conductor, table.nums[self.slots, 0], table.den)
+        return self._packed
 
     def value_ids(self) -> np.ndarray:
         """`_value_ids` of the entries packed over their lcm conductor:
@@ -640,7 +630,8 @@ def verlinde_table(md: ModularData) -> np.ndarray:
 
     The sum is symmetric in i and j for any S, so only the pairs i <= j
     are computed, a block of pairs at a time: the rows S_im S_jm / S_um
-    of the block times conj(S)^T, one packed matrix product per block.
+    of the block times conj(S)^T, one packed matrix product per block,
+    the same `@` that forms S^2 and (S T)^3.
     Each off-diagonal row is mirrored to (j, i, k), and the rows are
     sorted once.  The first bad coefficient in (i, j, k) order has
     i <= j (its mirror would come earlier), and the blocks run in that
@@ -651,23 +642,18 @@ def verlinde_table(md: ModularData) -> np.ndarray:
     if any(x.is_zero() for x in unit_row):
         raise NonModular("unit row of S has a zero entry")
     s = md.packed_s()
-    n = s.conductor
     inverses = _slot_map(Cyclotomic.inverse, md.s.entries, md.s.slots[u])
-    weighted = s.times(PackedMatrix.pack((inverses,), n))
-    # conj(S)^T is the right operand of every block: scanned and cast once
+    weighted = s.times(PackedMatrix.pack((inverses,)))
     conj_t = s.conj().transpose()
-    times_conj_t = _conv_matmul_by(conj_t.nums)
     r, phi = md.rank, s.nums.shape[2]
     first, second = np.triu_indices(r)  # the pairs i <= j, row-major
     step = max(1, _BLOCK_ENTRIES // (r * (2 * phi - 1)))
     keys, values = [], []
     for start in range(0, len(first), step):
         i, j = first[start : start + step], second[start : start + step]
-        left = PackedMatrix(n, s.nums[i], s.den)
-        pairs = left.times(PackedMatrix(n, weighted.nums[j], weighted.den))
-        fused = PackedMatrix(
-            n, _linear(times_conj_t(pairs.nums), _reduction_table(n)), pairs.den * conj_t.den
-        )
+        left = PackedMatrix(s.conductor, s.nums[i], s.den)
+        right = PackedMatrix(weighted.conductor, weighted.nums[j], weighted.den)
+        fused = left.times(right) @ conj_t
         nums, den = fused.nums, fused.den
         value = _int_compatible(nums[:, :, 0], den)
         bad = (nums[:, :, 1:] != 0).any(axis=2) | (value < 0) | (value % den != 0)
@@ -822,9 +808,8 @@ def double(md: ModularData) -> ModularData:
 
 def _balancing_sides(md: ModularData, theta: tuple, factor: Cyclotomic) -> tuple:
     """((S T)^3, factor * S^2), packed, with T the diagonal of twists."""
-    n = md.conductor()
-    st = md.packed_s().embed(n).times(PackedMatrix.pack((theta,), n))
-    return st @ st @ st, md.packed_s_squared().times(PackedMatrix.pack(((factor,),), n))
+    st = md.packed_s().times(PackedMatrix.pack((theta,)))
+    return st @ st @ st, md.packed_s_squared().times(PackedMatrix.pack(((factor,),)))
 
 
 def _twist_roots(theta: tuple, slots: np.ndarray) -> tuple:

@@ -30,7 +30,7 @@ epistemic weight, and reports keep them separate:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -171,7 +171,7 @@ def _reduced_system(rows, width: int) -> dict | None:
     return {lead: a[i].tolist() for lead, i in pivots.items()}
 
 
-def candidate_search(md: ModularData, budget: int | None = None) -> list:
+def candidate_search(md: ModularData) -> list:
     """All multiplicity vectors passing the necessary conditions.
 
     The unknowns are the multiplicities m_c of the theta-trivial duality
@@ -186,14 +186,15 @@ def candidate_search(md: ModularData, budget: int | None = None) -> list:
     of it) are set, and the branch dies unless the forced value is an
     integer in the box.  Every leaf solves the system exactly, and no
     float bounds or decides anything.  A node is one assignment of a
-    free or forced column.  Returns [] outright when the central-charge
-    gate fails.  Output is sorted lexicographically.
+    free or forced column; past `search_budget()` nodes, read once per
+    call, the search raises SearchBudgetExceeded.  Returns [] outright
+    when the central-charge gate fails.  Output is sorted
+    lexicographically.
     """
     passed, _ = central_charge_gate(md)
     if not passed:
         return []
-    if budget is None:
-        budget = search_budget()
+    budget = search_budget()
 
     r = md.rank
     u = md.unit_index
@@ -293,15 +294,34 @@ def canonical_double_candidate(md: ModularData) -> tuple:
     return tuple(vec)
 
 
+CONDITIONS = {
+    "theorem_level": THEOREM_CONDITIONS,
+    "standard_theory_level": STANDARD_CONDITIONS,
+}
+
+
 @dataclass(frozen=True)
 class ObstructionReport:
+    """A verdict with its evidence.  Every verdict but CandidatesFound is
+    exact, and every report carries the mod-8 caveat and the conditions
+    that `verdict` applies; these three are derived, not stored."""
+
     verdict: str
     central_charge: Fraction
     candidates: tuple = ()
     subgroups: tuple = ()
-    exact: bool = False
-    caveats: tuple = (MOD8_CAVEAT,)
-    conditions: dict = field(default_factory=dict)
+
+    @property
+    def exact(self) -> bool:
+        return self.verdict != "CandidatesFound"
+
+    @property
+    def caveats(self) -> tuple:
+        return (MOD8_CAVEAT,)
+
+    @property
+    def conditions(self) -> dict:
+        return CONDITIONS
 
     def to_json_dict(self) -> dict:
         out = {
@@ -317,52 +337,22 @@ class ObstructionReport:
         return out
 
 
-CONDITIONS = {
-    "theorem_level": THEOREM_CONDITIONS,
-    "standard_theory_level": STANDARD_CONDITIONS,
-}
-
-
-def verdict(
-    md: ModularData,
-    pointed_hint: MetricGroup | None = None,
-    budget: int | None = None,
-) -> ObstructionReport:
+def verdict(md: ModularData, pointed_hint: MetricGroup | None = None) -> ObstructionReport:
     """Pipeline: gate, then exact pointed answer, then candidate search;
-    an empty search is the definitive NoBoundary_NoCandidate."""
+    an empty search is the definitive NoBoundary_NoCandidate.  The
+    search reads its node budget from MTC_SEARCH_BUDGET."""
     passed, c = central_charge_gate(md)
     if not passed:
-        return ObstructionReport(
-            verdict="NoBoundary_CentralCharge",
-            central_charge=c,
-            exact=True,
-            conditions=CONDITIONS,
-        )
+        return ObstructionReport("NoBoundary_CentralCharge", c)
     if pointed_hint is not None:
         if not matches_modular_data(pointed_hint, md):
             raise InputError("pointed hint does not regenerate the modular data")
         subs = lagrangian_subgroups(pointed_hint)
         indicators = tuple(subgroup_indicator(pointed_hint, sub) for sub in subs)
         return ObstructionReport(
-            verdict="ExactBoundaries",
-            central_charge=c,
-            candidates=indicators,
-            subgroups=tuple(tuple(sub) for sub in subs),
-            exact=True,
-            conditions=CONDITIONS,
+            "ExactBoundaries", c, candidates=indicators, subgroups=tuple(map(tuple, subs))
         )
-    found = candidate_search(md, budget=budget)
+    found = candidate_search(md)
     if not found:
-        return ObstructionReport(
-            verdict="NoBoundary_NoCandidate",
-            central_charge=c,
-            exact=True,
-            conditions=CONDITIONS,
-        )
-    return ObstructionReport(
-        verdict="CandidatesFound",
-        central_charge=c,
-        candidates=tuple(found),
-        exact=False,
-        conditions=CONDITIONS,
-    )
+        return ObstructionReport("NoBoundary_NoCandidate", c)
+    return ObstructionReport("CandidatesFound", c, candidates=tuple(found))

@@ -59,6 +59,12 @@ from .report import ValidationReport
 # live in int16
 SUBGROUP_SIZE_CAP = 4096
 
+# Bound on the int16 positions the Lagrangian enumeration holds in its
+# pending and found subgroups, 64 MB of them.  The tests and the
+# benchmark peak at 1,443,728 (the double of (Z_4)^3) and the double of
+# (Z_2)^5 at 7,319,864; the double of (Z_2)^6 passes the cap.
+HELD_POSITIONS_CAP = 2**25
+
 # Bound on the int16 entries of one gather sums[H] in the Lagrangian
 # enumeration, (subgroups, |H|, isotropic elements): 2 MB per chunk.
 _GATHER_ENTRIES = 2**20
@@ -381,7 +387,8 @@ def lagrangian_subgroups(mg: MetricGroup) -> list:
     of smaller order is extended, the subgroups of the least pending
     order are all known: they are deduplicated as one array and
     extended together, in chunks (`_extensions`).  Capped at
-    |A| = SUBGROUP_SIZE_CAP.
+    |A| = SUBGROUP_SIZE_CAP, and refused with SizeLimit once the pending
+    and found subgroups hold more than HELD_POSITIONS_CAP positions.
     """
     n = mg.size
     if n > SUBGROUP_SIZE_CAP:
@@ -401,16 +408,27 @@ def lagrangian_subgroups(mg: MetricGroup) -> list:
     # when their order is reached.
     pending = {1: [np.zeros((1, 1), dtype=sums.dtype)]}
     found = np.empty((0, target), dtype=sums.dtype)
+    held = 1  # positions pending or found; an order counts until extended
     while pending:
         size = min(pending)
-        subgroups = _distinct_rows(np.concatenate(pending.pop(size)))
+        arrays = pending.pop(size)
+        subgroups = _distinct_rows(np.concatenate(arrays))
+        held += subgroups.size - sum(a.size for a in arrays)
         if size == target:
             found = subgroups
             continue
         step = max(1, _GATHER_ENTRIES // (size * len(sums)))
         for start in range(0, len(subgroups), step):
             for order, rows in _extensions(subgroups[start : start + step], sums, target):
-                pending.setdefault(order, []).append(_distinct_rows(rows))
+                rows = _distinct_rows(rows)
+                held += rows.size
+                if held > HELD_POSITIONS_CAP:
+                    raise SizeLimit(
+                        f"the subgroup enumeration of |A| = {n} holds more than "
+                        f"{HELD_POSITIONS_CAP} subgroup positions"
+                    )
+                pending.setdefault(order, []).append(rows)
+        held -= subgroups.size
     elements = mg.elements
     return sorted(tuple(elements[i] for i in iso[l].tolist()) for l in found)
 

@@ -459,13 +459,12 @@ def law_matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def per_entry_pack(rows, conductor: int | None = None) -> PackedMatrix:
+def per_entry_pack(rows) -> PackedMatrix:
     """`PackedMatrix.pack` with every entry embedded and scaled on its own."""
-    if conductor is None:
-        conductor = 1
-        for row in rows:
-            for e in row:
-                conductor = _lcm(conductor, e.conductor)
+    conductor = 1
+    for row in rows:
+        for e in row:
+            conductor = _lcm(conductor, e.conductor)
     den = 1
     for row in rows:
         for e in row:
@@ -481,7 +480,7 @@ def per_entry_pack(rows, conductor: int | None = None) -> PackedMatrix:
 
 
 
-def row_pack(rows, conductor: int | None = None) -> PackedMatrix:
+def row_pack(rows) -> PackedMatrix:
     """`PackedMatrix.pack` as it was before S was held factored: one
     dictionary slot per distinct (conductor, nums, den), looked up entry
     by entry, and the embedded table gathered by the nested index."""
@@ -490,10 +489,9 @@ def row_pack(rows, conductor: int | None = None) -> PackedMatrix:
         [slots.setdefault((e.conductor, e.nums, e.den), len(slots)) for e in row]
         for row in rows
     ]
-    if conductor is None:
-        conductor = 1
-        for n, _, _ in slots:
-            conductor = _lcm(conductor, n)
+    conductor = 1
+    for n, _, _ in slots:
+        conductor = _lcm(conductor, n)
     den = 1
     for _, _, d in slots:
         den = _lcm(den, d)

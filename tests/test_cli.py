@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mtcbound import corpus, modular, pointed
 from mtcbound.cli import build_parser, main
 from mtcbound.cyclotomic import CONDUCTOR_CAP, Cyclotomic
-from mtcbound.errors import MtcError, SizeLimit
+from mtcbound.errors import MtcError, NumericError, SizeLimit
 from mtcbound.specfile import CategorySpecFile
 
 
@@ -126,6 +126,17 @@ class TestValidate:
             obj["modular_data"]["T"][1] = {"N": CONDUCTOR_CAP + 1, "c": []}
 
         assert "cap" in self._malformed(capsys, tmp_path, fixture_dir, edit)
+
+    def test_uncertified_sign_exits_2(self, capsys, fixture_dir, monkeypatch):
+        # a number that cannot be certified refuses the input; no axiom
+        # check has failed, so it is not exit 1
+        def uncertified(self):
+            raise NumericError("could not certify the sign at precision ceiling")
+
+        monkeypatch.setattr(Cyclotomic, "real_sign", uncertified)
+        code, out, err = run(capsys, "validate", str(fixture_dir / "ising.json"))
+        assert code == 2 and not out
+        assert err == "error: could not certify the sign at precision ceiling\n"
 
     def test_non_string_notes_exit_2(self, capsys, tmp_path, fixture_dir):
         def edit(obj):
@@ -290,6 +301,15 @@ class TestVerdict:
         assert code == 2 and not out
         assert err.startswith("error:") and err.count("\n") == 1
         assert "cap 2" in err
+
+    def test_pointed_enumeration_above_the_held_cap_exits_2(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "d2222.json"
+        CategorySpecFile(name="d2222", metric=pointed.abelian_double((2,) * 4)).save(path)
+        monkeypatch.setattr(pointed, "HELD_POSITIONS_CAP", 1000)
+        code, out, err = run(capsys, "verdict", "--pointed", str(path))
+        assert code == 2 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "more than 1000 subgroup positions" in err
 
     def test_pointed_flag_without_metric_section(self, capsys, fixture_dir):
         code, _, err = run(

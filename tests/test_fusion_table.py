@@ -361,6 +361,31 @@ class TestMappingAdapter:
         with pytest.raises(InputError, match="must be integers"):
             FusionRing.from_table(("1", "x"), (0,), (0, 1), [[0, 0, 0, 1.0]])
 
+    @pytest.mark.parametrize("value", [2**63 - 1, 2**63, -(2**63), -(2**63) - 1])
+    def test_json_cells_at_the_int64_edges(self, value):
+        # int64 holds the first and third value, not the others: each
+        # JSON cell is named the same either way, and a repeated key
+        # before it still comes first
+        rows = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]]
+        for column, repeat in product(range(4), (False, True)):
+            fusion = [list(row) for row in rows] + [[0, 0, 0, 1]] * repeat
+            fusion[1][column] = value
+            obj = {"labels": ["1", "x"], "unit": [0], "dual": [0, 1], "fusion": fusion}
+            if repeat:
+                message = "duplicate fusion triple (0, 0, 0)"
+            elif column < 3:
+                message = f"fusion index out of range: {tuple(fusion[1][:3])}"
+            elif value < 0:
+                message = "fusion multiplicity must be a non-negative integer: (0, 1, 1)"
+            else:
+                ring = FusionRing.from_json_dict(obj)
+                assert ring.n(0, 1, 1) == value
+                assert ring.table.dtype == (np.int64 if value < 2**63 else object)
+                continue
+            with pytest.raises(InputError) as raised:
+                FusionRing.from_json_dict(obj)
+            assert str(raised.value) == message, (column, repeat)
+
     def test_a_view_is_copied_and_an_owning_array_taken_over(self):
         rows = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]]
         buffer = np.array(rows, dtype=np.int64).ravel()

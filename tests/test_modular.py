@@ -409,9 +409,8 @@ class TestPackedLayer:
         )
         inputs = [(name, md.s) for name, md in oracle_inputs()]
         inputs.append(("mixed conductors", mixed))
-        inputs.append(("mixed conductors over 120", mixed, 120))
-        for name, rows, *conductor in inputs:
-            packed, expected = PackedMatrix.pack(rows, *conductor), per_entry_pack(rows, *conductor)
+        for name, rows in inputs:
+            packed, expected = PackedMatrix.pack(rows), per_entry_pack(rows)
             assert (packed.conductor, packed.den) == (expected.conductor, expected.den), name
             assert packed.nums.dtype == expected.nums.dtype, name
             assert packed.nums.shape == expected.nums.shape, name

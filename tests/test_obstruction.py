@@ -86,12 +86,13 @@ class TestSearch:
         system((0, 0, 1))  # the unit column is a pivot: no solution
         assert candidate_search(md) == []
 
-    def test_budget_is_enforced(self):
+    def test_budget_is_enforced(self, monkeypatch):
         # four free columns there, so about 80 nodes; double(ising) has
         # none and its two forced nodes stay under any budget >= 2
         md = double(corpus.toric_code().modular)
+        monkeypatch.setenv("MTC_SEARCH_BUDGET", "3")
         with pytest.raises(SearchBudgetExceeded):
-            candidate_search(md, budget=3)
+            candidate_search(md)
 
     def test_budget_env_parsing(self, monkeypatch):
         monkeypatch.setenv("MTC_SEARCH_BUDGET", "123")
@@ -321,6 +322,60 @@ class TestVerdict:
         assert "theorem_level" in report.conditions
         assert "standard_theory_level" in report.conditions
         assert any("central charge" in c for c in report.conditions["theorem_level"])
+
+    def test_reports_are_pinned_and_read_only(self):
+        caveats = [
+            "central charge known only mod 8 from modular data; "
+            "deformation-class obstruction (cf. E8) invisible"
+        ]
+        conditions = {
+            "standard_theory_level": [
+                "support has trivial twists",
+                "support is closed under duality",
+                "unit multiplicity is 1",
+                "total dimension of the candidate equals D",
+                "multiplicity vector is fixed by S (S n = n)",
+            ],
+            "theorem_level": ["central charge vanishes mod 8"],
+        }
+
+        def pinned(name, c, candidates, exact, **extra):
+            out = {"verdict": name, "central_charge": c, "candidates": candidates}
+            return dict(out, exact=exact, caveats=caveats, conditions=conditions, **extra)
+
+        toric = corpus.toric_code()
+        z5 = MetricGroup(orders=(5,), q={(a,): Fraction(a * a, 5) for a in range(5)})
+        cases = [
+            (
+                verdict(corpus.fibonacci().modular),
+                pinned("NoBoundary_CentralCharge", "14/5 mod 8", [], True),
+            ),
+            (
+                verdict(toric.modular, pointed_hint=toric.metric),
+                pinned(
+                    "ExactBoundaries",
+                    "0 mod 8",
+                    [[1, 1, 0, 0], [1, 0, 1, 0]],
+                    True,
+                    subgroups=[["0,0", "0,1"], ["0,0", "1,0"]],
+                ),
+            ),
+            (
+                verdict(double(corpus.ising().modular)),
+                pinned("CandidatesFound", "0 mod 8", [[1, 0, 0, 0, 1, 0, 0, 0, 1]], False),
+            ),
+            (
+                verdict(metric_modular_data(z5)),
+                pinned("NoBoundary_NoCandidate", "0 mod 8", [], True),
+            ),
+        ]
+        for report, want in cases:
+            assert report.to_json_dict() == want, want["verdict"]
+            for name in ("exact", "caveats", "conditions"):
+                with pytest.raises(AttributeError):
+                    setattr(report, name, getattr(report, name))
+                with pytest.raises(TypeError):
+                    ObstructionReport(report.verdict, report.central_charge, **{name: None})
 
     def test_reports_are_deterministic(self):
         md = double(corpus.ising().modular)

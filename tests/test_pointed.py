@@ -657,6 +657,13 @@ class TestLagrangians:
         for mg, want in zip(groups, expected):
             assert lagrangian_subgroups(mg) == want == per_subgroup_lagrangians(mg), mg.orders
 
+    def test_held_positions_above_the_cap_raise_size_limit(self, monkeypatch):
+        # the double of (Z_2)^4 holds 23,352 positions at its peak
+        mg = abelian_double((2,) * 4)
+        monkeypatch.setattr(pointed, "HELD_POSITIONS_CAP", 1000)
+        with pytest.raises(SizeLimit, match="more than 1000 subgroup positions"):
+            lagrangian_subgroups(mg)
+
     def test_memory_stays_bounded_on_the_444_double(self):
         mg = abelian_double((4, 4, 4))
         tracemalloc.start()
