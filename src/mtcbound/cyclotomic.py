@@ -446,14 +446,9 @@ class Cyclotomic:
         return Fraction(sum(abs(v) for v in self.nums), self.den)
 
     def _float_real(self) -> tuple[float, float] | None:
-        """(v, bound): v = sum_k c_k cos(2 pi k/N) in float64 and a bound
-        on |v - den Re(x)| (see `real_sign`), or None when a coefficient
-        has absolute value 2^53 or more, where float64 is not exact."""
-        nums = self.nums
-        if max(nums) >= _FLOAT_EXACT or min(nums) <= -_FLOAT_EXACT:
-            return None
-        value = math.fsum(map(operator.mul, nums, _cosines(self.conductor)))
-        return value, sum(map(abs, nums)) * (len(nums) + 32) * 2.0**-50
+        """`_float_real` of the coefficients: v = sum_k c_k cos(2 pi k/N)
+        and a bound on |v - den Re(x)| (see `real_sign`), or None."""
+        return _float_real(self.nums, _cosines(self.conductor))
 
     def real_sign(self) -> int:
         """Sign of a real cyclotomic number, certified.
@@ -621,6 +616,18 @@ class Cyclotomic:
                     terms.append(f"{f}*{unit}")
         out = " + ".join(terms).replace("+ -", "- ")
         return out or "0"
+
+
+def _float_real(nums, cosines) -> tuple[float, float] | None:
+    """(v, bound): v = sum_k nums[k] cosines[k] in float64, where
+    cosines[k] = math.cos(2 * math.pi * p_k / n) for integers 0 <= p_k < n,
+    and a bound on |v - sum_k nums[k] cos(2 pi p_k/n)| (see `real_sign`);
+    or None when a coefficient has absolute value 2^53 or more, where
+    float64 is not exact."""
+    if max(nums) >= _FLOAT_EXACT or min(nums) <= -_FLOAT_EXACT:
+        return None
+    value = math.fsum(map(operator.mul, nums, cosines))
+    return value, sum(map(abs, nums)) * (len(nums) + 32) * 2.0**-50
 
 
 @lru_cache(maxsize=None)

@@ -62,14 +62,21 @@ maps (dims, twists, dim floors, unit-row inverses, roots of unity, the
 JSON form) run once per distinct slot, and the dims' positivity and
 sum of squares once per distinct unit-row id, a failure named at the
 first label that carries the value.
-The Gauss sum tau+- = sum_i d_i^2 theta_i^(+-1) is one integer product,
-cached per datum by `_gauss_sum`: the histogram of (unit-row S slot,
-T slot) pairs times the packed table of the distinct T entries (their
-inverses for tau-) gives one class sum per distinct unit-row entry,
-then one d^2 product per class and one division by T_u.
-`central_charge`, `gauss_sums` and the balancing and Gauss-identity
-checks of `validate_modular` all read it.  A zero twist leaves tau-
-undefined, and the Gauss-identity check fails at that label.
+The twists are read as exponents once, theta_i = zeta_M^e_i
+(`_twist_exponents`): T keeps its entries' root exponents
+(`FactoredMatrix.root_exponents`, one look-up of each packed entry
+among the rows of zeta_m^j), and each datum the twists' once.  The
+root-of-unity check, the ring route's twist equation and the Gauss sum
+read them.  The Gauss sum tau+- = sum_i d_i^2 theta_i^(+-1) is one
+integer product, cached per datum by `_gauss_sum`: the histogram of
+(unit-row S slot, +-e_i mod M) pairs times the power rows of zeta_M
+gives one class sum per distinct unit-row entry, then one d^2 product
+per class.  `central_charge`, `gauss_sums` and the balancing and
+Gauss-identity checks of `validate_modular` all read it, and
+`central_charge` reads the root of unity tau+/D off its integer
+numerators with the exact kernel `_root_phase`, which
+`pointed.milgram_signature` shares.  A zero twist leaves tau- undefined,
+and the Gauss-identity check fails at that label.
 `ModularData.from_json_dict` parses each distinct scalar object once.
 """
 
@@ -77,22 +84,27 @@ from __future__ import annotations
 
 import marshal
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 
 import numpy as np
 
 from .cyclotomic import (
+    TABLE_PHI_CAP,
     Cyclotomic,
     ONE,
     ZERO,
     _FLOAT_EXACT,
     _embed_nums,
+    _float_real,
     _lcm,
     _power_row,
     euler_phi,
+    from_angle,
+    zeta,
 )
 from .errors import (
     GaussIdentityFailure,
@@ -305,13 +317,13 @@ class FactoredMatrix:
     values compare by `value_ids` gathered by slot; `==` compares two
     matrices in value, one pair of slots at a time."""
 
-    __slots__ = ("entries", "slots", "_table", "_packed")
+    __slots__ = ("entries", "slots", "_table", "_packed", "_ids", "_roots")
 
     def __init__(self, entries: tuple, slots: np.ndarray):
         slots.flags.writeable = False
         self.entries = entries
         self.slots = slots
-        self._table = self._packed = None
+        self._table = self._packed = self._ids = self._roots = None
 
     @staticmethod
     def gathered(value, index: np.ndarray) -> "FactoredMatrix":
@@ -336,6 +348,17 @@ class FactoredMatrix:
         ]
         slots = np.array(index, dtype=np.min_scalar_type(len(keys)))
         return FactoredMatrix(tuple(e for _, e in keys.values()), slots)
+
+    @staticmethod
+    def powers(m: int, exponents: np.ndarray) -> "FactoredMatrix":
+        """The vector e^(2 pi i exponents[x] / m), for exponents in [0, m):
+        one `from_angle` per distinct exponent, gathered by the exponents,
+        which are kept as its `root_exponents`."""
+        vector = FactoredMatrix.gathered(lambda k: from_angle(Fraction(k, m)), exponents)
+        roots = np.zeros(len(vector.entries), dtype=exponents.dtype)
+        roots[vector.slots] = exponents
+        vector._roots = m, roots
+        return vector
 
     @staticmethod
     def vector(values) -> "FactoredMatrix":
@@ -386,8 +409,38 @@ class FactoredMatrix:
     def value_ids(self) -> np.ndarray:
         """`_value_ids` of the entries packed over their lcm conductor:
         ids[k] belongs to entries[k], so ids[slots] is one id per entry
-        of the matrix, equal exactly where the values are."""
-        return _value_ids(self.table().nums[:, 0])
+        of the matrix, equal exactly where the values are.  Made once,
+        then kept."""
+        if self._ids is None:
+            self._ids = _value_ids(self.table().nums[:, 0])
+        return self._ids
+
+    def root_exponents(self) -> tuple[int, np.ndarray]:
+        """(m, roots): entries[k] = zeta_m^roots[k], or roots[k] = -1 when
+        entries[k] is no root of unity.  Made once, then kept; a vector
+        made by `powers` keeps its own exponents.
+
+        The entries are packed over their lcm conductor n, and every root
+        of unity of Q(zeta_n) has an order dividing m = lcm(2, n), so one
+        look-up of each packed row among the rows of zeta_m^j, j < m,
+        decides it: a missed row is no root.  An entry holds a root only
+        if the common denominator divides its row.  Past
+        `_PRODUCT_TABLE_CAP` coefficients of rows, each entry is read
+        off by `as_root_of_unity` instead."""
+        if self._roots is None:
+            table = self.table()
+            n, den, rows = table.conductor, table.den, table.nums[:, 0]
+            m = _lcm(2, n)
+            if m * rows.shape[1] <= _PRODUCT_TABLE_CAP:
+                lookup = _root_rows(n)
+                whole = (rows % den == 0).all(axis=1)
+                found = [lookup.get(tuple(row), -1) for row in (rows // den).tolist()]
+                roots = np.where(whole, found, -1)
+            else:
+                found = (e.as_root_of_unity() for e in self.entries)
+                roots = np.array([-1 if r is None else r[0] * m // r[1] for r in found])
+            self._roots = m, roots
+        return self._roots
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -552,6 +605,21 @@ class ModularData:
         return md
 
 
+def _root_row(n: int, j: int) -> tuple:
+    """The coefficients of zeta_m^j over Q(zeta_n), m = lcm(2, n).  For
+    odd n, zeta_2n = -zeta_n^((n + 1)/2)."""
+    if n % 2 == 0:
+        return _power_row(n, j % n)
+    row = _power_row(n, j * ((n + 1) // 2) % n)
+    return row if j % 2 == 0 else tuple(-v for v in row)
+
+
+@lru_cache(maxsize=None)
+def _root_rows(n: int) -> dict:
+    """{`_root_row(n, j)`: j} for j < lcm(2, n)."""
+    return {_root_row(n, j): j for j in range(_lcm(2, n))}
+
+
 def _all_cyclotomic(values) -> bool:
     """Every value is a `Cyclotomic`: one C-level scan of the types."""
     return all(issubclass(kind, Cyclotomic) for kind in set(map(type, values)))
@@ -689,46 +757,114 @@ def ring_from_verlinde(md: ModularData, labels: tuple | None = None) -> FusionRi
 # ---------------------------------------------------------------------------
 
 
+def _twist_exponents(md: ModularData) -> tuple:
+    """(None, order, exponents) with theta_i = zeta_order^exponents[i] and
+    order the least such, or ((i,), None, None) for the first label i
+    whose twist is no root of unity.  Raises NonModular when T_u = 0.
+
+    Read off `FactoredMatrix.root_exponents` of T: when T_u = zeta_m^e_u
+    is a root of unity, theta_i = T_i / T_u is one iff T_i is, with
+    exponent e_i - e_u mod m.  Otherwise the twists themselves are
+    matched the same way.  The least order is m over the gcd of m and
+    every exponent, and the exponents are int64 below 2^62.  Once per
+    datum.
+    """
+
+    def compute(md: ModularData) -> tuple:
+        t = md.t
+        m, roots = t.root_exponents()
+        unit = roots[t.slots[md.unit_index]]
+        if unit < 0:
+            t = FactoredMatrix.vector(md.theta())
+            m, roots = t.root_exponents()
+            unit = 0
+        roots = roots.tolist()
+        if min(roots) < 0:
+            return (int(np.flatnonzero(np.array(roots)[t.slots] < 0)[0]),), None, None
+        roots = [(r - unit) % m for r in roots]
+        g = math.gcd(m, *roots)
+        dtype = np.int64 if m // g < 2**62 else object
+        return None, m // g, np.array([r // g for r in roots], dtype=dtype)[t.slots]
+
+    return md._derived("twist_exponents", compute)
+
+
+def _class_total(
+    md: ModularData, columns: np.ndarray, table: tuple, n: int, den: int
+) -> Cyclotomic:
+    """sum_i d_i^2 x_i for x_i = row columns[i] of an integer table
+    (matrix, norm) of coefficients over Q(zeta_n) and den, norm its
+    largest column sum of |entries|: the histogram of (unit-row S slot,
+    column) pairs times the matrix gives one class sum per distinct
+    unit-row entry a, in int64 when no sum reaches 2^63 (none exceeds
+    the rank times the norm), then each class takes one d_a^2 product
+    (none on the slot of S_uu, where d = 1)."""
+    unit_row = md.s.slots[md.unit_index]
+    classes = sorted(set(unit_row.tolist()))
+    matrix, norm = table
+    width = len(matrix)
+    if len(classes) == 1:
+        count = np.bincount(columns, minlength=width)[None]
+    else:
+        row = np.searchsorted(classes, unit_row)
+        count = np.bincount(row * width + columns, minlength=len(classes) * width)
+    count = count.reshape(len(classes), width)
+    sums = count @ matrix if len(unit_row) * norm < _INT64_LIMIT else _linear(count, table)
+    terms = []
+    for a, class_sum in zip(classes, sums.tolist()):
+        term = Cyclotomic(n, tuple(class_sum), den)
+        if a != unit_row[md.unit_index]:
+            d = md.s.entries[a] * md.total_dim()
+            term = d * d * term
+        terms.append(term)
+    return reduce(operator.add, terms)
+
+
+def _slot_gauss_sum(md: ModularData, sign: int) -> Cyclotomic:
+    """tau+- by T slots, for twists that are not all roots of unity: the
+    class sums of the packed table of the T entries (of their inverses
+    for tau-), then one division by T_u.  Not cached."""
+    tu = md.t[md.unit_index]
+    if tu.is_zero():
+        raise NonModular("T_u = 0, twists undefined")
+    t = md.t
+    if sign < 0:
+        t = FactoredMatrix(tuple(e.inverse() for e in t.entries), t.slots)
+    if md.s_unit.is_zero():
+        raise NonModular("S_{uu} = 0")
+    table = t.table()
+    nums = table.nums[:, 0]
+    rows = (nums, int(np.abs(nums).sum(axis=0).max()))
+    total = _class_total(md, t.slots, rows, table.conductor, table.den)
+    return total * (tu.inverse() if sign > 0 else tu)
+
+
 def _gauss_sum(md: ModularData, sign: int) -> Cyclotomic:
     """tau+ (sign 1) or tau- (sign -1) = sum_i d_i^2 theta_i^sign,
     computed once per datum as one integer product.
 
-    With d_i = S_ui D and theta_i = T_i / T_u, the sum is
-    D^2 T_u^(-sign) sum_a S_ua^2 sum_b count[a, b] T_b^sign over the
-    distinct unit-row entries a and the distinct T entries b, where
-    count[a, b] is the number of labels carrying both.  The histogram
-    count of (unit-row slot, T slot) pairs times the packed table of the
-    T entries (of their inverses for tau-) gives one class sum per a;
-    then each class takes one d^2 product, and the total one division
-    by T_u.
+    With d_i = S_ui D and theta_i = zeta_M^e_i (`_twist_exponents`), the
+    sum is sum_a d_a^2 sum_j count[a, j] zeta_M^j over the distinct
+    unit-row entries a, where count[a, j] is the number of labels with
+    unit-row entry a and sign e_i = j mod M.  The histogram times the
+    power rows of zeta_M (`_power_rows`, cached per M) gives one class
+    sum per a; tau- negates the exponents, so no twist is inverted and
+    none is divided by T_u.  The exponents are exact: every root of
+    unity of Q(zeta_n) has an order dividing lcm(2, n), so the match
+    that finds them misses only non-roots.  Twists that are not all
+    roots of unity take `_slot_gauss_sum`.
     """
 
     def compute(md: ModularData) -> Cyclotomic:
-        tu = md.t[md.unit_index]
-        if tu.is_zero():
+        if md.t[md.unit_index].is_zero():
             raise NonModular("T_u = 0, twists undefined")
-        t = md.t
-        if sign < 0:
-            t = FactoredMatrix(tuple(e.inverse() for e in t.entries), t.slots)
+        where, order, exponents = _twist_exponents(md)
+        if where is not None:
+            return _slot_gauss_sum(md, sign)
         if md.s_unit.is_zero():
             raise NonModular("S_{uu} = 0")
-        unit_row = md.s.slots[md.unit_index]
-        classes = sorted(set(unit_row.tolist()))
-        row = np.searchsorted(classes, unit_row)
-        count = np.bincount(
-            row * len(t.entries) + t.slots, minlength=len(classes) * len(t.entries)
-        ).reshape(len(classes), len(t.entries))
-        table = t.table()
-        nums = table.nums[:, 0]
-        sums = _linear(count, (nums, int(np.abs(nums).sum(axis=0).max())))
-        total = ZERO
-        for a, class_sum in zip(classes, sums.tolist()):
-            term = Cyclotomic(table.conductor, tuple(class_sum), table.den)
-            if a != unit_row[md.unit_index]:  # on the slot of S_uu, d = 1
-                d = md.s.entries[a] * md.total_dim()
-                term = d * d * term
-            total = total + term
-        return total * (tu.inverse() if sign > 0 else tu)
+        columns = exponents if sign > 0 else -exponents % order
+        return _class_total(md, columns, _power_rows(order, order), order, 1)
 
     return md._derived(f"tau{sign:+d}", compute)
 
@@ -742,9 +878,85 @@ def gauss_sums(md: ModularData) -> tuple[Cyclotomic, Cyclotomic, Cyclotomic]:
     return tau_plus, tau_minus, total
 
 
+def _times(n: int, a, b) -> list:
+    """The numerators of a b over Q(zeta_n), for sequences a and b of
+    phi(n) integer numerators, exactly: one convolution and one product
+    with the reduction rows, in int64 under a bound; a rational factor
+    only scales."""
+    if not any(a[1:]):
+        a, b = b, a
+    if not any(b[1:]):
+        return [v * b[0] for v in a]
+    matrix, norm = _reduction_table(n)
+    bound = max(map(abs, a)) * max(map(abs, b)) * len(a) * norm
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    return (np.convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype)) @ matrix).tolist()
+
+
+def _root_phase(n: int, nums, den: int, square) -> tuple[int, int] | None:
+    """(j, L) with x = rho zeta_L^j, for x = sum_k nums[k] zeta_n^k / den
+    and rho > 0 with rho^2 = square, an int or a Fraction; or None when
+    that is not shown here.  No `Cyclotomic` is built on the way to an
+    answer.
+
+    Proof.  If x / rho = w is a root of unity, w^2 = x^2 / rho^2 lies in
+    Q(zeta_n), whose roots of unity have orders dividing h = lcm(2, n),
+    so w^2 = zeta_h^j for one j < h, and w = +-zeta_L^j with L = 2h.
+    Two steps:
+    - the exact square x^2 / rho^2, formed on the integer numerators, is
+      looked up among the rows of zeta_h^j (`_root_rows`, as T's entries
+      are): a miss shows that w is no root of unity;
+    - then x zeta_L^-j = +-rho is real, and the certified sign of its
+      real part, from the powers k L/n - j of the terms of x by
+      `real_sign`'s float64 rung and error bound (mpmath past it), picks
+      j or j + h.
+    A miss, a numerator of 2^53 or more, or more than
+    `_PRODUCT_TABLE_CAP` coefficients of rows gives None, and the caller
+    takes its `Cyclotomic` route.
+    """
+    half = _lcm(2, n)
+    order = 2 * half
+    if max(map(abs, nums)) >= _FLOAT_EXACT or half * euler_phi(n) > _PRODUCT_TABLE_CAP:
+        return None
+    p, q = square.numerator, square.denominator
+    scale = p * den * den
+    squared = [v * q for v in _times(n, nums, nums)]
+    if any(v % scale for v in squared):
+        return None
+    j = _root_rows(n).get(tuple(v // scale for v in squared))
+    if j is None:
+        return None
+    step = order // n
+    cosines = [math.cos(2 * math.pi * ((k * step - j) % order) / order) for k in range(len(nums))]
+    rung = _float_real(nums, cosines)
+    if rung is not None and abs(rung[0]) > rung[1]:
+        sign = rung[0]
+    else:
+        sign = (Cyclotomic(n, tuple(nums)) * zeta(order, -j)).real_sign()
+    return (j if sign > 0 else j + half), order
+
+
 def central_charge(md: ModularData) -> Fraction:
-    """c mod 8, from tau+/D = e^(2 pi i c/8); exact."""
-    u = _gauss_sum(md, 1) * md.s_unit  # tau+ / D
+    """c mod 8, from tau+/D = e^(2 pi i c/8); exact.
+
+    u = tau+/D = tau+ S_uu is formed on integer numerators, and
+    `_root_phase` reads the root of unity off it with rho^2 = 1, so
+    neither D nor its sign is needed: u lies in Q(zeta_n), n the lcm of
+    the two conductors, so the exact square u^2, looked up among the
+    rows of zeta^j, fixes j up to sign, and the certified sign of the
+    real part of u zeta^-j fixes the rest.  Where it cannot (u no root
+    of unity, wide coefficients, too many rows), u is formed from the
+    tau+ of `_slot_gauss_sum` as a `Cyclotomic` and read off
+    `as_root_of_unity`, and an error prints that u, as before.
+    """
+    tau, s = _gauss_sum(md, 1), md.s_unit
+    n = _lcm(tau.conductor, s.conductor)
+    if euler_phi(n) <= TABLE_PHI_CAP:
+        u = _times(n, *(_embed_nums(x.nums, x.conductor, n) for x in (tau, s)))
+        phase = _root_phase(n, u, tau.den * s.den, 1)
+        if phase is not None:
+            return Fraction(8 * phase[0], phase[1])
+    u = _slot_gauss_sum(md, 1) * md.s_unit  # tau+ / D
     root = u.as_root_of_unity()
     if root is None:
         raise NotRootOfUnity(f"tau+/D = {u} is not a root of unity")
@@ -810,21 +1022,6 @@ def _balancing_sides(md: ModularData, theta: tuple, factor: Cyclotomic) -> tuple
     """((S T)^3, factor * S^2), packed, with T the diagonal of twists."""
     st = md.packed_s().times(PackedMatrix.pack((theta,)))
     return st @ st @ st, md.packed_s_squared().times(PackedMatrix.pack(((factor,),)))
-
-
-def _twist_roots(theta: tuple, slots: np.ndarray) -> tuple:
-    """(None, order, exponents) with theta_i = zeta_order^exponents[i],
-    by one `as_root_of_unity` per distinct T slot; or ((i,), None, None)
-    for the first label i whose twist is no root of unity."""
-    slots = slots.tolist()
-    roots: dict = {}
-    for i, x in enumerate(slots):
-        if x not in roots:
-            roots[x] = theta[i].as_root_of_unity()
-            if roots[x] is None:
-                return (i,), None, None
-    order = math.lcm(*(m for _, m in roots.values()))
-    return None, order, np.array([k * (order // m) for k, m in map(roots.get, slots)])
 
 
 def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple[bool, bool]:
@@ -1067,7 +1264,7 @@ def validate_modular(md: ModularData) -> ValidationReport:
         report.add("theta_normalized", theta[u] == ONE, None)
 
     if theta is not None:
-        where, order, exponents = _twist_roots(theta, md.t.slots)
+        where, order, exponents = _twist_exponents(md)
         report.add("theta_root_of_unity", where is None, where)
 
         if perm is not None:

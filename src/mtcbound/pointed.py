@@ -35,9 +35,11 @@ radical only.  The Lagrangian enumeration adds one int16 `group_law` of
 sums among the isotropic elements, and runs one order at a time: all
 isotropic subgroups of one order are one array, deduplicated by a
 lexicographic sort and extended together in chunks of bounded size.
-The Milgram sum is one integer product of the q-exponent histogram
-with the power-basis rows of the roots of unity it counts; sqrt(|A|) is
-built once per |A|.
+T keeps e as its root exponents (`FactoredMatrix.powers`), so the
+twists' exponents are never searched for.  The Milgram sum is one
+integer product of the q-exponent histogram with the power rows of
+zeta_M, and `modular._root_phase` reads the root of unity g / sqrt(|A|)
+off it exactly.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ from itertools import product
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, _lcm, _power_row, from_angle, sqrt_int
+from .cyclotomic import Cyclotomic, _lcm, from_angle, sqrt_int
 from .errors import Degenerate, InputError, SizeLimit
 from .fusion import element_label, group_coordinates, group_law, group_ring, group_strides
-from .modular import FactoredMatrix, ModularData
+from .modular import FactoredMatrix, ModularData, _power_rows, _root_phase
 from .report import ValidationReport
 
 # |A| <= 4096 < 2^15 also lets positions among the isotropic elements
@@ -221,9 +223,9 @@ def _s_entries(mg: MetricGroup) -> FactoredMatrix:
 
 def _twists(mg: MetricGroup) -> FactoredMatrix:
     """T[a] = e^(2 pi i e[a]/M): one `from_angle` per distinct q-exponent,
-    gathered by the exponents."""
+    gathered by the exponents, which T keeps as its root exponents."""
     e, m = mg._derived(_exponents)
-    return FactoredMatrix.gathered(lambda k: from_angle(Fraction(k, m)), e)
+    return FactoredMatrix.powers(m, e)
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +351,26 @@ def abelian_double(orders: tuple) -> MetricGroup:
 def milgram_signature(mg: MetricGroup) -> Fraction:
     """sigma mod 8 with sum_a e^(2 pi i q(a)) = sqrt(|A|) e^(2 pi i sigma/8).
 
-    Independent of the S/T route: g / sqrt(|A|) = g sqrt(|A|) / |A| is
-    exactly the root of unity e^(2 pi i sigma/8) (`sqrt_int` is exact),
-    so sigma is read off `as_root_of_unity` with no float branch.
-    The sum g = sum_k count_k zeta_M^k is one integer product: the
-    histogram of the q-exponents times the power-basis rows of zeta_M^k
-    for the exponents present, which are at most |A| of the M.
+    Independent of the S/T route.  The sum g = sum_k count_k zeta_M^k is
+    one integer product: the histogram of the q-exponents times the
+    power rows of zeta_M (`modular._power_rows`, cached per M).
+    `_root_phase` reads the root of unity w = g / sqrt(|A|) off g with
+    rho^2 = |A|: w^2 = g^2 / |A| lies in Q(zeta_M), so w^2 = zeta_h^j
+    for one j < h = lcm(2, M), found by looking the exact square up
+    among the rows of zeta_h^j; that fixes w = +-zeta_2h^j, and the
+    certified sign of the real part of g zeta_2h^-j fixes the rest.  Where
+    that fails (a degenerate form), g is a `Cyclotomic`: its magnitude is
+    checked, and g sqrt(|A|) / |A| (`sqrt_int` is exact) is read off
+    `as_root_of_unity`.
     """
     e, m = mg._derived(_exponents)
-    exponents, counts = np.unique(e, return_counts=True)
+    rows, _ = _power_rows(m, m)  # refuses a field past TABLE_PHI_CAP first
     # |coefficients| stay far below 2^63: the counts sum to |A|
-    rows = np.array([_power_row(m, k) for k in exponents.tolist()], dtype=np.int64)
-    g = Cyclotomic(m, tuple((counts @ rows).tolist()))
+    nums = tuple((np.bincount(e, minlength=m) @ rows).tolist())
+    phase = _root_phase(m, nums, 1, mg.size)
+    if phase is not None:
+        return Fraction(8 * phase[0], phase[1])
+    g = Cyclotomic(m, nums)
     if g * g.conj() != mg.size:
         raise Degenerate("Gauss sum magnitude differs from sqrt(|A|)")
     root = (g * sqrt_int(mg.size) / mg.size).as_root_of_unity()

@@ -40,6 +40,7 @@ from mtcbound.errors import (
 )
 from mtcbound.fusion import FusionRing, _scan_rows, _table_of, first_difference, ring_product
 from mtcbound.modular import (
+    FactoredMatrix,
     ModularData,
     PackedMatrix,
     _balancing_sides,
@@ -815,6 +816,82 @@ def mpmath_root_of_unity(x: Cyclotomic) -> tuple | None:
         if target == zeta(m, j):
             return packaged(j)
     return None
+
+
+def per_slot_twist_roots(theta: tuple, slots: np.ndarray) -> tuple:
+    """`_twist_exponents` as it was before the exponent match: (None,
+    order, exponents) with theta_i = zeta_order^exponents[i], by one
+    `as_root_of_unity` per distinct T slot; or ((i,), None, None) for
+    the first label i whose twist is no root of unity."""
+    slots = slots.tolist()
+    roots: dict = {}
+    for i, x in enumerate(slots):
+        if x not in roots:
+            roots[x] = theta[i].as_root_of_unity()
+            if roots[x] is None:
+                return (i,), None, None
+    order = math.lcm(*(m for _, m in roots.values()))
+    return None, order, np.array([k * (order // m) for k, m in map(roots.get, slots)])
+
+
+def t_table_gauss_sum(md: ModularData, sign: int) -> Cyclotomic:
+    """`_gauss_sum` as it was before the exponent route, not cached: the
+    histogram of (unit-row S slot, T slot) pairs times the packed table
+    of the T entries (of their inverses for tau-), one d^2 product per
+    class, and one division by T_u."""
+    tu = md.t[md.unit_index]
+    if tu.is_zero():
+        raise NonModular("T_u = 0, twists undefined")
+    t = md.t
+    if sign < 0:
+        t = FactoredMatrix(tuple(e.inverse() for e in t.entries), t.slots)
+    if md.s_unit.is_zero():
+        raise NonModular("S_{uu} = 0")
+    unit_row = md.s.slots[md.unit_index]
+    classes = sorted(set(unit_row.tolist()))
+    row = np.searchsorted(classes, unit_row)
+    count = np.bincount(
+        row * len(t.entries) + t.slots, minlength=len(classes) * len(t.entries)
+    ).reshape(len(classes), len(t.entries))
+    table = t.table()
+    nums = table.nums[:, 0]
+    sums = _linear(count, (nums, int(np.abs(nums).sum(axis=0).max())))
+    total = ZERO
+    for a, class_sum in zip(classes, sums.tolist()):
+        term = Cyclotomic(table.conductor, tuple(class_sum), table.den)
+        if a != unit_row[md.unit_index]:  # on the slot of S_uu, d = 1
+            d = md.s.entries[a] * md.total_dim()
+            term = d * d * term
+        total = total + term
+    return total * (tu.inverse() if sign > 0 else tu)
+
+
+def t_table_central_charge(md: ModularData) -> Fraction:
+    """`central_charge` as it was before `_root_phase`: tau+/D from
+    `t_table_gauss_sum`, read off `as_root_of_unity`."""
+    u = t_table_gauss_sum(md, 1) * md.s_unit  # tau+ / D
+    root = u.as_root_of_unity()
+    if root is None:
+        raise NotRootOfUnity(f"tau+/D = {u} is not a root of unity")
+    k, m = root
+    return Fraction(8 * k, m) % 8
+
+
+def power_row_milgram_signature(mg: MetricGroup) -> Fraction:
+    """`milgram_signature` as it was before `_root_phase`: g from the
+    q-exponent histogram and the power rows of the exponents present, its
+    magnitude checked, and g sqrt(|A|) / |A| read off `as_root_of_unity`."""
+    e, m = mg._derived(_exponents)
+    exponents, counts = np.unique(e, return_counts=True)
+    rows = np.array([_power_row(m, k) for k in exponents.tolist()], dtype=np.int64)
+    g = Cyclotomic(m, tuple((counts @ rows).tolist()))
+    if g * g.conj() != mg.size:
+        raise Degenerate("Gauss sum magnitude differs from sqrt(|A|)")
+    root = (g * sqrt_int(mg.size) / mg.size).as_root_of_unity()
+    if root is None:
+        raise Degenerate("Gauss sum over sqrt(|A|) is not a root of unity")
+    k, m = root
+    return Fraction(8 * k, m) % 8
 
 
 def distinct_pair_gauss_sum(md: ModularData, sign: int) -> Cyclotomic:

@@ -1,0 +1,295 @@
+"""The twist exponents, the Gauss sums read off their histogram, and the
+exact Gauss-phase kernel `_root_phase` behind `central_charge` and
+`milgram_signature`, against the routes they replaced (`tests.helpers`):
+equal values, and equal exception types and messages."""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+
+from mtcbound import corpus, modular
+from mtcbound.cyclotomic import Cyclotomic, from_angle, rational, sqrt_int, zeta
+from mtcbound.errors import MtcError
+from mtcbound.modular import (
+    FactoredMatrix,
+    ModularData,
+    _gauss_sum,
+    _max_abs,
+    _root_phase,
+    _twist_exponents,
+    box_tensor,
+    central_charge,
+    central_charge_float_oracle,
+    double,
+    gauss_sums,
+    reverse,
+    validate_modular,
+)
+from mtcbound.pointed import MetricGroup, abelian_double, metric_modular_data, milgram_signature
+
+from tests.helpers import (
+    central_charge_via_square,
+    distinct_pair_central_charge,
+    mpmath_root_of_unity,
+    per_element_milgram_signature,
+    per_label_central_charge,
+    per_label_gauss_sums,
+    per_slot_twist_roots,
+    power_row_milgram_signature,
+    random_metric_group,
+    t_table_central_charge,
+    t_table_gauss_sum,
+)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except MtcError as exc:
+        return (type(exc), str(exc))
+
+
+def fresh(md: ModularData, t=None) -> ModularData:
+    """The same data with an empty cache (T replaced when given)."""
+    return ModularData(s=md.s, t=md.t if t is None else t, unit_index=md.unit_index, ring=md.ring)
+
+
+def unshared(md: ModularData) -> ModularData:
+    """The same data with T factored afresh: no root exponents kept."""
+    return fresh(md, FactoredMatrix.vector(tuple(md.t)))
+
+
+def exponents_outcome(md: ModularData):
+    got = outcome(_twist_exponents, md)
+    if isinstance(got, tuple) and len(got) == 3:
+        where, order, exponents = got
+        return where, order, None if exponents is None else np.asarray(exponents).tolist()
+    return got
+
+
+def reference_exponents(md: ModularData):
+    got = outcome(lambda m: per_slot_twist_roots(m.theta(), m.t.slots), md)
+    if isinstance(got, tuple) and len(got) == 3:
+        where, order, exponents = got
+        return where, order, None if exponents is None else exponents.tolist()
+    return got
+
+
+def assert_matches_references(md: ModularData, label) -> None:
+    """Exponents, tau+-, gauss_sums and the central charge against the
+    replaced routes, each on a datum with an empty cache, with T's root
+    exponents kept (as made) and matched afresh."""
+    want_exponents = reference_exponents(md)
+    want_taus = [outcome(t_table_gauss_sum, md, sign) for sign in (1, -1)]
+    want_charge = outcome(t_table_central_charge, md)
+    for data in (fresh(md), unshared(md)):
+        assert exponents_outcome(data) == want_exponents, label
+        assert [outcome(_gauss_sum, fresh(data), sign) for sign in (1, -1)] == want_taus, label
+        assert outcome(central_charge, fresh(data)) == want_charge, label
+    assert outcome(central_charge, fresh(md)) == outcome(distinct_pair_central_charge, md), label
+    # the label-by-label routes raise in an older order: values only
+    sums = outcome(per_label_gauss_sums, md)
+    if isinstance(sums[0], Cyclotomic):
+        assert gauss_sums(fresh(md)) == sums, label
+    charge = outcome(per_label_central_charge, md)
+    if isinstance(charge, Fraction):
+        assert want_charge == charge == central_charge_via_square(md), label
+        drift = (central_charge_float_oracle(md) - float(charge) + 4) % 8 - 4
+        assert abs(drift) < 1e-6, label
+
+
+def modular_inputs() -> list:
+    """(label, datum): every fixture with modular data, the doubles of the
+    six base fixtures, their reverses, and box-tensor products."""
+    out = []
+    for name in corpus.fixture_names():
+        md = corpus.build(name).modular
+        if md is not None:
+            out += [(name, md), (f"reverse({name})", reverse(md))]
+    base = {name: corpus.build(name).modular for name in corpus.BASE_MODULAR_FIXTURES}
+    out += [(f"double({name})", double(md)) for name, md in base.items()]
+    ising, fib = base["ising"], base["fibonacci"]
+    for name in ("semion", "fibonacci", "toric_code"):
+        out.append((f"ising x {name}", box_tensor(ising, base[name])))
+        out.append((f"reverse(ising) x {name}", box_tensor(reverse(ising), base[name])))
+    out.append(("fibonacci x reverse(semion)", box_tensor(fib, reverse(base["semion"]))))
+    d_z3 = corpus.build("d_z3").modular
+    out.append(("d_z3 x ising", box_tensor(d_z3, ising)))
+    return out
+
+
+def tampered_inputs() -> dict:
+    toric, ising = corpus.build("toric_code").modular, corpus.build("ising").modular
+    fib = corpus.build("fibonacci").modular
+    wide = 2**70 + 1
+    return {
+        # 2 is no root of unity: tau+ exists, c does not
+        "not a root of unity": ModularData(
+            s=toric.s, t=tuple(map(rational, (1, 1, 2, 2))), ring=toric.ring
+        ),
+        "T_u = zeta_5": ModularData(s=ising.s, t=tuple(zeta(5) * v for v in ising.t)),
+        "T_u = 2": ModularData(s=ising.s, t=tuple(2 * v for v in ising.t)),
+        "T_u = 0": ModularData(s=ising.s, t=(rational(0),) + tuple(ising.t)[1:]),
+        "a zero twist": ModularData(s=ising.s, t=tuple(ising.t)[:2] + (rational(0),)),
+        "coefficients near 2^70": ModularData(
+            s=ising.s,
+            t=(rational(1), zeta(16) * wide, Cyclotomic(16, (wide, 0, -wide, 0, 0, 0, 0, 3))),
+        ),
+        # roots of unity whose Gauss sum over D is none: the kernel's
+        # exact test fails and the error prints today's tau+/D
+        "trivial twists": ModularData(s=toric.s, t=(toric.t[0],) * 4, ring=toric.ring),
+        "fibonacci, theta = zeta_5": ModularData(s=fib.s, t=(rational(1), zeta(5))),
+        "ising, theta = (1, 1, i)": ModularData(s=ising.s, t=(rational(1), rational(1), zeta(4))),
+    }
+
+
+class TestAgainstTheReplacedRoutes:
+    def test_fixtures_doubles_reverses_and_products(self):
+        for label, md in modular_inputs():
+            assert_matches_references(md, label)
+
+    def test_seeded_metric_groups(self):
+        rng = random.Random(2323)
+        for _ in range(200):
+            mg = random_metric_group(rng, max_size=36)
+            md = metric_modular_data(mg)
+            assert_matches_references(md, mg.orders)
+            sigma = milgram_signature(mg)
+            assert sigma == power_row_milgram_signature(mg), mg.orders
+            assert sigma == per_element_milgram_signature(mg), mg.orders
+            assert sigma == central_charge(md), mg.orders
+
+    def test_metric_fixtures_and_hyperbolic_doubles(self):
+        groups = [corpus.build(name).metric for name in corpus.fixture_names()]
+        groups = [mg for mg in groups if mg is not None]
+        doubles = [abelian_double(orders) for orders in ((2,), (3,), (2, 2), (3, 3), (4,))]
+        for mg in groups + doubles:
+            assert milgram_signature(mg) == power_row_milgram_signature(mg), mg.orders
+            assert_matches_references(metric_modular_data(mg), mg.orders)
+        assert {milgram_signature(mg) for mg in doubles} == {0}
+
+    def test_tampered_twists(self):
+        for label, md in tampered_inputs().items():
+            assert_matches_references(md, label)
+        cases = tampered_inputs()
+        assert exponents_outcome(cases["not a root of unity"])[0] == (2,)
+        assert exponents_outcome(cases["T_u = 2"])[:2] == (None, 16)
+        message = outcome(central_charge, cases["trivial twists"])
+        assert message == (modular.NotRootOfUnity, "tau+/D = 2 is not a root of unity")
+
+    def test_exponents_past_int64(self):
+        # T kept as powers of zeta_M, M = 2^64, in an object array: the
+        # twists (1, i) have order 4 and are read as int64
+        semion = corpus.build("semion").modular
+        md = fresh(semion, FactoredMatrix.powers(2**64, np.array([0, 2**62], dtype=object)))
+        assert exponents_outcome(md) == (None, 4, [0, 1])
+        assert _twist_exponents(md)[2].dtype == np.int64
+        assert_matches_references(md, "semion over 2^64")
+        want = validate_modular(fresh(semion)).to_json_dict()
+        assert validate_modular(fresh(md)).to_json_dict() == want
+
+    def test_degenerate_forms(self):
+        # the kernel's exact test fails, and the Cyclotomic route raises
+        forms = [
+            MetricGroup(orders=(2,), q={(0,): 0, (1,): 0}),
+            MetricGroup(orders=(2, 2), q={a: 0 for a in ((0, 0), (0, 1), (1, 0), (1, 1))}),
+            MetricGroup(orders=(4,), q={(a,): Fraction(a * a, 4) for a in range(4)}),
+        ]
+        for mg in forms:
+            got = outcome(milgram_signature, mg)
+            assert got == outcome(power_row_milgram_signature, mg), mg.q
+            assert got == outcome(per_element_milgram_signature, mg), mg.q
+        # q(0) != 0 over M = 2^63: exponents in an object array, and no
+        # field holds zeta_M
+        mg = MetricGroup(orders=(1,), q={(0,): Fraction(1, 2**63)})
+        assert outcome(milgram_signature, mg) == outcome(power_row_milgram_signature, mg)
+
+
+class TestKernel:
+    def test_reads_rho_zeta_back(self):
+        # x = rho zeta_L^j for rho = sqrt(k), over every j, and x = 0; x
+        # and -x share the square that is looked up, so for even L the
+        # certified sign alone tells j from j + L/2
+        for k in (1, 2, 3, 5, 8, 12):
+            rho = sqrt_int(k)
+            for order in (1, 2, 3, 4, 5, 8, 12):
+                for j in range(order):
+                    x = rho * from_angle(Fraction(j, order))
+                    got = _root_phase(x.conductor, x.nums, x.den, Fraction(k))
+                    assert Fraction(got[0], got[1]) == Fraction(j, order), (k, order, j)
+        assert _root_phase(1, (0,), 1, Fraction(1)) is None
+
+    def test_a_value_off_the_circle_is_not_shown(self):
+        for x in (rational(2), zeta(8) + 1, (rational(3) + 4 * zeta(4)) / 5, zeta(5) * 2):
+            assert _root_phase(x.conductor, x.nums, x.den, Fraction(1)) is None, x
+            assert mpmath_root_of_unity(x) is None, x
+
+    def test_wide_numerators_are_left_to_the_cyclotomic_route(self):
+        big = zeta(8) * 2**53
+        assert _root_phase(big.conductor, big.nums, big.den, Fraction(2**106)) is None
+
+    def test_the_sign_falls_back_to_mpmath(self, monkeypatch):
+        inputs = [(mg, metric_modular_data(mg)) for mg in self.groups()]
+        # a non-square |A| takes the kernel's sign step
+        assert any(math.isqrt(mg.size) ** 2 != mg.size for mg, _ in inputs)
+        expected = [
+            (power_row_milgram_signature(mg), t_table_central_charge(md)) for mg, md in inputs
+        ]
+        # no float64 rung, in the kernel or in `real_sign`: mpmath decides
+        monkeypatch.setattr(modular, "_float_real", lambda nums, cosines: None)
+        monkeypatch.setattr(Cyclotomic, "_float_real", lambda self: None)
+        assert [(milgram_signature(mg), central_charge(fresh(md))) for mg, md in inputs] == expected
+
+    def test_pointed_answers_need_no_root_of_unity_test(self, monkeypatch):
+        inputs = [(mg, metric_modular_data(mg)) for mg in self.groups()]
+        expected = [(milgram_signature(mg), central_charge(fresh(md))) for mg, md in inputs]
+
+        def refused(self):
+            raise AssertionError("as_root_of_unity called")
+
+        monkeypatch.setattr(Cyclotomic, "as_root_of_unity", refused)
+        assert [(milgram_signature(mg), central_charge(fresh(md))) for mg, md in inputs] == expected
+
+    def test_root_match_past_the_table_cap(self, monkeypatch):
+        # every entry read off `as_root_of_unity` instead, and no square
+        # looked up: the kernel gives None and the `Cyclotomic` routes answer
+        data = [md for _, md in modular_inputs()[:12]] + [
+            metric_modular_data(mg) for mg in self.groups()
+        ]
+        expected = [
+            (exponents_outcome(unshared(md)), gauss_sums(fresh(md)), central_charge(fresh(md)))
+            for md in data
+        ]
+        monkeypatch.setattr(modular, "_PRODUCT_TABLE_CAP", 0)
+        got = [
+            (exponents_outcome(unshared(md)), gauss_sums(fresh(md)), central_charge(fresh(md)))
+            for md in data
+        ]
+        assert got == expected
+
+    @staticmethod
+    def groups() -> list:
+        rng = random.Random(31)
+        return [random_metric_group(rng, max_size=36) for _ in range(20)]
+
+
+class TestCaches:
+    def test_value_ids_are_kept(self):
+        md = corpus.build("double_ising").modular
+        assert md.s.value_ids() is md.s.value_ids()
+        assert md.t.value_ids() is md.t.value_ids()
+
+    def test_data_of_one_group_share_the_root_exponents(self):
+        mg = random_metric_group(random.Random(4), max_size=36)
+        first, second = metric_modular_data(mg), metric_modular_data(mg)
+        assert first.t.root_exponents() is second.t.root_exponents()
+        assert _twist_exponents(first) is _twist_exponents(first)
+
+    def test_max_abs(self):
+        assert _max_abs(np.array([3, -7, 5], dtype=np.int64)) == 7
+        assert _max_abs(np.array([[-2**70, 4], [2**69, -1]], dtype=object)) == 2**70
+        assert _max_abs(np.zeros((0, 3), dtype=np.int64)) == 0
+        assert _max_abs(np.zeros((2, 0), dtype=object)) == 0

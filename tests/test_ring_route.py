@@ -24,7 +24,7 @@ from mtcbound.fusion import FusionRing
 from mtcbound.modular import (
     ModularData,
     _ring_equations,
-    _twist_roots,
+    _twist_exponents,
     box_tensor,
     double,
     reverse,
@@ -76,7 +76,7 @@ def small_data() -> list:
 def ring_equations(md: ModularData) -> tuple:
     """`_ring_equations` with the twist exponents that `validate_modular`
     passes it."""
-    where, order, exponents = _twist_roots(md.theta(), md.t.slots)
+    where, order, exponents = _twist_exponents(md)
     assert where is None
     return _ring_equations(md, order, exponents)
 
@@ -260,7 +260,7 @@ class TestRingRoute:
         # toric code's twists (1, 1, 1, -1) have order 2, though its S
         # and T are rational; elsewhere L may exceed S's conductor only
         def conductors(md):
-            _, order, _ = _twist_roots(md.theta(), md.t.slots)
+            _, order, _ = _twist_exponents(md)
             s = md.s.table().conductor
             return math.lcm(order, s), s, md.conductor()
 
