@@ -3,9 +3,15 @@
 A scalar is stored as an integer coefficient vector over the power basis
 1, z, ..., z^(phi(N)-1) of Q(zeta_N) = Q[x]/Phi_N(x), together with a
 positive common denominator.  All field operations are exact; floating
-point only ever enters through :meth:`Cyclotomic.approx` and the
-sign/argument helpers, which escalate precision until the answer is
-certified by an explicit error bound.
+point only ever enters through :meth:`Cyclotomic.approx` and two
+certified readings, which share one float64 rung (one cached table of
+cos and sin per conductor) and one mpmath ladder behind it: the sign of
+a real value (`real_sign`, `floor`), and `_root_phase`, the one exact
+decision of x = rho zeta_L^j for a rational rho^2.  `_root_phase` takes
+its guess of j only where an error bound makes it exact for every such
+value, and one exact test of x^2 then decides; `as_root_of_unity`
+(rho = 1), `modular.central_charge` and `pointed.milgram_signature`
+all read roots of unity through it.
 
 One substitution, zeta -> zeta^k (`_embed_nums`), is the layer's only
 power map: it embeds a value into a larger conductor, conjugates it, and
@@ -26,7 +32,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-import numpy as np
 
 from .errors import (
     ConductorLimitError,
@@ -37,8 +42,6 @@ from .errors import (
 
 CONDUCTOR_CAP = 10**6
 TABLE_PHI_CAP = 2048
-# roots of unity of larger order are not scanned one power at a time
-ROOT_SCAN_CAP = 10**5
 # integers of absolute value below 2^53 are exact in float64
 _FLOAT_EXACT = 2**53
 
@@ -448,7 +451,7 @@ class Cyclotomic:
     def _float_real(self) -> tuple[float, float] | None:
         """`_float_real` of the coefficients: v = sum_k c_k cos(2 pi k/N)
         and a bound on |v - den Re(x)| (see `real_sign`), or None."""
-        return _float_real(self.nums, _cosines(self.conductor))
+        return _float_real(self.nums, _unit_parts(self.conductor)[0])
 
     def real_sign(self) -> int:
         """Sign of a real cyclotomic number, certified.
@@ -456,16 +459,15 @@ class Cyclotomic:
         The first rung is float64 (`_float_real`): v = sum_k c_k
         cos(2 pi k/N), with |c_k| < 2^53 exact, decides the sign when
         |v| > sum |c_k| (phi + 32) 2^-50.  That bound assumes libm's cos
-        is faithfully rounded (off by under one ulp).  The float64
-        argument 2 pi k/N is off by less than 2^-49, so each cosine is
-        off by less than 2^-48; each product rounds once and `math.fsum`
-        once, so |v - den Re(x)| < sum |c_k| (2^-48 + 2^-52)(1 + 2^-52),
-        and the bound is over seven times that.  Otherwise, and when a
-        coefficient is too large for float64, mpmath evaluates the value
-        at 30, 120, 480, 2,000 and 8,000 digits until it exceeds
-        (height + 1) 10^(3 - digits).  Raises NumericError if the value
-        cannot be certified nonzero at that ceiling (never happens for
-        exact zero, which returns 0).
+        and sin are faithfully rounded (off by under one ulp).  The
+        float64 argument 2 pi k/N is off by less than 2^-49, so each
+        cosine (or sine) of the `_unit_parts` table is off by less than
+        2^-48; each product rounds once and `math.fsum` once, so
+        |v - den Re(x)| < sum |c_k| (2^-48 + 2^-52)(1 + 2^-52), and the
+        bound is over seven times that.  Otherwise, and when a
+        coefficient is too large for float64, `_mp_ladder` decides.
+        Raises NumericError if the value cannot be certified nonzero at
+        its ceiling (never happens for exact zero, which returns 0).
         """
         if self.is_zero():
             return 0
@@ -474,22 +476,20 @@ class Cyclotomic:
         rung = self._float_real()
         if rung is not None and abs(rung[0]) > rung[1]:
             return 1 if rung[0] > 0 else -1
-        height = self._height()
-        for dps in (30, 120, 480, 2000, 8000):
-            with mpmath.workdps(dps):
-                val = self._eval_mp()
-                err = (mpmath.mpf(height.numerator) / height.denominator + 1) * mpmath.mpf(
-                    10
-                ) ** (3 - dps)
-                if abs(val.real) > err:
-                    return 1 if val.real > 0 else -1
-        raise NumericError("could not certify the sign at precision ceiling")
+
+        def sign(value, bound):
+            if abs(value.real) > bound:
+                return 1 if value.real > 0 else -1
+            return None
+
+        return _mp_ladder(self, sign, "the sign")
 
     def floor(self) -> int:
         """The integer floor of a real cyclotomic number, exact: rationals
         directly, irrationals by certifying the signs of x - k and
         x - (k + 1) for k the floor of a float value: the float64 rung's
-        when its error is below 1/2, else mpmath's."""
+        (`_float_real` on the `_unit_parts` table) when its error is
+        below 1/2, else mpmath's."""
         if self.conductor == 1:
             return self.nums[0] // self.den
         rung = self._float_real()
@@ -506,50 +506,14 @@ class Cyclotomic:
     def as_root_of_unity(self) -> tuple[int, int] | None:
         """Return (k, m) with self = e^(2 pi i k/m), gcd(k, m) = 1, or None.
 
-        Sound and complete: the only roots of unity in Q(zeta_N) form the
-        cyclic group of order lcm(2, N), so a full scan settles membership.
-        A guess of the exponent from a float64 evaluation, checked
-        exactly with its two neighbours, avoids the scan in the common
-        case; a wrong or non-finite guess only costs the scan.
-        """
-        if self.is_zero():
+        `_root_phase` with rho^2 = 1 decides, exactly; the exponent it
+        returns is reduced to lowest terms."""
+        phase = _root_phase(self.conductor, self.nums, self.den, 1)
+        if phase is None:
             return None
-        if self.conductor == 1:
-            r = self.as_rational()
-            if r == 1:
-                return (0, 1)
-            if r == -1:
-                return (1, 2)
-            return None
-        m = _lcm(2, self.conductor)
-        target = self.embed(m)
-
-        def packaged(j: int) -> tuple[int, int]:
-            j %= m
-            if j == 0:
-                return (0, 1)
-            g = math.gcd(j, m)
-            return (j // g, m // g)
-
-        # fast path: guess the exponent from a float64 evaluation; only
-        # the exact comparison decides
-        guess = _exponent_guess(self, m)
-        if guess is not None:
-            for j in (guess, guess + 1, guess - 1):
-                if target == zeta(m, j % m):
-                    return packaged(j)
-        one = Cyclotomic.from_rational(1)
-        if self * self.conj() != one:
-            return None
-        if m > ROOT_SCAN_CAP:
-            raise NumericError(f"root-of-unity scan refused for order {m}")
-        w = one
-        zm = zeta(m, 1)
-        for j in range(m):
-            if target == w:
-                return packaged(j)
-            w = w * zm
-        return None
+        j, order = phase
+        g = math.gcd(j, order)
+        return j // g, order // g
 
     # -- serialization ------------------------------------------------------
 
@@ -620,10 +584,10 @@ class Cyclotomic:
 
 def _float_real(nums, cosines) -> tuple[float, float] | None:
     """(v, bound): v = sum_k nums[k] cosines[k] in float64, where
-    cosines[k] = math.cos(2 * math.pi * p_k / n) for integers 0 <= p_k < n,
-    and a bound on |v - sum_k nums[k] cos(2 pi p_k/n)| (see `real_sign`);
-    or None when a coefficient has absolute value 2^53 or more, where
-    float64 is not exact."""
+    cosines[k] = math.cos(2 * math.pi * p_k / n) for integers 0 <= p_k < n
+    (or math.sin of the same argument), and a bound on the error of v
+    (see `real_sign`); or None when a coefficient has absolute value 2^53
+    or more, where float64 is not exact."""
     if max(nums) >= _FLOAT_EXACT or min(nums) <= -_FLOAT_EXACT:
         return None
     value = math.fsum(map(operator.mul, nums, cosines))
@@ -631,30 +595,97 @@ def _float_real(nums, cosines) -> tuple[float, float] | None:
 
 
 @lru_cache(maxsize=None)
-def _cosines(n: int) -> tuple[float, ...]:
-    """cos(2 pi k/n) = Re(zeta_n^k) for k < phi(n), by math.cos."""
-    return tuple(math.cos(2 * math.pi * k / n) for k in range(euler_phi(n)))
+def _unit_parts(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(cosines, sines): cos and sin of 2 pi k/n, the real and imaginary
+    parts of zeta_n^k, for k < phi(n), by math.cos and math.sin."""
+    angles = [2 * math.pi * k / n for k in range(euler_phi(n))]
+    return tuple(map(math.cos, angles)), tuple(map(math.sin, angles))
 
 
-@lru_cache(maxsize=None)
-def _unit_powers(n: int) -> np.ndarray:
-    """zeta_n^k for k < phi(n), as complex float64."""
-    return np.exp(2j * np.pi * np.arange(euler_phi(n)) / n)
+def _mp_ladder(x: Cyclotomic, decide, what: str):
+    """The mpmath rung of `real_sign` and `_root_phase`: x evaluated at
+    30, 120, 480, 2,000 and 8,000 digits, each time with the bound
+    (height + 1) 10^(3 - digits) on the error of its real and of its
+    imaginary part (height = sum |c_k| / den), until decide(value,
+    bound) returns an answer.  Raises NumericError at the ceiling."""
+    height = x._height()
+    for dps in (30, 120, 480, 2000, 8000):
+        with mpmath.workdps(dps):
+            bound = (mpmath.mpf(height.numerator) / height.denominator + 1) * mpmath.mpf(10) ** (
+                3 - dps
+            )
+            answer = decide(x._eval_mp(), bound)
+            if answer is not None:
+                return answer
+    raise NumericError(f"could not certify {what} at precision ceiling")
 
 
-def _exponent_guess(x: Cyclotomic, m: int) -> int | None:
-    """round(m arg(x) / 2 pi) from a float64 evaluation of x, or None
-    when the evaluation is not finite.  The positive denominator does
-    not change the argument, so only the coefficients are evaluated."""
-    try:
-        nums = np.array(x.nums, dtype=np.float64)
-    except OverflowError:
+def _root_row(n: int, j: int) -> tuple:
+    """The coefficients of zeta_m^j over Q(zeta_n), m = lcm(2, n), j >= 0.
+    For odd n, zeta_2n = -zeta_n^((n + 1)/2)."""
+    if n % 2 == 0:
+        return _power_row(n, j % n)
+    row = _power_row(n, j * ((n + 1) // 2) % n)
+    return row if j % 2 == 0 else tuple(-v for v in row)
+
+
+def _root_phase(n: int, nums, den: int, square) -> tuple[int, int] | None:
+    """(j, L), 0 <= j < L, with x = rho zeta_L^j, for x = sum_k nums[k]
+    zeta_n^k / den, L = 2 lcm(2, n) and rho > 0 with rho^2 = square, an
+    int or a Fraction; or None, and then no such j exists.
+
+    Why L: if x / rho = w is a root of unity, w^2 = x^2 / rho^2 lies in
+    Q(zeta_n), whose roots of unity have orders dividing h = lcm(2, n),
+    so w^2 = zeta_h^j and w = +-zeta_L^j, that is zeta_L^j or
+    zeta_L^(j + h).
+
+    Two steps.
+    - Guess j = round(L arg(x) / 2 pi) mod L.  The float64 rung reads
+      the parts (re, im) of den x by `_float_real` against the
+      `_unit_parts` table, with its bound E, and guesses where
+      L E < den rho.  Past it (a coefficient of 2^53 or more, or E too
+      large), `_mp_ladder` guesses from x, at the first precision whose
+      bound B has 8 L B < rho.
+    - Test x^2 = rho^2 zeta_h^j exactly on the integer numerators:
+      nums^2 q = p den^2 `_root_row(n, j)` for rho^2 = p/q.
+    Proof.  Let x = rho zeta_L^j', so the point read is R e^(i theta),
+    theta = 2 pi j'/L, with R = den rho (float64) or rho (mpmath).  The
+    float64 parts are each off by under E/7 (`real_sign`), so the point
+    by under E/4 < R/(4L); the mpmath parts by under B, so the point by
+    under sqrt(2) B < R/(4L).  Its angle is off by at most
+    arcsin(1/(4L)) <= pi/(8L), 1/16 of a step 2 pi/L.  atan2 (faithfully
+    rounded), the scaling by L/2 pi and the rounding of the test
+    L E < R add under 2^-30 of a step, since the exact test needs the
+    rows of Q(zeta_n), which `TABLE_PHI_CAP` allows only up to n = 9,240,
+    so L < 2^15.  The guess is thus within 1/2 of j' and rounds to j'
+    mod L (at theta = pi to +-L/2, the same): it is exact for every rho
+    times a root of unity.  If the test passes, x = +-rho zeta_L^j is
+    such a value, so its exponent is its guess j, and no sign step is
+    needed.  If it fails, x is not rho zeta_L^j, and a value
+    rho zeta_L^j' would have been guessed as j': no exponent exists.
+    """
+    order = 2 * _lcm(2, n)
+    p, q = square.numerator, square.denominator
+    # the square first: past TABLE_PHI_CAP it refuses the field before
+    # any table of phi(n) floats is built
+    squared = [v * q for v in _mul_nums(n, nums, nums)]
+    cosines, sines = _unit_parts(n)
+    re, im = _float_real(nums, cosines), _float_real(nums, sines)
+    if re is not None and (order * re[1]) ** 2 < den * den * square:
+        j = round(math.atan2(im[0], re[0]) * order / (2 * math.pi))
+    else:
+
+        def guess(value, bound):
+            if (8 * order * bound) ** 2 * q < p:
+                return int(mpmath.nint(mpmath.arg(value) * order / (2 * mpmath.pi)))
+            return None
+
+        j = _mp_ladder(Cyclotomic(n, tuple(nums), den), guess, "the root of unity")
+    j %= order
+    scale = p * den * den
+    if squared != [v * scale for v in _root_row(n, j)]:
         return None
-    with np.errstate(all="ignore"):
-        value = complex(nums @ _unit_powers(x.conductor))
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        return None
-    return round(math.atan2(value.imag, value.real) * m / (2 * math.pi))
+    return j, order
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,10 @@ class MultiplicityLimitError(InputError):
 
 
 class NumericError(InputError):
-    """A number the program could not certify: a sign still unresolved
-    at the precision ceiling of `Cyclotomic.real_sign`, a refused
-    root-of-unity scan, or a failed float eigensolve of the FP
+    """A number the program could not certify: a sign or a root-of-unity
+    exponent still uncertified at the precision ceiling of the mpmath
+    ladder (`Cyclotomic.real_sign`, `cyclotomic._root_phase`), or a
+    failed float eigensolve of the FP
     dimensions.  No axiom check has failed, so, like the size caps, it
     refuses the input (exit 2) rather than reporting it invalid."""
 

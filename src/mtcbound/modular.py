@@ -74,8 +74,9 @@ gives one class sum per distinct unit-row entry, then one d^2 product
 per class.  `central_charge`, `gauss_sums` and the balancing and
 Gauss-identity checks of `validate_modular` all read it, and
 `central_charge` reads the root of unity tau+/D off its integer
-numerators with the exact kernel `_root_phase`, which
-`pointed.milgram_signature` shares.  A zero twist leaves tau- undefined,
+numerators with `cyclotomic._root_phase`, the exact kernel that
+`as_root_of_unity` and `pointed.milgram_signature` share, and whose
+None proves there is none.  A zero twist leaves tau- undefined,
 and the Gauss-identity check fails at that label.
 `ModularData.from_json_dict` parses each distinct scalar object once.
 """
@@ -93,18 +94,17 @@ from itertools import chain
 import numpy as np
 
 from .cyclotomic import (
-    TABLE_PHI_CAP,
     Cyclotomic,
     ONE,
     ZERO,
     _FLOAT_EXACT,
     _embed_nums,
-    _float_real,
     _lcm,
     _power_row,
+    _root_phase,
+    _root_row,
     euler_phi,
     from_angle,
-    zeta,
 )
 from .errors import (
     GaussIdentityFailure,
@@ -426,7 +426,8 @@ class FactoredMatrix:
         decides it: a missed row is no root.  An entry holds a root only
         if the common denominator divides its row.  Past
         `_PRODUCT_TABLE_CAP` coefficients of rows, each entry is read
-        off by `as_root_of_unity` instead."""
+        off by `as_root_of_unity`, the exact kernel `_root_phase`,
+        instead."""
         if self._roots is None:
             table = self.table()
             n, den, rows = table.conductor, table.den, table.nums[:, 0]
@@ -603,15 +604,6 @@ class ModularData:
                 f"conductor field {obj['conductor']} does not match entries ({md.conductor()})"
             )
         return md
-
-
-def _root_row(n: int, j: int) -> tuple:
-    """The coefficients of zeta_m^j over Q(zeta_n), m = lcm(2, n).  For
-    odd n, zeta_2n = -zeta_n^((n + 1)/2)."""
-    if n % 2 == 0:
-        return _power_row(n, j % n)
-    row = _power_row(n, j * ((n + 1) // 2) % n)
-    return row if j % 2 == 0 else tuple(-v for v in row)
 
 
 @lru_cache(maxsize=None)
@@ -893,75 +885,23 @@ def _times(n: int, a, b) -> list:
     return (np.convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype)) @ matrix).tolist()
 
 
-def _root_phase(n: int, nums, den: int, square) -> tuple[int, int] | None:
-    """(j, L) with x = rho zeta_L^j, for x = sum_k nums[k] zeta_n^k / den
-    and rho > 0 with rho^2 = square, an int or a Fraction; or None when
-    that is not shown here.  No `Cyclotomic` is built on the way to an
-    answer.
-
-    Proof.  If x / rho = w is a root of unity, w^2 = x^2 / rho^2 lies in
-    Q(zeta_n), whose roots of unity have orders dividing h = lcm(2, n),
-    so w^2 = zeta_h^j for one j < h, and w = +-zeta_L^j with L = 2h.
-    Two steps:
-    - the exact square x^2 / rho^2, formed on the integer numerators, is
-      looked up among the rows of zeta_h^j (`_root_rows`, as T's entries
-      are): a miss shows that w is no root of unity;
-    - then x zeta_L^-j = +-rho is real, and the certified sign of its
-      real part, from the powers k L/n - j of the terms of x by
-      `real_sign`'s float64 rung and error bound (mpmath past it), picks
-      j or j + h.
-    A miss, a numerator of 2^53 or more, or more than
-    `_PRODUCT_TABLE_CAP` coefficients of rows gives None, and the caller
-    takes its `Cyclotomic` route.
-    """
-    half = _lcm(2, n)
-    order = 2 * half
-    if max(map(abs, nums)) >= _FLOAT_EXACT or half * euler_phi(n) > _PRODUCT_TABLE_CAP:
-        return None
-    p, q = square.numerator, square.denominator
-    scale = p * den * den
-    squared = [v * q for v in _times(n, nums, nums)]
-    if any(v % scale for v in squared):
-        return None
-    j = _root_rows(n).get(tuple(v // scale for v in squared))
-    if j is None:
-        return None
-    step = order // n
-    cosines = [math.cos(2 * math.pi * ((k * step - j) % order) / order) for k in range(len(nums))]
-    rung = _float_real(nums, cosines)
-    if rung is not None and abs(rung[0]) > rung[1]:
-        sign = rung[0]
-    else:
-        sign = (Cyclotomic(n, tuple(nums)) * zeta(order, -j)).real_sign()
-    return (j if sign > 0 else j + half), order
-
-
 def central_charge(md: ModularData) -> Fraction:
     """c mod 8, from tau+/D = e^(2 pi i c/8); exact.
 
-    u = tau+/D = tau+ S_uu is formed on integer numerators, and
-    `_root_phase` reads the root of unity off it with rho^2 = 1, so
-    neither D nor its sign is needed: u lies in Q(zeta_n), n the lcm of
-    the two conductors, so the exact square u^2, looked up among the
-    rows of zeta^j, fixes j up to sign, and the certified sign of the
-    real part of u zeta^-j fixes the rest.  Where it cannot (u no root
-    of unity, wide coefficients, too many rows), u is formed from the
-    tau+ of `_slot_gauss_sum` as a `Cyclotomic` and read off
-    `as_root_of_unity`, and an error prints that u, as before.
+    u = tau+/D = tau+ S_uu is formed on integer numerators over n, the
+    lcm of the two conductors, and `cyclotomic._root_phase` reads the
+    root of unity off it with rho^2 = 1, so neither D nor its sign is
+    needed.  Its None proves that u is no root of unity; the error then
+    prints u formed from the tau+ of `_slot_gauss_sum` as a `Cyclotomic`.
     """
     tau, s = _gauss_sum(md, 1), md.s_unit
     n = _lcm(tau.conductor, s.conductor)
-    if euler_phi(n) <= TABLE_PHI_CAP:
-        u = _times(n, *(_embed_nums(x.nums, x.conductor, n) for x in (tau, s)))
-        phase = _root_phase(n, u, tau.den * s.den, 1)
-        if phase is not None:
-            return Fraction(8 * phase[0], phase[1])
-    u = _slot_gauss_sum(md, 1) * md.s_unit  # tau+ / D
-    root = u.as_root_of_unity()
-    if root is None:
+    u = _times(n, *(_embed_nums(x.nums, x.conductor, n) for x in (tau, s)))
+    phase = _root_phase(n, u, tau.den * s.den, 1)
+    if phase is None:
+        u = _slot_gauss_sum(md, 1) * md.s_unit  # tau+ / D
         raise NotRootOfUnity(f"tau+/D = {u} is not a root of unity")
-    k, m = root
-    return Fraction(8 * k, m) % 8
+    return Fraction(8 * phase[0], phase[1])
 
 
 def central_charge_float_oracle(md: ModularData) -> float:

@@ -38,8 +38,8 @@ lexicographic sort and extended together in chunks of bounded size.
 T keeps e as its root exponents (`FactoredMatrix.powers`), so the
 twists' exponents are never searched for.  The Milgram sum is one
 integer product of the q-exponent histogram with the power rows of
-zeta_M, and `modular._root_phase` reads the root of unity g / sqrt(|A|)
-off it exactly.
+zeta_M, and `cyclotomic._root_phase` reads the root of unity
+g / sqrt(|A|) off it exactly, or proves that there is none.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ from itertools import product
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, _lcm, from_angle, sqrt_int
+from .cyclotomic import Cyclotomic, _lcm, _root_phase, from_angle, sqrt_int
 from .errors import Degenerate, InputError, SizeLimit
 from .fusion import element_label, group_coordinates, group_law, group_ring, group_strides
-from .modular import FactoredMatrix, ModularData, _power_rows, _root_phase
+from .modular import FactoredMatrix, ModularData, _power_rows
 from .report import ValidationReport
 
 # |A| <= 4096 < 2^15 also lets positions among the isotropic elements
@@ -354,30 +354,22 @@ def milgram_signature(mg: MetricGroup) -> Fraction:
     Independent of the S/T route.  The sum g = sum_k count_k zeta_M^k is
     one integer product: the histogram of the q-exponents times the
     power rows of zeta_M (`modular._power_rows`, cached per M).
-    `_root_phase` reads the root of unity w = g / sqrt(|A|) off g with
-    rho^2 = |A|: w^2 = g^2 / |A| lies in Q(zeta_M), so w^2 = zeta_h^j
-    for one j < h = lcm(2, M), found by looking the exact square up
-    among the rows of zeta_h^j; that fixes w = +-zeta_2h^j, and the
-    certified sign of the real part of g zeta_2h^-j fixes the rest.  Where
-    that fails (a degenerate form), g is a `Cyclotomic`: its magnitude is
-    checked, and g sqrt(|A|) / |A| (`sqrt_int` is exact) is read off
-    `as_root_of_unity`.
+    `cyclotomic._root_phase` reads the root of unity g / sqrt(|A|) off g
+    with rho^2 = |A|.  Its None proves that there is none (a degenerate
+    form), and only then is g a `Cyclotomic`, to name the failure: its
+    magnitude, or else the root of unity.
     """
     e, m = mg._derived(_exponents)
     rows, _ = _power_rows(m, m)  # refuses a field past TABLE_PHI_CAP first
     # |coefficients| stay far below 2^63: the counts sum to |A|
     nums = tuple((np.bincount(e, minlength=m) @ rows).tolist())
     phase = _root_phase(m, nums, 1, mg.size)
-    if phase is not None:
-        return Fraction(8 * phase[0], phase[1])
-    g = Cyclotomic(m, nums)
-    if g * g.conj() != mg.size:
-        raise Degenerate("Gauss sum magnitude differs from sqrt(|A|)")
-    root = (g * sqrt_int(mg.size) / mg.size).as_root_of_unity()
-    if root is None:  # pragma: no cover - magnitude check rules this out
+    if phase is None:
+        g = Cyclotomic(m, nums)
+        if g * g.conj() != mg.size:
+            raise Degenerate("Gauss sum magnitude differs from sqrt(|A|)")
         raise Degenerate("Gauss sum over sqrt(|A|) is not a root of unity")
-    k, m = root
-    return Fraction(8 * k, m) % 8
+    return Fraction(8 * phase[0], phase[1])
 
 
 # ---------------------------------------------------------------------------

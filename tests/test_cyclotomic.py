@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mtcbound import corpus, cyclotomic
 from mtcbound.cyclotomic import (
     CONDUCTOR_CAP,
-    ROOT_SCAN_CAP,
     TABLE_PHI_CAP,
     Cyclotomic,
     _embed_nums,
@@ -23,8 +22,10 @@ from mtcbound.cyclotomic import (
     sqrt_int,
     zeta,
 )
-from mtcbound.errors import ConductorLimitError, DivisionByZero, InputError, NumericError
-from tests.helpers import euclid_inverse, mpmath_root_of_unity
+from mtcbound.errors import ConductorLimitError, DivisionByZero, InputError, MtcError
+from mtcbound.modular import ModularData, central_charge, double, reverse
+from mtcbound.pointed import metric_modular_data, milgram_signature
+from tests.helpers import euclid_inverse, mpmath_root_of_unity, random_metric_group
 from tests.test_ring_route import modular_fixtures, rank_12_products
 
 
@@ -328,49 +329,75 @@ def _root_cases() -> list:
     return cases + [zeta(8) + 1, rational(2), rational(0), sqrt_int(3) * zeta(3)]
 
 
+def _rung_answers(family: str) -> list:
+    """`as_root_of_unity` on every value of one family, or on each
+    distinct T entry of its data with `central_charge` (and
+    `milgram_signature` of metric groups), each outcome a value or the
+    type and message of the error."""
+
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except MtcError as exc:
+            return type(exc), str(exc)
+
+    if family == "root cases":
+        return [outcome(Cyclotomic.as_root_of_unity, x) for x in _root_cases()]
+    if family == "fixtures, reverses and doubles":
+        data = [md for _, md in modular_fixtures()]
+        data += [reverse(md) for md in data]
+        data += [double(corpus.build(name).modular) for name in corpus.BASE_MODULAR_FIXTURES]
+        groups = []
+    else:
+        rng = random.Random(2424)
+        groups = [random_metric_group(rng, max_size=36) for _ in range(200)]
+        data = [metric_modular_data(mg) for mg in groups]
+    answers = [outcome(milgram_signature, mg) for mg in groups]
+    for md in data:
+        fresh = ModularData(s=md.s, t=md.t, unit_index=md.unit_index, ring=md.ring)
+        answers += [outcome(Cyclotomic.as_root_of_unity, x) for x in md.t.entries]
+        answers.append(outcome(central_charge, fresh))
+    return answers
+
+
 class TestRootOfUnityReadOff:
-    """`as_root_of_unity` guesses the exponent from a float64 evaluation;
-    only exact comparisons decide."""
+    """`as_root_of_unity` is `_root_phase` with rho^2 = 1: a guess of the
+    exponent, certified in float64 or by the mpmath ladder, and one exact
+    test."""
 
     def test_matches_the_mpmath_guided_route(self):
         for x in _root_cases():
             assert x.as_root_of_unity() == mpmath_root_of_unity(x), x
 
-    @pytest.mark.parametrize("wrong", [lambda x, m: None, lambda x, m: 7, lambda x, m: -m // 3])
-    def test_a_wrong_guess_falls_back_to_the_scan(self, monkeypatch, wrong):
-        monkeypatch.setattr(cyclotomic, "_exponent_guess", wrong)
-        for m in range(1, 31):
-            for k in range(m):
-                g = math.gcd(k, m) if k else m
-                assert zeta(m, k).as_root_of_unity() == ((k // g, m // g) if k else (0, 1))
-        for x in _root_cases():
-            assert x.as_root_of_unity() == mpmath_root_of_unity(x), x
+    @pytest.mark.parametrize(
+        "family", ["root cases", "fixtures, reverses and doubles", "metric groups"]
+    )
+    def test_the_mpmath_rung_gives_the_float64_answers(self, monkeypatch, family):
+        want = _rung_answers(family)
+        calls = []
+        evaluate = Cyclotomic._eval_mp
+        monkeypatch.setattr(Cyclotomic, "_eval_mp", lambda x: calls.append(x) or evaluate(x))
+        monkeypatch.setattr(cyclotomic, "_float_real", lambda nums, cosines: None)
+        assert _rung_answers(family) == want
+        assert calls  # the float64 rung is off: mpmath guessed
 
-    def test_coefficients_beyond_float64_reach_the_scan(self, monkeypatch):
+    def test_coefficients_beyond_float64_take_the_mpmath_rung(self, monkeypatch):
         # (a + b i)/c with a^2 + b^2 = c^2 near 10^800: unit modulus, no
         # root of unity, coefficients no float64 holds
         p, q = 10**400 + 7, 10**399 + 3
         x = (rational(p * p - q * q) + 2 * p * q * zeta(4)) / (p * p + q * q)
         assert x * x.conj() == 1
-        assert cyclotomic._exponent_guess(x, 4) is None
-        scanned = []
-        monkeypatch.setattr(cyclotomic, "ROOT_SCAN_CAP", 4)
-        real_zeta = cyclotomic.zeta
-        monkeypatch.setattr(cyclotomic, "zeta", lambda n, k=1: scanned.append(n) or real_zeta(n, k))
-        assert x.as_root_of_unity() is None
-        assert scanned == [4]  # the scan's generator, and no guess tried
         big = Cyclotomic(4, (10**400, 10**400))  # not of unit modulus
-        assert cyclotomic._exponent_guess(big, 4) is None and big.as_root_of_unity() is None
-
-    def test_orders_above_the_scan_cap_are_refused(self, monkeypatch):
-        assert ROOT_SCAN_CAP == 10**5
-        monkeypatch.setattr(cyclotomic, "ROOT_SCAN_CAP", 3)
-        with pytest.raises(NumericError, match="root-of-unity scan refused for order 4"):
-            ((rational(3) + 4 * zeta(4)) / 5).as_root_of_unity()
-        assert zeta(8, 3).as_root_of_unity() == (3, 8)  # the guess needs no scan
-        monkeypatch.setattr(cyclotomic, "_exponent_guess", lambda x, m: None)
-        with pytest.raises(NumericError, match="order 8"):
-            zeta(8, 3).as_root_of_unity()
+        assert x._float_real() is None and big._float_real() is None
+        scanned, calls = [], []
+        real_zeta, evaluate = cyclotomic.zeta, Cyclotomic._eval_mp
+        monkeypatch.setattr(cyclotomic, "zeta", lambda n, k=1: scanned.append(n) or real_zeta(n, k))
+        monkeypatch.setattr(Cyclotomic, "_eval_mp", lambda v: calls.append(v) or evaluate(v))
+        assert x.as_root_of_unity() is None
+        assert len(calls) == 1  # certified at 30 digits
+        # a bound of about 10^(403 - digits) certifies from 480 digits
+        assert big.as_root_of_unity() is None and len(calls) == 4
+        assert scanned == []  # no scan: the exact test alone decides
 
 
 def _golden_truncation_gap(digits: int) -> Cyclotomic:

@@ -1,6 +1,6 @@
 """The twist exponents, the Gauss sums read off their histogram, and the
-exact Gauss-phase kernel `_root_phase` behind `central_charge` and
-`milgram_signature`, against the routes they replaced (`tests.helpers`):
+exact root-of-unity kernel `cyclotomic._root_phase` behind
+`central_charge` and `milgram_signature`, against the routes they replaced (`tests.helpers`):
 equal values, and equal exception types and messages."""
 
 import math
@@ -9,15 +9,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from mtcbound import corpus, modular
-from mtcbound.cyclotomic import Cyclotomic, from_angle, rational, sqrt_int, zeta
+from mtcbound import corpus, cyclotomic, modular
+from mtcbound.cyclotomic import Cyclotomic, _root_phase, from_angle, rational, sqrt_int, zeta
 from mtcbound.errors import MtcError
 from mtcbound.modular import (
     FactoredMatrix,
     ModularData,
     _gauss_sum,
     _max_abs,
-    _root_phase,
     _twist_exponents,
     box_tensor,
     central_charge,
@@ -146,6 +145,17 @@ def tampered_inputs() -> dict:
     }
 
 
+def degenerate_forms() -> list:
+    """Three degenerate forms, and q(0) != 0 over M = 2^63 on the trivial
+    group: exponents in an object array, and no field holds zeta_M."""
+    return [
+        MetricGroup(orders=(2,), q={(0,): 0, (1,): 0}),
+        MetricGroup(orders=(2, 2), q={a: 0 for a in ((0, 0), (0, 1), (1, 0), (1, 1))}),
+        MetricGroup(orders=(4,), q={(a,): Fraction(a * a, 4) for a in range(4)}),
+        MetricGroup(orders=(1,), q={(0,): Fraction(1, 2**63)}),
+    ]
+
+
 class TestAgainstTheReplacedRoutes:
     def test_fixtures_doubles_reverses_and_products(self):
         for label, md in modular_inputs():
@@ -193,26 +203,19 @@ class TestAgainstTheReplacedRoutes:
 
     def test_degenerate_forms(self):
         # the kernel's exact test fails, and the Cyclotomic route raises
-        forms = [
-            MetricGroup(orders=(2,), q={(0,): 0, (1,): 0}),
-            MetricGroup(orders=(2, 2), q={a: 0 for a in ((0, 0), (0, 1), (1, 0), (1, 1))}),
-            MetricGroup(orders=(4,), q={(a,): Fraction(a * a, 4) for a in range(4)}),
-        ]
+        *forms, wide = degenerate_forms()
         for mg in forms:
             got = outcome(milgram_signature, mg)
             assert got == outcome(power_row_milgram_signature, mg), mg.q
             assert got == outcome(per_element_milgram_signature, mg), mg.q
-        # q(0) != 0 over M = 2^63: exponents in an object array, and no
-        # field holds zeta_M
-        mg = MetricGroup(orders=(1,), q={(0,): Fraction(1, 2**63)})
-        assert outcome(milgram_signature, mg) == outcome(power_row_milgram_signature, mg)
+        assert outcome(milgram_signature, wide) == outcome(power_row_milgram_signature, wide)
 
 
 class TestKernel:
     def test_reads_rho_zeta_back(self):
         # x = rho zeta_L^j for rho = sqrt(k), over every j, and x = 0; x
-        # and -x share the square that is looked up, so for even L the
-        # certified sign alone tells j from j + L/2
+        # and -x share the square that is tested, so for even L the
+        # certified guess alone tells j from j + L/2
         for k in (1, 2, 3, 5, 8, 12):
             rho = sqrt_int(k)
             for order in (1, 2, 3, 4, 5, 8, 12):
@@ -227,20 +230,20 @@ class TestKernel:
             assert _root_phase(x.conductor, x.nums, x.den, Fraction(1)) is None, x
             assert mpmath_root_of_unity(x) is None, x
 
-    def test_wide_numerators_are_left_to_the_cyclotomic_route(self):
+    def test_wide_numerators_take_the_mpmath_rung(self):
+        # 2^53 zeta_8 = rho zeta_16^2 for rho = 2^53: no float64 guess
         big = zeta(8) * 2**53
-        assert _root_phase(big.conductor, big.nums, big.den, Fraction(2**106)) is None
+        assert _root_phase(big.conductor, big.nums, big.den, Fraction(2**106)) == (2, 16)
 
-    def test_the_sign_falls_back_to_mpmath(self, monkeypatch):
+    def test_the_guess_falls_back_to_mpmath(self, monkeypatch):
         inputs = [(mg, metric_modular_data(mg)) for mg in self.groups()]
-        # a non-square |A| takes the kernel's sign step
+        # a non-square |A|: an irrational rho
         assert any(math.isqrt(mg.size) ** 2 != mg.size for mg, _ in inputs)
         expected = [
             (power_row_milgram_signature(mg), t_table_central_charge(md)) for mg, md in inputs
         ]
         # no float64 rung, in the kernel or in `real_sign`: mpmath decides
-        monkeypatch.setattr(modular, "_float_real", lambda nums, cosines: None)
-        monkeypatch.setattr(Cyclotomic, "_float_real", lambda self: None)
+        monkeypatch.setattr(cyclotomic, "_float_real", lambda nums, cosines: None)
         assert [(milgram_signature(mg), central_charge(fresh(md))) for mg, md in inputs] == expected
 
     def test_pointed_answers_need_no_root_of_unity_test(self, monkeypatch):
@@ -254,8 +257,8 @@ class TestKernel:
         assert [(milgram_signature(mg), central_charge(fresh(md))) for mg, md in inputs] == expected
 
     def test_root_match_past_the_table_cap(self, monkeypatch):
-        # every entry read off `as_root_of_unity` instead, and no square
-        # looked up: the kernel gives None and the `Cyclotomic` routes answer
+        # T's entries read off `as_root_of_unity` one by one instead of
+        # the table look-up; the kernel has no such cap
         data = [md for _, md in modular_inputs()[:12]] + [
             metric_modular_data(mg) for mg in self.groups()
         ]
