@@ -31,10 +31,12 @@ are, so the datum and its group share them, and the hint check
 `matches_modular_data` compares given data with them (S and T in value,
 the ring by `FusionRing.same_fusion`) without building a second
 `ModularData`.  `validate_metric` reads e, the coordinates and the
-radical only.  The Lagrangian enumeration adds one int16 `group_law` of
-sums among the isotropic elements, and runs one order at a time: all
-isotropic subgroups of one order are one array, deduplicated by a
-lexicographic sort and extended together in chunks of bounded size.
+radical only, and evaluates the Gram polynomial at every element as
+one integer product.  The Lagrangian enumeration adds one int16
+`group_law` of sums among the isotropic elements, and runs one order at
+a time: all isotropic subgroups of one order are one array, extended
+together in chunks of bounded size.  Each is made once, along its greedy
+generator chain, so none is deduplicated.
 T keeps e as its root exponents (`FactoredMatrix.powers`), so the
 twists' exponents are never searched for.  The Milgram sum is one
 integer product of the q-exponent histogram with the power rows of
@@ -63,8 +65,8 @@ SUBGROUP_SIZE_CAP = 4096
 
 # Bound on the int16 positions the Lagrangian enumeration holds in its
 # pending and found subgroups, 64 MB of them.  The tests and the
-# benchmark peak at 1,443,728 (the double of (Z_4)^3) and the double of
-# (Z_2)^5 at 7,319,864; the double of (Z_2)^6 passes the cap.
+# benchmark peak at 282,256 (the double of (Z_4)^3) and the double of
+# (Z_2)^5 at 2,086,920; the double of (Z_2)^6 passes the cap.
 HELD_POSITIONS_CAP = 2**25
 
 # Bound on the int16 entries of one gather sums[H] in the Lagrangian
@@ -268,16 +270,18 @@ def validate_metric(mg: MetricGroup) -> ValidationReport:
             break
     report.add("q_descends_to_quotient", where is None, where)
 
-    # M q(a) against sum_u a_u^2 M q(g_u) + sum_{u<v} a_u a_v M b(g_u, g_v);
-    # every partial sum is at most M (sum_u (n_u - 1))^2
+    # M q(a) against a^T G a = sum_u a_u^2 M q(g_u) + sum_{u<v} a_u a_v
+    # M b(g_u, g_v), G the upper-triangular Gram matrix; every partial
+    # sum is at most M (sum_u (n_u - 1))^2
     coords = group_coordinates(mg.orders)
     if m * (1 + sum(n - 1 for n in mg.orders)) ** 2 >= 2**63:
         coords = coords.astype(object)
-    want = np.zeros(mg.size, dtype=coords.dtype)
+    gram = np.zeros((s, s), dtype=coords.dtype)
     for u in range(s):
-        want += coords[u] * coords[u] * diag[u]
+        gram[u, u] = diag[u]
         for v in range(u + 1, s):
-            want += coords[u] * coords[v] * off[u, v]
+            gram[u, v] = off[u, v]
+    want = ((gram @ coords) * coords).sum(axis=0)
     wrong = np.flatnonzero(want % m != e)
     report.add("q_is_quadratic", not wrong.size, (mg.elements[wrong[0]],) if wrong.size else None)
 
@@ -383,14 +387,26 @@ def lagrangian_subgroups(mg: MetricGroup) -> list:
     Grows isotropic subgroups from {0} by cyclic extensions <H, a>, one
     order at a time.  If q|_L = 0 then b(x, y) = q(x + y) - q(x) - q(y)
     = 0 on L, for any q, so only isotropic a with every h + a isotropic
-    may extend H; one representative per coset a + H is tried, every
-    coset of the closure must be isotropic, and its order must divide
-    sqrt(|A|).  An extension is larger than H, so once every subgroup
+    may extend H, every coset of the closure must be isotropic, and its
+    order must divide sqrt(|A|).
+
+    Each subgroup is made once, along its greedy chain over the
+    isotropic positions: g_i = min(L \\ H_(i-1)) and H_i = <H_(i-1), g_i>
+    from H_0 = {0}.  `_extensions` extends H, made by generator g, by a
+    only when a > g and a = min(<H, a> \\ H).  A greedy chain passes:
+    g_(i+1) = min(L \\ H_i) >= min(L \\ H_(i-1)) = g_i and g_i is in H_i,
+    so g_i < g_(i+1), and g_i, the least of L \\ H_(i-1), is the least of
+    H_i \\ H_(i-1).  An accepted chain a_1 < ... < a_r ending at H_r = L is
+    the greedy one, by induction from the top: a_r = min(L \\ H_(r-1)),
+    and if a_(i+1) = min(L \\ H_i) then L \\ H_(i-1) is (H_i \\ H_(i-1))
+    with least a_i joined to L \\ H_i with least a_(i+1) > a_i, so
+    a_i = min(L \\ H_(i-1)).  So no subgroup repeats and none is
+    deduplicated.  An extension is larger than H, so once every subgroup
     of smaller order is extended, the subgroups of the least pending
-    order are all known: they are deduplicated as one array and
-    extended together, in chunks (`_extensions`).  Capped at
-    |A| = SUBGROUP_SIZE_CAP, and refused with SizeLimit once the pending
-    and found subgroups hold more than HELD_POSITIONS_CAP positions.
+    order are all known; they are extended together, in chunks
+    (`_extensions`).  Capped at |A| = SUBGROUP_SIZE_CAP, and refused with
+    SizeLimit once the pending and found subgroups hold more than
+    HELD_POSITIONS_CAP positions.
     """
     n = mg.size
     if n > SUBGROUP_SIZE_CAP:
@@ -403,49 +419,34 @@ def lagrangian_subgroups(mg: MetricGroup) -> list:
     if not iso.size or iso[0] != 0:
         return []
     sums = _isotropic_sums(mg, iso)
-    # pending[order]: arrays of subgroups of that order, one per row of
-    # sorted isotropic positions; {0} is position 0.  Each chunk's
-    # extensions are deduplicated as they come, which keeps the pending
-    # rows near the distinct count, and the chunks' arrays once more
-    # when their order is reached.
-    pending = {1: [np.zeros((1, 1), dtype=sums.dtype)]}
+    # pending[order]: (rows, gens) pairs, one row of isotropic positions
+    # per subgroup of that order and the generator that made it; {0} is
+    # position 0, made by position 0
+    pending = {1: [(np.zeros((1, 1), dtype=sums.dtype), np.zeros(1, dtype=sums.dtype))]}
     found = np.empty((0, target), dtype=sums.dtype)
     held = 1  # positions pending or found; an order counts until extended
     while pending:
         size = min(pending)
-        arrays = pending.pop(size)
-        subgroups = _distinct_rows(np.concatenate(arrays))
-        held += subgroups.size - sum(a.size for a in arrays)
+        entries = pending.pop(size)
+        subgroups = np.concatenate([rows for rows, _ in entries])
         if size == target:
             found = subgroups
             continue
+        last = np.concatenate([gens for _, gens in entries])
         step = max(1, _GATHER_ENTRIES // (size * len(sums)))
         for start in range(0, len(subgroups), step):
-            for order, rows in _extensions(subgroups[start : start + step], sums, target):
-                rows = _distinct_rows(rows)
+            chunk = slice(start, start + step)
+            for order, rows, gens in _extensions(subgroups[chunk], last[chunk], sums, target):
                 held += rows.size
                 if held > HELD_POSITIONS_CAP:
                     raise SizeLimit(
                         f"the subgroup enumeration of |A| = {n} holds more than "
                         f"{HELD_POSITIONS_CAP} subgroup positions"
                     )
-                pending.setdefault(order, []).append(rows)
+                pending.setdefault(order, []).append((rows, gens))
         held -= subgroups.size
     elements = mg.elements
-    return sorted(tuple(elements[i] for i in iso[l].tolist()) for l in found)
-
-
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-d array, in lexicographic order.
-
-    One `np.lexsort` and a comparison of neighbours: `np.unique(axis=0)`
-    gives the same rows but sorts a structured view, about ten times
-    slower on these int16 tables.
-    """
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+    return sorted(tuple(elements[i] for i in iso[l].tolist()) for l in np.sort(found, axis=1))
 
 
 def _isotropic_sums(mg: MetricGroup, iso: np.ndarray) -> np.ndarray:
@@ -457,54 +458,56 @@ def _isotropic_sums(mg: MetricGroup, iso: np.ndarray) -> np.ndarray:
     return position[group_law(mg.orders, iso, np.int16)]
 
 
-def _extensions(h: np.ndarray, sums: np.ndarray, target: int) -> list:
-    """[(order, rows)]: the subgroups <H, a> of a batch of subgroups H
-    with every element isotropic and order dividing target, as arrays
-    whose rows are sorted positions; one row per H and representative a
-    of a coset a + H, so a subgroup may repeat.
+def _extensions(h: np.ndarray, last: np.ndarray, sums: np.ndarray, target: int) -> list:
+    """[(order, rows, gens)]: the subgroups <H, a> of a batch of
+    subgroups H that extend H's greedy chain, with every element
+    isotropic and order dividing target; one row of positions per
+    subgroup, and gens[i] the a that made row i.
 
-    h is a (B, |H|) array of sorted isotropic positions.  a qualifies
-    when every h + a is isotropic; then so is every element of a + H,
-    which is why the least position of each coset stands for it.  Both
-    tests read the least position of h + a over h in H, -1 when some
-    h + a is not isotropic.
+    h is a (B, |H|) array of isotropic positions and last the generator
+    that made each H.  least[H, x] is the least position of the coset
+    x + H, -1 when some h + x is not isotropic, so it answers every test:
+    a is tried when a > last and least[H, a] = a; then each coset
+    k a + H in turn, k >= 2, is H itself when its least position is 0
+    (k a is in H), and refuses a when its least position is -1 or
+    below a, since then a != min(<H, a> \\ H).  Rows are gathered for
+    the accepted pairs only, coset by coset, unsorted.
     """
-    count, size = h.shape
-    width = len(sums)
-    inside = np.zeros((count, width), dtype=bool)
-    inside[np.arange(count)[:, None], h] = True
+    size = h.shape[1]
     least = sums[h].min(axis=1)
-    which, a = np.nonzero((least == np.arange(width)) & ~inside)
-    # one row per pair (H, a): blocks[k] holds the coset H + k a
-    base = h[which]
-    blocks = [base, sums[base, a[:, None]]]
+    positions = np.arange(len(sums))
+    which, a = np.nonzero((least == positions) & (positions > last[:, None]))
+    # one entry per pair (H, a): multiples[k] = k a, of the coset k a + H
+    multiples = [np.zeros_like(a), a]
     order = np.zeros(len(a), dtype=np.int64)  # 0 growing, -1 refused
     shift = sums[a, a]  # 2a
     while True:
+        order[(order == 0) & (shift < 0)] = -1
+        shift = np.maximum(shift, 0)  # refused pairs read position 0
+        low = least[which, shift]
         growing = order == 0
-        isotropic = shift >= 0
-        shift = np.where(isotropic, shift, 0)
-        order[growing & ~isotropic] = -1
-        order[growing & isotropic & inside[which, shift]] = len(blocks)
+        order[growing & (low == 0)] = len(multiples)
+        order[growing & (low != 0) & (low < a)] = -1
         growing = order == 0
         if not growing.any():
             break
-        if size * (len(blocks) + 1) > target:
+        if size * (len(multiples) + 1) > target:
             order[growing] = -1
             break
-        coset = sums[base, np.where(growing, shift, 0)[:, None]]
-        order[growing & (coset < 0).any(axis=1)] = -1
-        blocks.append(coset)
+        multiples.append(shift)
         shift = sums[shift, a]
     out = []
     for k in set(order[order > 0].tolist()):
         if target % (size * k) == 0:
             pairs = np.flatnonzero(order == k)
-            group = np.concatenate([block[pairs] for block in blocks[:k]], axis=1)
-            out.append((size * k, np.sort(group, axis=1)))
+            steps = np.stack([m[pairs] for m in multiples[:k]], axis=1)
+            rows = sums[h[which[pairs], None, :], steps[:, :, None]]
+            out.append((size * k, rows.reshape(len(pairs), size * k), a[pairs].astype(sums.dtype)))
     return out
 
 
 def subgroup_indicator(mg: MetricGroup, subgroup) -> tuple:
-    members = set(subgroup)
-    return tuple(1 if a in members else 0 for a in mg.elements)
+    flags = [0] * mg.size
+    for a in subgroup:
+        flags[mg.index(a)] = 1
+    return tuple(flags)

@@ -287,6 +287,130 @@ def per_subgroup_extensions(h: np.ndarray, sums: np.ndarray, target: int) -> lis
     return out
 
 
+def order_batched_lagrangians(mg: MetricGroup, gather_entries: int = 2**20) -> list:
+    """`lagrangian_subgroups` one order at a time with one row per
+    (subgroup, coset representative) pair, so a subgroup is made once per
+    pair: all subgroups of the least pending order are deduplicated by one
+    lexicographic sort (`distinct_rows`) and extended together in chunks
+    of at most gather_entries entries of sums[H].  The route before each
+    subgroup was made once, along its greedy generator chain."""
+    n = mg.size
+    if n > SUBGROUP_SIZE_CAP:
+        raise SizeLimit(f"|A| = {n} exceeds the subgroup enumeration cap {SUBGROUP_SIZE_CAP}")
+    target = math.isqrt(n)
+    if target * target != n:
+        return []
+    e, _ = mg._derived(_exponents)
+    iso = np.flatnonzero(e == 0)
+    if not iso.size or iso[0] != 0:
+        return []
+    sums = _isotropic_sums(mg, iso)
+    pending = {1: [np.zeros((1, 1), dtype=sums.dtype)]}
+    found = np.empty((0, target), dtype=sums.dtype)
+    while pending:
+        size = min(pending)
+        subgroups = distinct_rows(np.concatenate(pending.pop(size)))
+        if size == target:
+            found = subgroups
+            continue
+        step = max(1, gather_entries // (size * len(sums)))
+        for start in range(0, len(subgroups), step):
+            chunk = subgroups[start : start + step]
+            for order, rows in order_batched_extensions(chunk, sums, target):
+                pending.setdefault(order, []).append(distinct_rows(rows))
+    elements = mg.elements
+    return sorted(tuple(elements[i] for i in iso[l].tolist()) for l in found)
+
+
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d array, in lexicographic order: one
+    `np.lexsort` and a comparison of neighbours."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+def order_batched_extensions(h: np.ndarray, sums: np.ndarray, target: int) -> list:
+    """[(order, rows)]: the subgroups <H, a> of a batch of subgroups H
+    (a (B, |H|) array of sorted isotropic positions) with every element
+    isotropic and order dividing target, as arrays whose rows are sorted
+    positions; one row per H and representative a of a coset a + H, so a
+    subgroup may repeat.  a qualifies when every h + a is isotropic and a
+    is the least position of a + H; a (B, width) `inside` table answers
+    k a in H."""
+    count, size = h.shape
+    width = len(sums)
+    inside = np.zeros((count, width), dtype=bool)
+    inside[np.arange(count)[:, None], h] = True
+    least = sums[h].min(axis=1)
+    which, a = np.nonzero((least == np.arange(width)) & ~inside)
+    # one row per pair (H, a): blocks[k] holds the coset H + k a
+    base = h[which]
+    blocks = [base, sums[base, a[:, None]]]
+    order = np.zeros(len(a), dtype=np.int64)  # 0 growing, -1 refused
+    shift = sums[a, a]  # 2a
+    while True:
+        growing = order == 0
+        isotropic = shift >= 0
+        shift = np.where(isotropic, shift, 0)
+        order[growing & ~isotropic] = -1
+        order[growing & isotropic & inside[which, shift]] = len(blocks)
+        growing = order == 0
+        if not growing.any():
+            break
+        if size * (len(blocks) + 1) > target:
+            order[growing] = -1
+            break
+        coset = sums[base, np.where(growing, shift, 0)[:, None]]
+        order[growing & (coset < 0).any(axis=1)] = -1
+        blocks.append(coset)
+        shift = sums[shift, a]
+    out = []
+    for k in set(order[order > 0].tolist()):
+        if target % (size * k) == 0:
+            pairs = np.flatnonzero(order == k)
+            group = np.concatenate([block[pairs] for block in blocks[:k]], axis=1)
+            out.append((size * k, np.sort(group, axis=1)))
+    return out
+
+
+def isotropic_subgroup_counts(mg: MetricGroup) -> dict:
+    """{order: count} over every subgroup H with q|_H = 0 and |H| > 1
+    dividing sqrt(|A|): every known subgroup closed with every isotropic
+    element outside it by tuple `mg.add`, kept in a set of frozensets.
+    A subgroup of such an H has an order dividing sqrt(|A|) too, so no
+    subgroup is missed by stopping at the others."""
+    target = math.isqrt(mg.size)
+    zero = tuple(0 for _ in mg.orders)
+    iso = [a for a in mg.elements if mg.qval(a) == 0]
+    if target * target != mg.size or zero not in iso:
+        return {}
+    known = {frozenset([zero])}
+    frontier = list(known)
+    while frontier:
+        grown = []
+        for h in frontier:
+            for a in iso:
+                if a in h:
+                    continue
+                new, shift = set(h), a
+                while shift not in h:
+                    new.update(mg.add(c, shift) for c in h)
+                    shift = mg.add(shift, a)
+                key = frozenset(new)
+                if target % len(key) or key in known or any(mg.qval(x) for x in key):
+                    continue
+                known.add(key)
+                grown.append(key)
+        frontier = grown
+    counts: dict = {}
+    for h in known:
+        if len(h) > 1:
+            counts[len(h)] = counts.get(len(h), 0) + 1
+    return counts
+
+
 def fraction_generators(mg: MetricGroup) -> list:
     """Canonical generators of the cyclic factors, reduced mod orders."""
     return [

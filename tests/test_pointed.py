@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -36,7 +37,9 @@ from tests.helpers import (
     fraction_radical,
     fraction_validate_metric,
     histogram_milgram_signature,
+    isotropic_subgroup_counts,
     law_matches_modular_data,
+    order_batched_lagrangians,
     per_entry_metric_modular_data,
     per_element_milgram_signature,
     per_entry_pack,
@@ -611,13 +614,16 @@ class TestLagrangians:
             key = (mg.orders, tuple(sorted(mg.q.items())))
             if key not in seen:
                 seen.add(key)
-                assert lagrangian_subgroups(mg) == closure_growth_lagrangians(mg), mg.orders
+                found = lagrangian_subgroups(mg)
+                assert found == closure_growth_lagrangians(mg), mg.orders
+                assert found == order_batched_lagrangians(mg), mg.orders
         assert len(seen) >= 100
 
     def test_closure_growth_oracle_on_doubles(self):
         for orders in ((3, 3), (2, 2, 2), (4, 4)):
             mg = abelian_double(orders)
-            assert lagrangian_subgroups(mg) == closure_growth_lagrangians(mg), orders
+            found = lagrangian_subgroups(mg)
+            assert found == closure_growth_lagrangians(mg) == order_batched_lagrangians(mg), orders
 
     def test_closure_growth_oracle_on_non_quadratic_tables(self):
         rng = random.Random(1618)
@@ -627,6 +633,7 @@ class TestLagrangians:
             non_quadratic += "q_is_quadratic" in validate_metric(mg).failed_names()
             found = lagrangian_subgroups(mg)
             assert found == closure_growth_lagrangians(mg), mg.orders
+            assert found == order_batched_lagrangians(mg), mg.orders
             nonempty += bool(found)
         assert non_quadratic >= 100
         assert nonempty >= 20
@@ -637,6 +644,7 @@ class TestLagrangians:
             found = lagrangian_subgroups(mg)
             assert found == per_subgroup_lagrangians(mg), mg.orders
             assert found == closure_growth_lagrangians(mg), mg.orders
+            assert found == order_batched_lagrangians(mg), mg.orders
             nonempty += bool(found)
         assert nonempty >= 30
 
@@ -646,6 +654,7 @@ class TestLagrangians:
         found = lagrangian_subgroups(mg)
         assert found == per_subgroup_lagrangians(mg)
         assert found == closure_growth_lagrangians(mg)
+        assert found == order_batched_lagrangians(mg)
 
     @pytest.mark.parametrize("entries", [1, 5000])
     def test_chunking_keeps_the_result(self, monkeypatch, entries):
@@ -656,6 +665,44 @@ class TestLagrangians:
         monkeypatch.setattr(pointed, "_GATHER_ENTRIES", entries)
         for mg, want in zip(groups, expected):
             assert lagrangian_subgroups(mg) == want == per_subgroup_lagrangians(mg), mg.orders
+            assert want == order_batched_lagrangians(mg, gather_entries=entries), mg.orders
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            lambda: [
+                mg for mg in distinct_seeded_groups(2718, 60, 16) if math.isqrt(mg.size) ** 2 == mg.size
+            ],
+            lambda: [abelian_double((2, 2, 2)), abelian_double((4, 4))],
+        ],
+        ids=["seeded groups", "doubles"],
+    )
+    def test_each_isotropic_subgroup_is_made_once(self, monkeypatch, groups):
+        # over one enumeration, the rows `_extensions` returns are
+        # pairwise distinct subgroups, and per order they are all the
+        # isotropic subgroups of that order
+        made = []
+        extensions = pointed._extensions
+
+        def recording(*args):
+            out = extensions(*args)
+            made.extend(out)
+            return out
+
+        monkeypatch.setattr(pointed, "_extensions", recording)
+        nonempty = 0
+        for mg in groups():
+            made.clear()
+            lagrangian_subgroups(mg)
+            rows = {}
+            for order, block, *_ in made:
+                rows.setdefault(order, []).extend(tuple(sorted(row)) for row in block.tolist())
+            for order, subgroups in rows.items():
+                assert len(set(subgroups)) == len(subgroups), (mg.orders, order)
+            counts = {order: len(subgroups) for order, subgroups in rows.items()}
+            assert counts == isotropic_subgroup_counts(mg), mg.orders
+            nonempty += bool(counts)
+        assert nonempty >= 2
 
     def test_held_positions_above_the_cap_raise_size_limit(self, monkeypatch):
         # the double of (Z_2)^4 holds 23,352 positions at its peak
