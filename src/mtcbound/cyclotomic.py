@@ -10,8 +10,9 @@ a real value (`real_sign`, `floor`), and `_root_phase`, the one exact
 decision of x = rho zeta_L^j for a rational rho^2.  `_root_phase` takes
 its guess of j only where an error bound makes it exact for every such
 value, and one exact test of x^2 then decides; `as_root_of_unity`
-(rho = 1), `modular.central_charge` and `pointed.milgram_signature`
-all read roots of unity through it.
+(rho = 1), `modular.FactoredMatrix.root_exponents` (through
+`as_root_of_unity`), `modular.central_charge` and
+`pointed.milgram_signature` all read roots of unity through it.
 
 One substitution, zeta -> zeta^k (`_embed_nums`), is the layer's only
 power map: it embeds a value into a larger conductor, conjugates it, and

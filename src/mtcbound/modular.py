@@ -64,8 +64,9 @@ sum of squares once per distinct unit-row id, a failure named at the
 first label that carries the value.
 The twists are read as exponents once, theta_i = zeta_M^e_i
 (`_twist_exponents`): T keeps its entries' root exponents
-(`FactoredMatrix.root_exponents`, one look-up of each packed entry
-among the rows of zeta_m^j), and each datum the twists' once.  The
+(`FactoredMatrix.root_exponents`: each distinct entry that an exact
+Kronecker test shows to be a root of unity is read by
+`as_root_of_unity`), and each datum the twists' once.  The
 root-of-unity check, the ring route's twist equation and the Gauss sum
 read them.  The Gauss sum tau+- = sum_i d_i^2 theta_i^(+-1) is one
 integer product, cached per datum by `_gauss_sum`: the histogram of
@@ -73,11 +74,12 @@ integer product, cached per datum by `_gauss_sum`: the histogram of
 gives one class sum per distinct unit-row entry, then one d^2 product
 per class.  `central_charge`, `gauss_sums` and the balancing and
 Gauss-identity checks of `validate_modular` all read it, and
-`central_charge` reads the root of unity tau+/D off its integer
-numerators with `cyclotomic._root_phase`, the exact kernel that
+`central_charge` reads the root of unity tau+/D off the one product
+tau+ S_uu with `cyclotomic._root_phase`, the exact kernel that
 `as_root_of_unity` and `pointed.milgram_signature` share, and whose
-None proves there is none.  A zero twist leaves tau- undefined,
-and the Gauss-identity check fails at that label.
+None proves there is none; no other code decides whether a value is
+a root of unity.  A zero twist leaves tau- undefined, and the
+Gauss-identity check fails at that label.
 `ModularData.from_json_dict` parses each distinct scalar object once.
 """
 
@@ -102,7 +104,6 @@ from .cyclotomic import (
     _lcm,
     _power_row,
     _root_phase,
-    _root_row,
     euler_phi,
     from_angle,
 )
@@ -417,30 +418,32 @@ class FactoredMatrix:
 
     def root_exponents(self) -> tuple[int, np.ndarray]:
         """(m, roots): entries[k] = zeta_m^roots[k], or roots[k] = -1 when
-        entries[k] is no root of unity.  Made once, then kept; a vector
-        made by `powers` keeps its own exponents.
+        entries[k] is no root of unity, for m = lcm(2, n) and n the lcm
+        conductor of the entries (the table is made first, so a conductor
+        past the table cap is refused before any entry is read).  Made
+        once, then kept; a vector made by `powers` keeps its own
+        exponents.
 
-        The entries are packed over their lcm conductor n, and every root
-        of unity of Q(zeta_n) has an order dividing m = lcm(2, n), so one
-        look-up of each packed row among the rows of zeta_m^j, j < m,
-        decides it: a missed row is no root.  An entry holds a root only
-        if the common denominator divides its row.  Past
-        `_PRODUCT_TABLE_CAP` coefficients of rows, each entry is read
-        off by `as_root_of_unity`, the exact kernel `_root_phase`,
-        instead."""
+        Every root of unity of Q(zeta_n) has an order dividing m, so an
+        entry read as e^(2 pi i k/L) by `as_root_of_unity`, the exact
+        kernel `_root_phase`, has exponent k m/L.  An entry x reaches the
+        kernel only if its denominator is 1 and x conj(x) = 1, and then it
+        is a root of unity: the power basis is an integral basis of
+        Z[zeta_c], so den 1 makes x an algebraic integer; Q(zeta_c) is a
+        CM field (or Q) with an abelian Galois group, so conjugation
+        commutes with every embedding sigma and |sigma(x)|^2 =
+        sigma(x conj(x)) = 1; and by Kronecker's theorem an algebraic
+        integer whose conjugates all have absolute value 1 is a root of
+        unity.  The kernel thus reads only roots of unity, whose
+        coefficients are small, and every other entry is refused
+        exactly, with no float."""
         if self._roots is None:
-            table = self.table()
-            n, den, rows = table.conductor, table.den, table.nums[:, 0]
-            m = _lcm(2, n)
-            if m * rows.shape[1] <= _PRODUCT_TABLE_CAP:
-                lookup = _root_rows(n)
-                whole = (rows % den == 0).all(axis=1)
-                found = [lookup.get(tuple(row), -1) for row in (rows // den).tolist()]
-                roots = np.where(whole, found, -1)
-            else:
-                found = (e.as_root_of_unity() for e in self.entries)
-                roots = np.array([-1 if r is None else r[0] * m // r[1] for r in found])
-            self._roots = m, roots
+            m = _lcm(2, self.table().conductor)
+            roots = []
+            for e in self.entries:
+                root = e.as_root_of_unity() if e.den == 1 and e * e.conj() == ONE else None
+                roots.append(-1 if root is None else root[0] * m // root[1])
+            self._roots = m, np.array(roots)
         return self._roots
 
     def __len__(self) -> int:
@@ -606,12 +609,6 @@ class ModularData:
         return md
 
 
-@lru_cache(maxsize=None)
-def _root_rows(n: int) -> dict:
-    """{`_root_row(n, j)`: j} for j < lcm(2, n)."""
-    return {_root_row(n, j): j for j in range(_lcm(2, n))}
-
-
 def _all_cyclotomic(values) -> bool:
     """Every value is a `Cyclotomic`: one C-level scan of the types."""
     return all(issubclass(kind, Cyclotomic) for kind in set(map(type, values)))
@@ -757,7 +754,7 @@ def _twist_exponents(md: ModularData) -> tuple:
     Read off `FactoredMatrix.root_exponents` of T: when T_u = zeta_m^e_u
     is a root of unity, theta_i = T_i / T_u is one iff T_i is, with
     exponent e_i - e_u mod m.  Otherwise the twists themselves are
-    matched the same way.  The least order is m over the gcd of m and
+    read the same way.  The least order is m over the gcd of m and
     every exponent, and the exponents are int64 below 2^62.  Once per
     datum.
     """
@@ -842,9 +839,9 @@ def _gauss_sum(md: ModularData, sign: int) -> Cyclotomic:
     power rows of zeta_M (`_power_rows`, cached per M) gives one class
     sum per a; tau- negates the exponents, so no twist is inverted and
     none is divided by T_u.  The exponents are exact: every root of
-    unity of Q(zeta_n) has an order dividing lcm(2, n), so the match
-    that finds them misses only non-roots.  Twists that are not all
-    roots of unity take `_slot_gauss_sum`.
+    unity of Q(zeta_n) has an order dividing lcm(2, n), so
+    `FactoredMatrix.root_exponents` misses only non-roots.  Twists that
+    are not all roots of unity take `_slot_gauss_sum`.
     """
 
     def compute(md: ModularData) -> Cyclotomic:
@@ -870,36 +867,19 @@ def gauss_sums(md: ModularData) -> tuple[Cyclotomic, Cyclotomic, Cyclotomic]:
     return tau_plus, tau_minus, total
 
 
-def _times(n: int, a, b) -> list:
-    """The numerators of a b over Q(zeta_n), for sequences a and b of
-    phi(n) integer numerators, exactly: one convolution and one product
-    with the reduction rows, in int64 under a bound; a rational factor
-    only scales."""
-    if not any(a[1:]):
-        a, b = b, a
-    if not any(b[1:]):
-        return [v * b[0] for v in a]
-    matrix, norm = _reduction_table(n)
-    bound = max(map(abs, a)) * max(map(abs, b)) * len(a) * norm
-    dtype = np.int64 if bound < _INT64_LIMIT else object
-    return (np.convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype)) @ matrix).tolist()
-
-
 def central_charge(md: ModularData) -> Fraction:
     """c mod 8, from tau+/D = e^(2 pi i c/8); exact.
 
-    u = tau+/D = tau+ S_uu is formed on integer numerators over n, the
-    lcm of the two conductors, and `cyclotomic._root_phase` reads the
-    root of unity off it with rho^2 = 1, so neither D nor its sign is
-    needed.  Its None proves that u is no root of unity; the error then
-    prints u formed from the tau+ of `_slot_gauss_sum` as a `Cyclotomic`.
+    u = tau+/D = tau+ S_uu is one `Cyclotomic` product, and
+    `cyclotomic._root_phase` reads the root of unity off its numerators
+    with rho^2 = 1, so neither D nor its sign is needed.  Its None
+    proves that u is no root of unity; the error then prints u formed
+    from the tau+ of `_slot_gauss_sum`.
     """
-    tau, s = _gauss_sum(md, 1), md.s_unit
-    n = _lcm(tau.conductor, s.conductor)
-    u = _times(n, *(_embed_nums(x.nums, x.conductor, n) for x in (tau, s)))
-    phase = _root_phase(n, u, tau.den * s.den, 1)
+    u = _gauss_sum(md, 1) * md.s_unit  # tau+ / D
+    phase = _root_phase(u.conductor, u.nums, u.den, 1)
     if phase is None:
-        u = _slot_gauss_sum(md, 1) * md.s_unit  # tau+ / D
+        u = _slot_gauss_sum(md, 1) * md.s_unit
         raise NotRootOfUnity(f"tau+/D = {u} is not a root of unity")
     return Fraction(8 * phase[0], phase[1])
 

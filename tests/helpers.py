@@ -8,6 +8,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -19,6 +20,7 @@ from mtcbound.cyclotomic import (
     _embed_nums,
     _lcm,
     _power_row,
+    _root_row,
     cyc_sum,
     cyclotomic_polynomial,
     euler_phi,
@@ -40,6 +42,7 @@ from mtcbound.errors import (
 )
 from mtcbound.fusion import FusionRing, _scan_rows, _table_of, first_difference, ring_product
 from mtcbound.modular import (
+    _PRODUCT_TABLE_CAP,
     FactoredMatrix,
     ModularData,
     PackedMatrix,
@@ -956,6 +959,31 @@ def per_slot_twist_roots(theta: tuple, slots: np.ndarray) -> tuple:
                 return (i,), None, None
     order = math.lcm(*(m for _, m in roots.values()))
     return None, order, np.array([k * (order // m) for k, m in map(roots.get, slots)])
+
+
+@lru_cache(maxsize=None)
+def _root_rows(n: int) -> dict:
+    """{`_root_row(n, j)`: j} for j < lcm(2, n)."""
+    return {_root_row(n, j): j for j in range(_lcm(2, n))}
+
+
+def lookup_root_exponents(matrix: FactoredMatrix) -> tuple[int, np.ndarray]:
+    """`FactoredMatrix.root_exponents` as it was before every entry went
+    to the kernel, not kept: each packed row of the entries looked up
+    among the rows of zeta_m^j, j < m = lcm(2, n), a missed row or one
+    the common denominator does not divide being no root; past
+    `_PRODUCT_TABLE_CAP` coefficients of rows, one `as_root_of_unity`
+    per entry."""
+    table = matrix.table()
+    n, den, rows = table.conductor, table.den, table.nums[:, 0]
+    m = _lcm(2, n)
+    if m * rows.shape[1] <= _PRODUCT_TABLE_CAP:
+        lookup = _root_rows(n)
+        whole = (rows % den == 0).all(axis=1)
+        found = [lookup.get(tuple(row), -1) for row in (rows // den).tolist()]
+        return m, np.where(whole, found, -1)
+    found = (e.as_root_of_unity() for e in matrix.entries)
+    return m, np.array([-1 if r is None else r[0] * m // r[1] for r in found])
 
 
 def t_table_gauss_sum(md: ModularData, sign: int) -> Cyclotomic:

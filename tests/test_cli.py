@@ -13,6 +13,7 @@ from mtcbound import corpus, modular, pointed
 from mtcbound.cli import build_parser, main
 from mtcbound.cyclotomic import CONDUCTOR_CAP, Cyclotomic
 from mtcbound.errors import MtcError, NumericError, SizeLimit
+from mtcbound.modular import ModularData, validate_modular
 from mtcbound.specfile import CategorySpecFile
 
 
@@ -86,6 +87,29 @@ class TestValidate:
         checks = json.loads(out)["reports"][0]["checks"]
         failed = [c["name"] for c in checks if not c["ok"]]
         assert failed == ["theta_root_of_unity", "balancing", "gauss_identity"]
+
+    def test_huge_non_root_twist_exits_1_with_a_report(self, capsys, tmp_path, fixture_dir):
+        # T_1 = 10^9000 (1 + i) is refused exactly, before the kernel,
+        # whose mpmath ladder stops at 8,000 digits; Python's limit on
+        # int-string conversion is lifted to write and read the file
+        obj = json.loads((fixture_dir / "toric_code.json").read_text())
+        del obj["metric_group"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            obj["modular_data"]["T"][1] = Cyclotomic(4, (10**9000, 10**9000)).to_json_dict()
+            obj["modular_data"]["conductor"] = 4
+            md = ModularData.from_json_dict(obj["modular_data"])
+            failed = validate_modular(md).failed_names()
+            bad = tmp_path / "huge-twist.json"
+            bad.write_text(json.dumps(obj), encoding="utf-8")
+            code, out, err = run(capsys, "validate", "--format", "json", str(bad))
+            checks = json.loads(out)["reports"][0]["checks"]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert failed == ["theta_root_of_unity", "balancing", "gauss_identity"]
+        assert (code, err) == (1, "")
+        assert [c["name"] for c in checks if not c["ok"]] == failed
 
     def test_nonexistent_path_exits_2(self, capsys):
         code, _, err = run(capsys, "validate", "/no/such/file.json")

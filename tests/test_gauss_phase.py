@@ -31,6 +31,7 @@ from mtcbound.pointed import MetricGroup, abelian_double, metric_modular_data, m
 from tests.helpers import (
     central_charge_via_square,
     distinct_pair_central_charge,
+    lookup_root_exponents,
     mpmath_root_of_unity,
     per_element_milgram_signature,
     per_label_central_charge,
@@ -211,6 +212,81 @@ class TestAgainstTheReplacedRoutes:
         assert outcome(milgram_signature, wide) == outcome(power_row_milgram_signature, wide)
 
 
+def twice_odd_twists(md: ModularData) -> ModularData:
+    """md with the odd labels' twists written at twice their conductor:
+    one value in several T slots."""
+    t = [x.embed(2 * x.conductor) if i % 2 else x for i, x in enumerate(md.t)]
+    return ModularData(s=md.s, t=t, unit_index=md.unit_index, ring=md.ring)
+
+
+def odd_conductor_roots(n: int) -> FactoredMatrix:
+    """+-zeta_n^k for k < n, at conductor n (or less, where they are
+    rational or of smaller order): for odd n, the powers of zeta_2n."""
+    return FactoredMatrix.vector(tuple(sign * zeta(n, k) for sign in (1, -1) for k in range(n)))
+
+
+NON_ROOTS = (
+    rational(0),
+    rational(Fraction(1, 2)),
+    2 * zeta(8),
+    (rational(3) + 4 * zeta(4)) / 5,
+    zeta(8) * 2**60,
+    Cyclotomic(4, (10**9000, 10**9000)),
+)
+
+
+class TestRootExponentsAgainstTheLookup:
+    """`FactoredMatrix.root_exponents`, and `_twist_exponents` read off
+    it, against the packed-row look-up they replaced."""
+
+    @staticmethod
+    def assert_roots_match(t: FactoredMatrix, label) -> None:
+        """Read afresh, and as kept (`powers` keeps its own m)."""
+        want_m, want = lookup_root_exponents(FactoredMatrix(t.entries, t.slots))
+        m, roots = FactoredMatrix(t.entries, t.slots).root_exponents()
+        assert (m, roots.tolist()) == (want_m, want.tolist()), label
+        m, roots = t.root_exponents()
+        angles = [-1 if r < 0 else Fraction(int(r), m) for r in roots.tolist()]
+        assert angles == [-1 if r < 0 else Fraction(r, want_m) for r in want.tolist()], label
+
+    @staticmethod
+    def assert_twists_match(md: ModularData, label, monkeypatch) -> None:
+        got = exponents_outcome(unshared(md))
+        with monkeypatch.context() as patch:
+            patch.setattr(FactoredMatrix, "root_exponents", lookup_root_exponents)
+            assert exponents_outcome(unshared(md)) == got, label
+
+    def test_fixtures_reverses_products_and_doubles(self, monkeypatch):
+        # every shipped modular fixture, and products up to conductor 80
+        ising, fib = corpus.build("ising").modular, corpus.build("fibonacci").modular
+        data = modular_inputs() + [("double(ising x fibonacci)", double(box_tensor(ising, fib)))]
+        assert max(md.conductor() for _, md in data) == 80
+        for label, md in data:
+            self.assert_roots_match(md.t, label)
+            self.assert_twists_match(md, label, monkeypatch)
+
+    def test_twists_at_twice_their_conductor(self, monkeypatch):
+        toric, ising = corpus.build("toric_code").modular, corpus.build("ising").modular
+        md = double(box_tensor(toric, ising))
+        mixed = twice_odd_twists(md)
+        assert md.rank == 144 and len(mixed.t.entries) > len(md.t.entries)
+        self.assert_roots_match(mixed.t, "rank-144 mixed")
+        self.assert_twists_match(mixed, "rank-144 mixed", monkeypatch)
+        assert exponents_outcome(fresh(mixed)) == exponents_outcome(fresh(md))
+
+    def test_odd_conductors(self):
+        for n in (3, 5, 15):
+            t = odd_conductor_roots(n)
+            self.assert_roots_match(t, n)
+            m, roots = t.root_exponents()
+            assert m == 2 * n and sorted(roots.tolist()) == list(range(2 * n)), n
+
+    def test_non_roots(self):
+        t = FactoredMatrix.vector((rational(1), zeta(8)) + NON_ROOTS)
+        self.assert_roots_match(t, "non-roots")
+        assert t.root_exponents()[1].tolist() == [0, 1] + [-1] * len(NON_ROOTS)
+
+
 class TestKernel:
     def test_reads_rho_zeta_back(self):
         # x = rho zeta_L^j for rho = sqrt(k), over every j, and x = 0; x
@@ -257,21 +333,24 @@ class TestKernel:
         assert [(milgram_signature(mg), central_charge(fresh(md))) for mg, md in inputs] == expected
 
     def test_root_match_past_the_table_cap(self, monkeypatch):
-        # T's entries read off `as_root_of_unity` one by one instead of
-        # the table look-up; the kernel has no such cap
+        # the cap bounds only the ring route's product tables now: T's
+        # entries go to the kernel whatever it is, so at 0 the answers
+        # still equal those of the look-up route it replaced
         data = [md for _, md in modular_inputs()[:12]] + [
             metric_modular_data(mg) for mg in self.groups()
         ]
-        expected = [
-            (exponents_outcome(unshared(md)), gauss_sums(fresh(md)), central_charge(fresh(md)))
-            for md in data
-        ]
+
+        def answers() -> list:
+            return [
+                (exponents_outcome(unshared(md)), gauss_sums(fresh(md)), central_charge(fresh(md)))
+                for md in data
+            ]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FactoredMatrix, "root_exponents", lookup_root_exponents)
+            expected = answers()
         monkeypatch.setattr(modular, "_PRODUCT_TABLE_CAP", 0)
-        got = [
-            (exponents_outcome(unshared(md)), gauss_sums(fresh(md)), central_charge(fresh(md)))
-            for md in data
-        ]
-        assert got == expected
+        assert answers() == expected
 
     @staticmethod
     def groups() -> list:
