@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 import operator
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,6 +47,31 @@ CONDUCTOR_CAP = 10**6
 TABLE_PHI_CAP = 2048
 # integers of absolute value below 2^53 are exact in float64
 _FLOAT_EXACT = 2**53
+
+# an integer as int() reads it from a string
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _digit_limit_error() -> InputError:
+    """The refusal of an integer past Python's limit on int-string
+    conversion (`sys.get_int_max_str_digits`), which the library reads
+    but never lifts."""
+    return InputError(
+        f"integer of more than {sys.get_int_max_str_digits()} digits: past Python's "
+        "int-string conversion limit (sys.set_int_max_str_digits)"
+    )
+
+
+def _coefficient_entry(x, pair) -> int:
+    """int(x) for x of a coefficient pair; a well-formed integer string
+    that int() refuses is past the digit limit."""
+    try:
+        return int(x)
+    except (TypeError, ValueError) as exc:
+        if isinstance(x, str) and _INTEGER.fullmatch(x):
+            raise _digit_limit_error() from exc
+        raise InputError(f"bad coefficient entry {pair!r}") from exc
+
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (index = power, trailing entry nonzero)
@@ -519,10 +546,11 @@ class Cyclotomic:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.conductor,
-            "c": [[str(f.numerator), str(f.denominator)] for f in self.coeffs()],
-        }
+        try:
+            coeffs = [[str(f.numerator), str(f.denominator)] for f in self.coeffs()]
+        except ValueError as exc:  # past the int-string digit limit
+            raise _digit_limit_error() from exc
+        return {"N": self.conductor, "c": coeffs}
 
     @staticmethod
     def from_json_dict(obj) -> "Cyclotomic":
@@ -545,10 +573,7 @@ class Cyclotomic:
                 or any(type(x) not in (int, str) for x in pair)
             ):
                 raise InputError(f"bad coefficient entry {pair!r}")
-            try:
-                p, q = int(pair[0]), int(pair[1])
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"bad coefficient entry {pair!r}") from exc
+            p, q = (_coefficient_entry(x, pair) for x in pair)
             if q == 0:
                 raise InputError("zero denominator in scalar coefficient")
             fracs.append(Fraction(p, q))

@@ -34,9 +34,10 @@ the ring by `FusionRing.same_fusion`) without building a second
 radical only, and evaluates the Gram polynomial at every element as
 one integer product.  The Lagrangian enumeration adds one int16
 `group_law` of sums among the isotropic elements, and runs one order at
-a time: all isotropic subgroups of one order are one array, extended
-together in chunks of bounded size.  Each is made once, along its greedy
-generator chain, so none is deduplicated.
+a time (`isotropic_subgroups`, which the unhinted verdict also runs, on
+sums read off a ring's law): all isotropic subgroups of one order are
+one array, extended together in chunks of bounded size.  Each is made
+once, along its greedy generator chain, so none is deduplicated.
 T keeps e as its root exponents (`FactoredMatrix.powers`), so the
 twists' exponents are never searched for.  The Milgram sum is one
 integer product of the q-exponent histogram with the power rows of
@@ -70,7 +71,9 @@ SUBGROUP_SIZE_CAP = 4096
 HELD_POSITIONS_CAP = 2**25
 
 # Bound on the int16 entries of one gather sums[H] in the Lagrangian
-# enumeration, (subgroups, |H|, isotropic elements): 2 MB per chunk.
+# enumeration, (subgroups, |H|, isotropic elements): 2 MB per chunk.  The
+# associativity test of `obstruction`'s pointed route bounds its gathers
+# of (x g) y by it too.
 _GATHER_ENTRIES = 2**20
 
 
@@ -404,9 +407,10 @@ def lagrangian_subgroups(mg: MetricGroup) -> list:
     deduplicated.  An extension is larger than H, so once every subgroup
     of smaller order is extended, the subgroups of the least pending
     order are all known; they are extended together, in chunks
-    (`_extensions`).  Capped at |A| = SUBGROUP_SIZE_CAP, and refused with
-    SizeLimit once the pending and found subgroups hold more than
-    HELD_POSITIONS_CAP positions.
+    (`_extensions`).  That loop is `isotropic_subgroups`, which the
+    unhinted `obstruction.verdict` also runs on pointed data.  Capped at
+    |A| = SUBGROUP_SIZE_CAP, and refused with SizeLimit once the pending
+    and found subgroups hold more than HELD_POSITIONS_CAP positions.
     """
     n = mg.size
     if n > SUBGROUP_SIZE_CAP:
@@ -418,7 +422,24 @@ def lagrangian_subgroups(mg: MetricGroup) -> list:
     iso = np.flatnonzero(e == 0)
     if not iso.size or iso[0] != 0:
         return []
-    sums = _isotropic_sums(mg, iso)
+    found = isotropic_subgroups(iso, _isotropic_sums(mg, iso), target)
+    elements = mg.elements
+    return sorted(tuple(elements[i] for i in l) for l in np.sort(found, axis=1).tolist())
+
+
+def isotropic_subgroups(iso: np.ndarray, sums: np.ndarray, target: int) -> np.ndarray:
+    """The subgroups of order target whose elements all lie in iso, as a
+    (count, target) array of element indices, each row unsorted: the
+    enumeration of `lagrangian_subgroups`, and of the pointed route of
+    `obstruction.verdict`, which gathers its sums from a ring's law.
+
+    iso holds the isotropic elements, the identity first, and sums[i, j]
+    is the position in iso of iso[i] + iso[j], or -1 when that sum is
+    not in iso: an int16 table.  Subgroups grow one order at a time from
+    {position 0}, each along its greedy generator chain
+    (`lagrangian_subgroups` has the proof); SizeLimit once the pending
+    and found subgroups hold more than HELD_POSITIONS_CAP positions.
+    """
     # pending[order]: (rows, gens) pairs, one row of isotropic positions
     # per subgroup of that order and the generator that made it; {0} is
     # position 0, made by position 0
@@ -440,13 +461,12 @@ def lagrangian_subgroups(mg: MetricGroup) -> list:
                 held += rows.size
                 if held > HELD_POSITIONS_CAP:
                     raise SizeLimit(
-                        f"the subgroup enumeration of |A| = {n} holds more than "
-                        f"{HELD_POSITIONS_CAP} subgroup positions"
+                        f"the subgroup enumeration of |A| = {target * target} holds more "
+                        f"than {HELD_POSITIONS_CAP} subgroup positions"
                     )
                 pending.setdefault(order, []).append((rows, gens))
         held -= subgroups.size
-    elements = mg.elements
-    return sorted(tuple(elements[i] for i in iso[l].tolist()) for l in np.sort(found, axis=1))
+    return iso[found]
 
 
 def _isotropic_sums(mg: MetricGroup, iso: np.ndarray) -> np.ndarray:
@@ -474,24 +494,26 @@ def _extensions(h: np.ndarray, last: np.ndarray, sums: np.ndarray, target: int) 
     the accepted pairs only, coset by coset, unsorted.
     """
     size = h.shape[1]
-    least = sums[h].min(axis=1)
-    positions = np.arange(len(sums))
-    which, a = np.nonzero((least == positions) & (positions > last[:, None]))
-    # one entry per pair (H, a): multiples[k] = k a, of the coset k a + H
-    multiples = [np.zeros_like(a), a]
+    n = len(sums)
+    # a last column of -1 is what a multiple that is not isotropic (-1
+    # in sums) reads, so it is refused with the rest
+    least = np.full((len(h), n + 1), -1, dtype=sums.dtype)
+    np.min(sums[h], axis=1, out=least[:, :n])
+    positions = np.arange(n)
+    which, a = np.nonzero((least[:, :n] == positions) & (positions > last[:, None]))
+    # one entry per pair (H, a): multiples[k - 1] = k a, of the coset k a + H
+    multiples = [a]
     order = np.zeros(len(a), dtype=np.int64)  # 0 growing, -1 refused
     shift = sums[a, a]  # 2a
     while True:
-        order[(order == 0) & (shift < 0)] = -1
-        shift = np.maximum(shift, 0)  # refused pairs read position 0
         low = least[which, shift]
         growing = order == 0
-        order[growing & (low == 0)] = len(multiples)
+        order[growing & (low == 0)] = len(multiples) + 1
         order[growing & (low != 0) & (low < a)] = -1
         growing = order == 0
         if not growing.any():
             break
-        if size * (len(multiples) + 1) > target:
+        if size * (len(multiples) + 2) > target:
             order[growing] = -1
             break
         multiples.append(shift)
@@ -500,9 +522,9 @@ def _extensions(h: np.ndarray, last: np.ndarray, sums: np.ndarray, target: int) 
     for k in set(order[order > 0].tolist()):
         if target % (size * k) == 0:
             pairs = np.flatnonzero(order == k)
-            steps = np.stack([m[pairs] for m in multiples[:k]], axis=1)
-            rows = sums[h[which[pairs], None, :], steps[:, :, None]]
-            out.append((size * k, rows.reshape(len(pairs), size * k), a[pairs].astype(sums.dtype)))
+            rows = h[which[pairs]]
+            cosets = [rows] + [sums[rows, m[pairs, None]] for m in multiples[: k - 1]]
+            out.append((size * k, np.concatenate(cosets, axis=1), a[pairs].astype(sums.dtype)))
     return out
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
+from .cyclotomic import _digit_limit_error
 from .errors import InputError
 from .fusion import FusionRing
 from .modular import ModularData
@@ -136,11 +137,19 @@ class CategorySpecFile:
         try:
             with _gc_paused():
                 # the parsed tree is freed before the collector resumes
-                return CategorySpecFile.from_json_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path} is not valid JSON: {exc}") from exc
+                return CategorySpecFile.from_json_dict(_json_tree(text, path))
         except RecursionError as exc:
             raise InputError(f"{path} is nested too deeply to read") from exc
+
+
+def _json_tree(text: str, path):
+    """`json.loads`, its refusals raised as InputError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the int-string digit limit
+        raise _digit_limit_error() from exc
 
 
 @contextmanager

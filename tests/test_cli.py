@@ -111,6 +111,30 @@ class TestValidate:
         assert (code, err) == (1, "")
         assert [c["name"] for c in checks if not c["ok"]] == failed
 
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int-string digit limit")
+    @pytest.mark.parametrize("written", ["string", "number"])
+    def test_coefficient_past_the_digit_limit_exits_2_by_name(
+        self, capsys, tmp_path, fixture_dir, written
+    ):
+        # one digit past Python's int-string limit, which stays in force
+        limit = sys.get_int_max_str_digits()
+        huge = "1" + "0" * limit
+        obj = json.loads((fixture_dir / "toric_code.json").read_text())
+        del obj["metric_group"]
+        obj["modular_data"]["T"][1] = {"N": 4, "c": [[huge, "1"], [huge, "1"]]}
+        text = json.dumps(obj)
+        if written == "number":
+            text = text.replace(f'"{huge}"', huge)
+        bad = tmp_path / "huge-coefficient.json"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: integer of more than {limit} digits: past Python's int-string "
+            "conversion limit (sys.set_int_max_str_digits)\n"
+        )
+        assert sys.get_int_max_str_digits() == limit
+
     def test_nonexistent_path_exits_2(self, capsys):
         code, _, err = run(capsys, "validate", "/no/such/file.json")
         assert code == 2
@@ -349,8 +373,10 @@ class TestVerdict:
         assert "[1, 0, 0, 0, 1, 0, 0, 0, 1]" in out
 
     def test_budget_env_exits_3(self, capsys, fixture_dir, monkeypatch):
+        # pointed data do not search; the search on double(ising) makes
+        # two forced nodes
         monkeypatch.setenv("MTC_SEARCH_BUDGET", "1")
-        code, _, err = run(capsys, "verdict", str(fixture_dir / "double_toric_code.json"))
+        code, _, err = run(capsys, "verdict", str(fixture_dir / "double_ising.json"))
         assert code == 3
         assert "exceeded" in err
 

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,29 @@ def test_json_rejects_malformed():
         Cyclotomic.from_json_dict({"N": 0, "c": []})
     with pytest.raises(InputError):
         Cyclotomic.from_json_dict({"N": 4, "c": [["1", "0"], ["0", "1"]]})
+
+
+def digit_limit_message() -> str:
+    return (
+        f"integer of more than {sys.get_int_max_str_digits()} digits: past Python's "
+        "int-string conversion limit (sys.set_int_max_str_digits)"
+    )
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int-string digit limit")
+def test_json_refuses_integers_past_the_digit_limit_by_name():
+    limit = sys.get_int_max_str_digits()
+    huge = "1" + "0" * limit  # one digit past the limit
+    with pytest.raises(InputError) as refused:
+        Cyclotomic.from_json_dict({"N": 4, "c": [[huge, "1"], ["1", "1"]]})
+    assert str(refused.value) == digit_limit_message()
+    # a malformed entry is still named as one
+    with pytest.raises(InputError, match=r"^bad coefficient entry \['1', 'x'\]$"):
+        Cyclotomic.from_json_dict({"N": 4, "c": [["1", "x"], ["1", "1"]]})
+    with pytest.raises(InputError) as refused:
+        Cyclotomic(4, (10**limit, 1)).to_json_dict()
+    assert str(refused.value) == digit_limit_message()
+    assert sys.get_int_max_str_digits() == limit
 
 
 _conductors = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 16])

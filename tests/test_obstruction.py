@@ -1,15 +1,18 @@
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from mtcbound import corpus
-from mtcbound.cyclotomic import ZERO
-from mtcbound.errors import InputError, SearchBudgetExceeded
-from mtcbound import modular, obstruction
-from mtcbound.modular import ModularData, box_tensor, central_charge, double, reverse
+from mtcbound.cyclotomic import ZERO, from_angle, zeta
+from mtcbound.errors import InputError, MtcError, SearchBudgetExceeded, SizeLimit
+from mtcbound.fusion import FusionRing, group_law
+from mtcbound import modular, obstruction, pointed
+from mtcbound.modular import FactoredMatrix, ModularData, box_tensor, central_charge, double, reverse
 from mtcbound.obstruction import (
     ObstructionReport,
     candidate_search,
@@ -26,7 +29,7 @@ from mtcbound.pointed import (
     milgram_signature,
     subgroup_indicator,
 )
-from tests.helpers import backtracking_candidates, random_metric_group, s_invariant
+from tests.helpers import backtracking_candidates, random_metric_group, relabelled, s_invariant
 
 
 class TestGate:
@@ -383,3 +386,187 @@ class TestVerdict:
         b = json.dumps(verdict(md).to_json_dict(), sort_keys=True)
         assert a == b
 
+
+
+def outcome(md) -> tuple:
+    """("report", verdict(md) as JSON) or ("raises", type, message)."""
+    try:
+        return ("report", verdict(md).to_json_dict())
+    except MtcError as exc:
+        return ("raises", type(exc), str(exc))
+
+
+def searched_outcome(md, monkeypatch) -> tuple:
+    """`outcome` with the pointed route switched off: the search answers."""
+    with monkeypatch.context() as mp:
+        mp.setattr(obstruction, "_pointed_candidates", lambda md: None)
+        return outcome(md)
+
+
+def group_ring_data(mg: MetricGroup, ring=None) -> ModularData:
+    """S, T and the group ring of mg as they are, quadratic or
+    degenerate (`metric_modular_data` refuses a degenerate form)."""
+    if ring is None:
+        ring = mg._derived(pointed._group_ring)
+    return ModularData(
+        s=mg._derived(pointed._s_entries), t=mg._derived(pointed._twists), ring=ring
+    )
+
+
+def law_ring(law: np.ndarray) -> FusionRing:
+    """The ring with N_ab^c = 1 exactly when c = law[a, b], unit 0."""
+    r = len(law)
+    index = np.arange(r)
+    table = np.stack(
+        (np.repeat(index, r), np.tile(index, r), law.ravel(), np.ones(r * r, dtype=np.int64)),
+        axis=1,
+    )
+    dual = np.argmax(law == 0, axis=1)
+    return FusionRing.from_table(tuple(f"x{a}" for a in range(r)), (0,), tuple(dual.tolist()), table)
+
+
+class TestPointedRoute:
+    """The unhinted verdict answers pointed data with a group ring by the
+    Lagrangian-subgroup enumeration (`obstruction._pointed_candidates`);
+    the search it replaces there is the oracle."""
+
+    @staticmethod
+    def assert_route_equals_search(md, monkeypatch, label):
+        assert outcome(md) == searched_outcome(md, monkeypatch), label
+
+    def test_fixtures_and_base_doubles(self, monkeypatch):
+        routed = 0
+        for name in corpus.fixture_names():
+            md = corpus.build(name).effective_modular()
+            if md is not None:
+                self.assert_route_equals_search(md, monkeypatch, name)
+                routed += obstruction._pointed_candidates(md) is not None
+        for name in corpus.BASE_MODULAR_FIXTURES:
+            md = double(corpus.build(name).modular)
+            self.assert_route_equals_search(md, monkeypatch, f"double({name})")
+        # every pointed fixture with c = 0 takes the route
+        assert routed >= 8
+
+    def test_one_value_in_two_slots(self, monkeypatch):
+        # the lower triangle of S and the odd labels' twists at twice
+        # their conductor: equal values in distinct slots
+        md = metric_modular_data(abelian_double((3,)))
+        twice = lambda x: x.embed(2 * x.conductor)
+        s = [[twice(x) if a > c else x for c, x in enumerate(row)] for a, row in enumerate(md.s)]
+        t = [twice(x) if a % 2 else x for a, x in enumerate(md.t)]
+        mixed = ModularData(s=s, t=t, ring=md.ring)
+        assert len(mixed.s.entries) > len(md.s.entries)
+        assert obstruction._pointed_candidates(mixed) == obstruction._pointed_candidates(md)
+        assert len(obstruction._pointed_candidates(mixed)) == 2
+        self.assert_route_equals_search(mixed, monkeypatch, "mixed")
+
+    def test_seeded_groups_and_relabelled_copies(self, monkeypatch):
+        rng = random.Random(2718)
+        routed = 0
+        for draw in range(200):
+            md = metric_modular_data(random_metric_group(rng, max_size=64))
+            # the same data with the unit moved off label 0
+            perm = list(range(md.rank))
+            rng.shuffle(perm)
+            if perm[0] == md.unit_index and md.rank > 1:
+                perm[0], perm[1] = perm[1], perm[0]
+            moved = relabelled(md, perm)
+            assert moved.unit_index != 0 or md.rank == 1
+            for data in (md, moved):
+                self.assert_route_equals_search(data, monkeypatch, (draw, data.unit_index))
+            if central_charge_gate(md)[0]:
+                routed += 1
+                assert obstruction._pointed_candidates(moved) is not None, draw
+        assert routed >= 20
+
+    def test_every_failed_precondition_falls_back_to_the_search(self, monkeypatch):
+        toric = corpus.toric_code().modular
+        cases = {}
+        # (2) a ring that is not a group ring: tau tau = 1 + tau
+        cases["non-group ring"] = ModularData(
+            s=toric.s, t=toric.t, ring=corpus.double_fibonacci().modular.ring
+        )
+        # (2) the group ring with one multiplicity raised to 2
+        table = toric.ring.table.copy()
+        table[5, 3] = 2
+        raised = FusionRing.from_table(toric.ring.labels, (0,), toric.ring.dual, table)
+        cases["multiplicity 2"] = ModularData(s=toric.s, t=toric.t, ring=raised)
+        # (2) the law of (Z_2)^4 with the intercalate on rows 1, 2 and
+        # columns 4, 7 swapped: a Latin square that is not commutative
+        law = group_law((2,) * 4)
+        law[1, 4] = law[2, 7] = 6
+        law[1, 7] = law[2, 4] = 5
+        d22 = metric_modular_data(abelian_double((2, 2)))
+        cases["non-commutative law"] = ModularData(s=d22.s, t=d22.t, ring=law_ring(law))
+        # (3) a commutative Latin square with identity, not associative:
+        # the law of (Z_2)^4 with the intercalate on labels 14, 15 swapped;
+        # S and T are made from it and e as for a metric group, so only
+        # Light's test fails (the search then finds S^2 no permutation)
+        law = group_law((2,) * 4)
+        law[14, 14] = law[15, 15] = law[14, 15]
+        law[14, 15] = law[15, 14] = 0
+        assert (law == law.T).all() and (np.sort(law, axis=1) == np.arange(16)).all()
+        assert (law[law] != law[:, law].transpose(1, 0, 2)).any()  # (a b) c != a (b c)
+        e = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
+        k = (e[law] - e[:, None] - e[None, :]) % 2
+        s = FactoredMatrix.gathered(lambda x: from_angle(Fraction(-x, 2)) / 4, k)
+        cases["non-associative law"] = ModularData(
+            s=s, t=FactoredMatrix.powers(2, e), ring=law_ring(law)
+        )
+        # (4) one S entry negated
+        s = [list(row) for row in toric.s]
+        s[1][2] = -s[1][2]
+        cases["negated S entry"] = ModularData(s=s, t=toric.t, ring=toric.ring)
+        # (4) every -1/2 of S read as i/2: still a function of K
+        s = [[x if x == toric.s_unit else zeta(4) / 2 for x in row] for row in toric.s]
+        cases["S off the pairing"] = ModularData(s=s, t=toric.t, ring=toric.ring)
+        # (5) S and T of a q that is no quadratic form: K is not bilinear
+        q = {(0,): 0, (1,): 0, (2,): Fraction(3, 4), (3,): Fraction(1, 4)}
+        cases["non-quadratic twist"] = group_ring_data(MetricGroup(orders=(4,), q=q))
+        q = {(0, 0): 0, (0, 1): Fraction(1, 4), (1, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}
+        cases["non-bilinear pairing"] = group_ring_data(MetricGroup(orders=(2, 2), q=q))
+        # (6) q(a + x) - q(x) for x isotropic on the double of Z_3: the
+        # same bicharacter, c = 0, but q(-a) != q(a)
+        d3 = abelian_double((3,))
+        shifted = {a: d3.q[d3.add(a, (1, 0))] for a in d3.elements}
+        cases["odd twist"] = group_ring_data(MetricGroup(orders=(3, 3), q=shifted))
+        # (7) q = 0 on (Z_2)^2: every element pairs trivially with all
+        cases["degenerate pairing"] = group_ring_data(
+            MetricGroup(orders=(2, 2), q={a: 0 for a in product(range(2), repeat=2)})
+        )
+        # (1) D = -2
+        cases["negative D"] = ModularData(
+            s=[[-x for x in row] for row in toric.s], t=toric.t, ring=toric.ring
+        )
+        for label, md in cases.items():
+            assert obstruction._pointed_candidates(md) is None, label
+            self.assert_route_equals_search(md, monkeypatch, label)
+        # the gate passes on these, so the fallback search answers them
+        for label in (
+            "non-group ring",
+            "multiplicity 2",
+            "non-commutative law",
+            "non-associative law",
+            "S off the pairing",
+            "non-quadratic twist",
+            "odd twist",
+        ):
+            assert central_charge_gate(cases[label])[0], label
+
+    def test_the_double_of_z2_to_the_4_is_answered_in_under_a_second(self):
+        # the candidate search gave no answer here in 120 s
+        mg = abelian_double((2,) * 4)
+        md = metric_modular_data(mg)
+        start = time.perf_counter()
+        report = verdict(md)
+        elapsed = time.perf_counter() - start
+        hinted = verdict(md, pointed_hint=mg)
+        assert report.verdict == "CandidatesFound"
+        assert len(report.candidates) == 270
+        assert list(report.candidates) == sorted(hinted.candidates)
+        assert elapsed < 1.0, elapsed
+
+    def test_a_refused_enumeration_is_a_size_limit(self, monkeypatch):
+        monkeypatch.setattr(pointed, "HELD_POSITIONS_CAP", 1000)
+        with pytest.raises(SizeLimit, match="more than 1000 subgroup positions"):
+            verdict(metric_modular_data(abelian_double((2,) * 4)))

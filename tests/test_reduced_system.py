@@ -63,7 +63,8 @@ def data() -> dict:
 
 @pytest.fixture(scope="module")
 def built(data) -> list:
-    """(label, md, columns) of every system `verdict` builds on the data."""
+    """(label, md, columns) of every system the candidate search builds
+    on the data (`verdict` answers pointed data without one)."""
     out = []
     with pytest.MonkeyPatch.context() as mp:
         for label, md in data.items():
@@ -73,7 +74,7 @@ def built(data) -> list:
                 return _fixed_space_rows(md, columns)
 
             mp.setattr(obstruction, "_fixed_space_rows", spy)
-            verdict(md)
+            candidate_search(md)
     return out
 
 
