@@ -34,10 +34,6 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json_text(obj))
 
 
-def _load(path: str) -> CategorySpecFile:
-    return CategorySpecFile.load(path)
-
-
 def _collect_reports(spec: CategorySpecFile) -> list:
     reports = []
     if spec.metric is not None:
@@ -61,14 +57,14 @@ def _print_reports(reports: list, fmt: str) -> None:
 
 
 def cmd_validate(args) -> int:
-    spec = _load(args.path)
+    spec = CategorySpecFile.load(args.path)
     reports = _collect_reports(spec)
     _print_reports(reports, args.format)
     return EXIT_OK if all(r.ok for r in reports) else EXIT_INVALID
 
 
 def cmd_verdict(args) -> int:
-    spec = _load(args.path)
+    spec = CategorySpecFile.load(args.path)
     reports = _collect_reports(spec)
     if not all(r.ok for r in reports):
         _print_reports(reports, args.format)
@@ -97,7 +93,7 @@ def cmd_verdict(args) -> int:
 
 
 def cmd_double(args) -> int:
-    spec = _load(args.path)
+    spec = CategorySpecFile.load(args.path)
     if spec.modular is None:
         raise InputError("double needs a modular section")
     report = validate_modular(spec.modular)
@@ -118,7 +114,7 @@ def cmd_double(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    spec = _load(args.path)
+    spec = CategorySpecFile.load(args.path)
     ring = spec.effective_ring()
     if ring is None:
         raise InputError("decompose needs a fusion ring section")

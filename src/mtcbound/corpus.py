@@ -286,8 +286,6 @@ def fixture_names() -> list:
 
 
 def build(name: str) -> CategorySpecFile:
-    if name not in FIXTURES:
-        raise KeyError(name)
     return FIXTURES[name]()
 
 

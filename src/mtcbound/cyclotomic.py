@@ -278,9 +278,6 @@ class Cyclotomic:
     def is_zero(self) -> bool:
         return self.nums == (0,) and self.conductor == 1
 
-    def is_rational(self) -> bool:
-        return self.conductor == 1
-
     def as_rational(self) -> Fraction | None:
         if self.conductor == 1:
             return Fraction(self.nums[0], self.den)

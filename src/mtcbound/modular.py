@@ -102,6 +102,7 @@ from .cyclotomic import (
     _FLOAT_EXACT,
     _embed_nums,
     _lcm,
+    _mul_nums,
     _power_row,
     _root_phase,
     euler_phi,
@@ -249,12 +250,6 @@ class PackedMatrix:
         self.nums = nums
         self.den = den
 
-    @staticmethod
-    def pack(rows) -> "PackedMatrix":
-        """Pack rows of Cyclotomic scalars over the lcm of the entries'
-        conductors: factored, then gathered."""
-        return FactoredMatrix.of(rows).packed()
-
     def entry(self, i: int, j: int) -> Cyclotomic:
         return Cyclotomic(self.conductor, tuple(int(v) for v in self.nums[i, j]), self.den)
 
@@ -400,8 +395,8 @@ class FactoredMatrix:
         return self._table
 
     def packed(self) -> PackedMatrix:
-        """`PackedMatrix.pack`: the table of the entries gathered by the
-        slots.  Made once, then kept."""
+        """The table of the distinct entries gathered by the slots, over
+        the lcm of their conductors.  Made once, then kept."""
         if self._packed is None:
             table = self.table()
             self._packed = PackedMatrix(table.conductor, table.nums[self.slots, 0], table.den)
@@ -441,7 +436,9 @@ class FactoredMatrix:
             m = _lcm(2, self.table().conductor)
             roots = []
             for e in self.entries:
-                root = e.as_root_of_unity() if e.den == 1 and e * e.conj() == ONE else None
+                n = e.conductor
+                norm = e.den == 1 and _mul_nums(n, e.nums, _embed_nums(e.nums, n, n, -1))
+                root = e.as_root_of_unity() if norm and norm == _power_row(n, 0) else None
                 roots.append(-1 if root is None else root[0] * m // root[1])
             self._roots = m, np.array(roots)
         return self._roots
@@ -536,12 +533,8 @@ class ModularData:
     def s_unit(self) -> Cyclotomic:
         return self.s.entries[self.s.slots[self.unit_index, self.unit_index]]
 
-    def packed_s(self) -> PackedMatrix:
-        """S packed over the conductor of its own entries."""
-        return self.s.packed()
-
     def packed_s_squared(self) -> PackedMatrix:
-        return self._derived("packed_s2", lambda md: md.packed_s() @ md.packed_s())
+        return self._derived("packed_s2", lambda md: md.s.packed() @ md.s.packed())
 
     def total_dim(self) -> Cyclotomic:
         """D = 1/S_{uu}, exact."""
@@ -698,9 +691,9 @@ def verlinde_table(md: ModularData) -> np.ndarray:
     unit_row = md.s[u]
     if any(x.is_zero() for x in unit_row):
         raise NonModular("unit row of S has a zero entry")
-    s = md.packed_s()
+    s = md.s.packed()
     inverses = _slot_map(Cyclotomic.inverse, md.s.entries, md.s.slots[u])
-    weighted = s.times(PackedMatrix.pack((inverses,)))
+    weighted = s.times(FactoredMatrix.of((inverses,)).packed())
     conj_t = s.conj().transpose()
     r, phi = md.rank, s.nums.shape[2]
     first, second = np.triu_indices(r)  # the pairs i <= j, row-major
@@ -812,10 +805,8 @@ def _class_total(
 def _slot_gauss_sum(md: ModularData, sign: int) -> Cyclotomic:
     """tau+- by T slots, for twists that are not all roots of unity: the
     class sums of the packed table of the T entries (of their inverses
-    for tau-), then one division by T_u.  Not cached."""
+    for tau-), then one division by T_u, nonzero in both callers.  Not cached."""
     tu = md.t[md.unit_index]
-    if tu.is_zero():
-        raise NonModular("T_u = 0, twists undefined")
     t = md.t
     if sign < 0:
         t = FactoredMatrix(tuple(e.inverse() for e in t.entries), t.slots)
@@ -940,8 +931,8 @@ def double(md: ModularData) -> ModularData:
 
 def _balancing_sides(md: ModularData, theta: tuple, factor: Cyclotomic) -> tuple:
     """((S T)^3, factor * S^2), packed, with T the diagonal of twists."""
-    st = md.packed_s().times(PackedMatrix.pack((theta,)))
-    return st @ st @ st, md.packed_s_squared().times(PackedMatrix.pack(((factor,),)))
+    st = md.s.packed().times(FactoredMatrix.of((theta,)).packed())
+    return st @ st @ st, md.packed_s_squared().times(FactoredMatrix.of(((factor,),)).packed())
 
 
 def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple[bool, bool]:

@@ -56,9 +56,6 @@ class BlockDecomposition:
                 return ci
         raise InputError(f"unit position {pos} out of range")
 
-    def component_of_label(self, x: int) -> int:
-        return self.component_of_unit(self.block_of[x][0])
-
     def block_labels(self, i: int, j: int) -> list[int]:
         return [x for x in range(self.ring.rank) if self.block_of[x] == (i, j)]
 

@@ -31,10 +31,10 @@ constant and the declared ring is the group ring of an abelian group
 whose pairing, read off the twists, gives S and is nondegenerate
 (`_pointed_candidates` checks this with integer numpy work and proves
 that it makes the data those of a metric group), the candidates are
-exactly the indicators of the Lagrangian subgroups, and the subgroup
-enumeration of `pointed.lagrangian_subgroups` lists them.  The report is
-the one the search would give, byte for byte; exit 3 and
-MTC_SEARCH_BUDGET concern the search alone.
+exactly the indicators of the Lagrangian subgroups, which
+`pointed.isotropic_subgroups` lists from the ring's law among the
+labels of trivial twist.  The report is the one the search would give,
+byte for byte; exit 3 and MTC_SEARCH_BUDGET concern the search alone.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def _fixed_space_rows(md: ModularData, columns: list) -> np.ndarray:
     rows dropped; else Python integers in an object array, where a
     repeated row just reduces to zero.
     """
-    packed = md.packed_s()
+    packed = md.s.packed()
     sizes = [len(c) for c in columns]
     members = [j for c in columns for j in c]
     # packed S is a gather of the table of distinct S entries
@@ -391,8 +391,8 @@ def _pointed_candidates(md: ModularData) -> list | None:
     = <H> is a subgroup with trivial twists.  Conversely, (S 1_H)_a is
     1 for a in H and 0 otherwise, since H = H^perp makes b(a, .) a
     nontrivial character of H, so 1_H passes every condition.  The
-    subgroups come from `pointed.isotropic_subgroups`, with u first
-    among the isotropic labels.
+    subgroups come from `pointed.isotropic_subgroups`, given the
+    isotropic labels, u first, and L among them.
     """
     r, u, ring = md.rank, md.unit_index, md.ring
     # a ring has r^2 rows or more, and exactly r^2 when every product is
@@ -466,11 +466,8 @@ def _pointed_candidates(md: ModularData) -> list | None:
         return []
 
     iso = np.flatnonzero(e == 0)
-    if iso[0] != u:  # the unit first: position 0 is the zero
-        iso = np.concatenate(([u], iso[iso != u]))
-    position = np.full(r, -1, dtype=np.int16)
-    position[iso] = np.arange(len(iso))
-    found = isotropic_subgroups(iso, position[law[iso[:, None], iso]], target)
+    iso = np.concatenate(([u], iso[iso != u]))  # the unit first: position 0 is the zero
+    found = isotropic_subgroups(iso, law[iso[:, None], iso], target)
     indicators = np.zeros((len(found), r), dtype=np.int8)
     indicators[np.arange(len(found))[:, None], found] = 1
     return sorted(map(tuple, indicators.tolist()))

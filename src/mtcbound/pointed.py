@@ -33,11 +33,11 @@ the ring by `FusionRing.same_fusion`) without building a second
 `ModularData`.  `validate_metric` reads e, the coordinates and the
 radical only, and evaluates the Gram polynomial at every element as
 one integer product.  The Lagrangian enumeration adds one int16
-`group_law` of sums among the isotropic elements, and runs one order at
-a time (`isotropic_subgroups`, which the unhinted verdict also runs, on
-sums read off a ring's law): all isotropic subgroups of one order are
-one array, extended together in chunks of bounded size.  Each is made
-once, along its greedy generator chain, so none is deduplicated.
+`group_law` among the isotropic elements and runs one order at a time
+(`isotropic_subgroups`, which the unhinted verdict also runs on a
+ring's law among its isotropic labels): all isotropic subgroups of one
+order are one array, extended together in chunks of bounded size.  Each
+is made once, along its greedy generator chain, so none is deduplicated.
 T keeps e as its root exponents (`FactoredMatrix.powers`), so the
 twists' exponents are never searched for.  The Milgram sum is one
 integer product of the q-exponent histogram with the power rows of
@@ -48,13 +48,14 @@ g / sqrt(|A|) off it exactly, or proves that there is none.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, _lcm, _root_phase, from_angle, sqrt_int
+from .cyclotomic import Cyclotomic, _digit_limit_error, _lcm, _root_phase, from_angle, sqrt_int
 from .errors import Degenerate, InputError, SizeLimit
 from .fusion import element_label, group_coordinates, group_law, group_ring, group_strides
 from .modular import FactoredMatrix, ModularData, _power_rows
@@ -75,6 +76,10 @@ HELD_POSITIONS_CAP = 2**25
 # associativity test of `obstruction`'s pointed route bounds its gathers
 # of (x g) y by it too.
 _GATHER_ENTRIES = 2**20
+
+# n/d or a decimal, as `Fraction` reads them on every supported Python
+# (3.11 adds underscores); it refuses one only past the digit limit
+_RATIONAL = re.compile(r"\s*[+-]?(?=\.?\d)\d*(?:/\d+|(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*")
 
 
 @dataclass(frozen=True)
@@ -168,6 +173,8 @@ class MetricGroup:
             try:
                 table[a] = Fraction(value)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
+                if isinstance(exc, ValueError) and _RATIONAL.fullmatch(value):
+                    raise _digit_limit_error() from exc
                 raise InputError(f"bad rational {value!r} for element {key!r}") from exc
         return MetricGroup(orders=tuple(orders), q=table)
 
@@ -419,27 +426,31 @@ def lagrangian_subgroups(mg: MetricGroup) -> list:
     if target * target != n:
         return []
     e, _ = mg._derived(_exponents)
-    iso = np.flatnonzero(e == 0)
-    if not iso.size or iso[0] != 0:
+    if e[0]:
         return []
-    found = isotropic_subgroups(iso, _isotropic_sums(mg, iso), target)
+    iso = np.flatnonzero(e == 0)
+    # the law among the isotropic elements alone: |iso|^2 int16 labels
+    found = isotropic_subgroups(iso, group_law(mg.orders, iso, np.int16), target)
     elements = mg.elements
     return sorted(tuple(elements[i] for i in l) for l in np.sort(found, axis=1).tolist())
 
 
-def isotropic_subgroups(iso: np.ndarray, sums: np.ndarray, target: int) -> np.ndarray:
+def isotropic_subgroups(iso: np.ndarray, law: np.ndarray, target: int) -> np.ndarray:
     """The subgroups of order target whose elements all lie in iso, as a
-    (count, target) array of element indices, each row unsorted: the
-    enumeration of `lagrangian_subgroups`, and of the pointed route of
-    `obstruction.verdict`, which gathers its sums from a ring's law.
+    (count, target) array of labels, each row unsorted: the enumeration
+    of `lagrangian_subgroups` and of `obstruction`'s pointed route.
 
-    iso holds the isotropic elements, the identity first, and sums[i, j]
-    is the position in iso of iso[i] + iso[j], or -1 when that sum is
-    not in iso: an int16 table.  Subgroups grow one order at a time from
-    {position 0}, each along its greedy generator chain
-    (`lagrangian_subgroups` has the proof); SizeLimit once the pending
-    and found subgroups hold more than HELD_POSITIONS_CAP positions.
+    iso holds the isotropic labels, the identity first, and law[i, j] is
+    the label of iso[i] + iso[j].  Labels lie below target^2 <=
+    SUBGROUP_SIZE_CAP (both callers check), so positions fit int16.
+    Subgroups grow one order at a time from {position 0}, each along its
+    greedy chain (`lagrangian_subgroups` has the proof); SizeLimit once the
+    pending and found subgroups hold over HELD_POSITIONS_CAP positions.
     """
+    # sums[i, j]: the position in iso of iso[i] + iso[j], -1 outside iso
+    position = np.full(target * target, -1, dtype=np.int16)
+    position[iso] = np.arange(len(iso))
+    sums = position[law]
     # pending[order]: (rows, gens) pairs, one row of isotropic positions
     # per subgroup of that order and the generator that made it; {0} is
     # position 0, made by position 0
@@ -467,15 +478,6 @@ def isotropic_subgroups(iso: np.ndarray, sums: np.ndarray, target: int) -> np.nd
                 pending.setdefault(order, []).append((rows, gens))
         held -= subgroups.size
     return iso[found]
-
-
-def _isotropic_sums(mg: MetricGroup, iso: np.ndarray) -> np.ndarray:
-    """sums[i, j] = position in iso of iso[i] + iso[j], or -1 when that
-    sum is not isotropic: an int16 table over the isotropic elements."""
-    position = np.full(mg.size, -1, dtype=np.int16)
-    position[iso] = np.arange(len(iso))
-    # indices below SUBGROUP_SIZE_CAP, and sums of two coordinates, fit in int16
-    return position[group_law(mg.orders, iso, np.int16)]
 
 
 def _extensions(h: np.ndarray, last: np.ndarray, sums: np.ndarray, target: int) -> list:

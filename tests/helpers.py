@@ -40,7 +40,14 @@ from mtcbound.errors import (
     SearchBudgetExceeded,
     SizeLimit,
 )
-from mtcbound.fusion import FusionRing, _scan_rows, _table_of, first_difference, ring_product
+from mtcbound.fusion import (
+    FusionRing,
+    _scan_rows,
+    _table_of,
+    first_difference,
+    group_law,
+    ring_product,
+)
 from mtcbound.modular import (
     _PRODUCT_TABLE_CAP,
     FactoredMatrix,
@@ -62,7 +69,6 @@ from mtcbound.pointed import (
     SUBGROUP_SIZE_CAP,
     MetricGroup,
     _exponents,
-    _isotropic_sums,
     _radical_mask,
     _s_entries,
     _twists,
@@ -228,7 +234,9 @@ def per_subgroup_lagrangians(mg: MetricGroup) -> list:
     iso = np.flatnonzero(e == 0)
     if not iso.size or iso[0] != 0:
         return []
-    sums = _isotropic_sums(mg, iso)
+    position = np.full(n, -1, dtype=np.int16)
+    position[iso] = np.arange(len(iso))
+    sums = position[group_law(mg.orders, iso, np.int16)]
     root = np.zeros(1, dtype=sums.dtype)  # {0}; zero is isotropic position 0
     seen = {root.tobytes()}
     stack = [root]
@@ -307,7 +315,9 @@ def order_batched_lagrangians(mg: MetricGroup, gather_entries: int = 2**20) -> l
     iso = np.flatnonzero(e == 0)
     if not iso.size or iso[0] != 0:
         return []
-    sums = _isotropic_sums(mg, iso)
+    position = np.full(n, -1, dtype=np.int16)
+    position[iso] = np.arange(len(iso))
+    sums = position[group_law(mg.orders, iso, np.int16)]
     pending = {1: [np.zeros((1, 1), dtype=sums.dtype)]}
     found = np.empty((0, target), dtype=sums.dtype)
     while pending:
@@ -588,7 +598,8 @@ def law_matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
 
 
 def per_entry_pack(rows) -> PackedMatrix:
-    """`PackedMatrix.pack` with every entry embedded and scaled on its own."""
+    """`FactoredMatrix.of(rows).packed()` with every entry embedded and
+    scaled on its own."""
     conductor = 1
     for row in rows:
         for e in row:
@@ -609,9 +620,10 @@ def per_entry_pack(rows) -> PackedMatrix:
 
 
 def row_pack(rows) -> PackedMatrix:
-    """`PackedMatrix.pack` as it was before S was held factored: one
-    dictionary slot per distinct (conductor, nums, den), looked up entry
-    by entry, and the embedded table gathered by the nested index."""
+    """`FactoredMatrix.of(rows).packed()` as it was before S was held
+    factored: one dictionary slot per distinct (conductor, nums, den),
+    looked up entry by entry, and the embedded table gathered by the
+    nested index."""
     slots: dict = {}
     index = [
         [slots.setdefault((e.conductor, e.nums, e.den), len(slots)) for e in row]
@@ -1152,7 +1164,7 @@ def per_member_fixed_space_rows(md: ModularData, columns: list) -> list:
     """The rows of `obstruction._fixed_space_rows` as tuples, built in
     Python integers with one object cast per orbit member, with repeated
     and zero rows dropped."""
-    packed = md.packed_s()
+    packed = md.s.packed()
     r, _, phi = packed.nums.shape
     a = np.zeros((r, phi, len(columns)), dtype=object)
     for c, members in enumerate(columns):

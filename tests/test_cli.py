@@ -135,6 +135,35 @@ class TestValidate:
         )
         assert sys.get_int_max_str_digits() == limit
 
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int-string digit limit")
+    @pytest.mark.parametrize("form", ["{}", "-{}", "1/{}", "{}/3", "0.{}", "{}e-2", "1e{}"])
+    def test_q_value_past_the_digit_limit_exits_2_by_name(
+        self, capsys, tmp_path, fixture_dir, form
+    ):
+        # the line that coefficients get, not a 5,000-character echo
+        limit = sys.get_int_max_str_digits()
+        obj = json.loads((fixture_dir / "toric_code.json").read_text())
+        obj["metric_group"]["q"]["0,1"] = form.format("1" + "0" * limit)
+        bad = tmp_path / "huge-q.json"
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: integer of more than {limit} digits: past Python's int-string "
+            "conversion limit (sys.set_int_max_str_digits)\n"
+        )
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("value", ["1/x", "1 / 2", "1/0", "1/2/3", "1._5", "1.5/2"])
+    def test_malformed_q_value_exits_2_as_a_bad_rational(
+        self, capsys, tmp_path, fixture_dir, value
+    ):
+        def edit(obj):
+            obj["metric_group"]["q"]["0,1"] = value
+
+        err = self._malformed(capsys, tmp_path, fixture_dir, edit)
+        assert err == f"error: bad rational {value!r} for element '0,1'\n"
+
     def test_nonexistent_path_exits_2(self, capsys):
         code, _, err = run(capsys, "validate", "/no/such/file.json")
         assert code == 2
@@ -419,6 +448,23 @@ class TestDouble:
             capsys, "double", str(fixture_dir / "m2.json"), str(tmp_path / "x.json")
         )
         assert code == 2
+
+    def test_invalid_modular_section_exits_1_and_writes_nothing(
+        self, capsys, tmp_path, fixture_dir
+    ):
+        obj = json.loads((fixture_dir / "toric_code.json").read_text())
+        obj["modular_data"]["T"][3] = obj["modular_data"]["T"][0]
+        bad, out_path = tmp_path / "tampered.json", tmp_path / "doubled.json"
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run(capsys, "double", "--format", "json", str(bad), str(out_path))
+        assert (code, err) == (1, "")
+        [report] = json.loads(out)["reports"]
+        assert report["subject"] == "modular data"
+        assert [c["name"] for c in report["checks"] if not c["ok"]] == [
+            "balancing",
+            "gauss_identity",
+        ]
+        assert not out_path.exists()
 
     def test_product_above_the_size_cap_exits_2_and_writes_nothing(
         self, capsys, tmp_path, fixture_dir, monkeypatch

@@ -317,7 +317,7 @@ class TestInverseOracle:
         # value is stored above its minimal conductor.
         for x in [*(sqrt_int(n) for n in range(1, 201)), sqrt_int(2).embed(16)]:
             y = x.inverse()
-            assert (x * x.conj()).is_rational()
+            assert (x * x.conj()).conductor == 1
             assert x * y == 1 and y.conductor == x.conductor, x
             if x.conductor <= 64:
                 assert _parts(y) == _parts(euclid_inverse(x)), x
@@ -333,7 +333,7 @@ class TestInverseOracle:
             assert x.conductor == 8 * m
             assert abs(x.approx() - math.sqrt(2 / m) * math.sin(math.pi / m)) < 1e-12
         for x in values:
-            assert not (x * x.conj()).is_rational(), x
+            assert (x * x.conj()).conductor != 1, x
             assert _parts(x.inverse()) == _parts(euclid_inverse(x)), x
             assert x * x.inverse() == 1 and x.inverse().conductor == x.conductor, x
 

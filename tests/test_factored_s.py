@@ -15,7 +15,6 @@ from mtcbound.cyclotomic import Cyclotomic, rational, zeta
 from mtcbound.modular import (
     FactoredMatrix,
     ModularData,
-    PackedMatrix,
     box_tensor,
     double,
     reverse,
@@ -70,7 +69,7 @@ def assert_same_as_per_entry(md: ModularData, oracle: ModularData, label) -> Non
             CategorySpecFile(name=name, modular=md).dumps()
             == CategorySpecFile(name=name, modular=oracle).dumps()
         ), label
-    packed, expected = md.packed_s(), row_pack(rows)
+    packed, expected = md.s.packed(), row_pack(rows)
     assert (packed.conductor, packed.den) == (expected.conductor, expected.den), label
     assert packed.nums.dtype == expected.nums.dtype, label
     assert (packed.nums == expected.nums).all(), label
@@ -190,7 +189,7 @@ class TestPackAndEquality:
         rows_list.append(((ONE_HALF, rational(Fraction(1, 2))), (zeta(3), zeta(3))))
         rows_list.append(((zeta(4), zeta(5), rational(3)),))  # one row, mixed conductors
         for label, rows in enumerate(rows_list):
-            packed, expected = PackedMatrix.pack(rows), row_pack(rows)
+            packed, expected = FactoredMatrix.of(rows).packed(), row_pack(rows)
             assert (packed.conductor, packed.den) == (expected.conductor, expected.den), label
             assert packed.nums.dtype == expected.nums.dtype, label
             assert (packed.nums == expected.nums).all(), label

@@ -238,7 +238,7 @@ class TestVerlinde:
     def block_settings(md) -> dict:
         """_BLOCK_ENTRIES values: one pair i <= j per block, three blocks
         for md, and the default."""
-        r, phi = md.rank, md.packed_s().nums.shape[2]
+        r, phi = md.rank, md.s.packed().nums.shape[2]
         pairs = r * (r + 1) // 2
         return {
             "one pair": 1,
@@ -363,7 +363,7 @@ class TestPackedLayer:
 
         a = tuple(tuple(entry() for _ in range(3)) for _ in range(4))
         b = tuple(tuple(entry() for _ in range(2)) for _ in range(3))
-        pa, pb = PackedMatrix.pack(a), PackedMatrix.pack(b)
+        pa, pb = FactoredMatrix.of(a).packed(), FactoredMatrix.of(b).packed()
         assert pa.nums.dtype == object
         product = pa @ pb
         assert product.nums.dtype == object
@@ -390,7 +390,7 @@ class TestPackedLayer:
 
                 a = tuple(tuple(entry() for _ in range(64)) for _ in range(2))
                 b = tuple(tuple(entry() for _ in range(2)) for _ in range(64))
-                pa, pb = PackedMatrix.pack(a), PackedMatrix.pack(b)
+                pa, pb = FactoredMatrix.of(a).packed(), FactoredMatrix.of(b).packed()
                 assert rows_of(pa @ pb) == object_matmul(a, b), limit
                 assert rows_of(pa.times(pa)) == tuple(
                     tuple(x * x for x in row) for row in a
@@ -399,7 +399,8 @@ class TestPackedLayer:
     def test_products_mix_conductors(self):
         a = ((zeta(5), sqrt_int(2)), (rational(Fraction(1, 3)), zeta(3)))
         b = ((zeta(8, 3), ONE), (zeta(5, 2), rational(-2)))
-        assert rows_of(PackedMatrix.pack(a) @ PackedMatrix.pack(b)) == object_matmul(a, b)
+        product = FactoredMatrix.of(a).packed() @ FactoredMatrix.of(b).packed()
+        assert rows_of(product) == object_matmul(a, b)
 
     def test_pack_matches_the_per_entry_oracle(self):
         mixed = (
@@ -410,7 +411,7 @@ class TestPackedLayer:
         inputs = [(name, md.s) for name, md in oracle_inputs()]
         inputs.append(("mixed conductors", mixed))
         for name, rows in inputs:
-            packed, expected = PackedMatrix.pack(rows), per_entry_pack(rows)
+            packed, expected = FactoredMatrix.of(rows).packed(), per_entry_pack(rows)
             assert (packed.conductor, packed.den) == (expected.conductor, expected.den), name
             assert packed.nums.dtype == expected.nums.dtype, name
             assert packed.nums.shape == expected.nums.shape, name
@@ -650,6 +651,82 @@ class TestValidationReport:
         )
         report = validate_modular(ModularData(s=md.s, t=md.t, ring=bad_ring))
         assert "verlinde_matches_ring" in report.failed_names()
+
+    @staticmethod
+    def rendered(md) -> list:
+        return validate_modular(md).render_text().splitlines()[1:]
+
+    def test_zero_s_uu_leaves_the_dims_unavailable(self):
+        md = toric_md()
+        rows = [list(r) for r in md.s]
+        rows[0][0] = rational(0)
+        assert self.rendered(ModularData(s=rows, t=md.t, ring=md.ring)) == [
+            "  [pass] s_symmetric",
+            "  [FAIL] dims_real_positive at (0, 0): S_{uu} = 0",
+            "  [FAIL] total_dim: dims unavailable",
+            "  [FAIL] s_squared_dual_permutation: S^2 is not a permutation matrix",
+            "  [FAIL] dual_matches_ring: S^2 permutation differs from the declared dual",
+            "  [pass] theta_normalized",
+            "  [pass] theta_root_of_unity",
+            "  [FAIL] theta_dual_invariant: dual permutation unavailable",
+            "  [FAIL] verlinde_integral: unit row of S has a zero entry",
+            "  [FAIL] verlinde_matches_ring: verlinde unavailable",
+        ]
+
+    def test_zero_t_u_leaves_the_twists_unavailable(self):
+        md = toric_md()
+        t = (rational(0),) + tuple(md.t)[1:]
+        assert self.rendered(ModularData(s=md.s, t=t, ring=md.ring)) == [
+            "  [pass] s_symmetric",
+            "  [pass] dims_real_positive",
+            "  [pass] total_dim",
+            "  [pass] s_squared_dual_permutation",
+            "  [pass] dual_matches_ring",
+            "  [FAIL] theta_normalized at (0,): T_u = 0",
+            "  [FAIL] theta_root_of_unity: twists unavailable",
+            "  [FAIL] theta_dual_invariant: twists unavailable",
+            "  [FAIL] balancing: twists unavailable",
+            "  [FAIL] gauss_identity: twists unavailable",
+            "  [pass] verlinde_integral",
+            "  [pass] verlinde_matches_ring",
+        ]
+
+    def test_non_real_dim_is_named(self):
+        md = toric_md()
+        rows = [list(r) for r in md.s]
+        rows[0][1] = rows[1][0] = zeta(4) / 2
+        assert self.rendered(ModularData(s=rows, t=md.t, ring=md.ring)) == [
+            "  [pass] s_symmetric",
+            "  [FAIL] dims_real_positive at (1,): not fixed by conjugation",
+            "  [FAIL] total_dim: 1/S_uu squared differs from sum of d_i^2",
+            "  [FAIL] s_squared_dual_permutation: S^2 is not a permutation matrix",
+            "  [FAIL] dual_matches_ring: S^2 permutation differs from the declared dual",
+            "  [pass] theta_normalized",
+            "  [pass] theta_root_of_unity",
+            "  [FAIL] theta_dual_invariant: dual permutation unavailable",
+            "  [FAIL] balancing at (0, 0)",
+            "  [FAIL] gauss_identity",
+            "  [FAIL] verlinde_integral: N[0,0,1] = -1/2",
+            "  [FAIL] verlinde_matches_ring: verlinde unavailable",
+        ]
+
+    def test_s_squared_swapping_the_unit_is_named(self):
+        # S = ((1 + i) / 2, (1 - i) / 2; (1 - i) / 2, (1 + i) / 2) squares
+        # to the swap of the two labels: a permutation moving the unit
+        a, b = (1 + zeta(4)) / 2, (1 - zeta(4)) / 2
+        assert self.rendered(ModularData(s=[[a, b], [b, a]], t=(ONE, ONE))) == [
+            "  [pass] s_symmetric",
+            "  [FAIL] dims_real_positive at (1,): not fixed by conjugation",
+            "  [FAIL] total_dim: 1/S_uu squared differs from sum of d_i^2",
+            "  [FAIL] s_squared_dual_permutation at (0,): "
+            "S^2 permutation is not an involution fixing the unit",
+            "  [pass] theta_normalized",
+            "  [pass] theta_root_of_unity",
+            "  [FAIL] theta_dual_invariant: dual permutation unavailable",
+            "  [FAIL] balancing at (0, 0)",
+            "  [FAIL] gauss_identity",
+            "  [FAIL] verlinde_integral: N[1,1,0] = -1",
+        ]
 
 
 class TestConstructions:

@@ -49,8 +49,9 @@ def test_direct_sum_two_components():
     assert ranks == [2, 2]
     # block-diagonality against the raw tensor
     for (x, y, z), v in ds.fusion.items():
-        cx = dec.component_of_label(x)
-        assert dec.component_of_label(y) == cx and dec.component_of_label(z) == cx
+        cx = dec.component_of_unit(dec.block_of[x][0])
+        assert dec.component_of_unit(dec.block_of[y][0]) == cx
+        assert dec.component_of_unit(dec.block_of[z][0]) == cx
 
 
 def test_m2_plus_trivial():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mtcbound import corpus
-from mtcbound.cyclotomic import ZERO, from_angle, zeta
+from mtcbound.cyclotomic import ZERO, from_angle, rational, zeta
 from mtcbound.errors import InputError, MtcError, SearchBudgetExceeded, SizeLimit
 from mtcbound.fusion import FusionRing, group_law
 from mtcbound import modular, obstruction, pointed
@@ -538,6 +538,33 @@ class TestPointedRoute:
         cases["negative D"] = ModularData(
             s=[[-x for x in row] for row in toric.s], t=toric.t, ring=toric.ring
         )
+        # (1) rank 3 with D^2 = -3: the Z_3 form q(x) = 2 x^2 / 3 (c = 6)
+        # with S times i, which turns c to 0
+        z3 = metric_modular_data(
+            MetricGroup(orders=(3,), q={(0,): 0, (1,): Fraction(2, 3), (2,): Fraction(2, 3)})
+        )
+        cases["D^2 != r"] = ModularData(
+            s=[[zeta(4) * x for x in row] for row in z3.s], t=z3.t, ring=z3.ring
+        )
+        # (2) r^2 rows, all N = 1, with the pair (1, 3) given twice and
+        # the pair (1, 2) missing
+        table = toric.ring.table.copy()
+        row = np.flatnonzero((table[:, 0] == 1) & (table[:, 1] == 2))[0]
+        table[row, 1:3] = 3
+        twice = FusionRing.from_table(toric.ring.labels, (0,), toric.ring.dual, table)
+        cases["pair given twice"] = ModularData(s=toric.s, t=toric.t, ring=twice)
+        # (3) a max b on four labels: commutative with identity 0, and
+        # no generating set of two labels
+        law = np.maximum.outer(np.arange(4), np.arange(4))
+        index = np.arange(4)
+        table = np.stack((np.repeat(index, 4), np.tile(index, 4), law.ravel(), np.ones(16, int)), 1)
+        semilattice = FusionRing.from_table(toric.ring.labels, (0,), toric.ring.dual, table)
+        cases["max-semilattice law"] = ModularData(s=toric.s, t=toric.t, ring=semilattice)
+        # (4) a twist that is no root of unity, and twists of order 16 > 2 r
+        t = (toric.t[0], rational(2), toric.t[2], toric.t[3])
+        cases["non-root twist"] = ModularData(s=toric.s, t=t, ring=toric.ring)
+        t = (rational(1), zeta(16), -zeta(16), rational(1))
+        cases["twist order past 2r"] = ModularData(s=toric.s, t=t, ring=toric.ring)
         for label, md in cases.items():
             assert obstruction._pointed_candidates(md) is None, label
             self.assert_route_equals_search(md, monkeypatch, label)
@@ -550,6 +577,10 @@ class TestPointedRoute:
             "S off the pairing",
             "non-quadratic twist",
             "odd twist",
+            "D^2 != r",
+            "pair given twice",
+            "max-semilattice law",
+            "twist order past 2r",
         ):
             assert central_charge_gate(cases[label])[0], label
 

@@ -13,8 +13,8 @@ from mtcbound import corpus, pointed
 from mtcbound.errors import ConductorLimitError, Degenerate, InputError, SizeLimit
 from mtcbound.fusion import FusionRing, group_ring
 from mtcbound.modular import (
+    FactoredMatrix,
     ModularData,
-    PackedMatrix,
     central_charge,
     validate_modular,
     verlinde,
@@ -67,6 +67,17 @@ class TestStructure:
                 orders=(2,),
                 q={(0,): Fraction(0), (1,): Fraction(0), (2,): Fraction(0)},
             )
+
+    def test_key_outside_the_group_names_the_missing_element(self):
+        # as many keys as elements, one of them outside the group
+        with pytest.raises(InputError, match=r"^q is missing element \(1,\)$"):
+            MetricGroup(orders=(2,), q={(0,): Fraction(0), (2,): Fraction(0)})
+
+    def test_trivial_group_reads_key_0(self):
+        doc = {"orders": [], "q": {"0": "0"}}
+        mg = MetricGroup.from_json_dict(doc)
+        assert (mg.orders, mg.elements, mg.q) == ((), ((),), {(): Fraction(0)})
+        assert mg.to_json_dict() == doc
 
     def test_values_reduced_mod_1(self):
         mg = MetricGroup(orders=(2,), q={(0,): Fraction(0), (1,): Fraction(5, 4)})
@@ -426,7 +437,7 @@ def assert_same_as_per_entry(mg, label, compare_json=False):
         assert json.dumps(md.to_json_dict(), sort_keys=True) == json.dumps(
             oracle.to_json_dict(), sort_keys=True
         ), label
-    packed, expected = md.packed_s(), per_entry_pack(oracle.s)
+    packed, expected = md.s.packed(), per_entry_pack(oracle.s)
     assert (packed.conductor, packed.den) == (expected.conductor, expected.den), label
     assert packed.nums.dtype == expected.nums.dtype, label
     assert (packed.nums == expected.nums).all(), label
@@ -499,7 +510,7 @@ def distinct_seeded_groups(seed: int, count: int, max_size: int) -> list:
 class TestPackedSFromSlots:
     def test_gathered_pack_equals_the_entry_scan(self):
         # metric_modular_data leaves its slot table on the datum, and
-        # packed_s gathers from it: the same conductor, den and nums as
+        # md.s.packed() gathers from it: the same conductor, den and nums as
         # packing the entries of S, for c = 0 and c != 0 groups
         groups = [corpus.build(n).metric for n in corpus.fixture_names()]
         groups = [mg for mg in groups if mg is not None]
@@ -508,7 +519,7 @@ class TestPackedSFromSlots:
         charges = set()
         for mg in groups:
             md = metric_modular_data(mg)
-            packed, expected = md.packed_s(), PackedMatrix.pack(md.s)
+            packed, expected = md.s.packed(), FactoredMatrix.of(md.s).packed()
             assert (packed.conductor, packed.den) == (expected.conductor, expected.den), mg.orders
             assert packed.nums.dtype == expected.nums.dtype, mg.orders
             assert (packed.nums == expected.nums).all(), mg.orders
@@ -737,6 +748,11 @@ class TestLagrangians:
         mg = MetricGroup(orders=(2,) * 13, q=q)
         with pytest.raises(SizeLimit):
             lagrangian_subgroups(mg)
+
+    def test_nonzero_q_at_zero_is_empty(self):
+        q = {a: Fraction(0) for a in product(range(2), repeat=2)}
+        q[0, 0] = Fraction(1, 2)
+        assert lagrangian_subgroups(MetricGroup(orders=(2, 2), q=q)) == []
 
     def test_non_square_size_is_empty_fast(self):
         mg = MetricGroup(orders=(2,), q={(0,): Fraction(0), (1,): Fraction(1, 4)})

@@ -5,6 +5,7 @@ import pytest
 
 from mtcbound import corpus
 from mtcbound.errors import InputError
+from mtcbound.fusion import group_ring
 from mtcbound.modular import ModularData
 from mtcbound.specfile import CategorySpecFile
 
@@ -39,6 +40,15 @@ class TestSpecFile:
         spec = CategorySpecFile(name="tampered", modular=bad_md, metric=toric.metric)
         report = spec.cross_section_checks()
         assert "metric_regenerates_modular" in report.failed_names()
+
+    def test_fusion_section_is_checked_against_the_modular_ring(self):
+        toric = corpus.toric_code().modular
+        for ring, ok in ((toric.ring, True), (group_ring((4,)), False)):
+            spec = CategorySpecFile(name="toric", ring=ring, modular=toric)
+            report = spec.cross_section_checks()
+            assert [(c.name, c.ok) for c in report.checks] == [
+                ("fusion_section_matches_modular_ring", ok)
+            ]
 
     def test_effective_sections(self):
         toric = corpus.toric_code()
