@@ -568,9 +568,6 @@ class PairingMatrix:
     entries: tuple
     permutation: tuple
 
-    def to_json_dict(self) -> dict:
-        return {"entries": [list(row) for row in self.entries], "permutation": list(self.permutation)}
-
 
 def pairing_entries(ring: FusionRing) -> list[list[int]]:
     r = ring.rank

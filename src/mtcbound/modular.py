@@ -436,9 +436,9 @@ class FactoredMatrix:
             m = _lcm(2, self.table().conductor)
             roots = []
             for e in self.entries:
-                n = e.conductor
-                norm = e.den == 1 and _mul_nums(n, e.nums, _embed_nums(e.nums, n, n, -1))
-                root = e.as_root_of_unity() if norm and norm == _power_row(n, 0) else None
+                n, x = e.conductor, e.nums
+                unit = e.den == 1 and _mul_nums(n, x, _embed_nums(x, n, n, -1)) == _power_row(n, 0)
+                root = e.as_root_of_unity() if unit else None
                 roots.append(-1 if root is None else root[0] * m // root[1])
             self._roots = m, np.array(roots)
         return self._roots

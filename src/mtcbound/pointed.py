@@ -48,7 +48,6 @@ g / sqrt(|A|) off it exactly, or proves that there is none.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -76,10 +75,6 @@ HELD_POSITIONS_CAP = 2**25
 # associativity test of `obstruction`'s pointed route bounds its gathers
 # of (x g) y by it too.
 _GATHER_ENTRIES = 2**20
-
-# n/d or a decimal, as `Fraction` reads them on every supported Python
-# (3.11 adds underscores); it refuses one only past the digit limit
-_RATIONAL = re.compile(r"\s*[+-]?(?=\.?\d)\d*(?:/\d+|(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*")
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,9 @@ class MetricGroup:
             try:
                 table[a] = Fraction(value)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
-                if isinstance(exc, ValueError) and _RATIONAL.fullmatch(value):
+                # Fraction names the strings it cannot parse; any other
+                # ValueError is int's refusal past the digit limit
+                if isinstance(exc, ValueError) and not str(exc).startswith("Invalid literal"):
                     raise _digit_limit_error() from exc
                 raise InputError(f"bad rational {value!r} for element {key!r}") from exc
         return MetricGroup(orders=tuple(orders), q=table)

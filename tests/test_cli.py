@@ -136,7 +136,18 @@ class TestValidate:
         assert sys.get_int_max_str_digits() == limit
 
     @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int-string digit limit")
-    @pytest.mark.parametrize("form", ["{}", "-{}", "1/{}", "{}/3", "0.{}", "{}e-2", "1e{}"])
+    @pytest.mark.parametrize(
+        "form",
+        [
+            "{}", "-{}", "1/{}", "{}/3", "0.{}", "{}e-2", "1e{}",
+            pytest.param(
+                "1 / {}",
+                marks=pytest.mark.skipif(
+                    sys.version_info < (3, 12), reason="Fraction reads a spaced slash from 3.12 on"
+                ),
+            ),
+        ],
+    )
     def test_q_value_past_the_digit_limit_exits_2_by_name(
         self, capsys, tmp_path, fixture_dir, form
     ):
@@ -154,7 +165,7 @@ class TestValidate:
         )
         assert sys.get_int_max_str_digits() == limit
 
-    @pytest.mark.parametrize("value", ["1/x", "1 / 2", "1/0", "1/2/3", "1._5", "1.5/2"])
+    @pytest.mark.parametrize("value", ["1/x", "1 / x", "1/0", "1/2/3", "1._5", "1.5/2"])
     def test_malformed_q_value_exits_2_as_a_bad_rational(
         self, capsys, tmp_path, fixture_dir, value
     ):
