@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -48,9 +47,6 @@ TABLE_PHI_CAP = 2048
 # integers of absolute value below 2^53 are exact in float64
 _FLOAT_EXACT = 2**53
 
-# an integer as int() reads it from a string
-_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
-
 
 def _digit_limit_error() -> InputError:
     """The refusal of an integer past Python's limit on int-string
@@ -63,12 +59,13 @@ def _digit_limit_error() -> InputError:
 
 
 def _coefficient_entry(x, pair) -> int:
-    """int(x) for x of a coefficient pair; a well-formed integer string
-    that int() refuses is past the digit limit."""
+    """int(x) for x, an int or a str, of a coefficient pair."""
     try:
         return int(x)
-    except (TypeError, ValueError) as exc:
-        if isinstance(x, str) and _INTEGER.fullmatch(x):
+    except ValueError as exc:
+        # int names the strings it cannot parse; any other ValueError is
+        # its refusal past the digit limit
+        if not str(exc).startswith("invalid literal"):
             raise _digit_limit_error() from exc
         raise InputError(f"bad coefficient entry {pair!r}") from exc
 

@@ -14,14 +14,14 @@ epistemic weight, and reports keep them separate:
   S n = n (Lan-Wang-Wen, arXiv:1408.6514; Davydov-Mueger-Nikshych-
   Ostrik, arXiv:1009.2117).  If no vector survives, that is also a
   definitive NO.  Survivors are candidates only; nothing here verifies
-  an algebra structure on them.  S n = n is one integer linear system
-  over the packed coefficients of S (its unit row is sum n_i d_i = D),
-  gathered from the columns of S once per search and reduced exactly
-  once, by a fraction-free elimination on one numpy integer array with
-  one vectorised step per pivot (int64 while a bound allows, Python
-  integers past it).  The search branches only on its free
-  multiplicities and solves for the others, so every candidate solves
-  the system exactly and no float decides acceptance.  Each
+  an algebra structure on them.  S n = n is one integer linear system A
+  over the packed coefficients of S (its unit row is sum n_i d_i = D).
+  Its Gram matrix A^T A, one row per unknown and the row space of A, is
+  one product, reduced exactly by a fraction-free elimination on one
+  numpy integer array with one vectorised step per pivot (int64 while a
+  bound allows, Python integers past it).  The search branches only on
+  its free multiplicities and solves for the others, so every candidate
+  solves the system exactly and no float decides acceptance.  Each
   multiplicity is capped by n_i <= floor(d_i), which holds for every
   connected etale algebra (Davydov-Mueger-Nikshych-Ostrik,
   arXiv:1009.2117); the floor is exact.
@@ -52,7 +52,9 @@ from .fusion import element_label
 from .modular import (
     _INT64_LIMIT,
     ModularData,
+    _exact_dtype,
     _max_abs,
+    _settle,
     _slot_map,
     _twist_exponents,
     central_charge,
@@ -118,33 +120,28 @@ def _theta_trivial(md: ModularData) -> np.ndarray:
 
 
 def _fixed_space_rows(md: ModularData, columns: list) -> np.ndarray:
-    """Nonzero rows of the integer system A m = 0 that says S n = n for
-    n = sum_c m_c 1_(columns[c]), in order of first appearance.
+    """The Gram matrix A^T A of the integer system A m = 0 that says
+    S n = n for n = sum_c m_c 1_(columns[c]).
 
-    Column c is sum_(j in columns[c]) (S e_j - e_j) in packed-S
-    coefficients times den, one row per label and power of zeta.  The
-    power basis is a basis, so A m = 0 iff S n = n exactly.  A is one
-    gather of the columns of packed S, summed per orbit by
-    `np.add.reduceat`: int64 when no sum can reach 2^63, with repeated
-    rows dropped; else Python integers in an object array, where a
-    repeated row just reduces to zero.
+    Column c of A is sum_(j in columns[c]) (S e_j - e_j) in packed-S
+    coefficients times den, one row per label and power of zeta.  A^T A
+    has the row space of A over Q, so its RREF (`_reduced_system`): its
+    rows combine those of A, and A^T A x = 0 gives |A x|^2 = 0, so the
+    kernels and ranks agree.  A gathers packed S, summed per orbit; top
+    bounds |A|, so R top^2 bounds each partial sum of A^T A for R rows,
+    and while that is below 2^53 both are float64 (BLAS), else Python
+    integers.
     """
     packed = md.s.packed()
     sizes = [len(c) for c in columns]
     members = [j for c in columns for j in c]
     # packed S is a gather of the table of distinct S entries
-    bound = max(sizes) * _max_abs(md.s.table().nums) + packed.den
-    gathered = packed.nums[:, members, :].astype(
-        np.int64 if bound < _INT64_LIMIT else object, copy=False
-    )
-    a = np.add.reduceat(gathered, np.cumsum([0] + sizes[:-1]), axis=1)  # (r, k, phi)
+    top = max(sizes) * _max_abs(md.s.table().nums) + packed.den
+    a = packed.nums[:, members, :].astype(_exact_dtype(packed.nums[:, 0].size * top * top))
+    a = np.add.reduceat(a, np.cumsum([0] + sizes[:-1]), axis=1)  # (r, k, phi)
     a[members, np.repeat(np.arange(len(columns)), sizes), 0] -= packed.den
     a = a.transpose(0, 2, 1).reshape(-1, len(columns))
-    a = a[(a != 0).any(axis=1)]
-    if a.dtype == object:
-        return a
-    keys = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()  # a row's bytes
-    return a[np.sort(np.unique(keys, return_index=True)[1])]
+    return _settle(a.T @ a)
 
 
 def _reduced_system(rows, width: int) -> dict | None:
@@ -205,17 +202,20 @@ def candidate_search(md: ModularData) -> list:
     orbits (the unit has multiplicity 1).  S n = n is one integer linear
     system A [m; 1] = 0 over the packed coefficients of S, and its unit
     row is sum n_i d_i = D, so the dimension condition comes with it.
-    The system is brought to reduced row echelon form exactly; if the
-    unit column is a pivot there is no solution.  Each multiplicity lies
-    in the box 0..floor(d_i), with the floor computed exactly.  The free
-    columns are walked right to left over their box; a pivot column is
-    forced by its row as soon as the free columns of that row (all right
-    of it) are set, and the branch dies unless the forced value is an
-    integer in the box.  Every leaf solves the system exactly, and no
-    float bounds or decides anything.  A node is one assignment of a
-    free or forced column; past `search_budget()` nodes, read once per
-    call, the search raises SearchBudgetExceeded.  Returns [] outright
-    when the central-charge gate fails.  Output is sorted
+    The system is brought to reduced row echelon form exactly, through
+    its Gram matrix (`_fixed_space_rows`); if the unit column is a pivot
+    there is no solution.  Each multiplicity lies in the box
+    0..floor(d_i), with the floor computed exactly.  The free columns
+    are walked right to left over their box; a pivot column is forced by
+    its row as soon as the free columns of that row (all right of it)
+    are set, and the branch dies unless the forced value is an integer
+    in the box.  Every leaf solves the system exactly, and no float
+    bounds or decides anything.  In any plan the leaves are the integer
+    solutions in the box, so the output depends on the RREF alone and
+    the order of its pivots moves only the node count.  A node is one
+    assignment of a free or forced column; past `search_budget()` nodes,
+    read once per call, the search raises SearchBudgetExceeded.  Returns
+    [] outright when the central-charge gate fails.  Output is sorted
     lexicographically.
     """
     passed, _ = central_charge_gate(md)

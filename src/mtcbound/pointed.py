@@ -48,6 +48,7 @@ g / sqrt(|A|) off it exactly, or proves that there is none.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -166,7 +167,7 @@ class MetricGroup:
             if isinstance(value, (bool, float)):
                 raise InputError(f"bad rational {value!r} for element {key!r}")
             try:
-                table[a] = Fraction(value)
+                table[a] = _rational(value)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 # Fraction names the strings it cannot parse; any other
                 # ValueError is int's refusal past the digit limit
@@ -174,6 +175,24 @@ class MetricGroup:
                     raise _digit_limit_error() from exc
                 raise InputError(f"bad rational {value!r} for element {key!r}") from exc
         return MetricGroup(orders=tuple(orders), q=table)
+
+
+def _rational(value) -> Fraction:
+    """Fraction(value), refusing first a decimal exponent e with |e| past
+    the int-string digit limit, of which Fraction would build 10^|e| in
+    full; the mantissa must still be one that Fraction reads."""
+    if isinstance(value, str):
+        head, e, tail = value.lower().rpartition("e")
+        limit = sys.get_int_max_str_digits()
+        if e and limit and tail == tail.lstrip():  # Fraction reads no space there
+            try:
+                exponent = int(tail)
+            except ValueError:  # not an integer, or one past the limit: Fraction says which
+                exponent = 0
+            if abs(exponent) > limit:
+                Fraction(head + "e0")  # refuses a malformed mantissa
+                raise _digit_limit_error()
+    return Fraction(value)
 
 
 # ---------------------------------------------------------------------------

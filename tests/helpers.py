@@ -1160,10 +1160,10 @@ def per_label_theta_trivial(md: ModularData) -> list:
     return [i for i in range(md.rank) if theta[i] == one]
 
 
-def per_member_fixed_space_rows(md: ModularData, columns: list) -> list:
-    """The rows of `obstruction._fixed_space_rows` as tuples, built in
-    Python integers with one object cast per orbit member, with repeated
-    and zero rows dropped."""
+def per_member_fixed_space_matrix(md: ModularData, columns: list) -> np.ndarray:
+    """The matrix A of the S n = n system whose Gram matrix
+    `obstruction._fixed_space_rows` returns, (r phi, k + 1), built in
+    Python integers with one object cast per orbit member."""
     packed = md.s.packed()
     r, _, phi = packed.nums.shape
     a = np.zeros((r, phi, len(columns)), dtype=object)
@@ -1171,7 +1171,13 @@ def per_member_fixed_space_rows(md: ModularData, columns: list) -> list:
         for j in members:
             a[:, :, c] += packed.nums[:, j, :].astype(object)
             a[j, 0, c] -= packed.den
-    rows = dict.fromkeys(map(tuple, a.reshape(r * phi, len(columns)).tolist()))
+    return a.reshape(r * phi, len(columns))
+
+
+def per_member_fixed_space_rows(md: ModularData, columns: list) -> list:
+    """The distinct nonzero rows of `per_member_fixed_space_matrix`, as
+    tuples in order of first appearance: the row form of the system."""
+    rows = dict.fromkeys(map(tuple, per_member_fixed_space_matrix(md, columns).tolist()))
     return [row for row in rows if any(row)]
 
 
@@ -1186,9 +1192,10 @@ def _primitive(row: list) -> list:
 def list_reduced_system(rows, width: int) -> dict | None:
     """`obstruction._reduced_system` by Python-list row combinations, one
     row at a time: each row is reduced by the basis so far, made
-    primitive and cleared from the basis rows."""
+    primitive and cleared from the basis rows, in Python integers (the
+    rows of an int64 array are read as such, not as numpy scalars)."""
     basis: dict = {}
-    for row in map(list, rows):
+    for row in ([int(x) for x in row] for row in rows):
         for p, prow in basis.items():
             if row[p]:
                 row = [prow[p] * x - row[p] * y for x, y in zip(row, prow)]

@@ -165,7 +165,31 @@ class TestValidate:
         )
         assert sys.get_int_max_str_digits() == limit
 
-    @pytest.mark.parametrize("value", ["1/x", "1 / x", "1/0", "1/2/3", "1._5", "1.5/2"])
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int-string digit limit")
+    @pytest.mark.parametrize("value", ["1e1000000000", "1e-1000000000", "-2.5E+1000000000"])
+    def test_q_exponent_past_the_digit_limit_exits_2_at_once(
+        self, capsys, tmp_path, fixture_dir, value
+    ):
+        # Fraction would build 10^(10^9) in full; the exponent is refused
+        # before that, in well under a second
+        limit = sys.get_int_max_str_digits()
+        obj = json.loads((fixture_dir / "toric_code.json").read_text())
+        obj["metric_group"]["q"]["0,1"] = value
+        bad = tmp_path / "huge-exponent.json"
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "validate", str(bad))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: integer of more than {limit} digits: past Python's int-string "
+            "conversion limit (sys.set_int_max_str_digits)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1/x", "1 / x", "1/0", "1/2/3", "1._5", "1.5/2", "1/2e1000000000", "1e 1000000000"],
+    )
     def test_malformed_q_value_exits_2_as_a_bad_rational(
         self, capsys, tmp_path, fixture_dir, value
     ):

@@ -1,9 +1,10 @@
 """The S n = n system of the candidate search: its numpy elimination
 against the Python-list route it replaced
-(`tests.helpers.list_reduced_system`), its rows against one object cast
-per orbit member, the theta-trivial labels chosen per T slot against
-one comparison per label, and the search's output, node count and
-budget on both routes."""
+(`tests.helpers.list_reduced_system`), its Gram-matrix rows against one
+object cast per orbit member and, by reduced form and candidates,
+against the distinct rows of the system itself, the theta-trivial
+labels chosen per T slot against one comparison per label, and the
+search's output, node count and budget on both routes."""
 
 import random
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtcbound import corpus, obstruction
+from mtcbound import corpus, modular, obstruction
 from mtcbound.cyclotomic import ZERO, Cyclotomic, zeta
 from mtcbound.errors import NonModular, SearchBudgetExceeded
 from mtcbound.modular import ModularData, box_tensor, double, reverse
@@ -27,6 +28,7 @@ from mtcbound.pointed import abelian_double, metric_modular_data
 from tests.helpers import (
     list_reduced_system,
     per_label_theta_trivial,
+    per_member_fixed_space_matrix,
     per_member_fixed_space_rows,
     seeded_triple_double_semion,
 )
@@ -37,6 +39,22 @@ def assert_same_system(got, want, label) -> None:
     assert (got is None) == (want is None), label
     if want is not None:
         assert list(got.items()) == list(want.items()), label
+
+
+def assert_same_contents(got, want, label) -> None:
+    """Equal dicts in any pivot order, or both None."""
+    assert (got is None) == (want is None), label
+    if want is not None:
+        assert got == want, label
+
+
+def row_form_candidates(md) -> list:
+    """`candidate_search` on the distinct rows of A, reduced by the list
+    route, in place of the Gram matrix."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(obstruction, "_fixed_space_rows", per_member_fixed_space_rows)
+        mp.setattr(obstruction, "_reduced_system", list_reduced_system)
+        return candidate_search(md)
 
 
 @pytest.fixture(scope="module")
@@ -92,22 +110,37 @@ class TestElimination:
         assert len(labels) >= 30
 
     def test_rows_equal_the_per_member_oracle(self, built):
+        # the rows are those of the Gram matrix A^T A of the oracle's A
         for label, md, columns in built:
             rows = _fixed_space_rows(md, columns)
-            assert list(map(tuple, rows.tolist())) == per_member_fixed_space_rows(md, columns), label
+            a = per_member_fixed_space_matrix(md, columns)
+            assert rows.tolist() == (a.T @ a).tolist(), label
+
+    def test_gram_rows_give_the_row_form_system_and_candidates(self, built):
+        for label, md, columns in built:
+            want = list_reduced_system(per_member_fixed_space_rows(md, columns), len(columns))
+            got = _reduced_system(_fixed_space_rows(md, columns), len(columns))
+            assert_same_contents(got, want, label)
+            assert candidate_search(md) == row_form_candidates(md), label
 
     def test_object_path_gives_the_same_system(self, built, monkeypatch):
-        # with no int64 headroom, the rows are built and reduced as
-        # Python integers throughout
-        monkeypatch.setattr(obstruction, "_INT64_LIMIT", 0)
+        # with no float64 or int64 headroom, the Gram matrix is formed
+        # and reduced as Python integers throughout
+        for module in (obstruction, modular):
+            monkeypatch.setattr(module, "_INT64_LIMIT", 0)
+        monkeypatch.setattr(modular, "_FLOAT_EXACT", 0)
         for label, md, columns in built:
             rows = _fixed_space_rows(md, columns)
             assert rows.dtype == object, label
-            distinct = list(dict.fromkeys(map(tuple, rows.tolist())))
-            assert distinct == per_member_fixed_space_rows(md, columns), label
-            want = list_reduced_system(distinct, len(columns))
+            a = per_member_fixed_space_matrix(md, columns)
+            assert rows.tolist() == (a.T @ a).tolist(), label
+            want = list_reduced_system(rows.tolist(), len(columns))
             assert_same_system(_reduced_system(rows, len(columns)), want, label)
             assert_same_system(_reduced_system(rows.astype(np.int64), len(columns)), want, label)
+            row_form = list_reduced_system(per_member_fixed_space_rows(md, columns), len(columns))
+            assert_same_contents(want, row_form, label)
+        for label, md, _ in built:
+            assert candidate_search(md) == row_form_candidates(md), label
 
     def test_search_output_node_count_and_budget_are_unchanged(self, data, monkeypatch):
         def nodes(md) -> int:
@@ -217,6 +250,29 @@ class TestEliminationProperties:
     def test_entries_beyond_int64(self, system):
         rows, width = system
         assert_same_system(_reduced_system(rows, width), list_reduced_system(rows, width), rows)
+
+
+def gram(rows, width) -> list:
+    """A^T A of the rows, in Python integers."""
+    return [[sum(row[i] * row[j] for row in rows) for j in range(width)] for i in range(width)]
+
+
+class TestGramMatrixProperties:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            systems(),
+            systems(inconsistent=True),
+            systems(entries=st.one_of(SMALL, NEAR_2_62)),
+            systems(entries=st.integers(2**63, 2**64)),
+        )
+    )
+    def test_gram_matrix_has_the_reduced_form_of_the_rows(self, system):
+        # one row space over Q: the same pivots and primitive rows, found
+        # perhaps in another order, or None for both
+        rows, width = system
+        want = list_reduced_system(rows, width)
+        assert_same_contents(_reduced_system(gram(rows, width), width), want, rows)
 
 
 class TestThetaTrivialBySlot:
