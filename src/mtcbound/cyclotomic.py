@@ -58,6 +58,20 @@ def _digit_limit_error() -> InputError:
     )
 
 
+def _conductor_text(n) -> str:
+    """repr(n), but an integer of more than 40 digits by its digit count,
+    found without `str`: such a conductor, read off a long denominator,
+    would fill an error line, and past the int-string digit limit `str`
+    refuses it."""
+    if type(n) is not int or abs(n) < 10**40:
+        return repr(n)
+    m = abs(n)
+    digits = int((m.bit_length() - 1) * math.log10(2) - 1e-6)  # at most floor(log10 m)
+    while 10 ** (digits + 1) <= m:
+        digits += 1
+    return f"of {digits + 1} digits"
+
+
 def _coefficient_entry(x, pair) -> int:
     """int(x) for x, an int or a str, of a coefficient pair."""
     try:
@@ -151,7 +165,8 @@ def _power_row(n: int, e: int) -> tuple[int, ...]:
         phi = euler_phi(n)
         if phi > TABLE_PHI_CAP:
             raise ConductorLimitError(
-                f"conductor {n} needs {phi} basis elements, table cap is {TABLE_PHI_CAP}"
+                f"conductor {_conductor_text(n)} needs {phi} basis elements, "
+                f"table cap is {TABLE_PHI_CAP}"
             )
         cache = [tuple(1 if i == j else 0 for i in range(phi)) for j in range(phi)]
         cache.append(tuple(-c for c in cyclotomic_polynomial(n)[:phi]))
@@ -295,7 +310,9 @@ class Cyclotomic:
         if conductor == n:
             return self
         if conductor > CONDUCTOR_CAP:
-            raise ConductorLimitError(f"conductor {conductor} exceeds cap {CONDUCTOR_CAP}")
+            raise ConductorLimitError(
+                f"conductor {_conductor_text(conductor)} exceeds cap {CONDUCTOR_CAP}"
+            )
         if conductor % n != 0:
             raise InputError(f"cannot embed conductor {n} into {conductor}")
         return Cyclotomic(conductor, _embed_nums(self.nums, n, conductor), self.den)
@@ -307,7 +324,9 @@ class Cyclotomic:
             return self.conductor, self.nums, other.nums
         n = _lcm(self.conductor, other.conductor)
         if n > CONDUCTOR_CAP:
-            raise ConductorLimitError(f"lcm conductor {n} exceeds cap {CONDUCTOR_CAP}")
+            raise ConductorLimitError(
+                f"lcm conductor {_conductor_text(n)} exceeds cap {CONDUCTOR_CAP}"
+            )
         return n, _embed_nums(self.nums, self.conductor, n), _embed_nums(
             other.nums, other.conductor, n
         )
@@ -552,9 +571,9 @@ class Cyclotomic:
             raise InputError(f"not a scalar object: {obj!r}")
         n = obj["N"]
         if type(n) is not int or n < 1:
-            raise InputError(f"bad conductor {n!r}")
+            raise InputError(f"bad conductor {_conductor_text(n)}")
         if n > CONDUCTOR_CAP:
-            raise ConductorLimitError(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
+            raise ConductorLimitError(f"conductor {_conductor_text(n)} exceeds cap {CONDUCTOR_CAP}")
         coeffs = obj["c"]
         phi = euler_phi(n)
         if not isinstance(coeffs, list) or len(coeffs) != phi:
@@ -716,9 +735,9 @@ def _root_phase(n: int, nums, den: int, square) -> tuple[int, int] | None:
 def zeta(n: int, k: int = 1) -> Cyclotomic:
     """The root of unity e^(2 pi i k/n)."""
     if n < 1:
-        raise InputError(f"bad root order {n}")
+        raise InputError(f"bad root order {_conductor_text(n)}")
     if n > CONDUCTOR_CAP:
-        raise ConductorLimitError(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
+        raise ConductorLimitError(f"conductor {_conductor_text(n)} exceeds cap {CONDUCTOR_CAP}")
     k %= n
     g = math.gcd(k, n) if k else n
     n, k = n // g, k // g

@@ -7,11 +7,11 @@ rings lives in :mod:`mtcbound.multifusion`.
 
 A ring stores its coefficients as one table, `ring.table`: the nonzero
 rows [i, j, k, N_ij^k] in (i, j, k) order, exactly the JSON "fusion"
-rows.  The table is int64 when every entry fits and Python integers in
-an object array otherwise.  Each key is also encoded as the int64 code
-(i r + j) r + k, so a coefficient is a binary search in the sorted
-codes, the rows of label i (or of the pair i, j) are one contiguous
-slice, and construction checks range, sign and duplicates with numpy.
+rows, with integers held by the rule below.  Each key is also encoded
+as the int64 code (i r + j) r + k, so a coefficient is a binary search
+in the sorted codes, the rows of label i (or of the pair i, j) are one
+contiguous slice, and construction checks range, sign and duplicates
+with numpy.
 Every construction in the package (group rings, products, sums,
 corners, Verlinde, JSON) goes through `FusionRing.from_table`;
 `FusionRing(..., fusion=mapping)` is an input adapter for hand-built
@@ -22,8 +22,25 @@ Validation is exact.  Associativity, at every rank, joins the table with
 itself: row (i, j, m) with the rows of label m, row (i, m, l) with the
 rows of third index m, a block of labels i at a time.  One sort brings
 the signed products of each key (i, j, k, l) together, and each must sum
-to zero.  Partial sums are at most r max N^2 in absolute value, so they
-run in int64 below 2^63 and on Python integers beyond; none can wrap.
+to zero.  Partial sums are at most r max N^2 in absolute value, the
+bound that picks their dtype by the rule below, so none can wrap.
+
+Exact integer arrays.  The numpy layers (this module, `modular`,
+`pointed`, `multifusion`, `obstruction`) keep their integers exact by
+one rule, written here alone.  A value array is int64 while a bound on
+its entries, or on every partial sum made from them, is below 2^63
+(`_INT64_LIMIT`), and Python integers in an object array from there on
+(`_widen`).  An integer product whose partial sums stay below 2^53
+(`_FLOAT_EXACT`) runs in float64 on BLAS, where it is exact
+(`_exact_dtype`), and a result is kept as int64 when every entry fits
+(`_settle`).  Exponent vectors mod M (the q-exponents and the twist
+exponents) are also index arrays, read by `np.bincount` and `np.take`,
+so they follow their own bound instead: int64 while M is below 2^62
+(`_EXPONENT_LIMIT`), which keeps e[a + c] - e[a] - e[c] in (-2M, M)
+from wrapping (`_exponent_array`).  Setting `_INT64_LIMIT` and
+`_FLOAT_EXACT` to 0 is one switch that runs every value array of those
+layers on Python integers, leaving the exponents as they are; the tests
+run the object branches of every layer together through it.
 
 The elements of a finite abelian group, a product of cyclic groups, are
 indexed, labelled and added here once for the package: `group_strides`,
@@ -40,6 +57,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .cyclotomic import _FLOAT_EXACT
 from .errors import (
     DualMismatch,
     InputError,
@@ -51,6 +69,8 @@ from .report import ValidationReport
 
 # int64 holds |x| < 2^63
 _INT64_LIMIT = 2**63
+# exponents mod M are int64 index arrays while M is below this
+_EXPONENT_LIMIT = 2**62
 # joined row products per associativity block
 _BLOCK_ENTRIES = 2**18
 # FP dimensions run in float64: multiplicities up to the cap are exact
@@ -58,6 +78,38 @@ _BLOCK_ENTRIES = 2**18
 FP_MULTIPLICITY_CAP = 2**53
 # an eigenvalue e counts as real when |Im e| <= _REAL_TOLERANCE (1 + |e|)
 _REAL_TOLERANCE = 1e-10
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _widen(a: np.ndarray, bound: int) -> np.ndarray:
+    """a, as Python integers in an object array once `bound` (on its
+    entries, or on every partial sum made from them) reaches 2^63."""
+    return a.astype(object, copy=False) if bound >= _INT64_LIMIT else a
+
+
+def _exact_dtype(bound: int):
+    """Work dtype for an integer product whose partial sums all have
+    absolute value at most `bound`: float64 (BLAS) when that is exact."""
+    return np.float64 if bound < _FLOAT_EXACT else object
+
+
+def _settle(a: np.ndarray) -> np.ndarray:
+    """An exact integer-valued array as int64 when every entry fits,
+    else as Python integers in an object array."""
+    if a.dtype == np.float64:
+        return a.astype(np.int64)  # only made under a bound below 2^53
+    if a.dtype == object and _max_abs(a) < _INT64_LIMIT:
+        return a.astype(np.int64)
+    return a
+
+
+def _exponent_array(exponents: list, order: int) -> np.ndarray:
+    """Exponents mod `order` as an index array: int64 below
+    `_EXPONENT_LIMIT`, else Python integers in an object array."""
+    return np.array(exponents, dtype=np.int64 if order < _EXPONENT_LIMIT else object)
 
 
 class FusionRing:
@@ -272,16 +324,6 @@ def _table_of(rows) -> np.ndarray:
     return entries.reshape(-1, 4)
 
 
-def _assemble(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Table from int64 keys (m, 3) and integer values (m,)."""
-    if values.dtype == object:
-        out = np.empty((len(keys), 4), dtype=object)
-        out[:, :3] = keys.astype(object)
-        out[:, 3] = values
-        return out
-    return np.column_stack((keys, values)).astype(np.int64, copy=False)
-
-
 def _json_table(triples: list) -> np.ndarray:
     """The table of JSON rows.  The first bad row or repeated (i, j, k)
     is named, in row order, before any check of the other fields.
@@ -352,8 +394,7 @@ def _checked_table(table, r: int) -> tuple[np.ndarray, np.ndarray]:
         entries = table.ravel().tolist()
         if not set(map(type, entries)) <= {int}:
             raise InputError("fusion table entries must be integers")
-        if max(map(abs, entries)) < _INT64_LIMIT:
-            table = table.astype(np.int64)
+        table = _settle(table)
     elif table.dtype.kind in "iu":
         table = table.astype(np.int64, copy=False)
     else:
@@ -499,8 +540,7 @@ def _associativity(ring: FusionRing) -> tuple[bool, tuple | None]:
     r = ring.rank
     first, middle, last = ring.indices().T
     values = ring.table[:, 3]
-    if len(values) and r * int(values.max()) ** 2 >= _INT64_LIMIT:
-        values = values.astype(object)
+    values = _widen(values, r * _max_abs(values) ** 2)
     labels = np.arange(r + 1)
     # the rows with first index m are one slice of the table, the rows
     # with third index m one slice of the table sorted by that index
@@ -656,12 +696,9 @@ def ring_product(a: FusionRing, b: FusionRing) -> FusionRing:
     pa = np.repeat(np.arange(len(a.table)), len(b.table))
     pb = np.tile(np.arange(len(b.table)), len(a.table))
     keys = a.indices()[pa] * rb + b.indices()[pb]
-    va, vb = a.table[pa, 3], b.table[pb, 3]
-    top_a = int(va.max()) if len(va) else 0
-    top_b = int(vb.max()) if len(vb) else 0
-    if top_a * top_b >= _INT64_LIMIT:
-        va, vb = va.astype(object), vb.astype(object)
-    return FusionRing.from_table(labels, unit, dual, _assemble(keys, va * vb))
+    top = _max_abs(a.table[:, 3]) * _max_abs(b.table[:, 3])
+    values = _widen(a.table[pa, 3], top) * b.table[pb, 3]
+    return FusionRing.from_table(labels, unit, dual, np.column_stack((keys, values)))
 
 
 def direct_sum(a: FusionRing, b: FusionRing, tags: tuple[str, str] = ("a", "b")) -> FusionRing:
@@ -674,7 +711,7 @@ def direct_sum(a: FusionRing, b: FusionRing, tags: tuple[str, str] = ("a", "b"))
     dual = tuple(a.dual) + tuple(d + ra for d in b.dual)
     keys = np.concatenate((a.indices(), b.indices() + ra))
     values = np.concatenate((a.table[:, 3], b.table[:, 3]))
-    return FusionRing.from_table(labels, unit, dual, _assemble(keys, values))
+    return FusionRing.from_table(labels, unit, dual, np.column_stack((keys, values)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,9 @@ Matrix arithmetic over Q(zeta_N) runs on one packed representation,
 power-basis coefficients over one common denominator.  A product is
 phi integer matrix products into a (2 phi - 1)-long convolution,
 followed by one product with the reduction matrix of Phi_N.  Each step
-is exact: it runs in float64 (BLAS) only when a worst-case bound on
-its partial sums, computed from the entry sizes, is below 2^53, and on
-Python integers in an object array otherwise; results are stored as
-int64 when they fit.  S^2 (the dual permutation), the balancing
+is exact: a worst-case bound on its partial sums, computed from the
+entry sizes, picks float64, int64 or Python integers by the rule of
+`mtcbound.fusion`.  S^2 (the dual permutation), the balancing
 identity (ST)^3 = (tau+/D) S^2 and the Verlinde sum all use it, and
 since the power basis is a basis, "is a permutation matrix" and "is a
 non-negative integer" are read off the packed coefficients directly.
@@ -99,7 +98,6 @@ from .cyclotomic import (
     Cyclotomic,
     ONE,
     ZERO,
-    _FLOAT_EXACT,
     _embed_nums,
     _lcm,
     _mul_nums,
@@ -116,11 +114,18 @@ from .errors import (
     NotRootOfUnity,
     SizeLimit,
 )
-from .fusion import FusionRing, _assemble, _label_blocks, first_difference, ring_product
+from .fusion import (
+    FusionRing,
+    _exact_dtype,
+    _exponent_array,
+    _label_blocks,
+    _max_abs,
+    _settle,
+    _widen,
+    first_difference,
+    ring_product,
+)
 from .report import ValidationReport
-
-# int64 holds |x| < 2^63
-_INT64_LIMIT = 2**63
 
 # Bound on the coefficients of one Verlinde block, (pairs, r, 2 phi - 1):
 # a rank-12 datum runs as one block, and a block of rank-1,296 pointed
@@ -143,26 +148,6 @@ PRODUCT_SIZE_CAP = 2 * 10**7
 # ---------------------------------------------------------------------------
 # packed matrices over Q(zeta_N)
 # ---------------------------------------------------------------------------
-
-
-def _max_abs(a: np.ndarray) -> int:
-    return int(np.abs(a).max()) if a.size else 0
-
-
-def _exact_dtype(bound: int):
-    """Work dtype for an integer product whose partial sums all have
-    absolute value at most `bound`: float64 (BLAS) when that is exact."""
-    return np.float64 if bound < _FLOAT_EXACT else object
-
-
-def _settle(a: np.ndarray) -> np.ndarray:
-    """An exact integer-valued array as int64 when every entry fits,
-    else as Python integers in an object array."""
-    if a.dtype == np.float64:
-        return a.astype(np.int64)  # only made under a bound below 2^53
-    if a.dtype == object and _max_abs(a) < _INT64_LIMIT:
-        return a.astype(np.int64)
-    return a
 
 
 def _int_table(rows) -> tuple[np.ndarray, int]:
@@ -224,23 +209,11 @@ def _conv_entrywise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _settle(out)
 
 
-def _int_compatible(a: np.ndarray, k: int) -> np.ndarray:
-    """a in a dtype that compares and divides exactly with the integer k."""
-    return a if abs(k) < _INT64_LIMIT else a.astype(object)
-
-
-def _scaled(a: np.ndarray, k: int) -> np.ndarray:
-    """a times the integer k, exactly."""
-    if _max_abs(a) * abs(k) < _INT64_LIMIT:
-        return a.astype(np.int64) * k
-    return a.astype(object) * k
-
-
 class PackedMatrix:
     """A matrix over Q(zeta_N), entry (i, j) = sum_k nums[i, j, k] zeta_N^k / den.
 
-    nums is an int64 array when every coefficient fits, and an object
-    array of Python integers otherwise; every operation is exact.
+    nums holds integers by the rule of `mtcbound.fusion`, so every
+    operation is exact.
     """
 
     __slots__ = ("conductor", "nums", "den")
@@ -290,7 +263,9 @@ class PackedMatrix:
     def entries_equal(self, other: "PackedMatrix") -> np.ndarray:
         """Boolean array: entry (i, j) of self equals that of other."""
         _, a, b = self._unified(other)
-        return (_scaled(a, other.den) == _scaled(b, self.den)).all(axis=-1)
+        a = _widen(a, _max_abs(a) * other.den) * other.den
+        b = _widen(b, _max_abs(b) * self.den) * self.den
+        return (a == b).all(axis=-1)
 
 
 def _value_ids(nums: np.ndarray) -> np.ndarray:
@@ -652,7 +627,7 @@ def _dual_permutation(md: ModularData) -> tuple | None:
     perm = support.argmax(axis=1)
     hits = nums[np.arange(md.rank), perm]
     # each hit must be 1 = den * zeta^0 / den
-    if (hits[:, 1:] != 0).any() or (_int_compatible(hits[:, 0], s2.den) != s2.den).any():
+    if (hits[:, 1:] != 0).any() or (_widen(hits[:, 0], s2.den) != s2.den).any():
         return None
     if sorted(perm.tolist()) != list(range(md.rank)):
         return None
@@ -705,7 +680,7 @@ def verlinde_table(md: ModularData) -> np.ndarray:
         right = PackedMatrix(weighted.conductor, weighted.nums[j], weighted.den)
         fused = left.times(right) @ conj_t
         nums, den = fused.nums, fused.den
-        value = _int_compatible(nums[:, :, 0], den)
+        value = _widen(nums[:, :, 0], den)
         bad = (nums[:, :, 1:] != 0).any(axis=2) | (value < 0) | (value % den != 0)
         if bad.any():
             p, k = (int(x) for x in np.argwhere(bad)[0])
@@ -718,7 +693,7 @@ def verlinde_table(md: ModularData) -> np.ndarray:
     keys = np.concatenate((keys, keys[mirror][:, [1, 0, 2]]))
     values = np.concatenate((values, values[mirror]))
     order = np.argsort((keys[:, 0] * r + keys[:, 1]) * r + keys[:, 2])
-    return _assemble(keys[order], _settle(values[order]))
+    return np.column_stack((keys[order], _settle(values[order])))
 
 
 def ring_from_verlinde(md: ModularData, labels: tuple | None = None) -> FusionRing:
@@ -748,8 +723,8 @@ def _twist_exponents(md: ModularData) -> tuple:
     is a root of unity, theta_i = T_i / T_u is one iff T_i is, with
     exponent e_i - e_u mod m.  Otherwise the twists themselves are
     read the same way.  The least order is m over the gcd of m and
-    every exponent, and the exponents are int64 below 2^62.  Once per
-    datum.
+    every exponent, and the exponents are an index array
+    (`fusion._exponent_array`).  Once per datum.
     """
 
     def compute(md: ModularData) -> tuple:
@@ -765,8 +740,7 @@ def _twist_exponents(md: ModularData) -> tuple:
             return (int(np.flatnonzero(np.array(roots)[t.slots] < 0)[0]),), None, None
         roots = [(r - unit) % m for r in roots]
         g = math.gcd(m, *roots)
-        dtype = np.int64 if m // g < 2**62 else object
-        return None, m // g, np.array([r // g for r in roots], dtype=dtype)[t.slots]
+        return None, m // g, _exponent_array([r // g for r in roots], m // g)[t.slots]
 
     return md._derived("twist_exponents", compute)
 
@@ -778,9 +752,9 @@ def _class_total(
     (matrix, norm) of coefficients over Q(zeta_n) and den, norm its
     largest column sum of |entries|: the histogram of (unit-row S slot,
     column) pairs times the matrix gives one class sum per distinct
-    unit-row entry a, in int64 when no sum reaches 2^63 (none exceeds
-    the rank times the norm), then each class takes one d_a^2 product
-    (none on the slot of S_uu, where d = 1)."""
+    unit-row entry a (none above the rank times the norm), then each
+    class takes one d_a^2 product (none on the slot of S_uu, where
+    d = 1)."""
     unit_row = md.s.slots[md.unit_index]
     classes = sorted(set(unit_row.tolist()))
     matrix, norm = table
@@ -791,7 +765,7 @@ def _class_total(
         row = np.searchsorted(classes, unit_row)
         count = np.bincount(row * width + columns, minlength=len(classes) * width)
     count = count.reshape(len(classes), width)
-    sums = count @ matrix if len(unit_row) * norm < _INT64_LIMIT else _linear(count, table)
+    sums = _widen(count, len(unit_row) * norm) @ matrix
     terms = []
     for a, class_sum in zip(classes, sums.tolist()):
         term = Cyclotomic(n, tuple(class_sum), den)
@@ -1039,8 +1013,7 @@ def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple
     if e * e * (2 * phi - 1) > _PRODUCT_TABLE_CAP:
         return False, False
     products = _linear(_conv_entrywise(entries[:, None], entries[None]), _reduction_table(n))
-    if top * _max_abs(products) >= _INT64_LIMIT:
-        products = products.astype(object)
+    products = _widen(products, top * _max_abs(products))
     product = _gather_rows(products)
     unit_row = slots[u]
     # per label below i: its table rows plus r, times a width per row
@@ -1064,8 +1037,7 @@ def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple
     places = (np.arange(phi) * (c // n) + shift[:, None]) % c
     spread[np.arange(len(used))[:, None], places] = entries[slot]
     rotated = _linear(spread, _power_rows(c, c))
-    if top * _max_abs(rotated) >= _INT64_LIMIT:
-        rotated = rotated.astype(object)
+    rotated = _widen(rotated, top * _max_abs(rotated))
     rotation = _gather_rows(rotated)
     lhs, rhs = index[: r * r].reshape(r, r), index[r * r :]
     for start, stop in _label_blocks(made * rotated.shape[1], _BLOCK_ENTRIES):

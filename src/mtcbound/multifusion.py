@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousBlock, InputError
-from .fusion import FusionRing, _assemble, fp_dimensions
+from .fusion import FusionRing, fp_dimensions
 
 
 def unit_summands_check(ring: FusionRing) -> list[tuple]:
@@ -160,7 +160,7 @@ def corner_ring(dec: BlockDecomposition, i: int) -> FusionRing:
     keys = index[ring.indices()]
     inside = (keys >= 0).all(axis=1)
     dual = tuple(int(index[ring.dual[x]]) for x in keep)
-    table = _assemble(keys[inside], ring.table[inside, 3])
+    table = np.column_stack((keys[inside], ring.table[inside, 3]))
     return FusionRing.from_table(labels, (int(index[ring.unit[i]]),), dual, table)
 
 

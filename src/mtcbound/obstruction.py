@@ -48,17 +48,8 @@ import numpy as np
 
 from .cyclotomic import zeta
 from .errors import InputError, NonModular, SearchBudgetExceeded
-from .fusion import element_label
-from .modular import (
-    _INT64_LIMIT,
-    ModularData,
-    _exact_dtype,
-    _max_abs,
-    _settle,
-    _slot_map,
-    _twist_exponents,
-    central_charge,
-)
+from .fusion import _exact_dtype, _max_abs, _settle, _widen, element_label
+from .modular import ModularData, _slot_map, _twist_exponents, central_charge
 from .pointed import (
     _GATHER_ENTRIES,
     SUBGROUP_SIZE_CAP,
@@ -129,8 +120,7 @@ def _fixed_space_rows(md: ModularData, columns: list) -> np.ndarray:
     rows combine those of A, and A^T A x = 0 gives |A x|^2 = 0, so the
     kernels and ranks agree.  A gathers packed S, summed per orbit; top
     bounds |A|, so R top^2 bounds each partial sum of A^T A for R rows,
-    and while that is below 2^53 both are float64 (BLAS), else Python
-    integers.
+    the bound that picks the dtype of both (`fusion._exact_dtype`).
     """
     packed = md.s.packed()
     sizes = [len(c) for c in columns]
@@ -156,10 +146,9 @@ def _reduced_system(rows, width: int) -> dict | None:
     every row is kept primitive.  A pivot row is only negated to make its
     leading entry positive; then it clears its column from every other
     row in one step, p x - c y, and each changed row is divided by the
-    gcd of its entries.  While the array is int64, `top` bounds its
-    entries, and a step can make them at most 2 top^2.  Where that could
-    reach 2^63, top is measured again; if it still could, the array
-    becomes Python integers in an object array for the rest of the run.
+    gcd of its entries.  A step makes entries of at most 2 top^2 for top
+    the largest |entry| before it, the bound that keeps the array int64
+    or makes it Python integers for the rest of the run.
     """
     a = np.asarray(rows)
     if a.dtype != np.int64:  # Python integers, in a list or an object array
@@ -167,7 +156,6 @@ def _reduced_system(rows, width: int) -> dict | None:
     a = a.reshape(len(a), width).copy()
     g = np.gcd.reduce(a, axis=1)
     a //= np.maximum(g, 1)[:, None]
-    top = _max_abs(a)
     pivots: dict = {}
     for i in range(len(a)):
         nonzero = a[i].nonzero()[0]
@@ -180,12 +168,7 @@ def _reduced_system(rows, width: int) -> dict | None:
             a[i] = -a[i]
         hit = a[:, lead].nonzero()[0]
         if len(hit) > 1:
-            if a.dtype != object:
-                if 2 * top * top >= _INT64_LIMIT:
-                    top = _max_abs(a)
-                    if 2 * top * top >= _INT64_LIMIT:
-                        a = a.astype(object)
-                top = 2 * top * top
+            a = _widen(a, 2 * _max_abs(a) ** 2)
             row, rows = a[i].copy(), a[hit]
             rows = row[lead] * rows - rows[:, lead, None] * row  # row i becomes 0
             g = np.gcd.reduce(rows, axis=1)

@@ -57,7 +57,15 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic, _digit_limit_error, _lcm, _root_phase, from_angle, sqrt_int
 from .errors import Degenerate, InputError, SizeLimit
-from .fusion import element_label, group_coordinates, group_law, group_ring, group_strides
+from .fusion import (
+    _exponent_array,
+    _widen,
+    element_label,
+    group_coordinates,
+    group_law,
+    group_ring,
+    group_strides,
+)
 from .modular import FactoredMatrix, ModularData, _power_rows
 from .report import ValidationReport
 
@@ -208,12 +216,7 @@ def _exponents(mg: MetricGroup) -> tuple[np.ndarray, int]:
     m = 1
     for v in values:
         m = _lcm(m, v.denominator)
-    # e[a + c] - e[a] - e[c] lies in (-2M, M), so int64 holds it below 2^62
-    e = np.array(
-        [v.numerator * (m // v.denominator) for v in values],
-        dtype=np.int64 if m < 2**62 else object,
-    )
-    return e, m
+    return _exponent_array([v.numerator * (m // v.denominator) for v in values], m), m
 
 
 def _radical_mask(mg: MetricGroup) -> np.ndarray:
@@ -299,9 +302,7 @@ def validate_metric(mg: MetricGroup) -> ValidationReport:
     # M q(a) against a^T G a = sum_u a_u^2 M q(g_u) + sum_{u<v} a_u a_v
     # M b(g_u, g_v), G the upper-triangular Gram matrix; every partial
     # sum is at most M (sum_u (n_u - 1))^2
-    coords = group_coordinates(mg.orders)
-    if m * (1 + sum(n - 1 for n in mg.orders)) ** 2 >= 2**63:
-        coords = coords.astype(object)
+    coords = _widen(group_coordinates(mg.orders), m * (1 + sum(n - 1 for n in mg.orders)) ** 2)
     gram = np.zeros((s, s), dtype=coords.dtype)
     for u in range(s):
         gram[u, u] = diag[u]
@@ -390,9 +391,9 @@ def milgram_signature(mg: MetricGroup) -> Fraction:
     magnitude, or else the root of unity.
     """
     e, m = mg._derived(_exponents)
-    rows, _ = _power_rows(m, m)  # refuses a field past TABLE_PHI_CAP first
-    # |coefficients| stay far below 2^63: the counts sum to |A|
-    nums = tuple((np.bincount(e, minlength=m) @ rows).tolist())
+    rows, norm = _power_rows(m, m)  # refuses a field past TABLE_PHI_CAP first
+    # the counts sum to |A|, so no coefficient exceeds |A| norm
+    nums = tuple((_widen(np.bincount(e, minlength=m), mg.size * norm) @ rows).tolist())
     phase = _root_phase(m, nums, 1, mg.size)
     if phase is None:
         g = Cyclotomic(m, nums)

@@ -43,6 +43,7 @@ from mtcbound.errors import (
 from mtcbound.fusion import (
     FusionRing,
     _scan_rows,
+    _settle,
     _table_of,
     first_difference,
     group_law,
@@ -58,7 +59,6 @@ from mtcbound.modular import (
     _gauss_sum,
     _linear,
     _reduction_table,
-    _settle,
     gauss_sums,
     validate_modular,
     verlinde_table,

@@ -186,6 +186,27 @@ class TestValidate:
             "conversion limit (sys.set_int_max_str_digits)\n"
         )
 
+    @pytest.mark.parametrize("command", [["validate"], ["verdict"], ["verdict", "--pointed"]])
+    @pytest.mark.parametrize(
+        "q, digits",
+        [
+            ({"0,1": "1e-4300"}, 4300),
+            ({"0,1": "1/2", "1,0": f"1/{10**4200 + 3}", "1,1": f"1/{10**4200 + 1}"}, 8401),
+        ],
+        ids=["small exponent", "long denominators"],
+    )
+    def test_huge_conductor_exits_2_by_its_digit_count(self, capsys, tmp_path, command, q, digits):
+        # q values within the digit limit whose common denominator, the
+        # twists' conductor, has thousands of digits: one short line
+        obj = json.loads(corpus.shipped_text("toric_code"))
+        obj["metric_group"]["q"].update(q)
+        bad = tmp_path / "huge-conductor.json"
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run(capsys, *command, str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: conductor of {digits} digits exceeds cap {CONDUCTOR_CAP}\n"
+        assert len(err.encode()) < 200
+
     @pytest.mark.parametrize(
         "value",
         ["1/x", "1 / x", "1/0", "1/2/3", "1._5", "1.5/2", "1/2e1000000000", "1e 1000000000"],

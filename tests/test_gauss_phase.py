@@ -12,11 +12,11 @@ import numpy as np
 from mtcbound import corpus, cyclotomic, modular
 from mtcbound.cyclotomic import Cyclotomic, _root_phase, from_angle, rational, sqrt_int, zeta
 from mtcbound.errors import MtcError
+from mtcbound.fusion import _exact_dtype, _max_abs, _settle, _widen
 from mtcbound.modular import (
     FactoredMatrix,
     ModularData,
     _gauss_sum,
-    _max_abs,
     _twist_exponents,
     box_tensor,
     central_charge,
@@ -375,3 +375,25 @@ class TestCaches:
         assert _max_abs(np.array([[-2**70, 4], [2**69, -1]], dtype=object)) == 2**70
         assert _max_abs(np.zeros((0, 3), dtype=np.int64)) == 0
         assert _max_abs(np.zeros((2, 0), dtype=object)) == 0
+
+    def test_settle_keeps_int64_below_2_to_the_63(self):
+        fits = _settle(np.array([2**63 - 1, -(2**63 - 1)], dtype=object))
+        assert fits.dtype == np.int64
+        assert fits.tolist() == [2**63 - 1, -(2**63 - 1)]
+        for past in (2**63, -(2**63)):
+            kept = _settle(np.array([1, past], dtype=object))
+            assert kept.dtype == object
+            assert kept.tolist() == [1, past]
+            assert type(kept[1]) is int
+
+    def test_exact_dtype_is_float64_below_2_to_the_53(self):
+        assert _exact_dtype(2**53 - 1) is np.float64
+        assert _exact_dtype(2**53) is object
+
+    def test_widen_at_2_to_the_63(self):
+        a = np.array([3, -7], dtype=np.int64)
+        assert _widen(a, 2**63 - 1) is a
+        wide = _widen(a, 2**63)
+        assert wide.dtype == object
+        assert wide.tolist() == [3, -7]
+        assert type(wide[0]) is int

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mtcbound import corpus, modular
+from mtcbound import corpus, fusion, modular
 from mtcbound.cyclotomic import Cyclotomic, cyc_sum, rational, sqrt_int, zeta
 from mtcbound.errors import InputError, NonIntegralVerlinde, NonModular
 from mtcbound.modular import (
@@ -259,8 +259,8 @@ class TestVerlinde:
     def test_object_dtype_route_agrees(self, monkeypatch):
         # no float64 products and no int64 storage: every product of the
         # packed layer runs on Python integers
-        monkeypatch.setattr(modular, "_FLOAT_EXACT", 0)
-        monkeypatch.setattr(modular, "_INT64_LIMIT", 0)
+        monkeypatch.setattr(fusion, "_FLOAT_EXACT", 0)
+        monkeypatch.setattr(fusion, "_INT64_LIMIT", 0)
         for name in ("fibonacci", "d_z3", "double_ising", "double_fibonacci"):
             md = corpus.build(name).modular
             fresh = ModularData(s=md.s, t=md.t, unit_index=md.unit_index)

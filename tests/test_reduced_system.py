@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtcbound import corpus, modular, obstruction
+from mtcbound import corpus, fusion, obstruction
 from mtcbound.cyclotomic import ZERO, Cyclotomic, zeta
 from mtcbound.errors import NonModular, SearchBudgetExceeded
 from mtcbound.modular import ModularData, box_tensor, double, reverse
@@ -126,9 +126,8 @@ class TestElimination:
     def test_object_path_gives_the_same_system(self, built, monkeypatch):
         # with no float64 or int64 headroom, the Gram matrix is formed
         # and reduced as Python integers throughout
-        for module in (obstruction, modular):
-            monkeypatch.setattr(module, "_INT64_LIMIT", 0)
-        monkeypatch.setattr(modular, "_FLOAT_EXACT", 0)
+        monkeypatch.setattr(fusion, "_INT64_LIMIT", 0)
+        monkeypatch.setattr(fusion, "_FLOAT_EXACT", 0)
         for label, md, columns in built:
             rows = _fixed_space_rows(md, columns)
             assert rows.dtype == object, label

@@ -277,6 +277,14 @@ class TestRingRoute:
         }
         assert fixtures["toric_code"] == (2, 1, 1)
 
+    def test_python_integers_take_the_route(self, monkeypatch):
+        # a False here would fall back to the full routes, whose report
+        # is the same, so the CLI alone cannot tell a broken object branch
+        monkeypatch.setattr(fusion, "_INT64_LIMIT", 0)
+        monkeypatch.setattr(fusion, "_FLOAT_EXACT", 0)
+        for label, md in small_data():
+            assert ring_equations(md) == (True, True), label
+
     def test_one_label_per_block(self, monkeypatch):
         monkeypatch.setattr(modular, "_BLOCK_ENTRIES", 1)
         for label, md in rank_12_products() + [("double(ising)", double(corpus.ising().modular))]:
