@@ -25,18 +25,19 @@ matrix is always over the lcm of its entries' conductors; products,
 entrywise products and comparisons embed their operands into the lcm
 of the two.
 
-`validate_modular` decides balancing and the two Verlinde checks by one
-of two routes.  Data that declare a fusion ring and pass every earlier
-check take the ring route, `_ring_equations`: one read of conj(S) = C S
-and two passes over the sorted ring table, S_um sum_k N_ij^k S_km =
-S_im S_jm and theta_i theta_j S_ij = sum_k N_i*j^k theta_k S_uk, read
-off the products of two S entries and the S entries rotated by the
-twists, with no inverse and no r x r matrix product.  Its docstring
-proves that these imply the Verlinde formula for the declared ring and
-(ST)^3 = (tau+/D) S^2.  Ring-less data, and data on which a
-precondition or either equation fails, take the full route:
-`verlinde_table` against the ring, and (ST)^3 against (tau+/D) S^2,
-which name the first failing key.  Both routes give the same report.
+`validate_modular` decides balancing, the Gauss identity and the two
+Verlinde checks by one of two routes.  Data that declare a fusion ring
+and pass every earlier check take the ring route, `_ring_equations`:
+one read of conj(S) = C S and one pass over the sorted ring table that
+checks S_um sum_k N_ij^k S_km = S_im S_jm and theta_i theta_j S_ij =
+sum_k N_i*j^k theta_k S_uk side by side, read off the products of two S
+entries and the S entries rotated by the twists, with no inverse, no
+r x r matrix product and no Gauss sum.  Its docstring proves that these
+imply the Verlinde formula for the declared ring, (ST)^3 = (tau+/D) S^2
+and tau+ tau- = D^2.  Ring-less data, and data on which a precondition
+or either equation fails, take the full route: `verlinde_table` against
+the ring, (ST)^3 against (tau+/D) S^2 and tau+ tau- against D^2, which
+name the first failing key.  Both routes give the same report.
 
 Derived invariants (packed S and S^2, dims, twists, D, the dual
 permutation, the Gauss sums, and through `ModularData._derived` the
@@ -50,7 +51,8 @@ are each held once, as a `FactoredMatrix`: the distinct entries, each a
 normalised (conductor, nums, den), and an integer slot array (two axes
 for S, one for T).  `reverse` conjugates the entries, `box_tensor`
 multiplies each pair of them once and gathers by the Kronecker of the
-slots, and packed S or T is a gather of one table of the entries.
+slots, both carrying T's kept root exponents, and packed S or T is a
+gather of one table of the entries.
 Equal slots hold equal values, but distinct slots may hold one value
 at different conductors (zeta_4 and zeta_8^2 over Q(zeta_8)).  Every
 "same value" test within a datum therefore compares value ids
@@ -71,8 +73,8 @@ read them.  The Gauss sum tau+- = sum_i d_i^2 theta_i^(+-1) is one
 integer product, cached per datum by `_gauss_sum`: the histogram of
 (unit-row S slot, +-e_i mod M) pairs times the power rows of zeta_M
 gives one class sum per distinct unit-row entry, then one d^2 product
-per class.  `central_charge`, `gauss_sums` and the balancing and
-Gauss-identity checks of `validate_modular` all read it, and
+per class.  `central_charge`, `gauss_sums` and the full routes'
+balancing and Gauss-identity checks of `validate_modular` read it, and
 `central_charge` reads the root of unity tau+/D off the one product
 tau+ S_uu with `cyclotomic._root_phase`, the exact kernel that
 `as_root_of_unity` and `pointed.milgram_signature` share, and whose
@@ -96,7 +98,6 @@ import numpy as np
 
 from .cyclotomic import (
     Cyclotomic,
-    ONE,
     ZERO,
     _embed_nums,
     _lcm,
@@ -133,8 +134,9 @@ from .report import ValidationReport
 _BLOCK_ENTRIES = 2**18
 
 # `_ring_equations` forms every product of two distinct S entries, as
-# (entries^2, 2 phi - 1) coefficients, and rotated S entries, (rows, L);
-# above this many it leaves a table's checks to the full routes.
+# (entries^2, 2 phi - 1) coefficients, and every S entry rotated by every
+# power of zeta_L, from (entries L, L) coefficients; above this many it
+# leaves a table's checks to the full routes.
 _PRODUCT_TABLE_CAP = 2**20
 
 # `box_tensor` refuses a product whose fusion table (the product of the
@@ -339,22 +341,43 @@ class FactoredMatrix:
 
     def conj(self) -> "FactoredMatrix":
         """Entrywise conjugate.  Conjugation keeps each conductor and maps
-        distinct entries to distinct entries, so the slots stay."""
-        return FactoredMatrix(tuple(e.conj() for e in self.entries), self.slots)
+        distinct entries to distinct entries, so the slots stay, and kept
+        root exponents are negated."""
+        out = FactoredMatrix(tuple(e.conj() for e in self.entries), self.slots)
+        if self._roots is not None:
+            m, roots = self._roots
+            out._roots = m, np.where(roots < 0, roots, -roots % m)
+        return out
 
     def kron(self, other: "FactoredMatrix") -> "FactoredMatrix":
         """The Kronecker product, entry (i x, j y) = self[i, j] other[x, y]
         (for vectors, entry i x = self[i] other[x]): one product per pair
-        of distinct entries, gathered by the Kronecker of the slots."""
+        of distinct entries, gathered by the Kronecker of the slots.
+
+        When both factors keep root exponents and hold only roots of
+        unity, so does the product: zeta_a^x zeta_b^y is zeta_L^z with
+        z = x L/a + y L/b and L = lcm(a, b), and its order divides m =
+        lcm(2, n) for n the lcm conductor of the product's entries, so z
+        m/L is an integer, the exponent `root_exponents` would read."""
         ea, eb = self.entries, other.entries
         axes = self.slots.ndim
         # in intp: narrow slots would wrap, e.g. uint8 at 17 * 16 + 16 > 255
         pairs = np.add.outer(self.slots.astype(np.intp) * len(eb), other.slots)
         pairs = pairs.transpose([k for axis in range(axes) for k in (axis, axes + axis)])
         shape = tuple(a * b for a, b in zip(self.slots.shape, other.slots.shape))
-        return FactoredMatrix.gathered(
-            lambda p: ea[p // len(eb)] * eb[p % len(eb)], pairs.reshape(shape)
-        )
+        pairs = pairs.reshape(shape)
+        out = FactoredMatrix.gathered(lambda p: ea[p // len(eb)] * eb[p % len(eb)], pairs)
+        if self._roots is not None and other._roots is not None:
+            (a, x), (b, y) = self._roots, other._roots
+            if min(x.min(), y.min()) >= 0:
+                big = math.lcm(a, b)
+                m = _lcm(2, math.lcm(*(e.conductor for e in out.entries)))
+                z = (x[pairs // len(eb)] * (big // a) + y[pairs % len(eb)] * (big // b)) % big
+                g = math.gcd(big, m)
+                roots = np.zeros(len(out.entries), dtype=np.int64)
+                roots[out.slots] = z // (big // g) * (m // g)
+                out._roots = m, roots
+        return out
 
     def table(self) -> PackedMatrix:
         """The distinct entries packed over the lcm of their conductors,
@@ -391,8 +414,8 @@ class FactoredMatrix:
         entries[k] is no root of unity, for m = lcm(2, n) and n the lcm
         conductor of the entries (the table is made first, so a conductor
         past the table cap is refused before any entry is read).  Made
-        once, then kept; a vector made by `powers` keeps its own
-        exponents.
+        once, then kept; a vector made by `powers`, and a `conj` or
+        `kron` of matrices that keep theirs, keeps its own exponents.
 
         Every root of unity of Q(zeta_n) has an order dividing m, so an
         entry read as e^(2 pi i k/L) by `as_root_of_unity`, the exact
@@ -912,9 +935,10 @@ def _balancing_sides(md: ModularData, theta: tuple, factor: Cyclotomic) -> tuple
 def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple[bool, bool]:
     """(verlinde, balancing): whether the declared ring N passes
     `verlinde_integral` and `verlinde_matches_ring`, and the data pass
-    `balancing`, read off the ring table without a product of r x r
-    matrices and without an inverse.  False means only "not shown here":
-    the caller then runs the full routes.
+    `balancing` and `gauss_identity`, read off the ring table without a
+    product of r x r matrices, without an inverse and without a Gauss
+    sum.  False means only "not shown here": the caller then runs the
+    full routes.
 
     The caller has already passed s_symmetric, dims_real_positive,
     total_dim, s_squared_dual_permutation (S^2 = C, an involution fixing
@@ -961,20 +985,33 @@ def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple
       p S^2, since C commutes with T (theta is dual invariant).  Both
       sides are equal in value, so `balancing` passes.
 
-    (V) is checked a block of labels i at a time, each block about
-    `_BLOCK_ENTRIES` coefficients or one label: the left side gathers N
-    times the product S_um S_km for each table row (i, j, k) and sums
-    the rows of each (i, j) with one `np.add.reduceat`; the right side
-    gathers S_im S_jm.  Both read one table of the products of every two
-    distinct S entries (the route is not taken when that table would
-    exceed `_PRODUCT_TABLE_CAP` coefficients), so no product is formed
-    per entry, and they share its denominator, so equal values have
-    equal numerators.  In (B) every term is zeta_L^b times an S entry,
-    L = lcm(order, n): each (slot, b) that occurs is rotated once, by an
-    index shift to the basis zeta_L^t, t < L, and one product with the
-    rows zeta_L^t mod Phi_L (past `_PRODUCT_TABLE_CAP`, (B) is left to
-    (S T)^3), and the rows (a, j, k) sum into (a*, j) as in (V).  Sums
-    run in int64 under a bound and on Python integers past it.
+    Balancing gives the Gauss identity tau+ tau- = D^2 (Bakalov-Kirillov,
+    Lectures on Tensor Categories and Modular Functors, Thm 3.1.17).
+    Take determinants of (S T)^3 = p C: S is unitary, every theta_i is a
+    root of unity and C is a permutation, so |det(S T)|^3 = 1 and |det C|
+    = 1, and |det(S T)|^3 = |p|^r |det C| gives |p| = |tau+ / D| = 1.
+    The d are real and |theta_i| = 1, so tau- = sum_i d_i^2 theta_i^-1 =
+    conj(tau+), and tau+ tau- = |tau+|^2 = D^2.  So `gauss_identity`
+    passes, and no twist theta_i = T_i / T_u and no Gauss sum is formed.
+
+    (V) and (B) are checked in one pass, a block of labels i at a time,
+    each block about `_BLOCK_ENTRIES` coefficients or one label.  Each
+    table row (i, j, k) gathers its terms from one per-label table: N
+    times S_um S_km for every m, and next to them N theta_k S_uk.  One
+    `np.add.reduceat` sums the rows of each (i, j), one scatter places
+    the sums, and each half is compared with its right side: S_im S_jm,
+    and theta_i* theta_j S_i*j.  A (V) mismatch ends the pass; after a
+    (B) mismatch the pass checks (V) alone.  (V) reads one table of the
+    products of every two distinct S entries (the route is not taken
+    when that table would exceed `_PRODUCT_TABLE_CAP` coefficients), so
+    no product is formed per entry, and both sides share its
+    denominator, so equal values have equal numerators.  In (B) every
+    term is zeta_L^b times an S entry, L = lcm(order, n): row s L + b of
+    one rotation table holds entry s times zeta_L^b, an index shift to
+    the basis zeta_L^t, t < L, times the rows zeta_L^t mod Phi_L, so a
+    term is read by its (slot, shift) with no sort (past
+    `_PRODUCT_TABLE_CAP`, (B) is left to (S T)^3).  Sums run in int64
+    under a bound and on Python integers past it.
     """
     ring = md.ring
     r, u = md.rank, md.unit_index
@@ -989,63 +1026,61 @@ def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple
     if not (value[e:][slots] == value[:e][slots[dual]]).all():
         return False, False
 
+    # (V): the products of every two distinct S entries
+    if e * e * (2 * phi - 1) > _PRODUCT_TABLE_CAP:
+        return False, False
+    products = _linear(_conv_entrywise(entries[:, None], entries[None]), _reduction_table(n))
+    unit_row = slots[u]
+    # per label k, the table rows' terms: S_um S_km for every m ...
+    terms = [products[unit_row, slots].reshape(r, r * phi)]
+
+    # (B): row s c + b of the rotation table is S entry s times zeta_c^b,
+    # for c = lcm(order, n), the L above
+    c = math.lcm(order, n)
+    balancing = e * c * c <= _PRODUCT_TABLE_CAP
+    if balancing:
+        shift = np.arange(c)
+        places = (np.arange(phi) * (c // n) + shift[:, None]) % c
+        spread = np.zeros((e, c, c), dtype=entries.dtype)
+        spread[:, shift[:, None], places] = entries[:, None]
+        rotated = _linear(spread.reshape(e * c, c), _power_rows(c, c))
+        rotation = _gather_rows(rotated)
+        t = exponents * (c // order)
+        # theta_a* theta_j S_a*j at (a, j) on the left ...
+        lhs = (slots * c + (t[:, None] + t) % c)[dual]
+        # ... and per label k, theta_k S_uk
+        terms.append(rotated[unit_row * c + t])
+    terms = np.concatenate(terms, axis=1)
+
     first, pair_j, k = ring.indices().T
     counts = ring.table[:, 3]
     pairs = first * r + pair_j
     heads = np.flatnonzero(np.concatenate(([True], pairs[1:] != pairs[:-1])))
     by_first = first.searchsorted(np.arange(r + 1))
-    # the largest sum of N over one (i, j) bounds every sum of products
+    # the largest sum of N over one (i, j) bounds every sum of terms
     top = int(np.add.reduceat(counts, heads).max()) if len(counts) else 0
-
-    def sums(terms, start, stop):
-        """terms holds one item per table row of the labels start to
-        stop - 1: their sums over each (i, j), at row (i - start) r + j
-        of an array that is zero where (i, j) has no row."""
-        lo, hi = by_first[start], by_first[stop]
-        out = np.zeros(((stop - start) * r,) + terms.shape[1:], dtype=terms.dtype)
-        block = heads[heads.searchsorted(lo) : heads.searchsorted(hi)]
-        if len(block) < hi - lo:  # some (i, j) has several rows
-            terms = np.add.reduceat(terms, block - lo)
-        out[pairs[block] - start * r] = terms
-        return out
-
-    # (V), from the products of every two distinct S entries
-    if e * e * (2 * phi - 1) > _PRODUCT_TABLE_CAP:
-        return False, False
-    products = _linear(_conv_entrywise(entries[:, None], entries[None]), _reduction_table(n))
-    products = _widen(products, top * _max_abs(products))
+    term = _gather_rows(_widen(terms, top * _max_abs(terms)))
     product = _gather_rows(products)
-    unit_row = slots[u]
+    width = r * phi
     # per label below i: its table rows plus r, times a width per row
     made = by_first + np.arange(r + 1) * r
-    for start, stop in _label_blocks(made * (r * phi), _BLOCK_ENTRIES):
+    for start, stop in _label_blocks(made * terms.shape[1], _BLOCK_ENTRIES):
         lo, hi = by_first[start], by_first[stop]
-        left = sums(product(unit_row, slots[k[lo:hi]]) * counts[lo:hi, None, None], start, stop)
+        left = term(k[lo:hi]) * counts[lo:hi, None]
+        block = heads[heads.searchsorted(lo) : heads.searchsorted(hi)]
+        if len(block) < hi - lo:  # some (i, j) has several rows
+            left = np.add.reduceat(left, block - lo)
+        if len(block) < (stop - start) * r:  # some (i, j) has no row
+            out = np.zeros(((stop - start) * r, left.shape[1]), dtype=left.dtype)
+            out[pairs[block] - start * r] = left
+            left = out
         right = product(slots[start:stop, None], slots[None])
-        if not (left.reshape(right.shape) == right).all():
+        if not (left[:, :width] == right.reshape(-1, width)).all():
             return False, False
-
-    # (B): theta_a* theta_j S_a*j at row (a, j) on the left
-    c = math.lcm(order, n)
-    t = exponents * (c // order)
-    codes = np.append((slots * c + (t[:, None] + t) % c)[dual], unit_row * c + t)
-    used, index = np.unique(codes, return_inverse=True)
-    if len(used) * c > _PRODUCT_TABLE_CAP:
-        return True, False
-    slot, shift = np.divmod(used, c)
-    spread = np.zeros((len(used), c), dtype=entries.dtype)
-    places = (np.arange(phi) * (c // n) + shift[:, None]) % c
-    spread[np.arange(len(used))[:, None], places] = entries[slot]
-    rotated = _linear(spread, _power_rows(c, c))
-    rotated = _widen(rotated, top * _max_abs(rotated))
-    rotation = _gather_rows(rotated)
-    lhs, rhs = index[: r * r].reshape(r, r), index[r * r :]
-    for start, stop in _label_blocks(made * rotated.shape[1], _BLOCK_ENTRIES):
-        lo, hi = by_first[start], by_first[stop]
-        right = sums(rotation(rhs[k[lo:hi]]) * counts[lo:hi, None], start, stop)
-        if not (rotation(lhs[start:stop]).reshape(right.shape) == right).all():
-            return True, False
-    return True, True
+        if balancing:
+            right = rotation(lhs[start:stop])
+            balancing = bool((left[:, width:] == right.reshape(len(left), -1)).all())
+    return True, balancing
 
 
 def _gather_rows(a: np.ndarray):
@@ -1069,6 +1104,13 @@ def validate_modular(md: ModularData) -> ValidationReport:
 
     Positivity of d_i and D is decided by certified signs
     (`Cyclotomic.real_sign`), so no float threshold decides a check.
+    `theta_normalized` passes whenever T_u != 0, since theta_u = T_u /
+    T_u = 1, so no twist is formed for it.  On data that declare a ring
+    and pass every check up to theta_dual_invariant, the ring route
+    (`_ring_equations`) decides `verlinde_integral` and
+    `verlinde_matches_ring`, and when its twist equation holds too,
+    `balancing` and `gauss_identity`, with no twist theta_i and no Gauss
+    sum formed.  Everything it does not show takes the full routes.
     """
     report = ValidationReport("modular data")
     r = md.rank
@@ -1139,14 +1181,15 @@ def validate_modular(md: ModularData) -> ValidationReport:
         )
 
     ring_verlinde = ring_balancing = False
-    theta = None
     if md.t[u].is_zero():
         report.add("theta_normalized", False, (u,), "T_u = 0")
+        report.add("theta_root_of_unity", False, None, "twists unavailable")
+        report.add("theta_dual_invariant", False, None, "twists unavailable")
+        report.add("balancing", False, None, "twists unavailable")
+        report.add("gauss_identity", False, None, "twists unavailable")
     else:
-        theta = md.theta()
-        report.add("theta_normalized", theta[u] == ONE, None)
-
-    if theta is not None:
+        # theta_u = T_u / T_u = 1 exactly
+        report.add("theta_normalized", True, None)
         where, order, exponents = _twist_exponents(md)
         report.add("theta_root_of_unity", where is None, where)
 
@@ -1163,17 +1206,18 @@ def validate_modular(md: ModularData) -> ValidationReport:
         if md.ring is not None and report.ok:
             ring_verlinde, ring_balancing = _ring_equations(md, order, exponents)
 
-        # (S T)^3 = (tau+/D) S^2 with T the normalized twist diagonal
-        if dims is not None:
+        if ring_balancing:
+            # the route proves (S T)^3 = (tau+/D) S^2 and tau+ tau- = D^2
+            report.add("balancing", True, None)
+            report.add("gauss_identity", True, None)
+        elif dims is not None:
+            # (S T)^3 = (tau+/D) S^2 with T the normalized twist diagonal
+            theta = md.theta()
             tau_plus = _gauss_sum(md, 1)
-            if ring_balancing:
-                report.add("balancing", True, None)
-            else:
-                lhs, rhs = _balancing_sides(md, theta, tau_plus * md.s_unit)
-                mismatch = np.argwhere(~lhs.entries_equal(rhs))
-                ok = not len(mismatch)
-                where = None if ok else tuple(int(x) for x in mismatch[0])
-                report.add("balancing", ok, where)
+            lhs, rhs = _balancing_sides(md, theta, tau_plus * md.s_unit)
+            mismatch = np.argwhere(~lhs.entries_equal(rhs))
+            ok = not len(mismatch)
+            report.add("balancing", ok, None if ok else tuple(int(x) for x in mismatch[0]))
 
             total = md.total_dim()
             zero = next((i for i, x in enumerate(theta) if x.is_zero()), None)
@@ -1182,11 +1226,6 @@ def validate_modular(md: ModularData) -> ValidationReport:
                 report.add("gauss_identity", ok, None)
             else:  # tau- inverts every twist
                 report.add("gauss_identity", False, (zero,), f"theta_{zero} = 0, tau- undefined")
-    else:
-        report.add("theta_root_of_unity", False, None, "twists unavailable")
-        report.add("theta_dual_invariant", False, None, "twists unavailable")
-        report.add("balancing", False, None, "twists unavailable")
-        report.add("gauss_identity", False, None, "twists unavailable")
 
     if ring_verlinde:
         report.add("verlinde_integral", True, None)

@@ -40,11 +40,15 @@ from mtcbound.errors import (
     SearchBudgetExceeded,
     SizeLimit,
 )
+from mtcbound import modular
 from mtcbound.fusion import (
     FusionRing,
+    _label_blocks,
+    _max_abs,
     _scan_rows,
     _settle,
     _table_of,
+    _widen,
     first_difference,
     group_law,
     ring_product,
@@ -58,7 +62,10 @@ from mtcbound.modular import (
     _conv_entrywise,
     _gauss_sum,
     _linear,
+    _power_rows,
+    _power_table,
     _reduction_table,
+    _value_ids,
     gauss_sums,
     validate_modular,
     verlinde_table,
@@ -794,19 +801,33 @@ def per_label_central_charge(md: ModularData) -> Fraction:
 
 
 def full_route_validate_modular(md: ModularData) -> ValidationReport:
-    """`validate_modular` with `balancing`, `verlinde_integral` and
-    `verlinde_matches_ring` always decided by the full routes that
-    ring-less data take: (S T)^3 against (tau+/D) S^2, and
-    `verlinde_table` against the declared ring.  The oracle of the ring
-    route (`modular._ring_equations`); the other checks are copied."""
+    """`validate_modular` with `theta_normalized`, `balancing`,
+    `gauss_identity`, `verlinde_integral` and `verlinde_matches_ring`
+    always decided by the full routes that ring-less data take: theta_u
+    = T_u / T_u against 1, (S T)^3 against (tau+/D) S^2, tau+ tau-
+    against D^2, and `verlinde_table` against the declared ring.  The
+    oracle of the ring route (`modular._ring_equations`), which decides
+    balancing and the Gauss identity together; the other checks are
+    copied."""
     checks = []
     table = None
     for check in validate_modular(md).checks:
-        if check.name == "balancing" and check.detail != "twists unavailable":
+        if check.name == "theta_normalized" and check.ok:
+            check = CheckResult("theta_normalized", md.theta()[md.unit_index] == 1)
+        elif check.name == "balancing" and check.detail != "twists unavailable":
             lhs, rhs = _balancing_sides(md, md.theta(), _gauss_sum(md, 1) * md.s_unit)
             mismatch = np.argwhere(~lhs.entries_equal(rhs))
             where = tuple(int(x) for x in mismatch[0]) if len(mismatch) else None
             check = CheckResult("balancing", where is None, where)
+        elif check.name == "gauss_identity" and check.detail != "twists unavailable":
+            zero = next((i for i, x in enumerate(md.theta()) if x.is_zero()), None)
+            if zero is None:
+                total = md.total_dim()
+                ok = _gauss_sum(md, 1) * _gauss_sum(md, -1) == total * total
+                check = CheckResult("gauss_identity", ok)
+            else:
+                detail = f"theta_{zero} = 0, tau- undefined"
+                check = CheckResult("gauss_identity", False, (zero,), detail)
         elif check.name == "verlinde_integral":
             try:
                 table = verlinde_table(md)
@@ -822,6 +843,76 @@ def full_route_validate_modular(md: ModularData) -> ValidationReport:
                 check = CheckResult("verlinde_matches_ring", where is None, where)
         checks.append(check)
     return ValidationReport("modular data", checks)
+
+
+def two_pass_ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple:
+    """`modular._ring_equations` as two passes over the ring table: every
+    block of (V), then every block of (B), each with its own gathers,
+    sums and scatter.  The block budget and the table cap are read from
+    `modular` at call time.  The oracle of the fused pass."""
+    ring = md.ring
+    r, u = md.rank, md.unit_index
+    slots = md.s.slots.astype(np.intp)
+    table = md.s.table()
+    n, entries = table.conductor, table.nums[:, 0]
+    e, phi = entries.shape
+    dual = np.array(ring.dual, dtype=np.intp)
+
+    # (U): value ids of the entries and of their conjugates
+    value = _value_ids(np.concatenate((entries, _linear(entries, _power_table(n, n, -1)))))
+    if not (value[e:][slots] == value[:e][slots[dual]]).all():
+        return False, False
+
+    first, pair_j, k = ring.indices().T
+    counts = ring.table[:, 3]
+    pairs = first * r + pair_j
+    heads = np.flatnonzero(np.concatenate(([True], pairs[1:] != pairs[:-1])))
+    by_first = first.searchsorted(np.arange(r + 1))
+    top = int(np.add.reduceat(counts, heads).max()) if len(counts) else 0
+
+    def sums(terms, start, stop):
+        lo, hi = by_first[start], by_first[stop]
+        out = np.zeros(((stop - start) * r,) + terms.shape[1:], dtype=terms.dtype)
+        block = heads[heads.searchsorted(lo) : heads.searchsorted(hi)]
+        if len(block) < hi - lo:
+            terms = np.add.reduceat(terms, block - lo)
+        out[pairs[block] - start * r] = terms
+        return out
+
+    # (V), from the products of every two distinct S entries
+    if e * e * (2 * phi - 1) > modular._PRODUCT_TABLE_CAP:
+        return False, False
+    products = _linear(_conv_entrywise(entries[:, None], entries[None]), _reduction_table(n))
+    products = _widen(products, top * _max_abs(products))
+    unit_row = slots[u]
+    made = by_first + np.arange(r + 1) * r
+    for start, stop in _label_blocks(made * (r * phi), modular._BLOCK_ENTRIES):
+        lo, hi = by_first[start], by_first[stop]
+        left = sums(products[unit_row, slots[k[lo:hi]]] * counts[lo:hi, None, None], start, stop)
+        right = products[slots[start:stop, None], slots[None]]
+        if not (left.reshape(right.shape) == right).all():
+            return False, False
+
+    # (B): theta_a* theta_j S_a*j at row (a, j) on the left
+    c = math.lcm(order, n)
+    t = exponents * (c // order)
+    codes = np.append((slots * c + (t[:, None] + t) % c)[dual], unit_row * c + t)
+    used, index = np.unique(codes, return_inverse=True)
+    if len(used) * c > modular._PRODUCT_TABLE_CAP:
+        return True, False
+    slot, shift = np.divmod(used, c)
+    spread = np.zeros((len(used), c), dtype=entries.dtype)
+    places = (np.arange(phi) * (c // n) + shift[:, None]) % c
+    spread[np.arange(len(used))[:, None], places] = entries[slot]
+    rotated = _linear(spread, _power_rows(c, c))
+    rotated = _widen(rotated, top * _max_abs(rotated))
+    lhs, rhs = index[: r * r].reshape(r, r), index[r * r :]
+    for start, stop in _label_blocks(made * rotated.shape[1], modular._BLOCK_ENTRIES):
+        lo, hi = by_first[start], by_first[stop]
+        right = sums(rotated[rhs[k[lo:hi]]] * counts[lo:hi, None], start, stop)
+        if not (rotated[lhs[start:stop]].reshape(right.shape) == right).all():
+            return True, False
+    return True, True
 
 
 def distinct_products(n: int, factors: tuple, slots: tuple) -> tuple:

@@ -1,10 +1,12 @@
 """The ring route of `validate_modular` against the full products.
 
 On data that declare a fusion ring and pass every earlier check,
-`validate_modular` decides `balancing`, `verlinde_integral` and
-`verlinde_matches_ring` by `modular._ring_equations`, two passes over
-the ring table.  `tests.helpers.full_route_validate_modular` decides
-them by (S T)^3 and `verlinde_table`, as before, and
+`validate_modular` decides `balancing`, `gauss_identity`,
+`verlinde_integral` and `verlinde_matches_ring` by
+`modular._ring_equations`, one pass over the ring table.
+`tests.helpers.full_route_validate_modular` decides them by (S T)^3,
+tau+ tau- and `verlinde_table`, as before,
+`tests.helpers.two_pass_ring_equations` is the route as two passes, and
 `tests.helpers.triple_product_balancing` checks the balancing equation
 in its T form by triple products.  The reports must be
 equal, byte for byte in JSON, on valid data and on tampered data, where
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtcbound import corpus, fusion, modular
-from mtcbound.cyclotomic import zeta
+from mtcbound.cyclotomic import ZERO, zeta
 from mtcbound.fusion import FusionRing
 from mtcbound.modular import (
     ModularData,
@@ -35,6 +37,7 @@ from tests.helpers import (
     full_route_validate_modular,
     random_metric_group,
     triple_product_balancing,
+    two_pass_ring_equations,
 )
 
 
@@ -79,6 +82,21 @@ def ring_equations(md: ModularData) -> tuple:
     where, order, exponents = _twist_exponents(md)
     assert where is None
     return _ring_equations(md, order, exponents)
+
+
+def rank_144_double() -> ModularData:
+    return double(box_tensor(corpus.build("toric_code").modular, corpus.build("ising").modular))
+
+
+def ring_fixtures() -> list:
+    """(name, datum) for every shipped fixture whose modular section
+    declares a ring, freshly loaded from its file."""
+    out = []
+    for name in corpus.fixture_names():
+        md = corpus.load_shipped(name).modular
+        if md is not None and md.ring is not None:
+            out.append((name, md))
+    return out
 
 
 def assert_routes_agree(md, label) -> None:
@@ -193,9 +211,7 @@ class TestRingRoute:
 
     def test_large_doubles(self):
         d_z3 = double(corpus.build("d_z3").modular)
-        rank_144 = double(
-            box_tensor(corpus.build("toric_code").modular, corpus.build("ising").modular)
-        )
+        rank_144 = rank_144_double()
         for label, md in (("double(d_z3)", d_z3), ("rank-144 double", rank_144)):
             assert ring_equations(md) == (True, True), label
             assert_routes_agree(md, label)
@@ -294,8 +310,8 @@ class TestRingRoute:
                 assert_routes_agree(bad, (label, tamper))
 
     def test_a_budget_of_1_gives_one_label_per_block_in_both_callers(self, monkeypatch):
-        # associativity in fusion, (V) and (B) here: one splitter, each
-        # caller reading its own module's budget at call time
+        # associativity in fusion, the fused (V) and (B) loop here: one
+        # splitter, each caller reading its own module's budget at call time
         split, blocks = fusion._label_blocks, []
 
         def spy(made, budget, span=None):
@@ -309,7 +325,7 @@ class TestRingRoute:
         assert fusion.validate(md.ring).ok
         assert len(blocks) == 1
         assert ring_equations(md) == (True, True)
-        assert blocks == [[(i, i + 1) for i in range(md.rank)]] * 3
+        assert blocks == [[(i, i + 1) for i in range(md.rank)]] * 2
 
     def test_the_route_reads_conj_s_against_the_declared_dual(self):
         # d_z3 has a complex S and the dual a -> -a; with the identity
@@ -377,3 +393,96 @@ def test_a_ring_missing_every_row_of_one_pair(orders):
     table = md.ring.table
     keep = (table[:, 0] != 1) | (table[:, 1] != 1)
     assert_routes_agree(with_ring_table(md, table[keep]), orders)
+
+
+class TestGaussIdentityFromTheRoute:
+    def test_valid_ring_bearing_data_form_no_gauss_sum_and_no_twist(self, monkeypatch):
+        # the route proves balancing and tau+ tau- = D^2 together, and
+        # theta_u = T_u / T_u = 1, so neither tau nor theta is formed
+        def refuse(*args):
+            raise AssertionError("formed on the ring route")
+
+        data = ring_fixtures() + [("rank-144 double", rank_144_double())]
+        assert len(data) == 14
+        monkeypatch.setattr(modular, "_gauss_sum", refuse)
+        monkeypatch.setattr(ModularData, "theta", refuse)
+        for label, md in data:
+            assert validate_modular(md).ok, label
+
+    def test_the_full_routes_still_name_the_gauss_identity(self):
+        # the negated twist and ring-less copies of the rank-144 double
+        # that CI validates, and its zero-twist toric code
+        md = rank_144_double()
+        dual, u = md.ring.dual, md.unit_index
+        i = next(i for i, d in enumerate(dual) if d == i != u)
+        twisted = twists_rotated(md, {i}, zeta(2))
+        bare, bare_twisted = (
+            ModularData(s=x.s, t=x.t, unit_index=x.unit_index) for x in (md, twisted)
+        )
+        toric = corpus.load_shipped("toric_code").modular
+        zero = ModularData(
+            s=toric.s, t=tuple(toric.t)[:3] + (ZERO,), unit_index=toric.unit_index, ring=toric.ring
+        )
+        for label, datum in (
+            ("twisted", twisted),
+            ("ring-less", bare),
+            ("ring-less twisted", bare_twisted),
+            ("zero twist", zero),
+        ):
+            assert_routes_agree(datum, label)
+        checks = {c.name: c for c in validate_modular(twisted).checks}
+        assert not checks["balancing"].ok and not checks["gauss_identity"].ok
+        assert validate_modular(bare).ok
+        assert "gauss_identity" in validate_modular(zero).failed_names()
+
+
+def seeded_tampers(md: ModularData, rng: random.Random) -> list:
+    """(label, datum): one ring row's multiplicity moved, one S slot set
+    to another entry (or its negative), and one twist times a root of
+    unity, at seeded places."""
+    r = md.rank
+    values = md.s.entries + tuple(-x for x in md.s.entries)
+    rows = [list(row) for row in md.s]
+    i, j = rng.randrange(r), rng.randrange(r)
+    rows[i][j] = rng.choice(values)
+    label = rng.randrange(r)
+    return [
+        ("ring row", multiplicity_raised(md, rng.randrange(10**6), rng.choice((-1, 1, 2)))),
+        ("S slot", with_s(md, rows)),
+        ("twist", twists_rotated(md, {label}, zeta(rng.choice((2, 3, 4, 8))))),
+    ]
+
+
+def assert_fused_pass_agrees(data, seed) -> set:
+    """`_ring_equations` against its two-pass oracle on each datum, on
+    its `tampers` and on seeded tampers of it; returns the outcomes."""
+    rng = random.Random(seed)
+    outcomes = set()
+    for label, md in data:
+        fixed = tampers(md) if md.rank >= 3 else []
+        for tamper, bad in [("none", md)] + fixed + seeded_tampers(md, rng) + seeded_tampers(md, rng):
+            where, order, exponents = _twist_exponents(bad)
+            if where is not None:
+                continue
+            ours = _ring_equations(bad, order, exponents)
+            assert ours == two_pass_ring_equations(bad, order, exponents), (label, tamper)
+            outcomes.add(ours)
+    return outcomes
+
+
+class TestFusedPass:
+    # a (V) failure wins over a (B) one, and (B) fails alone on a
+    # negated self-dual twist; both as in two passes
+    ALL = {(True, True), (True, False), (False, False)}
+
+    def test_against_two_passes(self):
+        assert assert_fused_pass_agrees(small_data(), 3101) == self.ALL
+
+    def test_against_two_passes_at_one_label_per_block(self, monkeypatch):
+        monkeypatch.setattr(modular, "_BLOCK_ENTRIES", 1)
+        assert assert_fused_pass_agrees(small_data(), 3102) == self.ALL
+
+    def test_large_doubles_against_two_passes(self):
+        data = [("double(d_z3)", double(corpus.build("d_z3").modular))]
+        data.append(("rank-144 double", rank_144_double()))
+        assert assert_fused_pass_agrees(data, 3103) == self.ALL
