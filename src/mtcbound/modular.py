@@ -51,8 +51,7 @@ are each held once, as a `FactoredMatrix`: the distinct entries, each a
 normalised (conductor, nums, den), and an integer slot array (two axes
 for S, one for T).  `reverse` conjugates the entries, `box_tensor`
 multiplies each pair of them once and gathers by the Kronecker of the
-slots, both carrying T's kept root exponents, and packed S or T is a
-gather of one table of the entries.
+slots, and packed S or T is a gather of one table of the entries.
 Equal slots hold equal values, but distinct slots may hold one value
 at different conductors (zeta_4 and zeta_8^2 over Q(zeta_8)).  Every
 "same value" test within a datum therefore compares value ids
@@ -134,9 +133,8 @@ from .report import ValidationReport
 _BLOCK_ENTRIES = 2**18
 
 # `_ring_equations` forms every product of two distinct S entries, as
-# (entries^2, 2 phi - 1) coefficients, and every S entry rotated by every
-# power of zeta_L, from (entries L, L) coefficients; above this many it
-# leaves a table's checks to the full routes.
+# (entries^2, 2 phi - 1) coefficients, and rotated S entries, (rows, L);
+# above this many it leaves a table's checks to the full routes.
 _PRODUCT_TABLE_CAP = 2**20
 
 # `box_tensor` refuses a product whose fusion table (the product of the
@@ -341,43 +339,22 @@ class FactoredMatrix:
 
     def conj(self) -> "FactoredMatrix":
         """Entrywise conjugate.  Conjugation keeps each conductor and maps
-        distinct entries to distinct entries, so the slots stay, and kept
-        root exponents are negated."""
-        out = FactoredMatrix(tuple(e.conj() for e in self.entries), self.slots)
-        if self._roots is not None:
-            m, roots = self._roots
-            out._roots = m, np.where(roots < 0, roots, -roots % m)
-        return out
+        distinct entries to distinct entries, so the slots stay."""
+        return FactoredMatrix(tuple(e.conj() for e in self.entries), self.slots)
 
     def kron(self, other: "FactoredMatrix") -> "FactoredMatrix":
         """The Kronecker product, entry (i x, j y) = self[i, j] other[x, y]
         (for vectors, entry i x = self[i] other[x]): one product per pair
-        of distinct entries, gathered by the Kronecker of the slots.
-
-        When both factors keep root exponents and hold only roots of
-        unity, so does the product: zeta_a^x zeta_b^y is zeta_L^z with
-        z = x L/a + y L/b and L = lcm(a, b), and its order divides m =
-        lcm(2, n) for n the lcm conductor of the product's entries, so z
-        m/L is an integer, the exponent `root_exponents` would read."""
+        of distinct entries, gathered by the Kronecker of the slots."""
         ea, eb = self.entries, other.entries
         axes = self.slots.ndim
         # in intp: narrow slots would wrap, e.g. uint8 at 17 * 16 + 16 > 255
         pairs = np.add.outer(self.slots.astype(np.intp) * len(eb), other.slots)
         pairs = pairs.transpose([k for axis in range(axes) for k in (axis, axes + axis)])
         shape = tuple(a * b for a, b in zip(self.slots.shape, other.slots.shape))
-        pairs = pairs.reshape(shape)
-        out = FactoredMatrix.gathered(lambda p: ea[p // len(eb)] * eb[p % len(eb)], pairs)
-        if self._roots is not None and other._roots is not None:
-            (a, x), (b, y) = self._roots, other._roots
-            if min(x.min(), y.min()) >= 0:
-                big = math.lcm(a, b)
-                m = _lcm(2, math.lcm(*(e.conductor for e in out.entries)))
-                z = (x[pairs // len(eb)] * (big // a) + y[pairs % len(eb)] * (big // b)) % big
-                g = math.gcd(big, m)
-                roots = np.zeros(len(out.entries), dtype=np.int64)
-                roots[out.slots] = z // (big // g) * (m // g)
-                out._roots = m, roots
-        return out
+        return FactoredMatrix.gathered(
+            lambda p: ea[p // len(eb)] * eb[p % len(eb)], pairs.reshape(shape)
+        )
 
     def table(self) -> PackedMatrix:
         """The distinct entries packed over the lcm of their conductors,
@@ -414,8 +391,8 @@ class FactoredMatrix:
         entries[k] is no root of unity, for m = lcm(2, n) and n the lcm
         conductor of the entries (the table is made first, so a conductor
         past the table cap is refused before any entry is read).  Made
-        once, then kept; a vector made by `powers`, and a `conj` or
-        `kron` of matrices that keep theirs, keeps its own exponents.
+        once, then kept; a vector made by `powers` keeps its own
+        exponents.
 
         Every root of unity of Q(zeta_n) has an order dividing m, so an
         entry read as e^(2 pi i k/L) by `as_root_of_unity`, the exact
@@ -1006,12 +983,12 @@ def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple
     when that table would exceed `_PRODUCT_TABLE_CAP` coefficients), so
     no product is formed per entry, and both sides share its
     denominator, so equal values have equal numerators.  In (B) every
-    term is zeta_L^b times an S entry, L = lcm(order, n): row s L + b of
-    one rotation table holds entry s times zeta_L^b, an index shift to
-    the basis zeta_L^t, t < L, times the rows zeta_L^t mod Phi_L, so a
-    term is read by its (slot, shift) with no sort (past
-    `_PRODUCT_TABLE_CAP`, (B) is left to (S T)^3).  Sums run in int64
-    under a bound and on Python integers past it.
+    term is zeta_L^b times an S entry, L = lcm(order, n): each code s L
+    + b that occurs is marked in a table of e L places, with no sort,
+    and gets one row of a rotation table, entry s times zeta_L^b, an
+    index shift to the basis zeta_L^t, t < L, times the rows zeta_L^t
+    mod Phi_L (past `_PRODUCT_TABLE_CAP`, (B) is left to (S T)^3).
+    Sums run in int64 under a bound and on Python integers past it.
     """
     ring = md.ring
     r, u = md.rank, md.unit_index
@@ -1034,22 +1011,31 @@ def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple
     # per label k, the table rows' terms: S_um S_km for every m ...
     terms = [products[unit_row, slots].reshape(r, r * phi)]
 
-    # (B): row s c + b of the rotation table is S entry s times zeta_c^b,
-    # for c = lcm(order, n), the L above
+    # (B): S entry s times zeta_c^b has code s c + b, for c = lcm(order,
+    # n), the L above: theta_a* theta_j S_a*j at (a, j) on the left, and
+    # per label k, theta_k S_uk
     c = math.lcm(order, n)
-    balancing = e * c * c <= _PRODUCT_TABLE_CAP
+    t = exponents * (c // order)
+    lhs, rhs = (slots * c + (t[:, None] + t) % c)[dual], unit_row * c + t
+    # every slot occurs on the left, so the codes that occur number at least e
+    balancing = e * c <= _PRODUCT_TABLE_CAP
     if balancing:
-        shift = np.arange(c)
+        row = np.zeros(e * c, dtype=np.intp)
+        row[lhs] = 1
+        row[rhs] = 1
+        used = np.flatnonzero(row)
+        balancing = len(used) * c <= _PRODUCT_TABLE_CAP
+    if balancing:
+        # one rotation table row per code that occurs, in code order
+        row = row.cumsum() - 1
+        slot, shift = np.divmod(used, c)
         places = (np.arange(phi) * (c // n) + shift[:, None]) % c
-        spread = np.zeros((e, c, c), dtype=entries.dtype)
-        spread[:, shift[:, None], places] = entries[:, None]
-        rotated = _linear(spread.reshape(e * c, c), _power_rows(c, c))
+        spread = np.zeros((len(used), c), dtype=entries.dtype)
+        spread[np.arange(len(used))[:, None], places] = entries[slot]
+        rotated = _linear(spread, _power_rows(c, c))
         rotation = _gather_rows(rotated)
-        t = exponents * (c // order)
-        # theta_a* theta_j S_a*j at (a, j) on the left ...
-        lhs = (slots * c + (t[:, None] + t) % c)[dual]
-        # ... and per label k, theta_k S_uk
-        terms.append(rotated[unit_row * c + t])
+        lhs = row[lhs]
+        terms.append(rotated[row[rhs]])
     terms = np.concatenate(terms, axis=1)
 
     first, pair_j, k = ring.indices().T

@@ -223,73 +223,3 @@ class TestFactoredT:
         assert (packed.nums == table.nums[md.t.slots, 0]).all()
         for i, e in enumerate(md.t):
             assert Cyclotomic(packed.conductor, tuple(packed.nums[i].tolist()), packed.den) == e
-
-
-def with_kept_roots(md: ModularData) -> ModularData:
-    """md, with T's root exponents read and kept, as validation leaves them."""
-    md.t.root_exponents()
-    return md
-
-
-def per_label_roots(t: FactoredMatrix) -> tuple:
-    m, roots = t.root_exponents()
-    return m, roots[t.slots].tolist()
-
-
-def per_label_angles(t: FactoredMatrix) -> list:
-    """k/m for each entry zeta_m^k, None for an entry that is no root
-    of unity: one value whatever m the exponents are kept at (a vector
-    made by `powers` keeps its own)."""
-    m, roots = per_label_roots(t)
-    return [None if k < 0 else Fraction(k, m) for k in roots]
-
-
-def matrix_workload_products() -> list:
-    """The products that the benchmark's `matrix` workload builds, on
-    unshuffled bases: three rank-6 products and their rank-36 doubles,
-    four rank-12 data and d_z3 x Ising."""
-    ising, semion, fibonacci = map(with_kept_roots, map(modular, ("ising", "semion", "fibonacci")))
-    bases = [
-        box_tensor(ising, semion),
-        box_tensor(ising, reverse(semion)),
-        box_tensor(ising, fibonacci),
-    ]
-    charged = [
-        box_tensor(with_kept_roots(modular(name)), chiral)
-        for name in ("toric_code", "double_semion")
-        for chiral in (ising, reverse(ising))
-    ]
-    gated = box_tensor(with_kept_roots(modular("d_z3")), ising)
-    return bases + [double(md) for md in bases] + charged + [gated]
-
-
-class TestCarriedRootExponents:
-    def test_doubles_and_products_carry_what_a_fresh_read_finds(self):
-        names = [name for name in corpus.fixture_names() if modular(name) is not None]
-        data = [double(with_kept_roots(modular(name))) for name in names]
-        data += matrix_workload_products()
-        assert len(data) == 13 + 11
-        for md in data:
-            assert md.t._roots is not None, md.rank
-            fresh_t = FactoredMatrix.vector(tuple(md.t))
-            assert fresh_t._roots is None
-            assert per_label_roots(md.t) == per_label_roots(fresh_t), md.rank
-
-    def test_conj_negates_the_kept_exponents(self):
-        for name in ("semion", "d_z3", "ising", "fibonacci"):
-            t = with_kept_roots(modular(name)).t
-            conj = t.conj()
-            assert conj._roots is not None, name
-            assert per_label_angles(conj) == per_label_angles(FactoredMatrix.vector(tuple(conj)))
-
-    def test_nothing_is_carried_past_a_non_root_or_an_unread_factor(self):
-        roots = FactoredMatrix.vector((rational(1), zeta(4)))
-        other = FactoredMatrix.vector((rational(1), rational(2)))
-        roots.root_exponents()
-        other.root_exponents()
-        assert other._roots[1].tolist() == [0, -1]
-        assert roots.kron(other)._roots is None
-        assert other.kron(roots)._roots is None
-        assert per_label_roots(other.conj()) == (2, [0, -1])
-        unread = FactoredMatrix.vector((rational(1), zeta(3)))
-        assert roots.kron(unread)._roots is None and unread.conj()._roots is None

@@ -486,3 +486,14 @@ class TestFusedPass:
         data = [("double(d_z3)", double(corpus.build("d_z3").modular))]
         data.append(("rank-144 double", rank_144_double()))
         assert assert_fused_pass_agrees(data, 3103) == self.ALL
+
+    def test_the_rotation_table_is_capped_by_the_codes_that_occur(self, monkeypatch):
+        # the rank-144 double reads 26 of its 7 x 16 (slot, shift) codes, so
+        # its rotation table takes 26 x 16 = 416 coefficients, the (V)
+        # table 343; a table of every code would take 7 x 16 x 16 = 1792
+        md = rank_144_double()
+        where, order, exponents = _twist_exponents(md)
+        for cap, want in ((416, (True, True)), (415, (True, False))):
+            monkeypatch.setattr(modular, "_PRODUCT_TABLE_CAP", cap)
+            assert _ring_equations(md, order, exponents) == want, cap
+            assert two_pass_ring_equations(md, order, exponents) == want, cap
