@@ -399,7 +399,7 @@ def outcome(md) -> tuple:
 def searched_outcome(md, monkeypatch) -> tuple:
     """`outcome` with the pointed route switched off: the search answers."""
     with monkeypatch.context() as mp:
-        mp.setattr(obstruction, "_pointed_candidates", lambda md: None)
+        mp.setattr(obstruction, "lagrangian_candidates", lambda md: None)
         return outcome(md)
 
 
@@ -425,9 +425,32 @@ def law_ring(law: np.ndarray) -> FusionRing:
     return FusionRing.from_table(tuple(f"x{a}" for a in range(r)), (0,), tuple(dual.tolist()), table)
 
 
+def non_associative_law() -> np.ndarray:
+    """The law of (Z_2)^4 with the intercalate on labels 14, 15 swapped:
+    a commutative Latin square with identity 0 that is not associative."""
+    law = group_law((2,) * 4)
+    law[14, 14] = law[15, 15] = law[14, 15]
+    law[14, 15] = law[15, 14] = 0
+    assert (law == law.T).all() and (np.sort(law, axis=1) == np.arange(16)).all()
+    assert (law[law] != law[:, law].transpose(1, 0, 2)).any()  # (a b) c != a (b c)
+    return law
+
+
+def non_associative_data() -> ModularData:
+    """S and T made from `non_associative_law` and e as for a metric
+    group, with that law as the ring, so of the pointed route's
+    preconditions only Light's test fails (the search then finds S^2 no
+    permutation)."""
+    law = non_associative_law()
+    e = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
+    k = (e[law] - e[:, None] - e[None, :]) % 2
+    s = FactoredMatrix.gathered(lambda x: from_angle(Fraction(-x, 2)) / 4, k)
+    return ModularData(s=s, t=FactoredMatrix.powers(2, e), ring=law_ring(law))
+
+
 class TestPointedRoute:
     """The unhinted verdict answers pointed data with a group ring by the
-    Lagrangian-subgroup enumeration (`obstruction._pointed_candidates`);
+    Lagrangian-subgroup enumeration (`pointed.lagrangian_candidates`);
     the search it replaces there is the oracle."""
 
     @staticmethod
@@ -440,7 +463,7 @@ class TestPointedRoute:
             md = corpus.build(name).effective_modular()
             if md is not None:
                 self.assert_route_equals_search(md, monkeypatch, name)
-                routed += obstruction._pointed_candidates(md) is not None
+                routed += pointed.lagrangian_candidates(md) is not None
         for name in corpus.BASE_MODULAR_FIXTURES:
             md = double(corpus.build(name).modular)
             self.assert_route_equals_search(md, monkeypatch, f"double({name})")
@@ -456,8 +479,8 @@ class TestPointedRoute:
         t = [twice(x) if a % 2 else x for a, x in enumerate(md.t)]
         mixed = ModularData(s=s, t=t, ring=md.ring)
         assert len(mixed.s.entries) > len(md.s.entries)
-        assert obstruction._pointed_candidates(mixed) == obstruction._pointed_candidates(md)
-        assert len(obstruction._pointed_candidates(mixed)) == 2
+        assert pointed.lagrangian_candidates(mixed) == pointed.lagrangian_candidates(md)
+        assert len(pointed.lagrangian_candidates(mixed)) == 2
         self.assert_route_equals_search(mixed, monkeypatch, "mixed")
 
     def test_seeded_groups_and_relabelled_copies(self, monkeypatch):
@@ -476,7 +499,7 @@ class TestPointedRoute:
                 self.assert_route_equals_search(data, monkeypatch, (draw, data.unit_index))
             if central_charge_gate(md)[0]:
                 routed += 1
-                assert obstruction._pointed_candidates(moved) is not None, draw
+                assert pointed.lagrangian_candidates(moved) is not None, draw
         assert routed >= 20
 
     def test_every_failed_precondition_falls_back_to_the_search(self, monkeypatch):
@@ -498,21 +521,8 @@ class TestPointedRoute:
         law[1, 7] = law[2, 4] = 5
         d22 = metric_modular_data(abelian_double((2, 2)))
         cases["non-commutative law"] = ModularData(s=d22.s, t=d22.t, ring=law_ring(law))
-        # (3) a commutative Latin square with identity, not associative:
-        # the law of (Z_2)^4 with the intercalate on labels 14, 15 swapped;
-        # S and T are made from it and e as for a metric group, so only
-        # Light's test fails (the search then finds S^2 no permutation)
-        law = group_law((2,) * 4)
-        law[14, 14] = law[15, 15] = law[14, 15]
-        law[14, 15] = law[15, 14] = 0
-        assert (law == law.T).all() and (np.sort(law, axis=1) == np.arange(16)).all()
-        assert (law[law] != law[:, law].transpose(1, 0, 2)).any()  # (a b) c != a (b c)
-        e = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
-        k = (e[law] - e[:, None] - e[None, :]) % 2
-        s = FactoredMatrix.gathered(lambda x: from_angle(Fraction(-x, 2)) / 4, k)
-        cases["non-associative law"] = ModularData(
-            s=s, t=FactoredMatrix.powers(2, e), ring=law_ring(law)
-        )
+        # (3) a commutative Latin square with identity, not associative
+        cases["non-associative law"] = non_associative_data()
         # (4) one S entry negated
         s = [list(row) for row in toric.s]
         s[1][2] = -s[1][2]
@@ -566,7 +576,7 @@ class TestPointedRoute:
         t = (rational(1), zeta(16), -zeta(16), rational(1))
         cases["twist order past 2r"] = ModularData(s=toric.s, t=t, ring=toric.ring)
         for label, md in cases.items():
-            assert obstruction._pointed_candidates(md) is None, label
+            assert pointed.lagrangian_candidates(md) is None, label
             self.assert_route_equals_search(md, monkeypatch, label)
         # the gate passes on these, so the fallback search answers them
         for label in (
@@ -596,6 +606,46 @@ class TestPointedRoute:
         assert len(report.candidates) == 270
         assert list(report.candidates) == sorted(hinted.candidates)
         assert elapsed < 1.0, elapsed
+
+    def test_light_test_checks_every_block(self, monkeypatch):
+        # a gather budget of r^2 entries puts one generator in each block
+        # of Light's test
+        law = non_associative_law()
+        assert pointed._generators(law, 0) == [1, 2, 4, 8]
+        # (x g) y = x (g y) for every x, y holds for g = 1, not for g = 2
+        light = lambda g: (law[law[:, g]] == law[:, law[g]]).all()
+        assert light(1) and not light(2)
+        md = non_associative_data()
+        monkeypatch.setattr(pointed, "_GATHER_ENTRIES", md.rank**2)
+        assert pointed.lagrangian_candidates(md) is None
+        self.assert_route_equals_search(md, monkeypatch, "non-associative law")
+        # eight generators in eight blocks on the double of (Z_2)^4
+        mg = abelian_double((2,) * 4)
+        md = metric_modular_data(mg)
+        monkeypatch.setattr(pointed, "_GATHER_ENTRIES", md.rank**2)
+        found = pointed.lagrangian_candidates(md)
+        assert len(found) == 270
+        assert found == sorted(subgroup_indicator(mg, s) for s in lagrangian_subgroups(mg))
+
+    def test_the_hinted_and_unhinted_orders(self):
+        # the hint lists the indicators in subgroup order, the route sorts
+        # them; on these groups the two orders differ ten times
+        groups = [corpus.build(name).metric for name in corpus.fixture_names()]
+        groups = [mg for mg in groups if mg is not None]
+        groups += [abelian_double(orders) for orders in ((2,), (3,), (4,), (2, 2), (2, 3))]
+        rng = random.Random(5)
+        groups += [random_metric_group(rng) for _ in range(100)]
+        passed = differ = 0
+        for mg in groups:
+            md = metric_modular_data(mg)
+            if not central_charge_gate(md)[0]:
+                continue
+            passed += 1
+            hinted = tuple(subgroup_indicator(mg, s) for s in lagrangian_subgroups(mg))
+            assert verdict(md, pointed_hint=mg).candidates == hinted, mg.orders
+            assert verdict(md).candidates == tuple(sorted(hinted)), mg.orders
+            differ += list(hinted) != sorted(hinted)
+        assert (passed, differ) == (39, 10)
 
     def test_a_refused_enumeration_is_a_size_limit(self, monkeypatch):
         monkeypatch.setattr(pointed, "HELD_POSITIONS_CAP", 1000)
