@@ -26,6 +26,14 @@ epistemic weight, and reports keep them separate:
   connected etale algebra (Davydov-Mueger-Nikshych-Ostrik,
   arXiv:1009.2117); the floor is exact.
 
+With a pointed hint (`verdict --pointed`), the hint is checked first
+(`pointed.matches_modular_data`).  If it regenerates the data, c is the
+hint's Milgram sum (`pointed.milgram_signature`), which is tau+/D of
+these data, and the answer is the hint's Lagrangian subgroups with their
+indicators (`pointed.lagrangian_answer`).  If it does not, or either
+call raises, the gate runs first as without a hint, and a hint that
+passes it without regenerating the data is refused.
+
 Unhinted pointed data with a group ring skip the search:
 `pointed.lagrangian_candidates` gives the candidates the search would,
 sorted, or None, and then the search runs.  The report is the same,
@@ -40,15 +48,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, NonModular, SearchBudgetExceeded
+from .errors import InputError, MtcError, NonModular, SearchBudgetExceeded
 from .fusion import _exact_dtype, _max_abs, _settle, _widen, element_label
 from .modular import ModularData, _slot_map, central_charge
 from .pointed import (
     MetricGroup,
+    lagrangian_answer,
     lagrangian_candidates,
-    lagrangian_subgroups,
     matches_modular_data,
-    subgroup_indicator,
+    milgram_signature,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -338,23 +346,48 @@ class ObstructionReport:
         return out
 
 
+def _hinted_charge(md: ModularData, hint: MetricGroup) -> Fraction | None:
+    """c mod 8 from the hint's Milgram sum (`pointed.milgram_signature`)
+    when the hint regenerates md (`pointed.matches_modular_data`); None
+    when it does not, or when either call raises an MtcError, and
+    `verdict` then runs its gate first, as without this shortcut.
+
+    The gate's c is the same number.  On matched data, with q(a) = e_a/M
+    and zeta = zeta_M, S_ac = zeta^(-K[a, c]) / sqrt|A| and T_a =
+    zeta^(e_a), for K[a, c] = e_(a+c) - e_a - e_c mod M.  The unit is
+    the zero u, so K[u, a] = -e_u for every a: the unit row of S is
+    constant and every d_a = 1.  Then tau+ S_uu = sum_a zeta^(e_a - e_u)
+    zeta^(e_u) / sqrt|A| = g / sqrt|A| for the Milgram sum g = sum_a
+    zeta^(e_a), q(0) = 0 or not, and both routes ask
+    `cyclotomic._root_phase` for the root of unity of that one number.
+    """
+    try:
+        if matches_modular_data(hint, md):
+            return milgram_signature(hint)
+    except MtcError:
+        pass
+    return None
+
+
 def verdict(md: ModularData, pointed_hint: MetricGroup | None = None) -> ObstructionReport:
-    """Pipeline: gate, then exact pointed answer from the hint, then the
-    candidates: by the subgroup enumeration on pointed data with a group
-    ring (`pointed.lagrangian_candidates`), else by the candidate search;
-    none is the definitive NoBoundary_NoCandidate.  The search reads its
-    node budget from MTC_SEARCH_BUDGET."""
-    passed, c = central_charge_gate(md)
-    if not passed:
+    """Pipeline: with a pointed hint that regenerates md, c from the
+    hint's Milgram sum (`_hinted_charge`); otherwise the gate, and a
+    hint that passes it but does not regenerate md is refused.  Then the
+    exact pointed answer from the hint (`pointed.lagrangian_answer`), or
+    the candidates: by the subgroup enumeration on pointed data with a
+    group ring (`pointed.lagrangian_candidates`), else by the candidate
+    search; none is the definitive NoBoundary_NoCandidate.  The search
+    reads its node budget from MTC_SEARCH_BUDGET."""
+    c = None if pointed_hint is None else _hinted_charge(md, pointed_hint)
+    if c is None:
+        passed, c = central_charge_gate(md)
+        if passed and pointed_hint is not None and not matches_modular_data(pointed_hint, md):
+            raise InputError("pointed hint does not regenerate the modular data")
+    if c != 0:
         return ObstructionReport("NoBoundary_CentralCharge", c)
     if pointed_hint is not None:
-        if not matches_modular_data(pointed_hint, md):
-            raise InputError("pointed hint does not regenerate the modular data")
-        subs = lagrangian_subgroups(pointed_hint)
-        indicators = tuple(subgroup_indicator(pointed_hint, sub) for sub in subs)
-        return ObstructionReport(
-            "ExactBoundaries", c, candidates=indicators, subgroups=tuple(map(tuple, subs))
-        )
+        subgroups, indicators = lagrangian_answer(pointed_hint)
+        return ObstructionReport("ExactBoundaries", c, candidates=indicators, subgroups=subgroups)
     found = lagrangian_candidates(md)
     if found is None:
         found = candidate_search(md)

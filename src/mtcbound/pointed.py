@@ -16,8 +16,9 @@ is label i of `group_ring(mg.orders)`.  What costs work is computed at
 most once per `MetricGroup` and kept on it: the q-exponent vector e
 with q(a) = e[a]/M for M the common denominator of q, the radical, the
 group ring, and the factored T and S.  One `verdict --pointed` on a
-file reads them up to three times (validation, the cross-section check
-and the hint check).
+file reads them in validation, in the cross-section check, in the hint
+check, in the Milgram sum that gives its c and in the Lagrangian
+enumeration.
 The exponent matrix K[a, c] = (e[a + c] - e[a] - e[c]) mod M, with
 a + c read off the group ring's rows, is the pairing b(a, c) = K[a, c]/M
 on every pair, quadratic q or not, and S[a, c] = e^(-2 pi i K[a, c]/M)
@@ -36,12 +37,19 @@ one integer product.  The Lagrangian enumeration adds one int16
 `group_law` among the isotropic elements and runs one order at a time
 (`isotropic_subgroups`): all isotropic subgroups of one order are one
 array, extended together in chunks of bounded size.  Each is made once,
-along its greedy generator chain, so none is deduplicated.
+along its greedy generator chain, so none is deduplicated.  Its rows
+over element indices, each sorted and then ordered by `np.lexsort`, come
+in the canonical order of `lagrangian_subgroups`; `lagrangian_answer`
+maps them to element tuples and makes their indicators in one int8
+scatter (`_indicators`, which `lagrangian_candidates` shares), the exact
+answer of a hinted `obstruction.verdict`.
 T keeps e as its root exponents (`FactoredMatrix.powers`), so the
 twists' exponents are never searched for.  The Milgram sum is one
 integer product of the q-exponent histogram with the power rows of
 zeta_M, and `cyclotomic._root_phase` reads the root of unity
-g / sqrt(|A|) off it exactly, or proves that there is none.
+g / sqrt(|A|) off it exactly, or proves that there is none.  A hinted
+`obstruction.verdict` takes its c from it once `matches_modular_data`
+holds: on those data tau+ S_uu is g / sqrt(|A|) too.
 
 `lagrangian_candidates` is the other bridge between a metric group and
 modular data: where `matches_modular_data` checks data against a given
@@ -539,9 +547,7 @@ def lagrangian_candidates(md: ModularData) -> list | None:
     iso = np.flatnonzero(e == 0)
     iso = np.concatenate(([u], iso[iso != u]))  # the unit first: position 0 is the zero
     found = isotropic_subgroups(iso, law[iso[:, None], iso], target)
-    indicators = np.zeros((len(found), r), dtype=np.int8)
-    indicators[np.arange(len(found))[:, None], found] = 1
-    return sorted(map(tuple, indicators.tolist()))
+    return sorted(map(tuple, _indicators(found, r).tolist()))
 
 
 def abelian_double(orders: tuple) -> MetricGroup:
@@ -621,20 +627,47 @@ def lagrangian_subgroups(mg: MetricGroup) -> list:
     |A| = SUBGROUP_SIZE_CAP, and refused with SizeLimit once the pending
     and found subgroups hold more than HELD_POSITIONS_CAP positions.
     """
+    elements = mg.elements
+    return [tuple(elements[i] for i in row) for row in _lagrangian_rows(mg).tolist()]
+
+
+def lagrangian_answer(mg: MetricGroup) -> tuple[tuple, tuple]:
+    """(subgroups, indicators): `lagrangian_subgroups(mg)` and the
+    indicator of each over the element indices, in the same order, as
+    `subgroup_indicator` gives it; the indicators are one int8 scatter.
+    The exact answer of `obstruction.verdict` from a pointed hint."""
+    rows = _lagrangian_rows(mg)
+    elements = mg.elements
+    subgroups = tuple(tuple(elements[i] for i in row) for row in rows.tolist())
+    return subgroups, tuple(map(tuple, _indicators(rows, mg.size).tolist()))
+
+
+def _lagrangian_rows(mg: MetricGroup) -> np.ndarray:
+    """The Lagrangian subgroups as element indices, one sorted row per
+    subgroup, the rows in lexicographic order (`np.lexsort`).  Index
+    order is the lexicographic order of element tuples (mixed radix,
+    row-major), so this is the canonical order of `lagrangian_subgroups`."""
     n = mg.size
     if n > SUBGROUP_SIZE_CAP:
         raise SizeLimit(f"|A| = {n} exceeds the subgroup enumeration cap {SUBGROUP_SIZE_CAP}")
     target = math.isqrt(n)
+    none = np.empty((0, target), dtype=np.intp)
     if target * target != n:
-        return []
+        return none
     e, _ = mg._derived(_exponents)
     if e[0]:
-        return []
+        return none
     iso = np.flatnonzero(e == 0)
     # the law among the isotropic elements alone: |iso|^2 int16 labels
-    found = isotropic_subgroups(iso, group_law(mg.orders, iso, np.int16), target)
-    elements = mg.elements
-    return sorted(tuple(elements[i] for i in l) for l in np.sort(found, axis=1).tolist())
+    rows = np.sort(isotropic_subgroups(iso, group_law(mg.orders, iso, np.int16), target), axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def _indicators(rows: np.ndarray, size: int) -> np.ndarray:
+    """One int8 row of length size per row of labels: 1 at its labels."""
+    flags = np.zeros((len(rows), size), dtype=np.int8)
+    flags[np.arange(len(rows))[:, None], rows] = 1
+    return flags
 
 
 def isotropic_subgroups(iso: np.ndarray, law: np.ndarray, target: int) -> np.ndarray:

@@ -71,7 +71,7 @@ from mtcbound.modular import (
     verlinde_table,
 )
 from mtcbound.multifusion import BlockDecomposition
-from mtcbound.obstruction import central_charge_gate, search_budget
+from mtcbound.obstruction import ObstructionReport, central_charge_gate, search_budget
 from mtcbound.pointed import (
     SUBGROUP_SIZE_CAP,
     MetricGroup,
@@ -79,6 +79,10 @@ from mtcbound.pointed import (
     _radical_mask,
     _s_entries,
     _twists,
+    lagrangian_subgroups,
+    matches_modular_data,
+    subgroup_indicator,
+    validate_metric,
 )
 from mtcbound.report import CheckResult, ValidationReport
 
@@ -1336,6 +1340,40 @@ def _s_screen_columns(md: ModularData, columns: list) -> tuple:
                 height[r + i, c] += h
             residual[j, c] -= 1.0
     return residual, height
+
+
+def gate_first_pointed_verdict(md: ModularData, hint: MetricGroup) -> ObstructionReport:
+    """`obstruction.verdict(md, pointed_hint=hint)` with the gate first:
+    c from tau+ of md, then the hint check, `lagrangian_subgroups` and
+    one `subgroup_indicator` call per subgroup.  The hinted branch as it
+    was before c came from the hint's Milgram sum."""
+    passed, c = central_charge_gate(md)
+    if not passed:
+        return ObstructionReport("NoBoundary_CentralCharge", c)
+    if not matches_modular_data(hint, md):
+        raise InputError("pointed hint does not regenerate the modular data")
+    subs = lagrangian_subgroups(hint)
+    indicators = tuple(subgroup_indicator(hint, sub) for sub in subs)
+    return ObstructionReport(
+        "ExactBoundaries", c, candidates=indicators, subgroups=tuple(map(tuple, subs))
+    )
+
+
+def random_q_table(rng: random.Random, max_size: int = 16) -> MetricGroup:
+    """A metric group whose q is a random table and not a quadratic
+    form: each value, q(0) too, drawn from (1/M) Z / Z for one seeded M,
+    and redrawn until `validate_metric` fails while the pairing q defines
+    is nondegenerate, which is all that `metric_modular_data` and
+    `matches_modular_data` ask."""
+    while True:
+        orders = tuple(rng.choice((2, 3, 4)) for _ in range(rng.randint(1, 2)))
+        if math.prod(orders) > max_size:
+            continue
+        m = rng.choice((2, 3, 4, 6, 8, 12))
+        q = {a: Fraction(rng.randrange(m), m) for a in product(*(range(n) for n in orders))}
+        mg = MetricGroup(orders=orders, q=q)
+        if len(mg.radical()) == 1 and not validate_metric(mg).ok:
+            return mg
 
 
 def backtracking_candidates(md: ModularData, budget: int | None = None) -> list:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -29,7 +30,14 @@ from mtcbound.pointed import (
     milgram_signature,
     subgroup_indicator,
 )
-from tests.helpers import backtracking_candidates, random_metric_group, relabelled, s_invariant
+from tests.helpers import (
+    backtracking_candidates,
+    gate_first_pointed_verdict,
+    random_metric_group,
+    random_q_table,
+    relabelled,
+    s_invariant,
+)
 
 
 class TestGate:
@@ -651,3 +659,123 @@ class TestPointedRoute:
         monkeypatch.setattr(pointed, "HELD_POSITIONS_CAP", 1000)
         with pytest.raises(SizeLimit, match="more than 1000 subgroup positions"):
             verdict(metric_modular_data(abelian_double((2,) * 4)))
+
+
+def hinted_outcome(route, make_md, hint):
+    """route(md, hint) on a fresh md, as its report's JSON dict or as the
+    type and message of the MtcError it raised."""
+    try:
+        return route(make_md(), hint).to_json_dict()
+    except MtcError as exc:
+        return type(exc), str(exc)
+
+
+class TestHintedCharge:
+    """A hint that regenerates md gives c by its Milgram sum; the verdict
+    must be that of the gate-first branch (`gate_first_pointed_verdict`),
+    report or exception.  Each route gets a datum of its own, so neither
+    reads a c the other cached on it."""
+
+    def assert_same(self, make_md, hint):
+        want = hinted_outcome(gate_first_pointed_verdict, make_md, hint)
+        got = hinted_outcome(lambda md, hint: verdict(md, pointed_hint=hint), make_md, hint)
+        assert got == want, hint.to_json_dict()
+        return want
+
+    @staticmethod
+    def label(outcome):
+        return outcome["verdict"] if isinstance(outcome, dict) else outcome[0].__name__
+
+    def test_metric_fixtures_from_their_files(self):
+        names = [n for n in corpus.fixture_names() if '"metric_group"' in corpus.shipped_text(n)]
+        assert len(names) == 5
+        labels = set()
+        for name in names:
+            hint = corpus.load_shipped(name).metric
+            labels.add(
+                self.label(
+                    self.assert_same(lambda: corpus.load_shipped(name).effective_modular(), hint)
+                )
+            )
+        assert labels == {"ExactBoundaries", "NoBoundary_CentralCharge"}
+
+    def test_seeded_metric_groups(self):
+        rng = random.Random(33)
+        labels = []
+        for _ in range(300):
+            mg = random_metric_group(rng)
+            labels.append(self.label(self.assert_same(lambda: metric_modular_data(mg), mg)))
+        assert labels.count("ExactBoundaries") >= 50
+        assert labels.count("NoBoundary_CentralCharge") >= 100
+
+    def test_hyperbolic_doubles(self):
+        for orders in ((2, 2), (3, 3), (2, 2, 2), (4, 4), (2, 2, 2, 2)):
+            mg = abelian_double(orders)
+            got = self.assert_same(lambda: metric_modular_data(mg), mg)
+            assert got["verdict"] == "ExactBoundaries" and got["subgroups"], orders
+
+    def test_tables_that_are_not_quadratic_forms(self):
+        # Milgram's sum of such a table is seldom a root of unity times
+        # sqrt|A|: milgram_signature raises, and the gate decides
+        rng = random.Random(34)
+        labels = []
+        for _ in range(200):
+            mg = random_q_table(rng)
+            labels.append(self.label(self.assert_same(lambda: metric_modular_data(mg), mg)))
+        assert labels.count("NotRootOfUnity") >= 150
+        assert labels.count("NoBoundary_CentralCharge") >= 20
+
+    def test_hints_that_do_not_regenerate_the_data(self):
+        # c = 1 fails the gate before the hint is looked at
+        semion = corpus.semion().modular
+        toric_hint = corpus.toric_code().metric
+        got = self.assert_same(lambda: semion, toric_hint)
+        assert got["verdict"] == "NoBoundary_CentralCharge" and got["central_charge"] == "1 mod 8"
+        # c = 0 passes it, and the hint is refused
+        toric = corpus.toric_code().modular
+        got = self.assert_same(lambda: toric, corpus.double_semion().metric)
+        assert got[0] is InputError
+
+    def test_caps_patched_low(self, monkeypatch):
+        monkeypatch.setattr(pointed, "SUBGROUP_SIZE_CAP", 8)
+        small, large = abelian_double((2,)), abelian_double((2, 2))
+        got = self.assert_same(lambda: metric_modular_data(small), small)
+        assert got["verdict"] == "ExactBoundaries"
+        got = self.assert_same(lambda: metric_modular_data(large), large)
+        assert got[0] is SizeLimit
+        monkeypatch.undo()
+        monkeypatch.setattr(pointed, "HELD_POSITIONS_CAP", 1000)
+        mg = abelian_double((2,) * 4)
+        got = self.assert_same(lambda: metric_modular_data(mg), mg)
+        assert got[0] is SizeLimit and "more than 1000 subgroup positions" in got[1]
+
+    def test_a_matched_hint_does_not_run_the_gate(self, monkeypatch):
+        def refuse(md):
+            raise AssertionError("the gate's central_charge ran")
+
+        monkeypatch.setattr(obstruction, "central_charge", refuse)
+        mg = corpus.toric_code().metric
+        report = verdict(metric_modular_data(mg), pointed_hint=mg)
+        assert report.verdict == "ExactBoundaries"
+        assert report.central_charge == 0 and len(report.subgroups) == 2
+
+    def test_galois_conjugate_hints(self):
+        # a q for a prime to M vanishes where q does, so (A, a q) has the
+        # Lagrangian subgroups of (A, q); its c may differ
+        rng = random.Random(35)
+        conjugates = with_subgroups = moved = 0
+        for _ in range(100):
+            mg = random_metric_group(rng)
+            base = verdict(metric_modular_data(mg), pointed_hint=mg)
+            m = math.lcm(*(v.denominator for v in mg.q.values()))
+            units = [a for a in range(2, m) if math.gcd(a, m) == 1]
+            for a in rng.sample(units, min(6, len(units))):
+                conj = MetricGroup(orders=mg.orders, q={x: a * v for x, v in mg.q.items()})
+                report = verdict(metric_modular_data(conj), pointed_hint=conj)
+                assert report.subgroups == base.subgroups, (mg.to_json_dict(), a)
+                assert set(report.candidates) == set(base.candidates), (mg.to_json_dict(), a)
+                assert report.central_charge == central_charge(metric_modular_data(conj))
+                conjugates += 1
+                with_subgroups += bool(report.subgroups)
+                moved += report.central_charge != base.central_charge
+        assert conjugates >= 400 and with_subgroups >= 50 and moved >= 100
