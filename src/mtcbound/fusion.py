@@ -42,6 +42,14 @@ from wrapping (`_exponent_array`).  Setting `_INT64_LIMIT` and
 layers on Python integers, leaving the exponents as they are; the tests
 run the object branches of every layer together through it.
 
+Blocked passes.  Five passes split their work into blocks of about
+`_BLOCK_BYTES` (2 MB) of their largest arrays: associativity here, the
+Verlinde table and the ring route in `modular`, Light's test and the
+Lagrangian enumeration in `pointed`.  A pass divides the budget by its
+item size, 8 bytes for int64 and object entries and 2 for the int16
+gathers of `pointed`.  Passes whose labels cost unequal amounts split
+them with `_label_blocks`; the others take a fixed step (`_block_step`).
+
 The elements of a finite abelian group, a product of cyclic groups, are
 indexed, labelled and added here once for the package: `group_strides`,
 `group_coordinates`, `group_law` and `element_label` are what
@@ -71,8 +79,9 @@ from .report import ValidationReport
 _INT64_LIMIT = 2**63
 # exponents mod M are int64 index arrays while M is below this
 _EXPONENT_LIMIT = 2**62
-# joined row products per associativity block
-_BLOCK_ENTRIES = 2**18
+# bytes of one block of a blocked pass: 2^18 int64 or object entries,
+# or 2^20 int16 ones
+_BLOCK_BYTES = 2**21
 # FP dimensions run in float64: multiplicities up to the cap are exact
 # there and give finite dimensions and global dimensions
 FP_MULTIPLICITY_CAP = 2**53
@@ -554,7 +563,7 @@ def _associativity(ring: FusionRing) -> tuple[bool, tuple | None]:
     # so that every key ((i - start) r + j) r + k) r + l is below 2^63
     span = max(1, (_INT64_LIMIT - 1) // r**3)
     pairs, tails = ring._codes // r, ring._codes % (r * r)  # i r + j, j r + k
-    for start, stop in _label_blocks(made, _BLOCK_ENTRIES, span):
+    for start, stop in _label_blocks(made, 8, span):
         lo, hi = by_first[start], by_first[stop]
         p, q = _join(by_first[last[lo:hi]], n_left[lo:hi], lo)  # (i, j, m), (m, k, l)
         left = (pairs[p] - start * r) * (r * r) + tails[q], values[p] * values[q]
@@ -573,19 +582,25 @@ def _associativity(ring: FusionRing) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def _label_blocks(made: np.ndarray, budget: int, span: int | None = None):
+def _label_blocks(made: np.ndarray, itemsize: int, span: int | None = None):
     """Ranges [start, stop) of labels, in order, that split the cost
-    made[r] - made[0] greedily into blocks of about budget: made[i] is
-    the cost of the labels below i, and a block holds at least one
-    label and at most span."""
+    made[r] - made[0] greedily into blocks of about _BLOCK_BYTES: made[i]
+    is the number of items of itemsize bytes that the labels below i
+    make, and a block holds at least one label and at most span."""
     r = len(made) - 1
     span = span or r
     start = 0
     while start < r:
-        stop = int(np.searchsorted(made, made[start] + budget, side="right")) - 1
+        stop = int(np.searchsorted(made, made[start] + _BLOCK_BYTES // itemsize, side="right")) - 1
         stop = min(max(stop, start + 1), start + span)
         yield start, stop
         start = stop
+
+
+def _block_step(items: int, itemsize: int) -> int:
+    """Units per block of a pass whose every unit makes items of itemsize
+    bytes: about _BLOCK_BYTES of them, and at least one unit."""
+    return max(1, _BLOCK_BYTES // (itemsize * items))
 
 
 def _join(starts: np.ndarray, counts: np.ndarray, offset: int) -> tuple:

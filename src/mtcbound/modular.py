@@ -20,10 +20,10 @@ since the power basis is a basis, "is a permutation matrix" and "is a
 non-negative integer" are read off the packed coefficients directly.
 The Verlinde sum is symmetric in i and j, so `verlinde_table` computes
 the pairs i <= j only, as one packed product per block of pairs of at
-most `_BLOCK_ENTRIES` coefficients, and mirrors the rest.  A packed
-matrix is always over the lcm of its entries' conductors; products,
-entrywise products and comparisons embed their operands into the lcm
-of the two.
+most `fusion._BLOCK_BYTES` of int64 coefficients (2^18 of them), and
+mirrors the rest.  A packed matrix is always over the lcm of its
+entries' conductors; products, entrywise products and comparisons embed
+their operands into the lcm of the two.
 
 `validate_modular` decides balancing, the Gauss identity and the two
 Verlinde checks by one of two routes.  Data that declare a fusion ring
@@ -116,6 +116,7 @@ from .errors import (
 )
 from .fusion import (
     FusionRing,
+    _block_step,
     _exact_dtype,
     _exponent_array,
     _label_blocks,
@@ -126,11 +127,6 @@ from .fusion import (
     ring_product,
 )
 from .report import ValidationReport
-
-# Bound on the coefficients of one Verlinde block, (pairs, r, 2 phi - 1):
-# a rank-12 datum runs as one block, and a block of rank-1,296 pointed
-# data holds about 2 MB of them.
-_BLOCK_ENTRIES = 2**18
 
 # `_ring_equations` forms every product of two distinct S entries, as
 # (entries^2, 2 phi - 1) coefficients, and rotated S entries, (rows, L);
@@ -672,7 +668,7 @@ def verlinde_table(md: ModularData) -> np.ndarray:
     conj_t = s.conj().transpose()
     r, phi = md.rank, s.nums.shape[2]
     first, second = np.triu_indices(r)  # the pairs i <= j, row-major
-    step = max(1, _BLOCK_ENTRIES // (r * (2 * phi - 1)))
+    step = _block_step(r * (2 * phi - 1), 8)
     keys, values = [], []
     for start in range(0, len(first), step):
         i, j = first[start : start + step], second[start : start + step]
@@ -972,13 +968,13 @@ def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple
     passes, and no twist theta_i = T_i / T_u and no Gauss sum is formed.
 
     (V) and (B) are checked in one pass, a block of labels i at a time,
-    each block about `_BLOCK_ENTRIES` coefficients or one label.  Each
-    table row (i, j, k) gathers its terms from one per-label table: N
-    times S_um S_km for every m, and next to them N theta_k S_uk.  One
-    `np.add.reduceat` sums the rows of each (i, j), one scatter places
-    the sums, and each half is compared with its right side: S_im S_jm,
-    and theta_i* theta_j S_i*j.  A (V) mismatch ends the pass; after a
-    (B) mismatch the pass checks (V) alone.  (V) reads one table of the
+    each block about `fusion._BLOCK_BYTES` of coefficients, 8 bytes each,
+    or one label.  Each table row (i, j, k) gathers its terms from one
+    per-label table: N times S_um S_km for every m, and next to them
+    N theta_k S_uk.  One `np.add.reduceat` sums the rows of each (i, j),
+    one scatter places the sums, and each half is compared with its
+    right side: S_im S_jm, and theta_i* theta_j S_i*j.  A (V) mismatch
+    ends the pass; after a (B) mismatch the pass checks (V) alone.  (V) reads one table of the
     products of every two distinct S entries (the route is not taken
     when that table would exceed `_PRODUCT_TABLE_CAP` coefficients), so
     no product is formed per entry, and both sides share its
@@ -1050,7 +1046,7 @@ def _ring_equations(md: ModularData, order: int, exponents: np.ndarray) -> tuple
     width = r * phi
     # per label below i: its table rows plus r, times a width per row
     made = by_first + np.arange(r + 1) * r
-    for start, stop in _label_blocks(made * terms.shape[1], _BLOCK_ENTRIES):
+    for start, stop in _label_blocks(made * terms.shape[1], 8):
         lo, hi = by_first[start], by_first[stop]
         left = term(k[lo:hi]) * counts[lo:hi, None]
         block = heads[heads.searchsorted(lo) : heads.searchsorted(hi)]

@@ -177,11 +177,32 @@ def _reduced_system(rows, width: int) -> dict | None:
     return {lead: a[i].tolist() for lead, i in pivots.items()}
 
 
+def _duality_orbits(dual: np.ndarray, trivial: np.ndarray, floors: tuple, u: int) -> list:
+    """[(members, floors[i])]: the theta-trivial duality orbits other than
+    the unit's, (i,) or (i, i*), with floors[i] > 0, in increasing i.
+
+    dual is an involution fixing u.  A label stands for its orbit when it
+    and its dual are theta-trivial, it is not u, and i <= i*; so the
+    orbits are disjoint and listed by their least member.
+    """
+    labels = np.arange(len(dual))
+    lead = np.flatnonzero(trivial & trivial[dual] & (labels != u) & (labels <= dual))
+    return [
+        ((i,) if i == j else (i, j), floors[i])
+        for i, j in zip(lead.tolist(), dual[lead].tolist())
+        if floors[i] > 0  # a label and its dual have the same dimension
+    ]
+
+
 def candidate_search(md: ModularData) -> list:
     """All multiplicity vectors passing the necessary conditions.
 
     The unknowns are the multiplicities m_c of the theta-trivial duality
-    orbits (the unit has multiplicity 1).  S n = n is one integer linear
+    orbits (the unit has multiplicity 1), listed by `_duality_orbits`:
+    a Lagrangian algebra is self-dual, so n_i = n_i*.  S^2 must be an
+    involution fixing the unit, the condition `validate_modular` checks
+    as `s_squared_dual_permutation`; otherwise the search raises
+    NonModular, with no candidate.  S n = n is one integer linear
     system A [m; 1] = 0 over the packed coefficients of S, and its unit
     row is sum n_i d_i = D, so the dimension condition comes with it.
     The system is brought to reduced row echelon form exactly, through
@@ -211,34 +232,16 @@ def candidate_search(md: ModularData) -> list:
     dual = md.dual_permutation()
     if dual is None:
         raise NonModular("S^2 is not a permutation matrix")
+    dual = np.array(dual)
+    if (dual[dual] != np.arange(r)).any() or dual[u] != u:
+        raise NonModular("S^2 permutation is not an involution fixing the unit")
 
-    eligible = [i for i in np.flatnonzero(trivial).tolist() if i != u]
     total = md.total_dim()  # d_i = S_ui D
     floors = md._derived(
         "dim_floors",
         lambda md: _slot_map(lambda x: (x * total).floor(), md.s.entries, md.s.slots[u]),
     )
-
-    orbits = []  # (members, bound on the multiplicity)
-    seen = set()
-    for i in eligible:
-        if i in seen:
-            continue
-        j = dual[i]
-        if j == i:
-            members = (i,)
-        elif not trivial[j]:
-            # dual of a theta-trivial label is theta-trivial in valid
-            # data; a violation here just means the label is unusable
-            seen.add(i)
-            continue
-        else:
-            members = (i, j)
-        seen.update(members)
-        # a label and its dual have the same dimension
-        if floors[i] > 0:
-            orbits.append((members, floors[i]))
-    orbits.sort(key=lambda o: o[0])
+    orbits = _duality_orbits(dual, trivial, floors, u)
 
     k = len(orbits)
     system = _reduced_system(_fixed_space_rows(md, [o[0] for o in orbits] + [(u,)]), k + 1)

@@ -65,9 +65,10 @@ subgroups, which `isotropic_subgroups` lists from the ring's law among
 the labels of trivial twist; they are sorted, as the search sorts, so
 the report is the search's byte for byte.  If a check fails it returns
 None, and the search runs.  The enumeration's size cap
-(`SUBGROUP_SIZE_CAP`), its gather budget (`_GATHER_ENTRIES`) and the
-input contract of `isotropic_subgroups` are read and checked in this
-module alone.
+(`SUBGROUP_SIZE_CAP`) and the input contract of `isotropic_subgroups`
+are read and checked in this module alone.  Light's test and the
+enumeration gather int16 labels and positions, 2 bytes each, in blocks
+of `fusion._BLOCK_BYTES` (2^20 entries).
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ import numpy as np
 from .cyclotomic import Cyclotomic, _digit_limit_error, _lcm, _root_phase, from_angle, sqrt_int
 from .errors import Degenerate, InputError, SizeLimit
 from .fusion import (
+    _block_step,
     _exponent_array,
     _widen,
     element_label,
@@ -103,12 +105,6 @@ SUBGROUP_SIZE_CAP = 4096
 # benchmark peak at 282,256 (the double of (Z_4)^3) and the double of
 # (Z_2)^5 at 2,086,920; the double of (Z_2)^6 passes the cap.
 HELD_POSITIONS_CAP = 2**25
-
-# Bound on the int16 entries of one gather sums[H] in the Lagrangian
-# enumeration, (subgroups, |H|, isotropic elements): 2 MB per chunk.
-# Light's test in `lagrangian_candidates` bounds its gathers of (x g) y,
-# r^2 entries per generator, by it too.
-_GATHER_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -188,7 +184,7 @@ class MetricGroup:
             raise InputError("orders must be a list")
         if not isinstance(obj["q"], dict):
             raise InputError("q must be an object")
-        table = {}
+        table, keys = {}, {}  # element -> q, element -> its key
         for key, value in obj["q"].items():
             if key == "0" and not orders:
                 a: tuple = ()
@@ -197,6 +193,9 @@ class MetricGroup:
                     a = tuple(int(c) for c in key.split(","))
                 except ValueError as exc:
                     raise InputError(f"bad element key {key!r}") from exc
+            if a in keys:
+                raise InputError(f"element keys {keys[a]!r} and {key!r} name one element")
+            keys[a] = key
             if isinstance(value, (bool, float)):
                 raise InputError(f"bad rational {value!r} for element {key!r}")
             try:
@@ -458,11 +457,13 @@ def lagrangian_candidates(md: ModularData) -> list | None:
     b(a, c)^(-1) / sqrt|A|, and T_a / T_u = e^(2 pi i q(a)).
 
     On these data the search finds exactly the indicators of the
-    Lagrangian subgroups H (|H|^2 = |A|, q|_H = 0), sorted.  S^2 maps a
-    to -a (b is nondegenerate), so its duality is negation.  As every
-    floor(d_a) = 1, a candidate is the indicator of a set H containing
-    u, with |H| = D by the unit row of S n = n, so there is none when r
-    is not a square.  For a in H, (S n)_a = 1 sums |H| = D terms
+    Lagrangian subgroups H (|H|^2 = |A|, q|_H = 0), sorted.  On the
+    data of a metric group (`metric_modular_data`) that is the hinted
+    order of `lagrangian_answer` reversed (its docstring has the proof).
+    S^2 maps a to -a (b is nondegenerate), so its duality is negation.
+    As every floor(d_a) = 1, a candidate is the indicator of a set H
+    containing u, with |H| = D by the unit row of S n = n, so there is
+    none when r is not a square.  For a in H, (S n)_a = 1 sums |H| = D terms
     b(a, h)^(-1) / D of modulus 1/D, so b(a, h) = 1 on H x H.  Then <H>
     is isotropic for b, |<H>|^2 <= |A| = |H|^2 by nondegeneracy, and H
     = <H> is a subgroup with trivial twists.  Conversely, (S 1_H)_a is
@@ -500,7 +501,7 @@ def lagrangian_candidates(md: ModularData) -> list | None:
         return None
     # L commutative: (g y) x = x (g y) must equal (x g) y = (g x) y
     labels = law.astype(np.int16)  # below SUBGROUP_SIZE_CAP
-    step = max(1, _GATHER_ENTRIES // (r * r))
+    step = _block_step(r * r, 2)  # int16 labels
     for start in range(0, len(gens), step):
         products = np.take(labels, law[gens[start : start + step]], axis=0)
         if (products != products.transpose(0, 2, 1)).any():
@@ -635,7 +636,14 @@ def lagrangian_answer(mg: MetricGroup) -> tuple[tuple, tuple]:
     """(subgroups, indicators): `lagrangian_subgroups(mg)` and the
     indicator of each over the element indices, in the same order, as
     `subgroup_indicator` gives it; the indicators are one int8 scatter.
-    The exact answer of `obstruction.verdict` from a pointed hint."""
+    The exact answer of `obstruction.verdict` from a pointed hint.
+
+    The indicators run in decreasing lexicographic order, the reverse of
+    the sorted candidates of `lagrangian_candidates` and of the search.
+    Take subgroups A != B whose sorted index rows first differ at
+    position p with a_p < b_p, A first.  The labels of A below a_p are
+    its first p, which B holds too; B has no other label below a_p, and
+    not a_p.  So 1_A and 1_B agree below a_p, and 1_A > 1_B there."""
     rows = _lagrangian_rows(mg)
     elements = mg.elements
     subgroups = tuple(tuple(elements[i] for i in row) for row in rows.tolist())
@@ -701,7 +709,7 @@ def isotropic_subgroups(iso: np.ndarray, law: np.ndarray, target: int) -> np.nda
             found = subgroups
             continue
         last = np.concatenate([gens for _, gens in entries])
-        step = max(1, _GATHER_ENTRIES // (size * len(sums)))
+        step = _block_step(size * len(sums), 2)  # int16 positions
         for start in range(0, len(subgroups), step):
             chunk = slice(start, start + step)
             for order, rows, gens in _extensions(subgroups[chunk], last[chunk], sums, target):

@@ -25,6 +25,7 @@ from mtcbound.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     from_angle,
+    rational,
     sqrt_int,
     zeta,
 )
@@ -67,6 +68,7 @@ from mtcbound.modular import (
     _reduction_table,
     _value_ids,
     gauss_sums,
+    ring_from_verlinde,
     validate_modular,
     verlinde_table,
 )
@@ -890,7 +892,7 @@ def two_pass_ring_equations(md: ModularData, order: int, exponents: np.ndarray) 
     products = _widen(products, top * _max_abs(products))
     unit_row = slots[u]
     made = by_first + np.arange(r + 1) * r
-    for start, stop in _label_blocks(made * (r * phi), modular._BLOCK_ENTRIES):
+    for start, stop in _label_blocks(made * (r * phi), 8):
         lo, hi = by_first[start], by_first[stop]
         left = sums(products[unit_row, slots[k[lo:hi]]] * counts[lo:hi, None, None], start, stop)
         right = products[slots[start:stop, None], slots[None]]
@@ -911,7 +913,7 @@ def two_pass_ring_equations(md: ModularData, order: int, exponents: np.ndarray) 
     rotated = _linear(spread, _power_rows(c, c))
     rotated = _widen(rotated, top * _max_abs(rotated))
     lhs, rhs = index[: r * r].reshape(r, r), index[r * r :]
-    for start, stop in _label_blocks(made * rotated.shape[1], modular._BLOCK_ENTRIES):
+    for start, stop in _label_blocks(made * rotated.shape[1], 8):
         lo, hi = by_first[start], by_first[stop]
         right = sums(rotated[rhs[k[lo:hi]]] * counts[lo:hi, None], start, stop)
         if not (rotated[lhs[start:stop]].reshape(right.shape) == right).all():
@@ -1928,3 +1930,109 @@ def row_scan_json_table(triples: list) -> np.ndarray:
     one by one, then the table built."""
     _scan_rows(triples)
     return _table_of(triples)
+
+
+def loop_duality_orbits(dual, trivial, floors, u: int) -> list:
+    """[(members, floors[i])]: the theta-trivial duality orbits as a
+    seen-set loop over the theta-trivial labels builds them, then sorted;
+    an oracle for `obstruction._duality_orbits`."""
+    eligible = [i for i in np.flatnonzero(trivial).tolist() if i != u]
+    orbits = []
+    seen = set()
+    for i in eligible:
+        if i in seen:
+            continue
+        j = int(dual[i])
+        if j == i:
+            members = (i,)
+        elif not trivial[j]:
+            seen.add(i)
+            continue
+        else:
+            members = (i, j)
+        seen.update(members)
+        if floors[i] > 0:
+            orbits.append((members, floors[i]))
+    orbits.sort(key=lambda o: o[0])
+    return orbits
+
+
+def budget_label_blocks(made: np.ndarray, budget: int, span: int | None = None) -> list:
+    """The label blocks [start, stop) for a budget counted in items, not
+    bytes: greedily about budget items per block, at least one label and
+    at most span; an oracle for `fusion._label_blocks`."""
+    r = len(made) - 1
+    span = span or r
+    out, start = [], 0
+    while start < r:
+        stop = int(np.searchsorted(made, made[start] + budget, side="right")) - 1
+        stop = min(max(stop, start + 1), start + span)
+        out.append((start, stop))
+        start = stop
+    return out
+
+
+def su2(k: int) -> ModularData:
+    """SU(2)_k: labels j = 0..k, n = k + 2, S_ij = sqrt(2/n) sin(pi (i+1)
+    (j+1)/n), T_j = e^(2 pi i j(j+2)/4n), and the ring from Verlinde."""
+    n = k + 2
+    # sqrt(2n)/n (x - 1/x) (-i)/2 = sqrt(2/n) sin(pi a/n) for x = e^(i pi a/n)
+    scale = sqrt_int(2 * n) * rational(Fraction(1, n)) * zeta(4, 3) * rational(Fraction(1, 2))
+    s = tuple(
+        tuple(
+            scale * (from_angle(Fraction(a, 2 * n)) - from_angle(Fraction(-a, 2 * n)))
+            for a in ((i + 1) * (j + 1) for j in range(k + 1))
+        )
+        for i in range(k + 1)
+    )
+    t = tuple(from_angle(Fraction(j * (j + 2), 4 * n)) for j in range(k + 1))
+    md = ModularData(s=s, t=t)
+    return ModularData(s=md.s, t=md.t, ring=ring_from_verlinde(md, tuple(map(str, range(k + 1)))))
+
+
+def ciz_invariants(k: int) -> dict:
+    """The Cappelli-Itzykson-Zuber modular invariants Z of SU(2)_k for k
+    = 4 and 10, each as the vector n_(i,j) = Z_ij at label i (k + 1) + j
+    of double(su2(k)): A (Z = delta), D, and at k = 10 E_6."""
+    r = k + 1
+    blocks = {"A": [(i,) for i in range(r)]}  # Z = sum of |sum of block|^2
+    if k % 4 == 0:
+        blocks["D"] = [(i, k - i) for i in range(0, k // 2, 2)] + [(k // 2,)] * 2
+        pairs = {}
+    else:  # k = 2 mod 4: sum_(i even) |chi_i|^2 + sum_(i odd) chi_i conj(chi_(k-i))
+        blocks["D"] = [(i,) for i in range(0, r, 2)]
+        pairs = {"D": [(i, k - i) for i in range(1, r, 2)]}
+    if k == 10:
+        blocks["E6"] = [(0, 6), (3, 7), (4, 10)]
+    out = {}
+    for name, summands in blocks.items():
+        z = [[0] * r for _ in range(r)]
+        for block in summands:
+            for i, j in product(block, block):
+                z[i][j] += 1
+        for i, j in pairs.get(name, ()):
+            z[i][j] += 1
+        out[name] = tuple(z[i][j] for i in range(r) for j in range(r))
+    return out
+
+
+def galois_conjugate(md: ModularData, a: int) -> tuple[ModularData, bool]:
+    """(data, negated): sigma_a, for a prime to N = md.conductor(),
+    applied to every distinct S and T entry at conductor N, keeping the
+    slots, the unit and the ring; S is negated, and negated is True, when
+    sigma_a(S_uu) is real and negative, since D may take either sign."""
+    n = md.conductor()
+
+    def conjugate(matrix: FactoredMatrix) -> FactoredMatrix:
+        entries = [x.embed(n) for x in matrix.entries]
+        return FactoredMatrix(
+            tuple(Cyclotomic(n, _embed_nums(x.nums, n, n, a), x.den) for x in entries),
+            matrix.slots,
+        )
+
+    s, t = conjugate(md.s), conjugate(md.t)
+    s_uu = s[md.unit_index][md.unit_index]
+    negated = s_uu.conj() == s_uu and s_uu.real_sign() < 0
+    if negated:
+        s = FactoredMatrix(tuple(-x for x in s.entries), s.slots)
+    return ModularData(s=s, t=t, unit_index=md.unit_index, ring=md.ring), negated

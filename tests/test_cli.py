@@ -254,6 +254,18 @@ class TestValidate:
 
         assert "None" in self._malformed(capsys, tmp_path, fixture_dir, edit)
 
+    def test_two_keys_of_one_element_exit_2(self, capsys, tmp_path, fixture_dir):
+        # the semion's metric section alone, with "01" naming (1,) again:
+        # once read as q = 0 there, it failed nondegenerate with exit 1
+        obj = {"name": "semion", "metric_group": corpus.semion().metric.to_json_dict()}
+        obj["metric_group"]["q"]["01"] = "0"
+        bad = tmp_path / "repeated.json"
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        for command in ("validate", "verdict"):
+            code, out, err = run(capsys, command, str(bad))
+            assert (code, out) == (2, "")
+            assert err == "error: element keys '1' and '01' name one element\n"
+
     def test_conductor_over_cap_exits_2(self, capsys, tmp_path, fixture_dir):
         def edit(obj):
             obj["modular_data"]["T"][1] = {"N": CONDUCTOR_CAP + 1, "c": []}

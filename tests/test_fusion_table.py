@@ -5,12 +5,13 @@ report for report and message for message."""
 
 import json
 import random
+import sys
 from itertools import product
 
 import numpy as np
 import pytest
 
-from mtcbound import corpus, fusion
+from mtcbound import corpus, fusion, modular, pointed
 from mtcbound.cli import main
 from mtcbound.errors import InputError
 from mtcbound.fusion import (
@@ -21,12 +22,13 @@ from mtcbound.fusion import (
     ring_product,
     validate,
 )
-from mtcbound.modular import ModularData, double, validate_modular, verlinde
+from mtcbound.modular import ModularData, box_tensor, double, validate_modular, verlinde, verlinde_table
 from mtcbound.multifusion import block_partition, corner_ring
 from mtcbound.obstruction import verdict
 from mtcbound.pointed import abelian_double, matches_modular_data, metric_modular_data
 from tests.helpers import (
     DictFusionRing,
+    budget_label_blocks,
     dict_associativity,
     dict_block_partition,
     dict_corner_ring,
@@ -225,7 +227,7 @@ class TestMutants:
             # one block for the whole ring and one label per block
             whole = _associativity(ring)
             with monkeypatch.context() as m:
-                m.setattr(fusion, "_BLOCK_ENTRIES", 1)
+                m.setattr(fusion, "_BLOCK_BYTES", 8)
                 assert _associativity(ring) == whole, count
         assert built >= 300
 
@@ -423,7 +425,7 @@ class TestExactness:
             expected = (False, tuple(x + shift for x in where))
             assert _associativity(ring) == expected
             with monkeypatch.context() as m:
-                m.setattr(fusion, "_BLOCK_ENTRIES", 1)
+                m.setattr(fusion, "_BLOCK_BYTES", 8)
                 assert _associativity(ring) == expected
 
     def test_no_key_wraps_at_rank_60000(self):
@@ -472,3 +474,70 @@ class TestExactness:
                 captured = capsys.readouterr()
                 assert captured.err == ""
                 assert "associativity" in captured.out
+
+
+class TestBlockBudget:
+    """One budget, `fusion._BLOCK_BYTES`, splits the five blocked passes.
+    Each divides it by its item size, 8 bytes or 2 for the int16 gathers
+    of `pointed`, so every pass keeps the blocks of its own item budget:
+    2^18 entries and 2^20 int16 entries at the default of 2^21 bytes."""
+
+    # the items each uniform pass makes per unit, and its units, read
+    # off the caller's locals
+    UNIFORM = {
+        "verlinde_table": lambda f: (f["r"] * (2 * f["phi"] - 1), len(f["first"])),
+        "lagrangian_candidates": lambda f: (f["r"] ** 2, len(f["gens"])),
+        "isotropic_subgroups": lambda f: (f["size"] * len(f["sums"]), len(f["subgroups"])),
+    }
+    ITEMSIZE = {
+        "_associativity": 8,
+        "_ring_equations": 8,
+        "verlinde_table": 8,
+        "lagrangian_candidates": 2,
+        "isotropic_subgroups": 2,
+    }
+
+    @pytest.mark.parametrize("shift", [0, 8, 18])
+    def test_every_pass_keeps_the_blocks_of_its_item_budget(self, monkeypatch, shift):
+        budgets = {8: 2**18 >> shift, 2: 2**20 >> shift}  # items per block
+        toric, ising = (corpus.build(name).modular for name in ("toric_code", "ising"))
+        if shift == 0:
+            md, mg = double(box_tensor(toric, ising)), abelian_double((2,) * 4)
+        else:
+            md, mg = box_tensor(toric, ising), abelian_double((2, 2))
+        split, step = fusion._label_blocks, fusion._block_step
+        seen = []
+
+        def label_spy(made, itemsize, span=None):
+            caller = sys._getframe(1).f_code.co_name
+            blocks = list(split(made, itemsize, span))
+            assert itemsize == self.ITEMSIZE[caller]
+            assert blocks == budget_label_blocks(made, budgets[itemsize], span), caller
+            seen.append((caller, len(blocks)))
+            return iter(blocks)
+
+        def step_spy(items, itemsize):
+            frame = sys._getframe(1)
+            caller = frame.f_code.co_name
+            cost, units = self.UNIFORM[caller](frame.f_locals)
+            got = step(items, itemsize)
+            assert (items, itemsize) == (cost, self.ITEMSIZE[caller])
+            assert got == max(1, budgets[itemsize] // cost), caller
+            seen.append((caller, len(range(0, units, got))))
+            return got
+
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 2**21 >> shift)
+        for module in (fusion, modular):
+            monkeypatch.setattr(module, "_label_blocks", label_spy)
+        for module in (modular, pointed):
+            monkeypatch.setattr(module, "_block_step", step_spy)
+        assert fusion.validate(md.ring).ok
+        assert validate_modular(md).ok  # the ring route
+        assert len(verlinde_table(md))
+        assert verdict(metric_modular_data(mg)).verdict == "CandidatesFound"
+        blocks = {}
+        for caller, count in seen:
+            blocks[caller] = blocks.get(caller, 0) + count
+        assert set(blocks) == set(self.ITEMSIZE)
+        if shift == 18:  # one unit per block, or four int16 entries
+            assert min(blocks.values()) > 1, blocks

@@ -236,14 +236,14 @@ class TestVerlinde:
 
     @staticmethod
     def block_settings(md) -> dict:
-        """_BLOCK_ENTRIES values: one pair i <= j per block, three blocks
-        for md, and the default."""
+        """fusion._BLOCK_BYTES values: one pair i <= j per block, three
+        blocks for md, and the default; coefficients take 8 bytes."""
         r, phi = md.rank, md.s.packed().nums.shape[2]
         pairs = r * (r + 1) // 2
         return {
-            "one pair": 1,
-            "three blocks": r * (2 * phi - 1) * -(-pairs // 3),
-            "default": modular._BLOCK_ENTRIES,
+            "one pair": 8,
+            "three blocks": 8 * r * (2 * phi - 1) * -(-pairs // 3),
+            "default": fusion._BLOCK_BYTES,
         }
 
     def test_fast_and_object_routes_agree(self, monkeypatch):
@@ -252,7 +252,7 @@ class TestVerlinde:
         for name, md in oracle_inputs():
             expected = sorted([*key, n] for key, n in object_verlinde(md).items())
             for setting, entries in self.block_settings(md).items():
-                monkeypatch.setattr(modular, "_BLOCK_ENTRIES", entries)
+                monkeypatch.setattr(fusion, "_BLOCK_BYTES", entries)
                 fresh = ModularData(s=md.s, t=md.t, unit_index=md.unit_index)
                 assert verlinde_table(fresh).tolist() == expected, (name, setting)
 
@@ -312,7 +312,7 @@ class TestVerlinde:
                     expected = str(exc)
                     raised += 1
                 for setting, entries in self.block_settings(flipped).items():
-                    monkeypatch.setattr(modular, "_BLOCK_ENTRIES", entries)
+                    monkeypatch.setattr(fusion, "_BLOCK_BYTES", entries)
                     fresh = ModularData(s=s, t=md.t, unit_index=u)
                     try:
                         got = verlinde(fresh)

@@ -10,10 +10,18 @@ import pytest
 
 from mtcbound import corpus
 from mtcbound.cyclotomic import ZERO, from_angle, rational, zeta
-from mtcbound.errors import InputError, MtcError, SearchBudgetExceeded, SizeLimit
+from mtcbound.errors import InputError, MtcError, NonModular, SearchBudgetExceeded, SizeLimit
 from mtcbound.fusion import FusionRing, group_law
-from mtcbound import modular, obstruction, pointed
-from mtcbound.modular import FactoredMatrix, ModularData, box_tensor, central_charge, double, reverse
+from mtcbound import fusion, modular, obstruction, pointed
+from mtcbound.modular import (
+    FactoredMatrix,
+    ModularData,
+    box_tensor,
+    central_charge,
+    double,
+    reverse,
+    validate_modular,
+)
 from mtcbound.obstruction import (
     ObstructionReport,
     candidate_search,
@@ -33,10 +41,12 @@ from mtcbound.pointed import (
 from tests.helpers import (
     backtracking_candidates,
     gate_first_pointed_verdict,
+    loop_duality_orbits,
     random_metric_group,
     random_q_table,
     relabelled,
     s_invariant,
+    su2,
 )
 
 
@@ -116,6 +126,94 @@ class TestSearch:
             search_budget()
         monkeypatch.delenv("MTC_SEARCH_BUDGET")
         assert search_budget() == 10**8
+
+
+def three_cycle_data() -> ModularData:
+    """S = 1 + P for P the permutation matrix of a 3-cycle, T = 1: the
+    gate passes (every d but the unit's is 0), and S^2 = 1 + P^2 is a
+    permutation that is no involution."""
+    one, zero = rational(1), ZERO
+    s = [[one, zero, zero, zero]] + [
+        [zero] + [one if j == (i + 1) % 3 else zero for j in range(3)] for i in range(3)
+    ]
+    return ModularData(s=s, t=[one] * 4)
+
+
+class TestDualityOrbits:
+    @staticmethod
+    def orbits(md) -> tuple:
+        """(`_duality_orbits`, the loop oracle) on md's own inputs."""
+        args = (
+            np.array(md.dual_permutation()),
+            obstruction._theta_trivial(md),
+            tuple(d.floor() for d in md.dims()),
+            md.unit_index,
+        )
+        return obstruction._duality_orbits(*args), loop_duality_orbits(*args)
+
+    def test_the_mask_lists_the_loop_orbits_on_named_data(self):
+        data = [
+            (name, corpus.build(name).modular)
+            for name in corpus.fixture_names()
+            if corpus.build(name).modular is not None
+        ]
+        assert len(data) == 13
+        ising, semion, fibonacci = (corpus.build(n).modular for n in ("ising", "semion", "fibonacci"))
+        toric = corpus.build("toric_code").modular
+        data += [
+            ("rank-144 double", double(box_tensor(toric, ising))),
+            ("double(su2(4))", double(su2(4))),
+            ("double(su2(10))", double(su2(10))),
+            ("double(ising x semion)", double(box_tensor(ising, semion))),
+            ("double(ising x semion^rev)", double(box_tensor(ising, reverse(semion)))),
+            ("double(ising x fibonacci)", double(box_tensor(ising, fibonacci))),
+        ]
+        listed = 0
+        for name, md in data:
+            new, old = self.orbits(md)
+            assert new == old, name
+            listed += bool(new)
+        # all but trivial, semion, ising, fibonacci and double_trivial
+        assert listed == 14
+
+    def test_the_mask_lists_the_loop_orbits_on_random_involutions(self):
+        rng = random.Random(34)
+        paired = 0
+        for _ in range(12_000):
+            r = rng.randint(1, 12)
+            u = rng.randrange(r)
+            dual = list(range(r))
+            others = [i for i in range(r) if i != u]
+            rng.shuffle(others)
+            for a, b in zip(others[: rng.randint(0, len(others) // 2)], others[len(others) // 2 :]):
+                dual[a], dual[b] = b, a
+            trivial = np.array([rng.random() < 0.7 for _ in range(r)])
+            floors = tuple(rng.randint(0, 3) for _ in range(r))
+            args = (np.array(dual), trivial, floors, u)
+            new = obstruction._duality_orbits(*args)
+            assert new == loop_duality_orbits(*args), args
+            paired += any(len(members) == 2 for members, _ in new)
+        assert paired >= 3000
+
+    def test_an_s_squared_that_is_no_involution_is_refused(self):
+        # the parent's loop took {1, 2} as an "orbit" here and reported
+        # the candidate (1, 0, 0, 0)
+        md = three_cycle_data()
+        assert central_charge_gate(md) == (True, 0)
+        assert md.dual_permutation() == (0, 3, 1, 2)
+        failed = [c.name for c in validate_modular(md).checks if not c.ok]
+        assert failed == [
+            "s_symmetric",
+            "dims_real_positive",
+            "s_squared_dual_permutation",
+            "theta_dual_invariant",
+            "balancing",
+            "verlinde_integral",
+        ]
+        with pytest.raises(NonModular, match="not an involution fixing the unit"):
+            verdict(md)
+        with pytest.raises(NonModular, match="not an involution fixing the unit"):
+            candidate_search(md)
 
 
 class TestCanonicalCandidate:
@@ -616,7 +714,7 @@ class TestPointedRoute:
         assert elapsed < 1.0, elapsed
 
     def test_light_test_checks_every_block(self, monkeypatch):
-        # a gather budget of r^2 entries puts one generator in each block
+        # a budget of r^2 int16 entries puts one generator in each block
         # of Light's test
         law = non_associative_law()
         assert pointed._generators(law, 0) == [1, 2, 4, 8]
@@ -624,20 +722,22 @@ class TestPointedRoute:
         light = lambda g: (law[law[:, g]] == law[:, law[g]]).all()
         assert light(1) and not light(2)
         md = non_associative_data()
-        monkeypatch.setattr(pointed, "_GATHER_ENTRIES", md.rank**2)
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 2 * md.rank**2)
         assert pointed.lagrangian_candidates(md) is None
         self.assert_route_equals_search(md, monkeypatch, "non-associative law")
         # eight generators in eight blocks on the double of (Z_2)^4
         mg = abelian_double((2,) * 4)
         md = metric_modular_data(mg)
-        monkeypatch.setattr(pointed, "_GATHER_ENTRIES", md.rank**2)
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 2 * md.rank**2)
         found = pointed.lagrangian_candidates(md)
         assert len(found) == 270
         assert found == sorted(subgroup_indicator(mg, s) for s in lagrangian_subgroups(mg))
 
     def test_the_hinted_and_unhinted_orders(self):
         # the hint lists the indicators in subgroup order, the route sorts
-        # them; on these groups the two orders differ ten times
+        # them; on these groups the two orders differ ten times, and the
+        # hinted order is always the sorted one reversed
+        # (`pointed.lagrangian_answer` has the proof)
         groups = [corpus.build(name).metric for name in corpus.fixture_names()]
         groups = [mg for mg in groups if mg is not None]
         groups += [abelian_double(orders) for orders in ((2,), (3,), (4,), (2, 2), (2, 3))]
@@ -652,6 +752,7 @@ class TestPointedRoute:
             hinted = tuple(subgroup_indicator(mg, s) for s in lagrangian_subgroups(mg))
             assert verdict(md, pointed_hint=mg).candidates == hinted, mg.orders
             assert verdict(md).candidates == tuple(sorted(hinted)), mg.orders
+            assert verdict(md).candidates == hinted[::-1], mg.orders
             differ += list(hinted) != sorted(hinted)
         assert (passed, differ) == (39, 10)
 

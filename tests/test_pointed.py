@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtcbound import corpus, pointed
+from mtcbound import corpus, fusion, pointed
 from mtcbound.errors import ConductorLimitError, Degenerate, InputError, SizeLimit
 from mtcbound.fusion import FusionRing, group_ring
 from mtcbound.modular import (
@@ -95,6 +96,21 @@ class TestStructure:
     def test_bad_json_value(self):
         with pytest.raises(InputError):
             MetricGroup.from_json_dict({"orders": [2], "q": {"0": "1/4", "1": "a/b"}})
+
+    def test_two_keys_of_one_element_are_refused(self):
+        # int() reads each spelling as 1, and the last value read once won
+        for spelling in ("01", "+1", " 1", "1 "):
+            q = {"0": "0", "1": "1/4", spelling: "0"}
+            message = re.escape(f"element keys '1' and {spelling!r} name one element")
+            with pytest.raises(InputError, match=f"^{message}$"):
+                MetricGroup.from_json_dict({"orders": [2], "q": q})
+        q = {"0,0": "0", "0,1": "1/4", "1,0": "1/4", "1,1": "1/2", "0, 01": "0"}
+        with pytest.raises(InputError, match="'0,1' and '0, 01'"):
+            MetricGroup.from_json_dict({"orders": [2, 2], "q": q})
+
+    def test_one_spelling_per_element_is_read(self):
+        mg = MetricGroup.from_json_dict({"orders": [2], "q": {"00": "0", "+1": "1/4"}})
+        assert mg.q == {(0,): Fraction(0), (1,): Fraction(1, 4)}
 
 
 class TestValidation:
@@ -673,7 +689,7 @@ class TestLagrangians:
         groups = [abelian_double(orders) for orders in ((2, 2, 2), (4, 4), (2, 2, 2, 2))]
         groups += [sparse_q_table(random.Random(seed), (4, 4)) for seed in range(5)]
         expected = [lagrangian_subgroups(mg) for mg in groups]
-        monkeypatch.setattr(pointed, "_GATHER_ENTRIES", entries)
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 2 * entries)  # int16 positions
         for mg, want in zip(groups, expected):
             assert lagrangian_subgroups(mg) == want == per_subgroup_lagrangians(mg), mg.orders
             assert want == order_batched_lagrangians(mg, gather_entries=entries), mg.orders

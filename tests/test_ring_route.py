@@ -302,7 +302,7 @@ class TestRingRoute:
             assert ring_equations(md) == (True, True), label
 
     def test_one_label_per_block(self, monkeypatch):
-        monkeypatch.setattr(modular, "_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 8)
         for label, md in rank_12_products() + [("double(ising)", double(corpus.ising().modular))]:
             assert ring_equations(md) == (True, True), label
             assert_routes_agree(md, label)
@@ -311,17 +311,17 @@ class TestRingRoute:
 
     def test_a_budget_of_1_gives_one_label_per_block_in_both_callers(self, monkeypatch):
         # associativity in fusion, the fused (V) and (B) loop here: one
-        # splitter, each caller reading its own module's budget at call time
+        # splitter, each caller reading the one budget at call time
         split, blocks = fusion._label_blocks, []
 
-        def spy(made, budget, span=None):
-            blocks.append(list(split(made, budget, span)))
+        def spy(made, itemsize, span=None):
+            blocks.append(list(split(made, itemsize, span)))
             return iter(blocks[-1])
 
+        _, md = rank_12_products()[0]
         for module in (fusion, modular):
             monkeypatch.setattr(module, "_label_blocks", spy)
-            monkeypatch.setattr(module, "_BLOCK_ENTRIES", 1)
-        _, md = rank_12_products()[0]
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 8)
         assert fusion.validate(md.ring).ok
         assert len(blocks) == 1
         assert ring_equations(md) == (True, True)
@@ -479,7 +479,7 @@ class TestFusedPass:
         assert assert_fused_pass_agrees(small_data(), 3101) == self.ALL
 
     def test_against_two_passes_at_one_label_per_block(self, monkeypatch):
-        monkeypatch.setattr(modular, "_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 8)
         assert assert_fused_pass_agrees(small_data(), 3102) == self.ALL
 
     def test_large_doubles_against_two_passes(self):
