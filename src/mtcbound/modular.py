@@ -56,19 +56,21 @@ Equal slots hold equal values, but distinct slots may hold one value
 at different conductors (zeta_4 and zeta_8^2 over Q(zeta_8)).  Every
 "same value" test within a datum therefore compares value ids
 (`_value_ids`: one integer per distinct row of the table of entries)
-gathered by slot: the symmetry of S, the twists' dual invariance, the
-ring route's conj(S) = C S and the search's theta_i = 1.  Per-value
+gathered by slot: the symmetry of S, the twists' dual invariance and
+the ring route's conj(S) = C S.  Per-value
 maps (dims, twists, dim floors, unit-row inverses, roots of unity, the
 JSON form) run once per distinct slot, and the dims' positivity and
 sum of squares once per distinct unit-row id, a failure named at the
 first label that carries the value.
-The twists are read as exponents once, theta_i = zeta_M^e_i
-(`_twist_exponents`): T keeps its entries' root exponents
+The twists are read as exponents once per datum, theta_i = zeta_M^e_i,
+by one reader, `_twist_exponents`: the root exponents
 (`FactoredMatrix.root_exponents`: each distinct entry that an exact
 Kronecker test shows to be a root of unity is read by
-`as_root_of_unity`), and each datum the twists' once.  The
-root-of-unity check, the ring route's twist equation and the Gauss sum
-read them.  The Gauss sum tau+- = sum_i d_i^2 theta_i^(+-1) is one
+`as_root_of_unity`) of theta, which is T itself when T_u = 1 and
+otherwise T's distinct entries over T_u on T's slots.  The
+root-of-unity check, the ring route's twist equation, the Gauss sum,
+the pointed route and the search's theta_i = 1 (exponent 0) read
+them.  The Gauss sum tau+- = sum_i d_i^2 theta_i^(+-1) is one
 integer product, cached per datum by `_gauss_sum`: the histogram of
 (unit-row S slot, +-e_i mod M) pairs times the power rows of zeta_M
 gives one class sum per distinct unit-row entry, then one d^2 product
@@ -97,6 +99,7 @@ import numpy as np
 
 from .cyclotomic import (
     Cyclotomic,
+    ONE,
     ZERO,
     _embed_nums,
     _lcm,
@@ -104,7 +107,6 @@ from .cyclotomic import (
     _power_row,
     _root_phase,
     euler_phi,
-    from_angle,
 )
 from .errors import (
     GaussIdentityFailure,
@@ -317,17 +319,6 @@ class FactoredMatrix:
         return FactoredMatrix(tuple(e for _, e in keys.values()), slots)
 
     @staticmethod
-    def powers(m: int, exponents: np.ndarray) -> "FactoredMatrix":
-        """The vector e^(2 pi i exponents[x] / m), for exponents in [0, m):
-        one `from_angle` per distinct exponent, gathered by the exponents,
-        which are kept as its `root_exponents`."""
-        vector = FactoredMatrix.gathered(lambda k: from_angle(Fraction(k, m)), exponents)
-        roots = np.zeros(len(vector.entries), dtype=exponents.dtype)
-        roots[vector.slots] = exponents
-        vector._roots = m, roots
-        return vector
-
-    @staticmethod
     def vector(values) -> "FactoredMatrix":
         """Factor a vector of Cyclotomic scalars."""
         row = FactoredMatrix.of((values,))
@@ -387,8 +378,7 @@ class FactoredMatrix:
         entries[k] is no root of unity, for m = lcm(2, n) and n the lcm
         conductor of the entries (the table is made first, so a conductor
         past the table cap is refused before any entry is read).  Made
-        once, then kept; a vector made by `powers` keeps its own
-        exponents.
+        once, then kept.
 
         Every root of unity of Q(zeta_n) has an order dividing m, so an
         entry read as e^(2 pi i k/L) by `as_root_of_unity`, the exact
@@ -630,6 +620,16 @@ def _dual_permutation(md: ModularData) -> tuple | None:
     return tuple(perm.tolist())
 
 
+def _dual_problem(perm: tuple | None, u: int) -> str | None:
+    """Why the dual permutation perm (`ModularData.dual_permutation`) is
+    no involution fixing the unit u, or None when it is one."""
+    if perm is None:
+        return "S^2 is not a permutation matrix"
+    if perm[u] != u or any(perm[j] != i for i, j in enumerate(perm)):
+        return "S^2 permutation is not an involution fixing the unit"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Verlinde fusion
 # ---------------------------------------------------------------------------
@@ -715,28 +715,27 @@ def _twist_exponents(md: ModularData) -> tuple:
     order the least such, or ((i,), None, None) for the first label i
     whose twist is no root of unity.  Raises NonModular when T_u = 0.
 
-    Read off `FactoredMatrix.root_exponents` of T: when T_u = zeta_m^e_u
-    is a root of unity, theta_i = T_i / T_u is one iff T_i is, with
-    exponent e_i - e_u mod m.  Otherwise the twists themselves are
-    read the same way.  The least order is m over the gcd of m and
+    Read off `FactoredMatrix.root_exponents` of theta: T itself when
+    T_u = 1, as on every shipped fixture and every metric group,
+    otherwise T's distinct entries times 1/T_u on T's slots, one product
+    per distinct entry.  The least order is m over the gcd of m and
     every exponent, and the exponents are an index array
     (`fusion._exponent_array`).  Once per datum.
     """
 
     def compute(md: ModularData) -> tuple:
-        t = md.t
-        m, roots = t.root_exponents()
-        unit = roots[t.slots[md.unit_index]]
-        if unit < 0:
-            t = FactoredMatrix.vector(md.theta())
-            m, roots = t.root_exponents()
-            unit = 0
-        roots = roots.tolist()
-        if min(roots) < 0:
-            return (int(np.flatnonzero(np.array(roots)[t.slots] < 0)[0]),), None, None
-        roots = [(r - unit) % m for r in roots]
-        g = math.gcd(m, *roots)
-        return None, m // g, _exponent_array([r // g for r in roots], m // g)[t.slots]
+        theta = md.t
+        tu = theta[md.unit_index]
+        if tu.is_zero():
+            raise NonModular("T_u = 0, twists undefined")
+        if tu != ONE:
+            inverse = tu.inverse()
+            theta = FactoredMatrix(tuple(inverse * e for e in theta.entries), theta.slots)
+        m, roots = theta.root_exponents()
+        if roots.min() < 0:
+            return (int(np.flatnonzero(roots[theta.slots] < 0)[0]),), None, None
+        g = math.gcd(m, *roots.tolist())
+        return None, m // g, _exponent_array((roots // g).tolist(), m // g)[theta.slots]
 
     return md._derived("twist_exponents", compute)
 
@@ -798,16 +797,14 @@ def _gauss_sum(md: ModularData, sign: int) -> Cyclotomic:
     unit-row entries a, where count[a, j] is the number of labels with
     unit-row entry a and sign e_i = j mod M.  The histogram times the
     power rows of zeta_M (`_power_rows`, cached per M) gives one class
-    sum per a; tau- negates the exponents, so no twist is inverted and
-    none is divided by T_u.  The exponents are exact: every root of
+    sum per a; tau- negates the exponents, so no twist is inverted.
+    The exponents are exact: every root of
     unity of Q(zeta_n) has an order dividing lcm(2, n), so
     `FactoredMatrix.root_exponents` misses only non-roots.  Twists that
     are not all roots of unity take `_slot_gauss_sum`.
     """
 
     def compute(md: ModularData) -> Cyclotomic:
-        if md.t[md.unit_index].is_zero():
-            raise NonModular("T_u = 0, twists undefined")
         where, order, exponents = _twist_exponents(md)
         if where is not None:
             return _slot_gauss_sum(md, sign)
@@ -1095,7 +1092,6 @@ def validate_modular(md: ModularData) -> ValidationReport:
     sum formed.  Everything it does not show takes the full routes.
     """
     report = ValidationReport("modular data")
-    r = md.rank
     u = md.unit_index
 
     ids = md.s.value_ids()[md.s.slots]
@@ -1140,18 +1136,12 @@ def validate_modular(md: ModularData) -> ValidationReport:
         report.add("total_dim", False, None, "dims unavailable")
 
     perm = md.dual_permutation()
-    if perm is None:
-        report.add("s_squared_dual_permutation", False, None, "S^2 is not a permutation matrix")
+    problem = _dual_problem(perm, u)
+    if problem is None:
+        report.add("s_squared_dual_permutation", True, None)
     else:
-        ok = all(perm[perm[i]] == i for i in range(r)) and perm[u] == u
-        report.add(
-            "s_squared_dual_permutation",
-            ok,
-            None if ok else (u,),
-            "" if ok else "S^2 permutation is not an involution fixing the unit",
-        )
-        if not ok:
-            perm = None
+        report.add("s_squared_dual_permutation", False, None if perm is None else (u,), problem)
+        perm = None
 
     if md.ring is not None:
         ok = perm is not None and perm == md.ring.dual

@@ -48,9 +48,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, MtcError, NonModular, SearchBudgetExceeded
+from .errors import InputError, MtcError, NonModular, NotRootOfUnity, SearchBudgetExceeded
 from .fusion import _exact_dtype, _max_abs, _settle, _widen, element_label
-from .modular import ModularData, _slot_map, central_charge
+from .modular import ModularData, _dual_problem, _slot_map, _twist_exponents, central_charge
 from .pointed import (
     MetricGroup,
     lagrangian_answer,
@@ -95,18 +95,6 @@ def central_charge_gate(md: ModularData):
     computed once per datum, so `verdict` and its search share it."""
     c = md._derived("c", central_charge)
     return c == 0, c
-
-
-def _theta_trivial(md: ModularData) -> np.ndarray:
-    """Boolean mask over the labels: theta_i = 1, that is T_i = T_u in
-    value.  The T value ids gathered by slot (`FactoredMatrix.value_ids`)
-    are compared with the id of T_u, so distinct slots holding T_u at
-    another conductor count too."""
-    t = md.t
-    if t[md.unit_index].is_zero():
-        raise NonModular("T_u = 0, twists undefined")
-    ids = t.value_ids()[t.slots]
-    return ids == ids[md.unit_index]
 
 
 def _fixed_space_rows(md: ModularData, columns: list) -> np.ndarray:
@@ -199,10 +187,13 @@ def candidate_search(md: ModularData) -> list:
 
     The unknowns are the multiplicities m_c of the theta-trivial duality
     orbits (the unit has multiplicity 1), listed by `_duality_orbits`:
-    a Lagrangian algebra is self-dual, so n_i = n_i*.  S^2 must be an
-    involution fixing the unit, the condition `validate_modular` checks
-    as `s_squared_dual_permutation`; otherwise the search raises
-    NonModular, with no candidate.  S n = n is one integer linear
+    a Lagrangian algebra is self-dual, so n_i = n_i*.  theta_i = 1 is
+    read as twist exponent 0 (`modular._twist_exponents`).  Two
+    preconditions of `validate_modular` are required, each refused with
+    no candidate: every twist a root of unity (`theta_root_of_unity`;
+    otherwise NotRootOfUnity), and S^2 an involution fixing the unit
+    (`s_squared_dual_permutation`, read by `modular._dual_problem`;
+    otherwise NonModular).  S n = n is one integer linear
     system A [m; 1] = 0 over the packed coefficients of S, and its unit
     row is sum n_i d_i = D, so the dimension condition comes with it.
     The system is brought to reduced row echelon form exactly, through
@@ -228,20 +219,20 @@ def candidate_search(md: ModularData) -> list:
 
     r = md.rank
     u = md.unit_index
-    trivial = _theta_trivial(md)
+    where, _, exponents = _twist_exponents(md)
+    if where is not None:
+        raise NotRootOfUnity(f"theta_{where[0]} is not a root of unity")
     dual = md.dual_permutation()
-    if dual is None:
-        raise NonModular("S^2 is not a permutation matrix")
-    dual = np.array(dual)
-    if (dual[dual] != np.arange(r)).any() or dual[u] != u:
-        raise NonModular("S^2 permutation is not an involution fixing the unit")
+    problem = _dual_problem(dual, u)
+    if problem is not None:
+        raise NonModular(problem)
 
     total = md.total_dim()  # d_i = S_ui D
     floors = md._derived(
         "dim_floors",
         lambda md: _slot_map(lambda x: (x * total).floor(), md.s.entries, md.s.slots[u]),
     )
-    orbits = _duality_orbits(dual, trivial, floors, u)
+    orbits = _duality_orbits(np.array(dual), exponents == 0, floors, u)
 
     k = len(orbits)
     system = _reduced_system(_fixed_space_rows(md, [o[0] for o in orbits] + [(u,)]), k + 1)

@@ -43,8 +43,11 @@ in the canonical order of `lagrangian_subgroups`; `lagrangian_answer`
 maps them to element tuples and makes their indicators in one int8
 scatter (`_indicators`, which `lagrangian_candidates` shares), the exact
 answer of a hinted `obstruction.verdict`.
-T keeps e as its root exponents (`FactoredMatrix.powers`), so the
-twists' exponents are never searched for.  The Milgram sum is one
+The twist exponents of its data are read as any datum's are
+(`modular._twist_exponents`): T_u = 1, so T's own root exponents, one
+kernel read per distinct q-exponent, kept on T, which the data of one
+group share.  The hinted `obstruction.verdict` and the Milgram sum read
+none of them.  The Milgram sum is one
 integer product of the q-exponent histogram with the power rows of
 zeta_M, and `cyclotomic._root_phase` reads the root of unity
 g / sqrt(|A|) off it exactly, or proves that there is none.  A hinted
@@ -278,9 +281,9 @@ def _s_entries(mg: MetricGroup) -> FactoredMatrix:
 
 def _twists(mg: MetricGroup) -> FactoredMatrix:
     """T[a] = e^(2 pi i e[a]/M): one `from_angle` per distinct q-exponent,
-    gathered by the exponents, which T keeps as its root exponents."""
+    gathered by the exponents."""
     e, m = mg._derived(_exponents)
-    return FactoredMatrix.powers(m, e)
+    return FactoredMatrix.gathered(lambda k: from_angle(Fraction(k, m)), e)
 
 
 # ---------------------------------------------------------------------------

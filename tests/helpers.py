@@ -44,6 +44,7 @@ from mtcbound.errors import (
 from mtcbound import modular
 from mtcbound.fusion import (
     FusionRing,
+    _exponent_array,
     _label_blocks,
     _max_abs,
     _scan_rows,
@@ -1070,6 +1071,25 @@ def per_slot_twist_roots(theta: tuple, slots: np.ndarray) -> tuple:
     return None, order, np.array([k * (order // m) for k, m in map(roots.get, slots)])
 
 
+def two_branch_twist_exponents(md: ModularData) -> tuple:
+    """`_twist_exponents` as it was with two branches, not cached: T's
+    root exponents less T_u's when T_u is a root of unity, otherwise the
+    root exponents of the twists factored afresh."""
+    t = md.t
+    m, roots = t.root_exponents()
+    unit = roots[t.slots[md.unit_index]]
+    if unit < 0:
+        t = FactoredMatrix.vector(md.theta())
+        m, roots = t.root_exponents()
+        unit = 0
+    roots = roots.tolist()
+    if min(roots) < 0:
+        return (int(np.flatnonzero(np.array(roots)[t.slots] < 0)[0]),), None, None
+    roots = [(r - unit) % m for r in roots]
+    g = math.gcd(m, *roots)
+    return None, m // g, _exponent_array([r // g for r in roots], m // g)[t.slots]
+
+
 @lru_cache(maxsize=None)
 def _root_rows(n: int) -> dict:
     """{`_root_row(n, j)`: j} for j < lcm(2, n)."""
@@ -1251,7 +1271,8 @@ def s_invariant(md: ModularData, n) -> bool:
 
 def per_label_theta_trivial(md: ModularData) -> list:
     """Labels with theta_i = 1, one `Cyclotomic` comparison per label
-    (the choice `obstruction._theta_trivial` makes once per T slot)."""
+    (the search reads it as twist exponent 0, `modular._twist_exponents`,
+    one root read per distinct entry)."""
     theta = md.theta()
     one = theta[md.unit_index]
     return [i for i in range(md.rank) if theta[i] == one]

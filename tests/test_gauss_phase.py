@@ -26,6 +26,7 @@ from mtcbound.modular import (
     reverse,
     validate_modular,
 )
+from mtcbound.obstruction import verdict
 from mtcbound.pointed import MetricGroup, abelian_double, metric_modular_data, milgram_signature
 
 from tests.helpers import (
@@ -39,9 +40,12 @@ from tests.helpers import (
     per_slot_twist_roots,
     power_row_milgram_signature,
     random_metric_group,
+    su2,
     t_table_central_charge,
     t_table_gauss_sum,
+    two_branch_twist_exponents,
 )
+from tests.test_known_answers import seeded_metric_conjugates
 
 
 def outcome(f, *args):
@@ -192,10 +196,14 @@ class TestAgainstTheReplacedRoutes:
         assert message == (modular.NotRootOfUnity, "tau+/D = 2 is not a root of unity")
 
     def test_exponents_past_int64(self):
-        # T kept as powers of zeta_M, M = 2^64, in an object array: the
-        # twists (1, i) have order 4 and are read as int64
+        # T gathered from powers of zeta_M, M = 2^64, in an object array:
+        # the twists (1, i) are read off T's entries, whose modulus
+        # lcm(2, conductor) is at most 2 CONDUCTOR_CAP, so they have
+        # order 4 and are int64 whatever form the exponents came in
         semion = corpus.build("semion").modular
-        md = fresh(semion, FactoredMatrix.powers(2**64, np.array([0, 2**62], dtype=object)))
+        e = np.array([0, 2**62], dtype=object)
+        md = fresh(semion, FactoredMatrix.gathered(lambda k: from_angle(Fraction(k, 2**64)), e))
+        assert md.t.root_exponents()[0] == 4
         assert exponents_outcome(md) == (None, 4, [0, 1])
         assert _twist_exponents(md)[2].dtype == np.int64
         assert_matches_references(md, "semion over 2^64")
@@ -241,7 +249,7 @@ class TestRootExponentsAgainstTheLookup:
 
     @staticmethod
     def assert_roots_match(t: FactoredMatrix, label) -> None:
-        """Read afresh, and as kept (`powers` keeps its own m)."""
+        """Read afresh, and as kept."""
         want_m, want = lookup_root_exponents(FactoredMatrix(t.entries, t.slots))
         m, roots = FactoredMatrix(t.entries, t.slots).root_exponents()
         assert (m, roots.tolist()) == (want_m, want.tolist()), label
@@ -287,6 +295,53 @@ class TestRootExponentsAgainstTheLookup:
         assert t.root_exponents()[1].tolist() == [0, 1] + [-1] * len(NON_ROOTS)
 
 
+class TestOneTwistReader:
+    """`_twist_exponents` reads theta alone: T itself when T_u = 1, else
+    T's entries over T_u.  The two-branch reader it replaced (T's root
+    exponents less T_u's, or theta's when T_u is none) is the oracle:
+    the same (where, order, exponents), or the same error."""
+
+    @staticmethod
+    def assert_same(md: ModularData, label) -> None:
+        want = outcome(two_branch_twist_exponents, fresh(md))
+        if isinstance(want, tuple) and len(want) == 3 and want[2] is not None:
+            want = (*want[:2], want[2].tolist())
+        assert exponents_outcome(fresh(md)) == want, label
+
+    def test_fixtures_and_tampered_twists(self):
+        data = [(name, corpus.build(name).modular) for name in corpus.fixture_names()]
+        data = [(name, md) for name, md in data if md is not None]
+        assert len(data) == 13
+        # every fixture has T_u = 1; scaled, T_u is zeta_5 or 2
+        for name, md in data:
+            for scale in (rational(1), zeta(5), rational(2)):
+                t = tuple(scale * x for x in md.t)
+                self.assert_same(fresh(md, t), (name, scale))
+        cases = tampered_inputs()
+        assert {"T_u = 2", "T_u = zeta_5", "not a root of unity", "T_u = 0", "a zero twist"} < set(cases)
+        for label, md in cases.items():
+            self.assert_same(md, label)
+
+    def test_doubles(self):
+        toric, ising = corpus.build("toric_code").modular, corpus.build("ising").modular
+        md = double(box_tensor(toric, ising))
+        for label, data in (
+            ("rank-144 double", md),
+            ("rank-144 mixed", twice_odd_twists(md)),
+            ("double(su2(4))", double(su2(4))),
+            ("double(su2(10))", double(su2(10))),
+        ):
+            self.assert_same(data, label)
+
+    def test_seeded_metric_data_and_their_conjugates(self):
+        rng = random.Random(35)
+        for _ in range(200):
+            mg = random_metric_group(rng, max_size=36)
+            self.assert_same(metric_modular_data(mg), mg.orders)
+        for md, conj, negated in seeded_metric_conjugates():
+            self.assert_same(conj, (md.conductor(), negated))
+
+
 class TestKernel:
     def test_reads_rho_zeta_back(self):
         # x = rho zeta_L^j for rho = sqrt(k), over every j, and x = 0; x
@@ -323,14 +378,35 @@ class TestKernel:
         assert [(milgram_signature(mg), central_charge(fresh(md))) for mg, md in inputs] == expected
 
     def test_pointed_answers_need_no_root_of_unity_test(self, monkeypatch):
-        inputs = [(mg, metric_modular_data(mg)) for mg in self.groups()]
-        expected = [(milgram_signature(mg), central_charge(fresh(md))) for mg, md in inputs]
+        # milgram_signature and the hinted verdict read no twist, and the
+        # unhinted central charge reads each distinct twist of a group
+        # once: the data of one group share T and its root exponents
+        def answers() -> list:
+            out = []
+            for mg in self.groups():
+                md = metric_modular_data(mg)
+                out.append((milgram_signature(mg), verdict(md, pointed_hint=mg).to_json_dict()))
+            return out
 
-        def refused(self):
-            raise AssertionError("as_root_of_unity called")
+        expected = answers()
+        calls = []
+        read = Cyclotomic.as_root_of_unity
 
-        monkeypatch.setattr(Cyclotomic, "as_root_of_unity", refused)
-        assert [(milgram_signature(mg), central_charge(fresh(md))) for mg, md in inputs] == expected
+        def counted(self):
+            calls.append(self)
+            return read(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Cyclotomic, "as_root_of_unity", counted)
+            assert answers() == expected
+            assert calls == []
+            for mg in self.groups():
+                first, second = metric_modular_data(mg), metric_modular_data(mg)
+                assert central_charge(first) == milgram_signature(mg), mg.orders
+                assert sorted(map(id, calls)) == sorted(map(id, first.t.entries)), mg.orders
+                calls.clear()
+                assert central_charge(second) == milgram_signature(mg), mg.orders
+                assert calls == [], mg.orders
 
     def test_root_match_past_the_table_cap(self, monkeypatch):
         # the cap bounds only the ring route's product tables now: T's

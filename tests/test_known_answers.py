@@ -11,14 +11,30 @@ every candidate.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from mtcbound import corpus
-from mtcbound.modular import central_charge, double, validate_modular
+from mtcbound.modular import FactoredMatrix, ModularData, central_charge, double, validate_modular
 from mtcbound.obstruction import verdict
-from tests.helpers import ciz_invariants, galois_conjugate, su2
+from mtcbound.pointed import metric_modular_data
+from tests.helpers import ciz_invariants, galois_conjugate, random_metric_group, su2
+
+
+def seeded_metric_conjugates() -> list:
+    """[(base, conjugate, negated)]: `galois_conjugate` of the data of 100
+    seeded `random_metric_group` draws (seed 7), by the first three units
+    a > 1 prime to each conductor."""
+    rng = random.Random(7)
+    out = []
+    for _ in range(100):
+        md = metric_modular_data(random_metric_group(rng, max_size=36))
+        n = md.conductor()
+        for a in [a for a in range(2, n) if math.gcd(a, n) == 1][:3]:
+            out.append((md, *galois_conjugate(md, a)))
+    return out
 
 
 class TestSu2:
@@ -71,3 +87,28 @@ class TestGaloisConjugates:
                     assert failed == ["dims_real_positive"], (name, a, failed)
                     unpositive += 1
         assert (conjugates, valid, negated, unpositive) == (37, 17, 4, 20)
+
+    def test_conjugates_of_seeded_metric_data(self):
+        # sigma_a maps (A, q) to (A, a q), with the same Lagrangian
+        # subgroups.  Negating S negates tau+/D, so c moves by 4; a global
+        # dimension is totally positive (Etingof-Nikshych-Ostrik, 2005),
+        # so a Drinfeld center is never negated, and the negated
+        # conjugates here (sigma_a(sqrt |A|) = -sqrt |A|) keep an exact NO
+        conjugates = negated_count = moved = 0
+        for md, conj, negated in seeded_metric_conjugates():
+            assert validate_modular(conj).ok
+            base, got = verdict(md), verdict(conj)
+            conjugates += 1
+            if not negated:
+                assert (got.verdict, got.candidates) == (base.verdict, base.candidates)
+                continue
+            negated_count += 1
+            s = FactoredMatrix(tuple(-x for x in conj.s.entries), conj.s.slots)
+            unnegated = ModularData(s=s, t=conj.t, unit_index=conj.unit_index, ring=conj.ring)
+            assert got.central_charge == (central_charge(unnegated) + 4) % 8
+            assert got.verdict.startswith("NoBoundary_") and base.verdict.startswith("NoBoundary_")
+            moved += (got.verdict, got.candidates) != (base.verdict, base.candidates)
+        # 278 keep verdict and candidates; the 18 that move, forms on
+        # Z_5, Z_7 x Z_3 and Z_6 x Z_2, trade NoCandidate at c = 0 and
+        # CentralCharge at c = 4
+        assert (conjugates, negated_count, moved) == (296, 93, 18)

@@ -10,12 +10,21 @@ import pytest
 
 from mtcbound import corpus
 from mtcbound.cyclotomic import ZERO, from_angle, rational, zeta
-from mtcbound.errors import InputError, MtcError, NonModular, SearchBudgetExceeded, SizeLimit
+from mtcbound.errors import (
+    InputError,
+    MtcError,
+    NonModular,
+    NotRootOfUnity,
+    SearchBudgetExceeded,
+    SizeLimit,
+)
 from mtcbound.fusion import FusionRing, group_law
 from mtcbound import fusion, modular, obstruction, pointed
 from mtcbound.modular import (
     FactoredMatrix,
     ModularData,
+    _dual_problem,
+    _twist_exponents,
     box_tensor,
     central_charge,
     double,
@@ -145,7 +154,7 @@ class TestDualityOrbits:
         """(`_duality_orbits`, the loop oracle) on md's own inputs."""
         args = (
             np.array(md.dual_permutation()),
-            obstruction._theta_trivial(md),
+            _twist_exponents(md)[2] == 0,
             tuple(d.floor() for d in md.dims()),
             md.unit_index,
         )
@@ -214,6 +223,31 @@ class TestDualityOrbits:
             verdict(md)
         with pytest.raises(NonModular, match="not an involution fixing the unit"):
             candidate_search(md)
+
+    def test_one_reader_of_the_dual_involution(self):
+        # validate_modular and candidate_search both read _dual_problem
+        moved = "S^2 permutation is not an involution fixing the unit"
+        assert _dual_problem(None, 0) == "S^2 is not a permutation matrix"
+        assert _dual_problem((0, 2, 3, 1), 0) == moved  # a 3-cycle
+        assert _dual_problem((1, 0, 2), 0) == moved  # a transposition moving the unit
+        assert _dual_problem((1, 0, 2), 2) is None  # an involution fixing it
+
+
+class TestTwistsOffTheCircle:
+    def test_the_search_refuses_a_twist_that_is_no_root_of_unity(self):
+        # toric code's S with T = (1, 3/2, 1/2, -1): tau+/D = 1, so the
+        # gate passes, and theta_1 = 3/2 is no root of unity, so no exact
+        # answer may rest on these twists
+        toric = corpus.build("toric_code").modular
+        t = tuple(map(rational, (1, Fraction(3, 2), Fraction(1, 2), -1)))
+        for ring in (toric.ring, None):
+            md = ModularData(s=toric.s, t=t, ring=ring)
+            assert central_charge_gate(md) == (True, 0)
+            failed = validate_modular(md).failed_names()
+            assert failed == ["theta_root_of_unity", "balancing", "gauss_identity"]
+            for call in (verdict, candidate_search):
+                with pytest.raises(NotRootOfUnity, match=r"^theta_1 is not a root of unity$"):
+                    call(ModularData(s=toric.s, t=t, ring=ring))
 
 
 class TestCanonicalCandidate:
@@ -551,7 +585,8 @@ def non_associative_data() -> ModularData:
     e = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
     k = (e[law] - e[:, None] - e[None, :]) % 2
     s = FactoredMatrix.gathered(lambda x: from_angle(Fraction(-x, 2)) / 4, k)
-    return ModularData(s=s, t=FactoredMatrix.powers(2, e), ring=law_ring(law))
+    t = FactoredMatrix.gathered(lambda x: from_angle(Fraction(x, 2)), e)
+    return ModularData(s=s, t=t, ring=law_ring(law))
 
 
 class TestPointedRoute:

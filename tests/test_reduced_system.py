@@ -3,7 +3,7 @@ against the Python-list route it replaced
 (`tests.helpers.list_reduced_system`), its Gram-matrix rows against one
 object cast per orbit member and, by reduced form and candidates,
 against the distinct rows of the system itself, the theta-trivial
-labels chosen per T slot against one comparison per label, and the
+labels read as twist exponent 0 against one comparison per label, and the
 search's output, node count and budget on both routes."""
 
 import random
@@ -16,14 +16,8 @@ from hypothesis import strategies as st
 from mtcbound import corpus, fusion, obstruction
 from mtcbound.cyclotomic import ZERO, Cyclotomic, zeta
 from mtcbound.errors import NonModular, SearchBudgetExceeded
-from mtcbound.modular import ModularData, box_tensor, double, reverse
-from mtcbound.obstruction import (
-    _fixed_space_rows,
-    _reduced_system,
-    _theta_trivial,
-    candidate_search,
-    verdict,
-)
+from mtcbound.modular import ModularData, _twist_exponents, box_tensor, double, reverse
+from mtcbound.obstruction import _fixed_space_rows, _reduced_system, candidate_search, verdict
 from mtcbound.pointed import abelian_double, metric_modular_data
 from tests.helpers import (
     list_reduced_system,
@@ -274,10 +268,15 @@ class TestGramMatrixProperties:
         assert_same_contents(_reduced_system(gram(rows, width), width), want, rows)
 
 
+def theta_trivial(md: ModularData) -> np.ndarray:
+    """The search's theta_i = 1: twist exponent 0."""
+    return _twist_exponents(md)[2] == 0
+
+
 class TestThetaTrivialBySlot:
     def test_slot_choice_equals_per_label_choice(self, data):
         for label, md in data.items():
-            assert np.flatnonzero(_theta_trivial(md)).tolist() == per_label_theta_trivial(md), label
+            assert np.flatnonzero(theta_trivial(md)).tolist() == per_label_theta_trivial(md), label
 
     def test_equal_values_in_two_slots_at_different_conductors(self):
         # zeta_4 and zeta_8^2 are one value in two slots
@@ -285,13 +284,13 @@ class TestThetaTrivialBySlot:
         i8 = Cyclotomic(8, (0, 0, 1, 0))
         md = ModularData(s=toric.s, t=(zeta(4), i8, zeta(4), -zeta(4)))
         assert len(md.t.entries) == 3 and i8 == zeta(4)
-        assert _theta_trivial(md).tolist() == [True, True, True, False]
+        assert theta_trivial(md).tolist() == [True, True, True, False]
         assert per_label_theta_trivial(md) == [0, 1, 2]
 
     def test_zero_t_unit_raises_non_modular(self):
         toric = corpus.toric_code().modular
         one = Cyclotomic.from_rational(1)
         md = ModularData(s=toric.s, t=(ZERO, one, one, -one))
-        for call in (_theta_trivial, candidate_search, verdict):
+        for call in (_twist_exponents, candidate_search, verdict):
             with pytest.raises(NonModular, match=r"^T_u = 0, twists undefined$"):
                 call(md)
