@@ -42,12 +42,14 @@ from wrapping (`_exponent_array`).  Setting `_INT64_LIMIT` and
 layers on Python integers, leaving the exponents as they are; the tests
 run the object branches of every layer together through it.
 
-Blocked passes.  Five passes split their work into blocks of about
-`_BLOCK_BYTES` (2 MB) of their largest arrays: associativity here, the
-Verlinde table and the ring route in `modular`, Light's test and the
-Lagrangian enumeration in `pointed`.  A pass divides the budget by its
-item size, 8 bytes for int64 and object entries and 2 for the int16
-gathers of `pointed`.  Passes whose labels cost unequal amounts split
+Blocked passes.  Six passes split their work into blocks of about
+`_BLOCK_BYTES` (2 MB) of their largest arrays: associativity and the
+stacked eigensolves of `fp_dimensions` here, the Verlinde table, the
+ring route and Light's test of the pointed certificate in `modular`,
+and the Lagrangian enumeration in `pointed`.  A pass divides the
+budget by its item size, 8 bytes for int64, float64 and object entries
+and 2 for the uint16 labels of Light's test and the int16 positions of
+the enumeration.  Passes whose labels cost unequal amounts split
 them with `_label_blocks`; the others take a fixed step (`_block_step`).
 
 The elements of a finite abelian group, a product of cyclic groups, are
@@ -218,12 +220,11 @@ class FusionRing:
         """N at each int64 code (i r + j) r + k of valid keys; 0 where absent."""
         return _lookup(self._codes, self.table[:, 3], codes)
 
-    def _rows(self, i: int, j: int | None = None) -> np.ndarray:
-        """The table rows of label i, or of the pair (i, j)."""
+    def _rows(self, i: int, j: int) -> np.ndarray:
+        """The table rows of the pair (i, j)."""
         r = self.rank
-        lo = i * r * r if j is None else (i * r + j) * r
-        hi = lo + (r * r if j is None else r)
-        start, stop = np.searchsorted(self._codes, (lo, hi))
+        lo = (i * r + j) * r
+        start, stop = np.searchsorted(self._codes, (lo, lo + r))
         return self.table[start:stop]
 
     def product_vector(self, i: int, j: int) -> np.ndarray:
@@ -231,15 +232,6 @@ class FusionRing:
         out = np.zeros(self.rank, dtype=self.table.dtype)
         rows = self._rows(i, j)
         out[rows[:, 2].astype(np.int64)] = rows[:, 3]
-        return out
-
-    def left_matrix(self, i: int) -> np.ndarray:
-        """Matrix (N_{ij}^k)_{jk} of multiplication by label i."""
-        r = self.rank
-        out = np.zeros((r, r), dtype=self.table.dtype)
-        rows = self._rows(i)
-        keys = rows[:, 1:3].astype(np.int64)
-        out[keys[:, 0], keys[:, 1]] = rows[:, 3]
         return out
 
     # -- serialization -------------------------------------------------------
@@ -680,23 +672,38 @@ def pairing_symmetry_check(ring: FusionRing) -> list[tuple[int, int]]:
 def fp_dimensions(ring: FusionRing) -> list[float]:
     """Largest real eigenvalue of left multiplication, per label.
 
-    Raises MultiplicityLimitError on a multiplicity above
-    FP_MULTIPLICITY_CAP, naming the first such row."""
+    The matrices (N_ij^k)_jk of a block of labels, about _BLOCK_BYTES of
+    float64 (`_block_step`), are scattered from the table rows into one
+    stack, and `np.linalg.eigvals` solves the stack in one call.  Raises
+    MultiplicityLimitError on a multiplicity above FP_MULTIPLICITY_CAP,
+    naming the first such row, and NumericError at the first label
+    whose eigenvalues are not finite or none real."""
     over = np.flatnonzero(ring.table[:, 3] > FP_MULTIPLICITY_CAP)
     if len(over):
         i, j, k, _ = ring.table[over[0]].tolist()
         raise MultiplicityLimitError(
             f"multiplicity N[{i},{j},{k}] exceeds cap 2^53 for FP dimensions"
         )
+    r = ring.rank
+    first, j, k = ring.indices().T
+    values = ring.table[:, 3].astype(np.float64)
+    by_first = first.searchsorted(np.arange(r + 1))
+    step = _block_step(r * r, 8)
     dims = []
-    for i in range(ring.rank):
-        eigs = np.linalg.eigvals(ring.left_matrix(i).astype(np.float64))
-        if not np.all(np.isfinite(eigs)):
-            raise NumericError(f"eigenvalue computation failed for label {i}")
-        real = [e.real for e in eigs if abs(e.imag) <= _REAL_TOLERANCE * (1 + abs(e))]
-        if not real:
-            raise NumericError(f"no real eigenvalue for label {i}")
-        dims.append(max(real))
+    for start in range(0, r, step):
+        stop = min(start + step, r)
+        lo, hi = by_first[start], by_first[stop]
+        stack = np.zeros((stop - start, r, r))
+        stack[first[lo:hi] - start, j[lo:hi], k[lo:hi]] = values[lo:hi]
+        eigs = np.linalg.eigvals(stack)
+        finite = np.isfinite(eigs).all(axis=1)
+        real = np.abs(eigs.imag) <= _REAL_TOLERANCE * (1 + np.abs(eigs))
+        bad = np.flatnonzero(~finite | ~real.any(axis=1))
+        if len(bad):
+            i = int(bad[0])
+            what = "eigenvalue computation failed" if not finite[i] else "no real eigenvalue"
+            raise NumericError(f"{what} for label {start + i}")
+        dims += np.where(real, eigs.real, -np.inf).max(axis=1).tolist()
     return dims
 
 

@@ -25,9 +25,16 @@ mirrors the rest.  A packed matrix is always over the lcm of its
 entries' conductors; products, entrywise products and comparisons embed
 their operands into the lcm of the two.
 
-`validate_modular` decides balancing, the Gauss identity and the two
-Verlinde checks by one of two routes.  Data that declare a fusion ring
-and pass every earlier check take the ring route, `_ring_equations`:
+`validate_modular` answers pointed data with a group ring by one
+certificate, `_pointed_certificate`: integer checks of O(|G| r^2) on a
+generating set G that prove the data those of a nondegenerate metric
+group with its group ring, from which every check follows (its
+docstring has the proofs).  The certificate is kept on the datum, and
+`pointed.lagrangian_candidates` reads it for the unhinted verdict.  On
+all other data the checks run one by one (`_axiom_checks`), and decide
+balancing, the Gauss identity and the two Verlinde checks by one of
+two routes.  Data that declare a fusion ring and pass every earlier
+check take the ring route, `_ring_equations`:
 one read of conj(S) = C S and one pass over the sorted ring table that
 checks S_um sum_k N_ij^k S_km = S_im S_jm and theta_i theta_j S_ij =
 sum_k N_i*j^k theta_k S_uk side by side, read off the products of two S
@@ -107,6 +114,7 @@ from .cyclotomic import (
     _power_row,
     _root_phase,
     euler_phi,
+    from_angle,
 )
 from .errors import (
     GaussIdentityFailure,
@@ -526,6 +534,11 @@ class ModularData:
 
     def conductor(self) -> int:
         return self._derived("conductor", _conductor)
+
+    def pointed_certificate(self) -> bool:
+        """Whether `_pointed_certificate` proves these the pointed data of
+        a nondegenerate metric group with its group ring."""
+        return self._derived("pointed", _pointed_certificate)
 
     # -- serialization ----------------------------------------------------------
 
@@ -1078,8 +1091,234 @@ def _gather_rows(a: np.ndarray):
     return gather
 
 
+def _generators(law: np.ndarray, u: int) -> list | None:
+    """Labels g_1, g_2, ... that reach every label from u by right
+    products (`law[x, g]`), each the least label the ones before do not
+    reach; None once more than log2(r) are needed.  In a group the
+    labels reached by g_1 .. g_i form the subgroup they generate, which
+    at least doubles with each g_i.  Plain Python lists: O(r) per
+    generator, where numpy's cost per call would dominate."""
+    r = len(law)
+    reached = bytearray(r)
+    reached[u] = 1
+    subgroup = [u]
+    gens: list = []
+    while (g := reached.find(0)) >= 0:
+        if len(gens) == r.bit_length() - 1:
+            return None
+        gens.append(g)
+        column = law[:, g].tolist()
+        # the cosets subgroup + j g until one starts at a reached label,
+        # which in a group is the subgroup itself
+        cosets = list(subgroup)
+        coset = [column[x] for x in subgroup]
+        while not reached[coset[0]]:
+            for x in coset:
+                reached[x] = 1
+            cosets += coset
+            coset = [column[x] for x in coset]
+        subgroup = cosets
+    return gens
+
+
+def _ring_law(ring: FusionRing, labels: np.ndarray) -> np.ndarray:
+    """L[a, c] for a, c in labels, off the sorted row codes (a r + c) r +
+    L[a, c] of a ring with exactly one row per pair (a, c), row a r + c."""
+    r = ring.rank
+    pairs = labels[:, None] * r + labels
+    return ring._codes[pairs] - pairs * r
+
+
+def _pointed_certificate(md: ModularData) -> bool:
+    """Whether md is the pointed data of a nondegenerate metric group
+    (A, q) with its group ring as the declared ring, by integer numpy
+    checks of O(|G| r^2) on a generating set G of at most log2(r)
+    labels.  `validate_modular` and `pointed.lagrangian_candidates` read
+    it, once per datum (`ModularData.pointed_certificate`).
+
+    The conditions, for u the unit, r the rank, L the ring's law,
+    theta_a = zeta_M^e_a (`_twist_exponents`, so e_u = 0),
+    K[a, c] = e[L[a, c]] - e_a - e_c mod M, and G from `_generators`:
+    (0) the ring has r^2 rows and T_u != 0; nothing else is read
+        otherwise;
+    (1) S_uu^2 r = 1 and S_uu > 0, so D = 1/S_uu = sqrt(r);
+    (2) the ring has one row (a, c, L[a, c], 1) per pair (a, c); L is
+        symmetric, L[u] is the identity, and L[a, dual[a]] = u;
+    (3) Light's test: (x g) y = x (g y) for all labels x, y and g in G;
+    (4) every twist is a root of unity, and M <= 2 r;
+    (5) D S_ac = zeta_M^(-K[a, c]): the value ids of S are a function
+        of K, and each K value but 0 (whose value is S_uu's) is compared
+        once, exactly.  K[u, a] = 0, so the unit row of S is S_uu's;
+    (6) K[g, x + h] = K[g, x] + K[g, h] for every x and g, h in G;
+    (7) K[g, g] = 2 e_g for g in G;
+    (8) no a != u has K[a, g] = 0 for every g in G.
+    S's value ids are read before any twist, as in `_axiom_checks`, so
+    a conductor refusal names the matrix that the checks would.
+
+    They make md the pointed data of (A, q), q(a) = e_a/M
+    (`pointed.metric_modular_data`), up to T_u and the labels.  The
+    labels p with (x p) y = x (p y) for all x, y are closed under L:
+    (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y)) = x ((a b) y).
+    They include u and G, so every label: L is associative, and with
+    (2) a commutative monoid with identity u.  K is symmetric with
+    K[a, u] = 0, and K[a, c + x] - K[a, c] - K[a, x] = e_(a+c+x) -
+    e_(a+c) - e_(a+x) - e_(c+x) + e_a + e_c + e_x is symmetric in a, c,
+    x.  By (6) each K[g, .] is additive along every generator, so
+    additive, every label being a sum of generators; by that symmetry
+    each K[a, .] is then additive along G, so additive.  An idempotent
+    z = z + z has K[a, z] = 2 K[a, z] = 0 for all a, so z = u by (8); as
+    some multiple of each a is idempotent, every a has an inverse.  So
+    A is an abelian group and b = e^(2 pi i K/M) a symmetric
+    bicharacter, nondegenerate by (8), and dual[a] = -a by (2).
+    K[g, -g] = -K[g, g] gives e_(-g) = K[g, g] - e_g, so (7) is q(-g) =
+    q(g); a -> q(a) - q(-a) is additive (K[-a, -c] = K[a, c]), so it
+    vanishes, and q is a quadratic form with bicharacter b.  By (1) and
+    (5) every d_a = 1 and S_ac = b(a, c)^(-1) / sqrt|A|, and T_a / T_u =
+    e^(2 pi i q(a)).  (4) holds on every such datum: q has values in
+    (1 / 2 exp(A)) Z / Z, and exp(A) <= r.  In (5), S_ac and S_uu lie in
+    Q(zeta_n), n = lcm(2, conductor of S's table), so D S_ac = zeta_M^-k
+    is a root of unity of Q(zeta_n), of order dividing n; a value k of
+    K whose root has another order fails at once, and every product
+    formed stays in Q(zeta_n).
+    """
+    r, u, ring = md.rank, md.unit_index, md.ring
+    # a ring has r^2 rows or more, and exactly r^2 when every product is
+    # one simple; labels below r <= 2^16 fit uint16 (a ring of more rows
+    # is past any memory)
+    if ring is None or len(ring.table) != r * r or r > 2**16 or md.t[u].is_zero():
+        return False
+    s, s_uu = md.s, md.s_unit
+    ids = s.value_ids()
+    if s_uu * s_uu * r != 1 or s_uu.real_sign() <= 0:
+        return False
+
+    # N >= 1 on every row, so r^2 rows summing to r^2 all have N = 1;
+    # the sorted codes (a r + c) r + L[a, c] then have one row per pair
+    # exactly when each lies in [p r, p r + r) for p = a r + c
+    if ring.table[:, 3].sum() != r * r:
+        return False
+    labels = np.arange(r)
+    law = _ring_law(ring, labels)
+    if law.min() < 0 or law.max() >= r:
+        return False
+    if (law != law.T).any() or (law[u] != labels).any():
+        return False
+    if (law[labels, list(ring.dual)] != u).any():
+        return False
+    gens = _generators(law, u)
+    if gens is None:
+        return False
+    # L commutative: (g y) x = x (g y) must equal (x g) y = (g x) y
+    narrow = law.astype(np.uint16)
+    step = _block_step(r * r, 2)  # uint16 labels
+    for start in range(0, len(gens), step):
+        products = np.take(narrow, law[gens[start : start + step]], axis=0)
+        if (products != products.transpose(0, 2, 1)).any():
+            return False
+
+    # a quadratic form on A has values in (1 / 2 exp(A)) Z / Z, and
+    # exp(A) <= r
+    where, m, e = _twist_exponents(md)
+    if where is not None or m > 2 * r:
+        return False
+    # K = raw mod m, raw in (-2m, m): a negative index into the 3m
+    # residues wraps to raw + 3m, of the same residue
+    residues = np.arange(3 * m) % m
+    k = np.take(residues, np.take(e, law) - np.add.outer(e, e))
+    # the value id of S at each value of K; at 0 it is S_uu's, as
+    # K[u, u] = 0
+    values = ids[s.slots]
+    value = np.full(m, -1, dtype=np.intp)
+    value[k] = values
+    if (value[k] != values).any():
+        return False
+    # each other value against e^(-2 pi i K/M) S_uu, in Q(zeta_n)
+    n = _lcm(2, s.table().conductor)
+    entry = dict(zip(ids.tolist(), s.entries))
+    for angle in (np.flatnonzero(value[1:] >= 0) + 1).tolist():
+        if angle * n % m or entry[value[angle]] != from_angle(Fraction(-angle, m)) * s_uu:
+            return False
+
+    rows = k[gens]  # K[g, .]
+    pairs = rows[:, gens]  # K[g, h]
+    # K[g, x + h] - K[g, x] - K[g, h], in (-2m, m), is 0 mod m
+    excess = np.take(rows, law[:, gens], axis=1) - rows[:, :, None] - pairs[:, None, :]
+    if np.take(residues, excess).any():
+        return False
+    if np.count_nonzero((rows == 0).all(axis=0)) != 1:
+        return False
+    # q(-g) = q(g) iff q(2g) = 4 q(g), that is K[g, g] = 2 e_g mod m
+    return not any(
+        (kg - 2 * eg) % m for kg, eg in zip(pairs.diagonal().tolist(), e[gens].tolist())
+    )
+
+
+# the checks of `validate_modular`, in report order
+_MODULAR_CHECKS = (
+    "s_symmetric",
+    "dims_real_positive",
+    "total_dim",
+    "s_squared_dual_permutation",
+    "dual_matches_ring",
+    "theta_normalized",
+    "theta_root_of_unity",
+    "theta_dual_invariant",
+    "balancing",
+    "gauss_identity",
+    "verlinde_integral",
+    "verlinde_matches_ring",
+)
+
+
 def validate_modular(md: ModularData) -> ValidationReport:
-    """Exact check of every modular axiom; names are stable API.
+    """Exact check of every modular axiom; names are stable API, and a
+    report lists them in the order of `_MODULAR_CHECKS`.
+
+    Pointed data with a group ring are answered by the pointed
+    certificate (`ModularData.pointed_certificate`).  When it holds,
+    every check passes, and no S^2, Verlinde sum, (S T)^3, Gauss sum or
+    twist theta_i is formed.  By the certificate, labels are the elements
+    of a finite abelian group A, u = 0, r = |A|, D = 1/S_uu = sqrt(r) >
+    0, S_ac = b(a, c)^(-1) / D for a nondegenerate symmetric bicharacter
+    b, theta_a = e^(2 pi i q(a)) for a quadratic form q with theta(x +
+    y) = theta_x theta_y b(x, y), every theta_a a root of unity, and the
+    declared ring is the group law with dual[a] = -a.  Each check, in turn:
+    - s_symmetric: b is symmetric.
+    - dims_real_positive: d_a = S_ua / S_uu = b(0, a)^(-1) = 1.
+    - total_dim: D = sqrt(r) > 0, and D^2 = r = sum_a d_a^2.
+    - s_squared_dual_permutation: (S^2)_ac = (1/r) sum_x b(a + c, x)^(-1)
+      is 1 when a + c = 0 and 0 otherwise, by character orthogonality
+      (b(a + c, .) is a nontrivial character when a + c != 0, b being
+      nondegenerate).  So S^2 is negation, an involution fixing u.
+    - dual_matches_ring: the declared dual is negation.
+    - theta_normalized: T_u != 0.
+    - theta_root_of_unity: condition (4) of the certificate.
+    - theta_dual_invariant: q(-a) = q(a), q being a quadratic form.
+    - balancing: write g = sum_x theta_x, which is tau+ as every d = 1.
+      theta(x - y) = theta_x theta_y b(x, y)^(-1) gives sum_x theta_x
+      b(x, y)^(-1) = theta_y^(-1) g.  So (S T S)_ac = g theta_(a+c)^(-1)
+      / r = p theta_a^(-1) S_ac theta_c^(-1) for p = g/D = tau+/D, and
+      (S T)^3 = (S T S) T S T = p T^-1 S^2 T = p S^2, since S^2 is
+      negation and theta_(-a) = theta_a.
+    - gauss_identity: tau- = sum_x theta_x^(-1) = conj(g), and by
+      Gauss-Milgram |g|^2 = sum_(x, z) theta(x + z) theta_x^(-1) =
+      sum_z theta_z sum_x b(x, z) = r, the inner sum being r at z = 0
+      and 0 elsewhere.  So tau+ tau- = r = D^2.
+    - verlinde_integral and verlinde_matches_ring: sum_x S_ax S_bx
+      conj(S_cx) / S_ux = (1/r) sum_x b(c - a - b, x) is 1 when c = a +
+      b and 0 otherwise: the group law, integral, and the declared ring.
+    On every other datum the checks run one by one (`_axiom_checks`).
+    """
+    if not md.pointed_certificate():
+        return _axiom_checks(md)
+    report = ValidationReport("modular data")
+    for name in _MODULAR_CHECKS:
+        report.add(name, True, None)
+    return report
+
+
+def _axiom_checks(md: ModularData) -> ValidationReport:
+    """The checks of `validate_modular`, one by one.
 
     Positivity of d_i and D is decided by certified signs
     (`Cyclotomic.real_sign`), so no float threshold decides a check.

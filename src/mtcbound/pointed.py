@@ -57,21 +57,22 @@ holds: on those data tau+ S_uu is g / sqrt(|A|) too.
 `lagrangian_candidates` is the other bridge between a metric group and
 modular data: where `matches_modular_data` checks data against a given
 group, it finds the group in data given alone, for the unhinted
-`obstruction.verdict`.  When the unit row of S is constant and the declared ring is the group
-ring of an abelian group whose pairing, read off the twists, gives S
-and is nondegenerate, it proves so with integer numpy checks of
-O(|G| r^2) on a generating set G of at most log2(r) labels
-(`_generators`): Light's associativity test, the pairing bilinear and
-nondegenerate and q(-g) = q(g) on G, and S against the pairing.  The
-candidates are then exactly the indicators of the Lagrangian
-subgroups, which `isotropic_subgroups` lists from the ring's law among
-the labels of trivial twist; they are sorted, as the search sorts, so
-the report is the search's byte for byte.  If a check fails it returns
-None, and the search runs.  The enumeration's size cap
+`obstruction.verdict`.  The finding is the pointed certificate
+(`modular._pointed_certificate`, kept on the datum by
+`ModularData.pointed_certificate`), which `validate_modular` reads
+too: integer numpy checks of O(|G| r^2), on a generating set G of at
+most log2(r) labels, that the declared ring is the group ring of an
+abelian group whose pairing, read off the twists, gives S and is
+nondegenerate, with negation as the dual.  The candidates are then
+exactly the indicators of the Lagrangian subgroups, which
+`isotropic_subgroups` lists from the ring's law among the labels of
+trivial twist; they are sorted, as the search sorts, so the report is
+the search's byte for byte.  If the certificate fails it
+returns None, and the search runs.  The enumeration's size cap
 (`SUBGROUP_SIZE_CAP`) and the input contract of `isotropic_subgroups`
-are read and checked in this module alone.  Light's test and the
-enumeration gather int16 labels and positions, 2 bytes each, in blocks
-of `fusion._BLOCK_BYTES` (2^20 entries).
+are read and checked in this module alone.  The enumeration gathers
+int16 positions, 2 bytes each, in blocks of `fusion._BLOCK_BYTES` (2^21
+bytes).
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ from .fusion import (
     group_ring,
     group_strides,
 )
-from .modular import FactoredMatrix, ModularData, _power_rows, _twist_exponents
+from .modular import FactoredMatrix, ModularData, _power_rows, _ring_law, _twist_exponents
 from .report import ValidationReport
 
 # |A| <= 4096 < 2^15 also lets positions among the isotropic elements
@@ -386,81 +387,18 @@ def matches_modular_data(mg: MetricGroup, md: ModularData) -> bool:
     return md.ring is None or md.ring.same_fusion(mg._derived(_group_ring))
 
 
-def _generators(law: np.ndarray, u: int) -> list | None:
-    """Labels g_1, g_2, ... that reach every label from u by right
-    products (`law[x, g]`), each the least label the ones before do not
-    reach; None once more than log2(r) are needed.  In a group the
-    labels reached by g_1 .. g_i form the subgroup they generate, which
-    at least doubles with each g_i.  Plain Python lists: O(r) per
-    generator, where numpy's cost per call would dominate."""
-    r = len(law)
-    reached = bytearray(r)
-    reached[u] = 1
-    subgroup = [u]
-    gens: list = []
-    while (g := reached.find(0)) >= 0:
-        if len(gens) == r.bit_length() - 1:
-            return None
-        gens.append(g)
-        column = law[:, g].tolist()
-        # the cosets subgroup + j g until one starts at a reached label,
-        # which in a group is the subgroup itself
-        cosets = list(subgroup)
-        coset = [column[x] for x in subgroup]
-        while not reached[coset[0]]:
-            for x in coset:
-                reached[x] = 1
-            cosets += coset
-            coset = [column[x] for x in coset]
-        subgroup = cosets
-    return gens
-
-
 def lagrangian_candidates(md: ModularData) -> list | None:
     """`obstruction.candidate_search(md)` by the Lagrangian-subgroup
-    enumeration, for pointed data with a group ring; None when a
-    precondition fails, and the unhinted `obstruction.verdict` then
-    searches.  Called once the central-charge gate has passed, which
-    leaves the twist exponents on md.
+    enumeration, for pointed data with a group ring; None when the
+    pointed certificate (`ModularData.pointed_certificate`, the one that
+    `validate_modular` reads) fails or r > SUBGROUP_SIZE_CAP, and the
+    unhinted `obstruction.verdict` then searches.
 
-    Preconditions, for u the unit, r the rank, L the ring's law,
-    theta_a = zeta_M^e_a (`_twist_exponents`, so e_u = 0),
-    K[a, c] = e[L[a, c]] - e_a - e_c mod M, and G from `_generators`:
-    (1) D = 1/S_uu is sqrt(r) when r is a square, D^2 = r otherwise;
-    (2) the ring has one row (a, c, L[a, c], 1) per pair (a, c); L is
-        symmetric and L[u] is the identity;
-    (3) Light's test: (x g) y = x (g y) for all labels x, y and g in G;
-    (4) D S_ac = zeta_M^(-K[a, c]): the value ids of S are a function
-        of K, and each K value but 0 (whose value is S_uu's) is compared
-        once, exactly.  K[u, a] = 0, so the unit row of S is S_uu's;
-    (5) K[g, x + h] = K[g, x] + K[g, h] for every x and g, h in G;
-    (6) K[g, g] = 2 e_g for g in G;
-    (7) no a != u has K[a, g] = 0 for every g in G.
-    Each is integer numpy work of O(|G| r^2) at most.
-
-    They make md the pointed data of a nondegenerate metric group (A, q),
-    q(a) = e_a/M (`metric_modular_data`), up to T_u, the labels
-    and the ring's declared dual, none of which the search reads.  The
-    labels p with (x p) y = x (p y) for all x, y are closed under L:
-    (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y)) = x ((a b) y).
-    They include u and G, so every label: L is associative, and with
-    (2) a commutative monoid with identity u.  K is symmetric with
-    K[a, u] = 0, and K[a, c + x] - K[a, c] - K[a, x] = e_(a+c+x) -
-    e_(a+c) - e_(a+x) - e_(c+x) + e_a + e_c + e_x is symmetric in a, c,
-    x.  By (5) each K[g, .] is additive along every generator, so
-    additive, every label being a sum of generators; by that symmetry
-    each K[a, .] is then additive along G, so additive.  An idempotent
-    z = z + z has K[a, z] = 2 K[a, z] = 0 for all a, so z = u by (7); as
-    some multiple of each a is idempotent, every a has an inverse.  So
-    A is an abelian group and b = K/M a symmetric bicharacter,
-    nondegenerate by (7).  K[g, -g] = -K[g, g] gives e_(-g) = K[g, g] -
-    e_g, so (6) is q(-g) = q(g); a -> q(a) - q(-a) is additive
-    (K[-a, -c] = K[a, c]), so it vanishes, and q is a quadratic form
-    with bicharacter b.  By (1) and (4) every d_a = 1 and S_ac =
-    b(a, c)^(-1) / sqrt|A|, and T_a / T_u = e^(2 pi i q(a)).
-
-    On these data the search finds exactly the indicators of the
-    Lagrangian subgroups H (|H|^2 = |A|, q|_H = 0), sorted.  On the
+    By the certificate, md is the pointed data of a nondegenerate metric
+    group (A, q), T_a / T_u = e^(2 pi i q(a)), up to T_u and the labels,
+    none of which the search reads.  On these data the search finds
+    exactly the indicators of the Lagrangian subgroups H (|H|^2 = |A|,
+    q|_H = 0), sorted.  On the
     data of a metric group (`metric_modular_data`) that is the hinted
     order of `lagrangian_answer` reversed (its docstring has the proof).
     S^2 maps a to -a (b is nondegenerate), so its duality is negation.
@@ -473,84 +411,19 @@ def lagrangian_candidates(md: ModularData) -> list | None:
     1 for a in H and 0 otherwise, since H = H^perp makes b(a, .) a
     nontrivial character of H, so 1_H passes every condition.  The
     subgroups come from `isotropic_subgroups`, given the isotropic
-    labels, u first, and L among them, all below r <= SUBGROUP_SIZE_CAP.
+    labels, u first, and the ring's law among them, all below r <=
+    SUBGROUP_SIZE_CAP.
     """
-    r, u, ring = md.rank, md.unit_index, md.ring
-    # a ring has r^2 rows or more, and exactly r^2 when every product is
-    # one simple: data with no ring or a ring of another kind leave here
-    if ring is None or r > SUBGROUP_SIZE_CAP or len(ring.table) != r * r:
+    r, u = md.rank, md.unit_index
+    if r > SUBGROUP_SIZE_CAP or not md.pointed_certificate():
         return None
-    s, s_uu = md.s, md.s_unit
     target = math.isqrt(r)
-    square = target * target == r
-    if square:
-        if s_uu.as_rational() != Fraction(1, target):
-            return None
-    elif s_uu * s_uu * r != 1:
-        return None
-
-    # N >= 1 on every row, so r^2 rows summing to r^2 all have N = 1;
-    # the sorted codes (a r + c) r + L[a, c] then have one row per pair
-    # exactly when each lies in [p r, p r + r) for p = a r + c
-    if ring.table[:, 3].sum() != r * r:
-        return None
-    law = ring._codes.reshape(r, r) - np.arange(0, r**3, r).reshape(r, r)
-    if law.min() < 0 or law.max() >= r:
-        return None
-    if (law != law.T).any() or (law[u] != np.arange(r)).any():
-        return None
-    gens = _generators(law, u)
-    if gens is None:
-        return None
-    # L commutative: (g y) x = x (g y) must equal (x g) y = (g x) y
-    labels = law.astype(np.int16)  # below SUBGROUP_SIZE_CAP
-    step = _block_step(r * r, 2)  # int16 labels
-    for start in range(0, len(gens), step):
-        products = np.take(labels, law[gens[start : start + step]], axis=0)
-        if (products != products.transpose(0, 2, 1)).any():
-            return None
-
-    # a quadratic form on A has values in (1 / 2 exp(A)) Z / Z, and
-    # exp(A) <= r
-    where, m, e = _twist_exponents(md)
-    if where is not None or m > 2 * r:
-        return None
-    # K = raw mod m, raw in (-2m, m): a negative index into the 3m
-    # residues wraps to raw + 3m, of the same residue
-    residues = np.arange(3 * m) % m
-    k = np.take(residues, np.take(e, law) - np.add.outer(e, e))
-    # the value id of S at each value of K; at 0 it is S_uu's, as
-    # K[u, u] = 0
-    ids = s.value_ids()
-    values = ids[s.slots]
-    value = np.full(m, -1, dtype=np.intp)
-    value[k] = values
-    if (value[k] != values).any():
-        return None
-    # each other value against e^(-2 pi i K/M) / D, made as `_s_entries`
-    # makes it
-    entry = dict(zip(ids.tolist(), s.entries))
-    for angle in np.flatnonzero(value[1:] >= 0).tolist():
-        if entry[value[angle + 1]] != from_angle(Fraction(-angle - 1, m)) * s_uu:
-            return None
-
-    rows = k[gens]  # K[g, .]
-    pairs = rows[:, gens]  # K[g, h]
-    # K[g, x + h] - K[g, x] - K[g, h], in (-2m, m), is 0 mod m
-    excess = np.take(rows, law[:, gens], axis=1) - rows[:, :, None] - pairs[:, None, :]
-    if np.take(residues, excess).any():
-        return None
-    if np.count_nonzero((rows == 0).all(axis=0)) != 1:
-        return None
-    # q(-g) = q(g) iff q(2g) = 4 q(g), that is K[g, g] = 2 e_g mod m
-    if any((kg - 2 * eg) % m for kg, eg in zip(pairs.diagonal().tolist(), e[gens].tolist())):
-        return None
-    if not square:
+    if target * target != r:
         return []
-
+    _, _, e = _twist_exponents(md)
     iso = np.flatnonzero(e == 0)
     iso = np.concatenate(([u], iso[iso != u]))  # the unit first: position 0 is the zero
-    found = isotropic_subgroups(iso, law[iso[:, None], iso], target)
+    found = isotropic_subgroups(iso, _ring_law(md.ring, iso), target)
     return sorted(map(tuple, _indicators(found, r).tolist()))
 
 

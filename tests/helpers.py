@@ -43,6 +43,7 @@ from mtcbound.errors import (
 )
 from mtcbound import modular
 from mtcbound.fusion import (
+    _REAL_TOLERANCE,
     FusionRing,
     _exponent_array,
     _label_blocks,
@@ -60,6 +61,7 @@ from mtcbound.modular import (
     FactoredMatrix,
     ModularData,
     PackedMatrix,
+    _axiom_checks,
     _balancing_sides,
     _conv_entrywise,
     _gauss_sum,
@@ -70,7 +72,6 @@ from mtcbound.modular import (
     _value_ids,
     gauss_sums,
     ring_from_verlinde,
-    validate_modular,
     verlinde_table,
 )
 from mtcbound.multifusion import BlockDecomposition
@@ -700,6 +701,19 @@ def per_entry_box_tensor(a: ModularData, b: ModularData) -> ModularData:
     return ModularData(s=s, t=t, unit_index=a.unit_index * rb + b.unit_index, ring=ring)
 
 
+def at_twice(x: Cyclotomic) -> Cyclotomic:
+    """x over twice its conductor (a rational stays at conductor 1)."""
+    return x.embed(2 * x.conductor)
+
+
+def mixed(md: ModularData) -> ModularData:
+    """The lower triangle of S and the odd labels' twists at twice their
+    conductor: the same values in other slots."""
+    s = [[at_twice(x) if i > j else x for j, x in enumerate(row)] for i, row in enumerate(md.s)]
+    t = [at_twice(x) if i % 2 else x for i, x in enumerate(md.t)]
+    return ModularData(s=s, t=t, unit_index=md.unit_index, ring=md.ring)
+
+
 def relabelled(md: ModularData, perm: list) -> ModularData:
     """The same data with new label k standing for old label perm[k]."""
     inv = [0] * len(perm)
@@ -808,17 +822,20 @@ def per_label_central_charge(md: ModularData) -> Fraction:
 
 
 def full_route_validate_modular(md: ModularData) -> ValidationReport:
-    """`validate_modular` with `theta_normalized`, `balancing`,
-    `gauss_identity`, `verlinde_integral` and `verlinde_matches_ring`
-    always decided by the full routes that ring-less data take: theta_u
-    = T_u / T_u against 1, (S T)^3 against (tau+/D) S^2, tau+ tau-
-    against D^2, and `verlinde_table` against the declared ring.  The
-    oracle of the ring route (`modular._ring_equations`), which decides
+    """`validate_modular` without the pointed certificate, its checks run
+    one by one (`modular._axiom_checks`), and with `theta_normalized`,
+    `balancing`, `gauss_identity`, `verlinde_integral` and
+    `verlinde_matches_ring` always decided by the full routes that
+    ring-less data take: theta_u = T_u / T_u against 1, (S T)^3 against
+    (tau+/D) S^2, tau+ tau- against D^2, and `verlinde_table` against
+    the declared ring.  The oracle of the pointed certificate
+    (`modular._pointed_certificate`), which passes every check at once,
+    and of the ring route (`modular._ring_equations`), which decides
     balancing and the Gauss identity together; the other checks are
-    copied."""
+    copied from `_axiom_checks`."""
     checks = []
     table = None
-    for check in validate_modular(md).checks:
+    for check in _axiom_checks(md).checks:
         if check.name == "theta_normalized" and check.ok:
             check = CheckResult("theta_normalized", md.theta()[md.unit_index] == 1)
         elif check.name == "balancing" and check.detail != "twists unavailable":
@@ -2057,3 +2074,24 @@ def galois_conjugate(md: ModularData, a: int) -> tuple[ModularData, bool]:
     if negated:
         s = FactoredMatrix(tuple(-x for x in s.entries), s.slots)
     return ModularData(s=s, t=t, unit_index=md.unit_index, ring=md.ring), negated
+
+
+def per_label_fp_dimensions(ring: FusionRing) -> list[float]:
+    """`fusion.fp_dimensions` one label at a time: each left
+    multiplication matrix (N_ij^k)_jk built from the label's table rows
+    and solved by its own `np.linalg.eigvals` call.  The oracle of the
+    stacked solve; needs every multiplicity at most FP_MULTIPLICITY_CAP."""
+    r = ring.rank
+    dims = []
+    for i in range(r):
+        rows = ring.table[ring.table[:, 0] == i]
+        matrix = np.zeros((r, r))
+        matrix[rows[:, 1].astype(np.int64), rows[:, 2].astype(np.int64)] = rows[:, 3]
+        eigs = np.linalg.eigvals(matrix)
+        if not np.all(np.isfinite(eigs)):
+            raise NumericError(f"eigenvalue computation failed for label {i}")
+        real = [e.real for e in eigs if abs(e.imag) <= _REAL_TOLERANCE * (1 + abs(e))]
+        if not real:
+            raise NumericError(f"no real eigenvalue for label {i}")
+        dims.append(max(real))
+    return dims

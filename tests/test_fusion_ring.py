@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from mtcbound import corpus, fusion
 from mtcbound.errors import DualMismatch, InputError, MultiplicityLimitError, PerfectnessFailure
 from mtcbound.fusion import (
     FP_MULTIPLICITY_CAP,
@@ -14,6 +15,8 @@ from mtcbound.fusion import (
     ring_product,
     validate,
 )
+from mtcbound.multifusion import block_partition, corner_ring
+from tests.helpers import per_label_fp_dimensions
 
 
 def fibonacci_ring():
@@ -169,6 +172,36 @@ def test_fp_dimensions_refuse_multiplicities_over_the_cap():
     for n in (FP_MULTIPLICITY_CAP + 1, 2**63, 10**400):
         with pytest.raises(MultiplicityLimitError, match=r"N\[1,1,1\]"):
             fp_dimensions(ring(n))
+
+
+def cap_ring() -> FusionRing:
+    """x x = 1 + n x at n = FP_MULTIPLICITY_CAP."""
+    fusion = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1}
+    fusion[1, 1, 1] = FP_MULTIPLICITY_CAP
+    return FusionRing(labels=("1", "x"), unit=(0,), dual=(0, 1), fusion=fusion)
+
+
+def fp_rings() -> list:
+    """(label, ring): every fixture's ring, group_ring((2, 3)), the
+    multiplicity-cap ring and every corner that `decompose` builds of a
+    fixture's ring."""
+    out = []
+    for name in corpus.fixture_names():
+        ring = corpus.build(name).effective_ring()
+        out.append((name, ring))
+        dec = block_partition(ring)
+        out += [(f"{name} corner {i}", corner_ring(dec, i)) for i in range(dec.unit_count)]
+    assert len(out) - sum("corner" in label for label, _ in out) == 16
+    return out + [("Z2 x Z3", group_ring((2, 3))), ("cap", cap_ring())]
+
+
+@pytest.mark.parametrize("block_bytes", [2**21, 8])
+def test_fp_dimensions_equal_the_per_label_solves(monkeypatch, block_bytes):
+    # the stacked solve, a block of labels per call (one label per block
+    # at 8 bytes), gives each label's floats exactly
+    monkeypatch.setattr(fusion, "_BLOCK_BYTES", block_bytes)
+    for label, ring in fp_rings():
+        assert fp_dimensions(ring) == per_label_fp_dimensions(ring), label
 
 
 def test_fp_dimension_multiplicativity_simple_unit():

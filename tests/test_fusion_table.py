@@ -477,23 +477,26 @@ class TestExactness:
 
 
 class TestBlockBudget:
-    """One budget, `fusion._BLOCK_BYTES`, splits the five blocked passes.
-    Each divides it by its item size, 8 bytes or 2 for the int16 gathers
-    of `pointed`, so every pass keeps the blocks of its own item budget:
-    2^18 entries and 2^20 int16 entries at the default of 2^21 bytes."""
+    """One budget, `fusion._BLOCK_BYTES`, splits the blocked passes.
+    Each divides it by its item size, 8 bytes or 2 for the uint16 labels
+    of Light's test and the int16 positions of the enumeration, so every
+    pass keeps the blocks of its own item budget: 2^18 entries and 2^20
+    two-byte entries at the default of 2^21 bytes."""
 
     # the items each uniform pass makes per unit, and its units, read
     # off the caller's locals
     UNIFORM = {
         "verlinde_table": lambda f: (f["r"] * (2 * f["phi"] - 1), len(f["first"])),
-        "lagrangian_candidates": lambda f: (f["r"] ** 2, len(f["gens"])),
+        "_pointed_certificate": lambda f: (f["r"] ** 2, len(f["gens"])),
+        "fp_dimensions": lambda f: (f["r"] ** 2, f["r"]),
         "isotropic_subgroups": lambda f: (f["size"] * len(f["sums"]), len(f["subgroups"])),
     }
     ITEMSIZE = {
         "_associativity": 8,
         "_ring_equations": 8,
         "verlinde_table": 8,
-        "lagrangian_candidates": 2,
+        "_pointed_certificate": 2,
+        "fp_dimensions": 8,
         "isotropic_subgroups": 2,
     }
 
@@ -529,9 +532,10 @@ class TestBlockBudget:
         monkeypatch.setattr(fusion, "_BLOCK_BYTES", 2**21 >> shift)
         for module in (fusion, modular):
             monkeypatch.setattr(module, "_label_blocks", label_spy)
-        for module in (modular, pointed):
+        for module in (fusion, modular, pointed):
             monkeypatch.setattr(module, "_block_step", step_spy)
         assert fusion.validate(md.ring).ok
+        assert len(fusion.fp_dimensions(md.ring)) == md.rank
         assert validate_modular(md).ok  # the ring route
         assert len(verlinde_table(md))
         assert verdict(metric_modular_data(mg)).verdict == "CandidatesFound"

@@ -1,5 +1,6 @@
 """Known answers beyond the shipped fixtures: the Lagrangian algebras of
-SU(2)_k x SU(2)_k^rev, and Galois conjugates of modular data.
+SU(2)_k x SU(2)_k^rev, two conformal embeddings, and Galois conjugates
+of modular data.
 
 Lagrangian algebras in SU(2)_k x SU(2)_k^rev are the CIZ modular
 invariants (Cappelli-Itzykson-Zuber, Commun. Math. Phys. 113 (1987) 1;
@@ -8,6 +9,15 @@ maps the modular data of a category to those of its conjugate, and a
 Drinfeld center to a Drinfeld center; S n = n holds over Q iff
 sigma_a(S) n = n, so a conjugate that validates keeps the verdict and
 every candidate.
+
+A conformal embedding V of level k in W of level 1 gives the Lagrangian
+algebra of SU(2)_k x W^rev that sums (j, w) over the pairs where the
+representation w of W restricts to contain j: SU(2)_4 in SU(3)_1 the D_4
+invariant, where spin 1 (j = 2) splits into the two nontrivial
+representations of Z_3, and SU(2)_28 in (G_2)_1, whose modular data are
+Fibonacci's (c = 14/5), the E_8 invariant (Cappelli-Itzykson-Zuber;
+Kirillov-Ostrik, arXiv:math/0101219).  Neither datum is pointed, so
+the search answers both.
 """
 
 import math
@@ -17,9 +27,17 @@ from fractions import Fraction
 import pytest
 
 from mtcbound import corpus
-from mtcbound.modular import FactoredMatrix, ModularData, central_charge, double, validate_modular
+from mtcbound.modular import (
+    FactoredMatrix,
+    ModularData,
+    box_tensor,
+    central_charge,
+    double,
+    reverse,
+    validate_modular,
+)
 from mtcbound.obstruction import verdict
-from mtcbound.pointed import metric_modular_data
+from mtcbound.pointed import MetricGroup, metric_modular_data
 from tests.helpers import ciz_invariants, galois_conjugate, random_metric_group, su2
 
 
@@ -59,6 +77,44 @@ class TestSu2:
         report = verdict(md)
         assert report.verdict == "CandidatesFound"
         assert report.candidates == tuple(sorted(invariants.values()))
+
+
+def su3_level_1() -> ModularData:
+    """SU(3)_1: the metric group Z_3 with q(1) = q(2) = 1/3 (c = 2)."""
+    q = {(0,): 0, (1,): Fraction(1, 3), (2,): Fraction(1, 3)}
+    return metric_modular_data(MetricGroup(orders=(3,), q=q))
+
+
+def embedding_vector(pairs: dict, right_rank: int, rank: int) -> tuple:
+    """The multiplicity vector with 1 at label j right_rank + w of each
+    pair (j, w) of a product whose right factor has right_rank labels."""
+    vector = [0] * rank
+    for j, w in pairs:
+        vector[j * right_rank + w] = 1
+    return tuple(vector)
+
+
+class TestConformalEmbeddings:
+    def test_su2_4_times_su3_1_reversed_gives_exactly_d4(self):
+        # (0, 0) + (2, 1) + (2, 2) + (4, 0): h_2 = 1/3 = q(1) = q(2) and h_4 = 1
+        md = box_tensor(su2(4), reverse(su3_level_1()))
+        assert md.rank == 15 and validate_modular(md).ok
+        report = verdict(md)
+        assert (report.verdict, report.central_charge) == ("CandidatesFound", 0)
+        d4 = embedding_vector({(0, 0), (2, 1), (2, 2), (4, 0)}, 3, 15)
+        assert report.candidates == (d4,)
+
+    def test_su2_28_times_fibonacci_reversed_gives_exactly_e8(self):
+        # {0, 10, 18, 28} x 1 plus {6, 12, 16, 22} x tau: h_j = j (j + 2) / 120
+        # is an integer at the first four and 2/5 = h_tau mod 1 at the others
+        fibonacci = corpus.build("fibonacci").modular
+        assert fibonacci.ring.labels == ("1", "tau")
+        md = box_tensor(su2(28), reverse(fibonacci))
+        assert md.rank == 58 and validate_modular(md).ok
+        report = verdict(md)
+        assert (report.verdict, report.central_charge) == ("CandidatesFound", 0)
+        pairs = {(j, 0) for j in (0, 10, 18, 28)} | {(j, 1) for j in (6, 12, 16, 22)}
+        assert report.candidates == (embedding_vector(pairs, 2, 58),)
 
 
 class TestGaloisConjugates:

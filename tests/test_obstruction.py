@@ -752,7 +752,7 @@ class TestPointedRoute:
         # a budget of r^2 int16 entries puts one generator in each block
         # of Light's test
         law = non_associative_law()
-        assert pointed._generators(law, 0) == [1, 2, 4, 8]
+        assert modular._generators(law, 0) == [1, 2, 4, 8]
         # (x g) y = x (g y) for every x, y holds for g = 1, not for g = 2
         light = lambda g: (law[law[:, g]] == law[:, law[g]]).all()
         assert light(1) and not light(2)

@@ -21,9 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtcbound import corpus, fusion, modular
-from mtcbound.cyclotomic import ZERO, zeta
+from mtcbound.cyclotomic import ZERO, Cyclotomic, euler_phi, rational, zeta
+from mtcbound.errors import MtcError
 from mtcbound.fusion import FusionRing
 from mtcbound.modular import (
+    FactoredMatrix,
     ModularData,
     _ring_equations,
     _twist_exponents,
@@ -35,7 +37,9 @@ from mtcbound.modular import (
 from mtcbound.pointed import abelian_double, metric_modular_data
 from tests.helpers import (
     full_route_validate_modular,
+    mixed,
     random_metric_group,
+    relabelled,
     triple_product_balancing,
     two_pass_ring_equations,
 )
@@ -408,6 +412,9 @@ class TestGaussIdentityFromTheRoute:
         monkeypatch.setattr(ModularData, "theta", refuse)
         for label, md in data:
             assert validate_modular(md).ok, label
+            # pointed data take the certificate there; the checks one by
+            # one take the ring route on every datum
+            assert modular._axiom_checks(md).ok, label
 
     def test_the_full_routes_still_name_the_gauss_identity(self):
         # the negated twist and ring-less copies of the rank-144 double
@@ -434,6 +441,197 @@ class TestGaussIdentityFromTheRoute:
         assert not checks["balancing"].ok and not checks["gauss_identity"].ok
         assert validate_modular(bare).ok
         assert "gauss_identity" in validate_modular(zero).failed_names()
+
+
+POINTED_FIXTURES = (
+    "trivial",
+    "semion",
+    "double_semion",
+    "toric_code",
+    "d_z3",
+    "double_trivial",
+    "double_of_semion",
+    "double_of_double_semion",
+    "double_toric_code",
+)
+
+
+def pointed_data() -> list:
+    """(label, datum): every valid pointed datum with a group ring here,
+    freshly built: the 9 pointed fixtures, double(d_z3) and the data of
+    seeded `random_metric_group` draws."""
+    data = [(name, corpus.build(name).modular) for name in POINTED_FIXTURES]
+    data.append(("double(d_z3)", double(corpus.build("d_z3").modular)))
+    return data + seeded_metric_data(12)
+
+
+def certified_copies(md: ModularData, rng: random.Random) -> list:
+    """(label, datum): md, a relabelled copy with the unit away from
+    label 0, T times a seeded nonzero scalar (so T_u != 1, the twists
+    theta = T / T_u unchanged) and a copy with mixed conductors."""
+    perm = list(range(md.rank))
+    rng.shuffle(perm)
+    if perm[0] == md.unit_index and md.rank > 1:
+        perm[0], perm[1] = perm[1], perm[0]
+    scale = rng.choice((zeta(8), -zeta(5), rational(3), zeta(12) * rational(2)))
+    return [
+        ("as made", md),
+        ("relabelled", relabelled(md, perm)),
+        ("T scaled", twists_rotated(md, range(md.rank), scale)),
+        ("mixed conductors", mixed(md)),
+    ]
+
+
+def fallback_tampers(md: ModularData, rng: random.Random) -> list:
+    """(label, datum): seeded tampers of valid pointed data that the
+    certificate must refuse, each changing the data.  The declared dual
+    with a dual pair made self-dual or two self-dual labels paired,
+    every S entry negated at a non-square rank, one twist
+    times a root of unity, one ring row moved to another product, and
+    one S slot set to another value."""
+    r, u = md.rank, md.unit_index
+    out = []
+    dual = list(md.ring.dual)
+    others = [a for a in range(r) if a != u]
+    # a dual pair made self-dual, or two self-dual labels paired
+    swaps = [(a, b) for a in others for b in others if a < b and dual[a] == b]
+    swaps += [(a, b) for a in others for b in others if a < b and dual[a] == a and dual[b] == b]
+    if swaps:
+        a, b = rng.choice(swaps)
+        dual[a], dual[b] = (a, b) if dual[a] == b else (b, a)
+        ring = FusionRing.from_table(md.ring.labels, md.ring.unit, tuple(dual), md.ring.table)
+        out.append(("dual swapped", ModularData(s=md.s, t=md.t, unit_index=u, ring=ring)))
+    if math.isqrt(r) ** 2 != r:
+        s = FactoredMatrix(tuple(-x for x in md.s.entries), md.s.slots)
+        out.append(("S negated", ModularData(s=s, t=md.t, unit_index=u, ring=md.ring)))
+    if r > 1:
+        label = rng.choice(others)
+        out.append(("twist", twists_rotated(md, {label}, zeta(rng.choice((2, 3, 4, 8))))))
+        table = md.ring.table.copy()
+        p = rng.randrange(len(table))
+        table[p, 2] = (table[p, 2] + rng.randrange(1, r)) % r
+        out.append(("ring row moved", with_ring_table(md, table)))
+        rows = [list(row) for row in md.s]
+        i, j = rng.randrange(r), rng.randrange(r)
+        values = [x for x in md.s.entries + tuple(-x for x in md.s.entries) if x != rows[i][j]]
+        rows[i][j] = rng.choice(values)
+        out.append(("S slot", with_s(md, rows)))
+    return out
+
+
+class TestPointedCertificate:
+    """`validate_modular` answers valid pointed data with a group ring
+    by `modular._pointed_certificate`, and every other datum by its
+    checks one by one; `tests.helpers.full_route_validate_modular`, which
+    never reads the certificate, is the oracle."""
+
+    def test_the_pointed_fixtures_take_the_certificate(self):
+        taken = [name for name, md in modular_fixtures() if md.pointed_certificate()]
+        assert sorted(taken) == sorted(POINTED_FIXTURES)
+
+    def test_valid_pointed_data_form_no_matrix_product_and_no_twist(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("formed on the certificate route")
+
+        data = pointed_data()
+        monkeypatch.setattr(ModularData, "packed_s_squared", refuse)
+        monkeypatch.setattr(ModularData, "theta", refuse)
+        for name in ("verlinde_table", "_balancing_sides", "_gauss_sum", "_slot_gauss_sum"):
+            monkeypatch.setattr(modular, name, refuse)
+        monkeypatch.setattr(modular, "_ring_equations", refuse)
+        for label, md in data:
+            report = validate_modular(md)
+            assert report.ok and len(report.checks) == 12, label
+            assert tuple(c.name for c in report.checks) == modular._MODULAR_CHECKS, label
+
+    def test_the_checks_one_by_one_name_the_same_checks(self):
+        # the certificate's report lists `_MODULAR_CHECKS`; the checks
+        # one by one list the same names, in the same order
+        for label, md in pointed_data():
+            names = tuple(c.name for c in modular._axiom_checks(md).checks)
+            assert names == modular._MODULAR_CHECKS, label
+
+    def test_seeded_copies_match_the_full_routes(self):
+        rng = random.Random(3607)
+        data = [(name, md) for name, md in modular_fixtures() if name in POINTED_FIXTURES]
+        data += [(f"double({name})", double(corpus.build(name).modular))
+                 for name in corpus.BASE_MODULAR_FIXTURES]
+        for _ in range(50):
+            mg = random_metric_group(rng, max_size=32)
+            data.append((f"metric {mg.orders}", metric_modular_data(mg)))
+        certified = non_square = 0
+        for label, md in data:
+            for copy, datum in certified_copies(md, rng):
+                assert_routes_agree(datum, (label, copy))
+                if label.startswith("metric"):
+                    assert datum.pointed_certificate(), (label, copy)
+                    assert validate_modular(datum).ok, (label, copy)
+                    certified += 1
+                    non_square += math.isqrt(datum.rank) ** 2 != datum.rank
+        assert certified == 200 and non_square >= 40
+
+    def test_seeded_tampers_fall_back_to_the_checks(self):
+        # a tamper may give valid data again (a semion twist times -1 is
+        # the antisemion's); the certificate holds exactly on those
+        rng = random.Random(3608)
+        data = [(name, md) for name, md in modular_fixtures() if name in POINTED_FIXTURES]
+        for _ in range(30):
+            mg = random_metric_group(rng, max_size=24)
+            data.append((f"metric {mg.orders}", metric_modular_data(mg)))
+        refused = {}
+        for label, md in data:
+            for copy, datum in certified_copies(md, rng)[1:]:
+                for tamper, bad in fallback_tampers(datum, rng):
+                    full = full_route_validate_modular(bad)
+                    assert validate_modular(bad).to_json_dict() == full.to_json_dict()
+                    assert bad.pointed_certificate() == full.ok, (label, copy, tamper)
+                    refused[tamper] = refused.get(tamper, 0) + (not full.ok)
+        assert len(refused) == 5 and min(refused.values()) >= 50, refused
+
+    def test_the_two_checks_only_validation_needs(self):
+        # the toric code with e and m swapped in the declared dual, and
+        # the semion with S negated: the group structure and the
+        # pairing hold, but the dual is not negation and D < 0
+        toric = corpus.build("toric_code").modular
+        ring = toric.ring
+        moved = FusionRing.from_table(ring.labels, ring.unit, (0, 2, 1, 3), ring.table)
+        swapped = ModularData(s=toric.s, t=toric.t, ring=moved)
+        semion = corpus.build("semion").modular
+        negated = ModularData(s=[[-x for x in row] for row in semion.s], t=semion.t, ring=semion.ring)
+        for label, bad, failed in (
+            ("dual swapped", swapped, ["dual_matches_ring"]),
+            ("S negated", negated, ["total_dim"]),
+        ):
+            assert not bad.pointed_certificate(), label
+            assert validate_modular(bad).failed_names() == failed, label
+            assert_routes_agree(bad, label)
+
+    def test_conductor_refusals_name_s_before_t(self):
+        # S read before T, as by the checks one by one: with S and T both
+        # past the table cap, S's conductor is named
+        toric = corpus.build("toric_code").modular
+
+        def wide(n):
+            nums = [0] * euler_phi(n)
+            nums[0], nums[n // 4] = 3, 4
+            return Cyclotomic(n, tuple(nums), 5)
+
+        s = [list(row) for row in toric.s]
+        s[3][3] = s[3][3] * wide(100052)
+        t = list(toric.t)
+        t[1] = wide(100060)
+        for label, datum in (
+            ("S", ModularData(s=s, t=toric.t, ring=toric.ring)),
+            ("T", ModularData(s=toric.s, t=t, ring=toric.ring)),
+            ("S and T", ModularData(s=s, t=t, ring=toric.ring)),
+        ):
+            outcomes = []
+            for route in (validate_modular, modular._axiom_checks):
+                with pytest.raises(MtcError) as raised:
+                    route(datum)
+                outcomes.append((type(raised.value), str(raised.value)))
+            assert outcomes[0] == outcomes[1], label
+            assert str(100052 if "S" in label else 100060) in outcomes[0][1], label
 
 
 def seeded_tampers(md: ModularData, rng: random.Random) -> list:

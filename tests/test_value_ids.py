@@ -28,24 +28,12 @@ from mtcbound.modular import (
     validate_modular,
 )
 from mtcbound.obstruction import candidate_search, verdict
+from tests.helpers import at_twice, mixed
 from tests.test_ring_route import modular_fixtures
 
 
 def rank_144() -> ModularData:
     return double(box_tensor(corpus.build("toric_code").modular, corpus.build("ising").modular))
-
-
-def at_twice(x: Cyclotomic) -> Cyclotomic:
-    """x over twice its conductor (a rational stays at conductor 1)."""
-    return x.embed(2 * x.conductor)
-
-
-def mixed(md: ModularData) -> ModularData:
-    """The lower triangle of S and the odd labels' twists at twice their
-    conductor: the same values in other slots."""
-    s = [[at_twice(x) if i > j else x for j, x in enumerate(row)] for i, row in enumerate(md.s)]
-    t = [at_twice(x) if i % 2 else x for i, x in enumerate(md.t)]
-    return ModularData(s=s, t=t, unit_index=md.unit_index, ring=md.ring)
 
 
 def pairs_mixed(md: ModularData) -> ModularData:
@@ -130,8 +118,11 @@ class TestMixedRepresentations:
 
         monkeypatch.setattr(modular, "verlinde_table", refuse)
         monkeypatch.setattr(modular, "_balancing_sides", refuse)
-        assert validate_modular(mixed(md)).ok
-        assert validate_modular(pairs_mixed(md)).ok
+        for data in (mixed(md), pairs_mixed(md)):
+            assert validate_modular(data).ok
+            # the pointed fixtures take the pointed certificate there; the
+            # checks one by one take the ring route on every fixture
+            assert modular._axiom_checks(data).ok
 
     def test_dual_twists_in_two_slots(self):
         # only d_z3 has a dual pair with an irrational twist; its twists
